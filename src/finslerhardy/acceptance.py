@@ -145,10 +145,7 @@ def check_dual_calculus(cfg):
     ]
     for label, fam, tol_grad, tol_bid in combos:
         y = norms.sample_vectors(fam.n, m, cfg.seed + 21, stream=6)
-        if fam.has_closed_dual:
-            g = norms.grad_dual(fam, y)
-        else:
-            _, g = norms.dual_newton(fam, y)
+        g = norms.grad_dual(fam, y)
         hval = norms.norm_eval(fam, None, g)
         err = float(np.abs(hval - 1.0).max())
         tol = cfg.tol(tol_grad)
@@ -753,9 +750,11 @@ def run_battery(cfg, only=None):
     """Run the registry (optionally filtered by a regex on record names).
 
     Groups none of whose cataloged record names match the filter are
-    skipped entirely.  Independent groups may execute in parallel; assembly
-    order is the fixed registry order, so reports are deterministic for a
-    given config.
+    skipped entirely; a filter that matches no cataloged record is a
+    ValueError.  A group that raises yields a failing ``<group>.error``
+    record, which the filter never removes.  Independent groups may execute
+    in parallel; assembly order is the fixed registry order, so reports are
+    deterministic for a given config.
     """
     import re
 
@@ -764,6 +763,8 @@ def run_battery(cfg, only=None):
     if pattern:
         groups = [(name, fn) for name, fn in REGISTRY
                   if any(pattern.search(rn) for rn in CATALOG[name])]
+        if not groups:
+            raise ValueError(f"--only {only!r} matches no cataloged record")
     workers = cfg.resolved_threads()
 
     def run_one(item):
@@ -782,5 +783,6 @@ def run_battery(cfg, only=None):
         results = [run_one(g) for g in groups]
     records = [r for group in results for r in group]
     if pattern:
-        records = [r for r in records if pattern.search(r.name)]
+        errors = {f"{name}.error" for name, _ in groups}
+        records = [r for r in records if r.name in errors or pattern.search(r.name)]
     return records

@@ -115,8 +115,7 @@ def cmd_verify_norms(args):
     if fam.x_independent:
         tol = 1e-8 if fam.has_closed_dual else 1e-4
         y = norms.sample_vectors(fam.n, min(m, 1000), args.seed, stream=6)
-        g = norms.grad_dual(fam, y) if fam.has_closed_dual \
-            else norms.dual_newton(fam, y)[1]
+        g = norms.grad_dual(fam, y)
         derr = float(np.abs(norms.norm_eval(fam, None, g) - 1.0).max())
         checks.append(record("dual_identity", derr <= tol, derr, 1.0, tol))
         bid = norms.bidual_norm(fam, y[:200], seed=args.seed + 2)

@@ -145,14 +145,7 @@ class DualPowerField(ScalarField):
         return norms.dual_norm(self.fam, None, x) ** self.a
 
     def grad(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.fam.has_closed_dual:
-            h0 = norms.dual_norm(self.fam, None, x)
-            g0 = norms.grad_dual(self.fam, x)
-        else:
-            h0, g0 = norms.dual_newton(self.fam, np.atleast_2d(x))
-            h0 = h0.reshape(x.shape[:-1])
-            g0 = g0.reshape(x.shape)
+        h0, g0 = norms.dual(self.fam, x)
         return self.a * h0[..., None] ** (self.a - 1.0) * g0
 
     def radial_inverse(self, t):
@@ -184,12 +177,9 @@ class LogDualField(ScalarField):
         return np.log(self.R / h0)
 
     def grad(self, x):
-        x = np.asarray(x, dtype=float)
-        h0 = norms.dual_norm(self.fam, None, x)
+        h0, g0 = norms.dual(self.fam, x)
         if np.any(h0 >= self.R):
             raise DomainError("point outside {H0 < R}")
-        g0 = norms.grad_dual(self.fam, x) if self.fam.has_closed_dual \
-            else norms.dual_newton(self.fam, np.atleast_2d(x))[1].reshape(x.shape)
         return -g0 / h0[..., None]
 
     def radial_inverse(self, t):
@@ -220,9 +210,7 @@ class RadialProfileField(ScalarField):
         x = np.asarray(x, dtype=float)
         if self.metric == "euclidean":
             return x / np.linalg.norm(x, axis=-1, keepdims=True)
-        if self.fam.has_closed_dual:
-            return norms.grad_dual(self.fam, x)
-        return norms.dual_newton(self.fam, np.atleast_2d(x))[1].reshape(x.shape)
+        return norms.grad_dual(self.fam, x)
 
     def __call__(self, x):
         return self._profile(self._rho(x))

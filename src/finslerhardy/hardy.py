@@ -158,10 +158,6 @@ class HardyWeight:
             return np.zeros(np.asarray(x, dtype=float).shape[:-1])
         return self.V_profile(self._rho_of(x))
 
-    def rho_of_source(self, t):
-        """Radial coordinate with source value t (monotone source profiles)."""
-        return float(self.source.radial_inverse(t))
-
     def source_range(self):
         """(min, max) of the source profile over the usable radial bracket."""
         lo, hi = self.source_bracket
@@ -303,7 +299,9 @@ _ANGULAR_CACHE: dict = {}
 
 def angular_measure(fam, n, metric):
     """n * vol(unit ball of the radial gauge); the angular factor of radial integrals."""
-    key = (id(fam), n, metric)
+    # keyed by value: an id() could be reused by a later family, and the
+    # label omits p, on which the mixed unit ball depends
+    key = (fam.label(), fam.p, fam.n, n, metric)
     if key not in _ANGULAR_CACHE:
         if metric == "euclidean" or fam.kind == "euclidean":
             _ANGULAR_CACHE[key] = n * quadrature.unit_ball_volume(n=n, metric="euclidean")

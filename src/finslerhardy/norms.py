@@ -20,7 +20,10 @@ From ``H`` we derive the flux map ``a(x, xi) = grad_xi (H(x, xi)^p / p)
   ``xi != eta``,
 
 and the dual norm ``H0(y) = sup_{xi != 0} y . xi / H(xi)`` (x-independent
-kinds only) with its gradient.  The key calculus identities are
+kinds only) with its gradient.  :func:`dual` returns both from one call:
+closed forms for euclidean, lp and quadratic, one batched Newton solve
+(:func:`dual_newton`) for the mixed kind.  :func:`dual_norm` and
+:func:`grad_dual` are its two projections.  The key calculus identities are
 ``H(grad H0(y)) = 1`` and ``y . grad H0(y) = H0(y)``.
 
 All evaluators are vectorized: ``xi`` may be an array of shape ``(..., n)``
@@ -147,12 +150,6 @@ class NormFamily:
 
     def flux(self, xi, x=None):
         return operator_a(self, x, xi)
-
-    def dual(self, y):
-        return dual_norm(self, None, y)
-
-    def dual_grad(self, y):
-        return grad_dual(self, y)
 
 
 def euclidean(p, n):
@@ -319,53 +316,72 @@ def _dual_lp_exponent(s):
     return s / (s - 1.0)
 
 
-def dual_norm(fam, x, y):
-    """Dual norm H0(y) = sup_{xi != 0} y . xi / H(xi).
-
-    Closed forms: euclidean is self dual, lp(s) dualizes to lp(s'), a
-    quadratic form dualizes to its inverse.  The mixed kind is computed
-    numerically (multistart projected ascent plus a Newton polish on the
-    inverse duality map).  Weighted kinds are rejected.
-    """
+def _dual_input(fam, y, nonzero):
     if not fam.x_independent:
         raise UnsupportedKindError("dual norm is only defined for x-independent families")
     y = np.asarray(y, dtype=float)
+    if nonzero and np.any(np.linalg.norm(y, axis=-1) == 0.0):
+        raise DomainError("H0 is not differentiable at 0")
+    return y
+
+
+def _closed_dual_norm(fam, y):
     if fam.kind == "euclidean":
         return np.linalg.norm(y, axis=-1)
     if fam.kind == "lp":
         return _lp_norm(y, _dual_lp_exponent(fam.s))
-    if fam.kind == "quadratic":
-        return _quad_norm(y, fam.A_inv)
-    # mixed: numeric
-    if y.ndim == 1:
-        h0, _ = _dual_numeric_single(fam, y)
-        return h0
-    h0, _ = dual_newton(fam, y)
-    return h0
+    return _quad_norm(y, fam.A_inv)
 
 
-def grad_dual(fam, y):
-    """grad H0(y); satisfies H(grad H0(y)) = 1 and y . grad H0(y) = H0(y)."""
-    if not fam.x_independent:
-        raise UnsupportedKindError("dual norm is only defined for x-independent families")
-    y = np.asarray(y, dtype=float)
-    if np.any(np.linalg.norm(y, axis=-1) == 0.0):
-        raise DomainError("H0 is not differentiable at 0")
+def _closed_grad_dual(fam, y):
     if fam.kind == "euclidean":
         return y / np.linalg.norm(y, axis=-1, keepdims=True)
     if fam.kind == "lp":
         return _lp_grad(y, _dual_lp_exponent(fam.s))
-    if fam.kind == "quadratic":
-        w = y @ fam.A_inv
-        return w / _quad_norm(y, fam.A_inv)[..., None]
-    _, g = dual_newton(fam, np.atleast_2d(y))
-    return g.reshape(y.shape)
+    w = y @ fam.A_inv
+    return w / _quad_norm(y, fam.A_inv)[..., None]
+
+
+def dual(fam, y):
+    """The dual norm and its gradient, ``(H0(y), grad H0(y))``, for y != 0.
+
+    Closed forms: euclidean is self dual, lp(s) dualizes to lp(s'), a
+    quadratic form dualizes to its inverse.  The mixed kind takes one
+    batched :func:`dual_newton` solve, which yields both values.  ``y`` has shape ``(..., n)``; the results
+    have shapes ``(...,)`` and ``(..., n)``.  Weighted kinds are rejected.
+    """
+    y = _dual_input(fam, y, nonzero=True)
+    if fam.has_closed_dual:
+        return _closed_dual_norm(fam, y), _closed_grad_dual(fam, y)
+    h0, g0 = dual_newton(fam, y.reshape(-1, fam.n))
+    return h0.reshape(y.shape[:-1])[()], g0.reshape(y.shape)
+
+
+def dual_norm(fam, x, y):
+    """Dual norm H0(y) = sup_{xi != 0} y . xi / H(xi); see :func:`dual`.
+
+    ``x`` is unused (the dual is only defined for x-independent kinds).
+    The closed forms also accept y = 0.
+    """
+    y = _dual_input(fam, y, nonzero=False)
+    if fam.has_closed_dual:
+        return _closed_dual_norm(fam, y)
+    return dual(fam, y)[0]
+
+
+def grad_dual(fam, y):
+    """grad H0(y); satisfies H(grad H0(y)) = 1 and y . grad H0(y) = H0(y)."""
+    y = _dual_input(fam, y, nonzero=True)
+    if fam.has_closed_dual:
+        return _closed_grad_dual(fam, y)
+    return dual(fam, y)[1]
 
 
 # -- Newton solver on the inverse duality map -------------------------------
 #
-# The maximizer xi* of y.xi over {H = 1} satisfies m(xi) := H(xi) grad H(xi)
-# = y after rescaling, and then H0(y) = H(xi*), grad H0(y) = xi*/H(xi*).
+# The mixed-kind path of :func:`dual`.  The maximizer xi* of y.xi over
+# {H = 1} satisfies m(xi) := H(xi) grad H(xi) = y after rescaling, and then
+# H0(y) = H(xi*), grad H0(y) = xi*/H(xi*): one solve gives both values.
 # m = grad(H^2/2) has an SPD (a.e.) Jacobian, so damped Newton converges
 # quadratically from the euclidean start.
 
@@ -439,8 +455,9 @@ def _diag_embed(d):
 def dual_newton(fam, Y, tol=1e-13, maxit=60):
     """Batched dual norm and gradient via Newton on m(xi) = y.
 
-    Returns ``(H0, gradH0)`` for rows of ``Y``.  Falls back to projected
-    ascent on rows where Newton stalls (degenerate Hessian directions).
+    Returns ``(H0, gradH0)`` for rows of ``Y``.  A Levenberg term guards
+    (near-)singular Jacobians; rows still above ``tol`` after ``maxit``
+    steps are returned as they are.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     norms = np.linalg.norm(Y, axis=-1)
@@ -478,42 +495,6 @@ def dual_newton(fam, Y, tol=1e-13, maxit=60):
         xi = xi - lam[..., None] * step
     h = norm_eval(fam, None, xi)
     return h, xi / h[..., None]
-
-
-def _dual_numeric_single(fam, y, n_starts=64, seed=0, improve_tol=1e-12):
-    """Scalar-path numeric dual: multistart projected gradient ascent + Newton polish.
-
-    Maximizes ``y . xi`` over the H-unit sphere from the best of ``n_starts``
-    seeded random starts, stopping a start when the step improvement drops
-    below ``improve_tol``; the winner is polished by :func:`dual_newton`.
-    """
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    n = fam.n
-    starts = rng.standard_normal((n_starts, n))
-    starts[0] = y / np.linalg.norm(y)
-    starts /= norm_eval(fam, None, starts)[..., None]
-    best = None
-    for xi in starts:
-        f = float(y @ xi)
-        alpha = 1.0 / max(np.linalg.norm(y), 1e-300)
-        for _ in range(500):
-            trial = xi + alpha * y
-            trial = trial / norm_eval(fam, None, trial)
-            ft = float(y @ trial)
-            if ft > f + improve_tol * (1.0 + abs(f)):
-                xi, f = trial, ft
-            else:
-                alpha *= 0.5
-                if alpha * np.linalg.norm(y) < 1e-16:
-                    break
-        if best is None or f > best[0]:
-            best = (f, xi)
-    # Newton polish; its own start is already in the attraction basin and the
-    # multistart value lower-bounds the sup, so take the larger of the two.
-    h0, g = dual_newton(fam, y)
-    if best[0] > h0[0]:
-        return float(best[0]), best[1] / norm_eval(fam, None, best[1])
-    return float(h0[0]), g[0]
 
 
 def bidual_norm(fam, xi_samples, n_dirs=2048, iters=80, seed=0):

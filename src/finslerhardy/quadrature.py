@@ -93,8 +93,7 @@ def _dual_shell_geometry(fam, omega):
     mapped product rule integrates smooth functions at the underlying
     angular order.
     """
-    h0 = norms.dual_norm(fam, None, omega)
-    g0 = norms.grad_dual(fam, omega)
+    h0, g0 = norms.dual(fam, omega)
     theta = omega / h0[..., None]
     n = omega.shape[-1]
     if n == 2:

@@ -102,10 +102,6 @@ def write_atomic(text, path):
         raise
 
 
-def write_report(report, path, fmt="json"):
-    write_atomic(render_json(report) if fmt == "json" else render_csv(report), path)
-
-
 _TS_RE = re.compile(r'"timestamp": "[^"]*"')
 
 

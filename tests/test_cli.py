@@ -122,6 +122,29 @@ def test_suite_exit_code_on_failing_record(tmp_path):
     assert rep["summary"]["fail"] == 1
 
 
+def test_suite_only_keeps_crashed_group(tmp_path, monkeypatch):
+    from finslerhardy import acceptance
+
+    def crash(cfg):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(acceptance, "REGISTRY", [
+        (name, crash if name == "norms.dual_calculus" else fn)
+        for name, fn in acceptance.REGISTRY])
+    out = tmp_path / "s.json"
+    code = run_main(["suite", "--quick", "--only", r"norms\.dual_identity\.mix",
+                     "--seed", "7", "--out", str(out)])
+    assert code == 1
+    rep = json.loads(out.read_text())
+    assert [c["name"] for c in rep["checks"]] == ["norms.dual_calculus.error"]
+    assert rep["checks"][0]["status"] == "fail"
+
+
+def test_suite_only_matching_nothing_is_usage_error(tmp_path):
+    assert run_main(["suite", "--quick", "--only", "nomatch",
+                     "--out", str(tmp_path / "s.json")]) == 2
+
+
 def test_report_determinism_same_process(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ["verify-norms", "--family", "quad:[[4,0],[0,9]]", "--p", "2",

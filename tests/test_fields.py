@@ -41,9 +41,38 @@ def test_gradient_identity_H_of_gradH0():
     for fam, tol in [(norms.lp(4, 3.0, 2), 1e-10), (norms.mixed(4, A2, 3.0), 1e-10)]:
         x = norms.sample_vectors(2, 1000, 5, stream=6)
         G = fields.make_dual_power_field(fam, GlobalParams(fam.p, fam.n))
-        g0 = norms.grad_dual(fam, x) if fam.has_closed_dual \
-            else norms.dual_newton(fam, x)[1]
+        g0 = norms.grad_dual(fam, x)
         assert np.abs(norms.norm_eval(fam, None, g0) - 1.0).max() < tol
+
+
+@pytest.fixture
+def newton_calls(monkeypatch):
+    """Counts the mixed-kind dual_newton solves made through norms.dual."""
+    calls = []
+    solve = norms.dual_newton
+
+    def counted(fam, Y, *args, **kwargs):
+        calls.append(len(Y))
+        return solve(fam, Y, *args, **kwargs)
+
+    monkeypatch.setattr(norms, "dual_newton", counted)
+    return calls
+
+
+def test_mixed_fields_take_one_newton_solve(newton_calls):
+    fam = norms.mixed(4, A2, 3.0)
+    x = norms.sample_vectors(2, 40, 5, stream=6)
+    fields.make_dual_power_field(fam, GlobalParams(3, 2)).grad(x)
+    assert newton_calls == [40]
+    del newton_calls[:]
+    fam2 = norms.mixed(4, A2, 2.0)
+    G = fields.make_log_dual_field(fam2, GlobalParams(2, 2), R=1e4)
+    G.grad(x)
+    assert newton_calls == [40]
+    del newton_calls[:]
+    omega, _ = quadrature.circle_rule(32)
+    quadrature._dual_shell_geometry(fam, omega)
+    assert newton_calls == [len(omega)]
 
 
 def test_fd_fallback_gradient():

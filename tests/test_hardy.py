@@ -19,6 +19,18 @@ def standard_weight(p, n, fam=None):
     return hardy.build_weight_zero_potential(fam, gp, G, bracket=(1e-30, 1e30))
 
 
+def test_angular_measure_cache_is_keyed_by_value():
+    # a family freed before another is built may hand its id() on
+    for _ in range(200):
+        hardy.angular_measure(norms.lp(4, 3.0, 2), 2, "dual")
+        fac = hardy.angular_measure(norms.euclidean(3.0, 2), 2, "dual")
+        assert fac == pytest.approx(2.0 * math.pi, rel=1e-15)
+    # the mixed unit ball depends on p, which the family label omits
+    f2, f3 = norms.mixed(4, A2, 2.0), norms.mixed(4, A2, 3.0)
+    assert f2.label() == f3.label()
+    assert hardy.angular_measure(f2, 2, "dual") != hardy.angular_measure(f3, 2, "dual")
+
+
 # -- cutoffs ------------------------------------------------------------------
 
 

@@ -184,11 +184,32 @@ def test_numeric_dual_against_brute_force():
         assert newt >= brute - 1e-12  # sampled sup cannot exceed the true sup
 
 
-def test_scalar_numeric_dual_path():
-    fam = norms.mixed(4, A2, 3.0)
-    h0, g = norms._dual_numeric_single(fam, np.array([1.0, 1.0]), seed=0)
-    assert h0 == pytest.approx(float(norms.dual_norm(fam, None, np.array([1.0, 1.0]))), rel=1e-12)
-    assert float(norms.norm_eval(fam, None, g)) == pytest.approx(1.0, abs=1e-10)
+def test_dual_is_bitwise_its_projections():
+    # dual_norm and grad_dual are projections of the single path norms.dual
+    Y = norms.sample_vectors(2, 60, 3, stream=2)
+    for fam in [norms.euclidean(2.0, 2), norms.lp(4, 3.0, 2),
+                norms.quadratic(A2_FULL, 2.0), norms.mixed(4, A2, 3.0)]:
+        for y in (Y, Y[7]):
+            h0, g0 = norms.dual(fam, y)
+            assert np.shape(h0) == y.shape[:-1] and g0.shape == y.shape
+            np.testing.assert_array_equal(h0, norms.dual_norm(fam, None, y))
+            np.testing.assert_array_equal(g0, norms.grad_dual(fam, y))
+        # N-D input is reshaped like the closed forms broadcast
+        h3, g3 = norms.dual(fam, Y.reshape(3, 20, 2))
+        h2, g2 = norms.dual(fam, Y)
+        np.testing.assert_array_equal(h3, h2.reshape(3, 20))
+        np.testing.assert_array_equal(g3, g2.reshape(3, 20, 2))
+
+
+def test_dual_rejects_weighted_and_zero():
+    with pytest.raises(UnsupportedKindError):
+        norms.dual(norms.weighted(1.0, norms.lp(4, 2, 2)), np.array([1.0, 0.0]))
+    for fam in [norms.euclidean(2.0, 2), norms.lp(4, 3.0, 2),
+                norms.quadratic(A2_FULL, 2.0), norms.mixed(4, A2, 3.0)]:
+        with pytest.raises(DomainError):
+            norms.dual(fam, np.zeros(2))
+        with pytest.raises(DomainError):
+            norms.dual(fam, np.array([[1.0, 2.0], [0.0, 0.0]]))
 
 
 def test_biduality_round_trip():
