@@ -46,6 +46,15 @@ def _dpsi(z, p, eps=EPS_REG):
     return (z * z + eps * eps) ** ((p - 4.0) / 2.0) * ((p - 1.0) * z * z + eps * eps)
 
 
+def _bump(r, r_a, r_b, height=1.0):
+    """height * exp(1 - 1/(1 - z^2)) for z = (2r - r_a - r_b)/(r_b - r_a), 0 for |z| >= 1."""
+    z = (2.0 * np.asarray(r, dtype=float) - (r_a + r_b)) / (r_b - r_a)
+    out = np.zeros_like(z)
+    inside = np.abs(z) < 1.0
+    out[inside] = height * np.exp(1.0 - 1.0 / (1.0 - z[inside] ** 2))
+    return out
+
+
 class BumpDensity:
     """Smooth radial bump supported on [r_a, r_b], normalized to total mass."""
 
@@ -53,20 +62,12 @@ class BumpDensity:
         if not 0.0 < r_a < r_b:
             raise ValueError("need 0 < r_a < r_b")
         self.r_a, self.r_b, self.mass, self.n = float(r_a), float(r_b), float(mass), int(n)
-        ang = n * quadrature.unit_ball_volume(n=n, metric="euclidean")
-        r, w = quadrature.log_radial_rule(self.r_a, self.r_b, 512)
-        raw = self._shape(r)
-        self._scale = self.mass / (ang * float(np.dot(w * r ** (n - 1), raw)))
-
-    def _shape(self, r):
-        z = (2.0 * np.asarray(r, dtype=float) - (self.r_a + self.r_b)) / (self.r_b - self.r_a)
-        out = np.zeros_like(z)
-        inside = np.abs(z) < 1.0
-        out[inside] = np.exp(1.0 - 1.0 / (1.0 - z[inside] ** 2))
-        return out
+        self._scale = self.mass / quadrature.radial_integral(
+            lambda r: _bump(r, self.r_a, self.r_b), self.r_a, self.r_b, n,
+            quadrature.angular_measure(n), n_r=512, order=4)
 
     def __call__(self, r):
-        return self._scale * self._shape(r)
+        return self._scale * _bump(r, self.r_a, self.r_b)
 
 
 def bump_potential(r_a, r_b, depth):
@@ -74,11 +75,7 @@ def bump_potential(r_a, r_b, depth):
     r_a, r_b, depth = float(r_a), float(r_b), float(depth)
 
     def V(r):
-        z = (2.0 * np.asarray(r, dtype=float) - (r_a + r_b)) / (r_b - r_a)
-        out = np.zeros_like(z)
-        inside = np.abs(z) < 1.0
-        out[inside] = -depth * np.exp(1.0 - 1.0 / (1.0 - z[inside] ** 2))
-        return out
+        return _bump(r, r_a, r_b, height=-depth)
 
     V.support = (r_a, r_b)
     return V
@@ -326,7 +323,7 @@ def solve_green(prob, max_iter=200, tol=3e-10, accept=5e-8):
 def level_flux(gp, t):
     """ang * r_t^(n-1) |u'(r_t)|^(p-1): the level-set flux of the radial profile."""
     prob = gp.problem
-    ang = prob.n * quadrature.unit_ball_volume(n=prob.n, metric="euclidean")
+    ang = quadrature.angular_measure(prob.n)
     r_t = gp.radius_of_level(t)
     return ang * r_t ** (prob.n - 1) * abs(float(gp.dprofile(r_t))) ** (prob.p - 1.0)
 
@@ -334,14 +331,17 @@ def level_flux(gp, t):
 def flux_identity_rhs(gp, t, n_r=2048):
     """int_{u > t} (phi - c_p V psi(u)) dx over the superlevel ball."""
     prob = gp.problem
-    ang = prob.n * quadrature.unit_ball_volume(n=prob.n, metric="euclidean")
-    r_t = gp.radius_of_level(t)
-    r, w = quadrature.log_radial_rule(gp.r[0], r_t, n_r,
-                                      align=(prob.phi.r_a, prob.phi.r_b))
-    vals = prob.phi(r)
-    if prob.V is not None:
-        vals = vals - prob.c_p * prob.V(r) * _psi(gp.profile(r), prob.p)
-    return ang * float(np.dot(w * r ** (prob.n - 1), vals))
+
+    def source(r):
+        vals = prob.phi(r)
+        if prob.V is not None:
+            vals = vals - prob.c_p * prob.V(r) * _psi(gp.profile(r), prob.p)
+        return vals
+
+    return quadrature.radial_integral(source, gp.r[0], gp.radius_of_level(t), prob.n,
+                                      quadrature.angular_measure(prob.n),
+                                      align=(prob.phi.r_a, prob.phi.r_b), n_r=n_r,
+                                      order=4)
 
 
 def flux_bound_check(gp, n_levels=20, rtol=1e-2):
@@ -355,15 +355,18 @@ def flux_bound_check(gp, n_levels=20, rtol=1e-2):
     ``rtol``.
     """
     prob = gp.problem
-    ang = prob.n * quadrature.unit_ball_volume(n=prob.n, metric="euclidean")
-    r, w = quadrature.log_radial_rule(gp.r[0], gp.r[-1], 2048,
-                                      align=(prob.phi.r_a, prob.phi.r_b))
-    wr = w * r ** (prob.n - 1)
-    mass_phi = ang * float(np.dot(wr, prob.phi(r)))
+    ang = quadrature.angular_measure(prob.n)
+
+    def whole(f, angular):
+        return quadrature.radial_integral(f, gp.r[0], gp.r[-1], prob.n, angular,
+                                          align=(prob.phi.r_a, prob.phi.r_b),
+                                          n_r=2048, order=4)
+
+    mass_phi = whole(prob.phi, ang)
     up_int = mass_phi
     if prob.V is not None:
-        up_int = up_int + ang * prob.c_p * float(np.dot(
-            wr, np.abs(prob.V(r)) * _psi(gp.profile(r), prob.p)))
+        up_int = up_int + whole(
+            lambda r: np.abs(prob.V(r)) * _psi(gp.profile(r), prob.p), ang * prob.c_p)
     C0 = max(up_int, 1.0 / mass_phi)
     # M_phi: supp phi inside {u > t} iff t < min of u over supp phi
     rs = np.geomspace(prob.phi.r_a, prob.phi.r_b, 256)

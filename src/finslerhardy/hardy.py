@@ -25,8 +25,8 @@ The verification side builds the log-profile cutoff null sequences
 null-criticality growth of ``int W v^p`` over shrinking source levels, and
 a ratio probe over tail-supported cutoffs (optimality at infinity).  All
 the integrals here have integrands that are radial in the source field's
-metric, so they are evaluated in radial mode with the exact angular factor
-and with quadrature panels aligned to the cutoff breakpoints.
+metric, so they are taken by :func:`quadrature.radial_integral` with the
+exact angular factor and with panels aligned to the cutoff breakpoints.
 """
 
 from __future__ import annotations
@@ -179,27 +179,25 @@ class HardyWeight:
                     float(self.source.radial_inverse(gp_)))
         return (float(self.source.radial_inverse(float(t) ** (1.0 / e))),)
 
-    def flux_constant(self, level=None, n_ang=96):
+    def flux_constant(self):
         """Measured coarea flux of the source field (cached).
 
-        For the green branch the default level sits below the density
-        support (where the flux is the constant total flux) and above the
-        outer truncation value.
+        For the green branch the level sits below the density support
+        (where the flux is the constant total flux) and above the outer
+        truncation value; otherwise at the middle of the radial bracket.
         """
         if self._flux is None:
             lo, hi = self.source_bracket
             dom = fields.Domain("annulus", self.n, lo * 0.999, hi * 1.001)
-            if level is None:
-                if self.branch == "green_based":
-                    gmin, _ = self.source_range()
-                    m_phi = float(np.min(self.g(
-                        np.geomspace(self.phi_support[0], self.phi_support[1], 128))))
-                    level = math.sqrt(3.0 * gmin * m_phi)
-                else:
-                    rho_mid = math.sqrt(lo * hi)
-                    level = float(self.g(np.asarray([rho_mid]))[0])
-            self._flux = fields.level_set_flux(self.fam, self.source, dom, level,
-                                               n_ang=n_ang)
+            if self.branch == "green_based":
+                gmin, _ = self.source_range()
+                m_phi = float(np.min(self.g(
+                    np.geomspace(self.phi_support[0], self.phi_support[1], 128))))
+                level = math.sqrt(3.0 * gmin * m_phi)
+            else:
+                rho_mid = math.sqrt(lo * hi)
+                level = float(self.g(np.asarray([rho_mid]))[0])
+            self._flux = fields.level_set_flux(self.fam, self.source, dom, level)
         return self._flux
 
 
@@ -248,7 +246,7 @@ def build_weight_zero_potential(fam, params, G, sigma=0.0, check_points=512,
             lambda t: (t * (s - t)) ** e,
             lambda t: e * (t * (s - t)) ** (e - 1.0) * (s - 2.0 * t),
             G, kind="capped_ground_state")
-    ang = angular_measure(fam, n, metric)
+    ang = quadrature.angular_measure(n, fam if metric == "dual" else None)
     return HardyWeight(branch=branch, fam=fam, p=p, n=n, c_p=params.c_p,
                        sigma=float(sigma), source=G, ground_state=v_field,
                        metric=metric, angular=ang, source_bracket=tuple(bracket))
@@ -266,15 +264,19 @@ def build_weight_green(fam, params, green_potential, V_profile, phi_profile,
         raise BranchError("the radial Green construction runs on the euclidean kind")
     p, n = params.p, params.n
     gp = green_potential
-    r, wr = quadrature.log_radial_rule(gp.r[0], gp.r[-1], 2048)
-    ang = angular_measure(fam, n, "euclidean")
-    gvals = gp.profile(r)
-    vvals = V_profile(r)
-    abs_int = ang * float(np.dot(wr * r ** (n - 1), np.abs(vvals) * gvals ** (p - 1.0)))
-    sgn_int = ang * float(np.dot(wr * r ** (n - 1), vvals * gvals ** (p - 1.0)))
+    ang = quadrature.angular_measure(n)
+
+    def hyp_fun(r):
+        vvals = V_profile(r)
+        gq = gp.profile(r) ** (p - 1.0)
+        return np.abs(vvals) * gq, vvals * gq, (vvals > 0.0).astype(float)
+
+    # the last integral is the measure of {V > 0} over the quadrature nodes
+    abs_int, sgn_int, pos_measure = quadrature.radial_integral(
+        hyp_fun, gp.r[0], gp.r[-1], n, ang, n_r=2048, order=4)
     if not np.isfinite(abs_int):
         raise BranchError("hypothesis failed: int |V| G_phi^(p-1) dx is not finite")
-    v_nonpos = bool(np.all(vvals <= 0.0))
+    v_nonpos = pos_measure == 0.0
     if not v_nonpos and not sgn_int < 0.0:
         raise BranchError(
             f"hypothesis failed: V changes sign and int V G_phi^(p-1) dx = {sgn_int:.3g} >= 0")
@@ -294,22 +296,6 @@ def build_weight_green(fam, params, green_potential, V_profile, phi_profile,
                        hypotheses=hyp)
 
 
-_ANGULAR_CACHE: dict = {}
-
-
-def angular_measure(fam, n, metric):
-    """n * vol(unit ball of the radial gauge); the angular factor of radial integrals."""
-    # keyed by value: an id() could be reused by a later family, and the
-    # label omits p, on which the mixed unit ball depends
-    key = (fam.label(), fam.p, fam.n, n, metric)
-    if key not in _ANGULAR_CACHE:
-        if metric == "euclidean" or fam.kind == "euclidean":
-            _ANGULAR_CACHE[key] = n * quadrature.unit_ball_volume(n=n, metric="euclidean")
-        else:
-            _ANGULAR_CACHE[key] = n * quadrature.unit_ball_volume(fam=fam, metric="dual")
-    return _ANGULAR_CACHE[key]
-
-
 # ---------------------------------------------------------------------------
 # radial integration helper
 # ---------------------------------------------------------------------------
@@ -317,8 +303,8 @@ def angular_measure(fam, n, metric):
 
 def _radial_integral(hw, fun, lo, hi, align=(), n_r=768, order=6):
     """angular * int_lo^hi fun(rho) rho^(n-1) drho with aligned Gauss panels."""
-    r, w = quadrature.log_radial_rule(lo, hi, n_r, align=align, order=order)
-    return hw.angular * float(np.dot(w * r ** (hw.n - 1), fun(r)))
+    return quadrature.radial_integral(fun, lo, hi, hw.n, hw.angular, align=align,
+                                      n_r=n_r, order=order)
 
 
 # ---------------------------------------------------------------------------
@@ -409,29 +395,18 @@ def null_sequence(hw, k_list, U_interval=None, n_r=768):
             du = dv * (ph + slope)
             return u, du, v, dv, ph, slope
 
-        def e_fun(rho):
+        def emxy_fun(rho):
+            # energy, weight mass, X(v, w_k) and X(w_k, v) on the same nodes
             u, du, v, dv, ph, slope = u_and_du(rho)
             W = hw.weight_profile(rho)
             pot = -W if V is None else (V(rho) - W)
-            return np.abs(du) ** p + pot * u ** p
+            return (np.abs(du) ** p + pot * u ** p,
+                    W * u ** p,
+                    v ** p * np.abs(slope * dv / np.where(v > 0, v, 1.0)) ** p,
+                    ph ** p * np.abs(dv) ** p)
 
-        def m_fun(rho):
-            u, du, v, dv, ph, slope = u_and_du(rho)
-            return hw.weight_profile(rho) * u ** p
-
-        def xg_fun(rho):
-            u, du, v, dv, ph, slope = u_and_du(rho)
-            return v ** p * np.abs(slope * dv / np.where(v > 0, v, 1.0)) ** p
-
-        def xf_fun(rho):
-            u, du, v, dv, ph, slope = u_and_du(rho)
-            return ph ** p * np.abs(dv) ** p
-
-        al = tuple(sorted(breaks))
-        E = _radial_integral(hw, e_fun, lo, hi, align=al, n_r=n_r)
-        M = _radial_integral(hw, m_fun, lo, hi, align=al, n_r=n_r)
-        X = _radial_integral(hw, xg_fun, lo, hi, align=al, n_r=n_r)
-        Y = _radial_integral(hw, xf_fun, lo, hi, align=al, n_r=n_r)
+        E, M, X, Y = _radial_integral(hw, emxy_fun, lo, hi,
+                                      align=tuple(sorted(breaks)), n_r=n_r)
         energies.append(E)
         masses.append(M)
         ratios.append(1.0 + E / M)
@@ -597,23 +572,14 @@ def optimality_at_infinity_probe(hw, eps_list, k_list=(4, 16, 64, 256, 1024, 409
                 if vmin < tt < vmax:
                     al.extend(hw.rho_of_v(tt))
 
-            def e_fun(rho):
+            def emu_fun(rho):
+                # energy, weight mass and int u^p on the same nodes
                 u, du, v = u_du(rho)
                 W = hw.weight_profile(rho)
                 pot = -W if V is None else (V(rho) - W)
-                return np.abs(du) ** p + pot * u ** p
+                return np.abs(du) ** p + pot * u ** p, W * u ** p, u ** p
 
-            def m_fun(rho):
-                u, du, v = u_du(rho)
-                return hw.weight_profile(rho) * u ** p
-
-            def up_fun(rho):
-                u, du, v = u_du(rho)
-                return u ** p
-
-            E = _radial_integral(hw, e_fun, lo, hi, align=tuple(al), n_r=n_r)
-            M = _radial_integral(hw, m_fun, lo, hi, align=tuple(al), n_r=n_r)
-            UP = _radial_integral(hw, up_fun, lo, hi, align=tuple(al), n_r=n_r)
+            E, M, UP = _radial_integral(hw, emu_fun, lo, hi, align=tuple(al), n_r=n_r)
             if M <= 0.0:
                 continue
             ratio = 1.0 + E / M

@@ -361,12 +361,18 @@ def dual_norm(fam, x, y):
     """Dual norm H0(y) = sup_{xi != 0} y . xi / H(xi); see :func:`dual`.
 
     ``x`` is unused (the dual is only defined for x-independent kinds).
-    The closed forms also accept y = 0.
+    Unlike :func:`dual`, every kind accepts y = 0, where H0 = 0.
     """
     y = _dual_input(fam, y, nonzero=False)
     if fam.has_closed_dual:
         return _closed_dual_norm(fam, y)
-    return dual(fam, y)[0]
+    nonzero = np.linalg.norm(y, axis=-1) > 0.0
+    if np.all(nonzero):
+        return dual(fam, y)[0]
+    h0 = np.zeros(y.shape[:-1])
+    if np.any(nonzero):
+        h0[nonzero] = dual(fam, y[nonzero])[0]
+    return h0[()]
 
 
 def grad_dual(fam, y):

@@ -11,10 +11,11 @@ radial coordinate is the dual norm H0(x) of a supplied family and shells
 are H0-spheres; nodes are placed at ``x = rho * Theta(omega)`` with
 ``Theta(omega) = omega / H0(omega)`` and the exact angular Jacobian
 ``J(omega) = |det[Theta, d Theta]| / dsigma`` is folded into the weights.
-Radial-only schemes put all nodes on a single ray and carry the exact
-angular factor (surface area, resp. n * vol of the H0 unit ball), which is
-the right measure for integrands that are functions of the radial
-coordinate alone.
+
+Integrands that are functions of the radial coordinate alone (any
+dimension n >= 2) take :func:`radial_integral`: one log-radial rule times
+the exact angular factor :func:`angular_measure` (surface area, resp.
+n * vol of the H0 unit ball).
 """
 
 from __future__ import annotations
@@ -134,9 +135,41 @@ def unit_ball_volume(fam=None, n=None, n_ang=96, metric="euclidean"):
     return float(np.dot(w, J)) / fam.n
 
 
+_ANGULAR_CACHE: dict = {}
+
+
+def angular_measure(n, fam=None):
+    """n * vol(unit ball of the radial gauge): the angular factor of radial integrals.
+
+    The gauge is |x| when ``fam`` is None or euclidean, and H0 otherwise.
+    """
+    if fam is None or fam.kind == "euclidean":
+        return n * unit_ball_volume(n=n, metric="euclidean")
+    # keyed by value: an id() could be reused by a later family, and the
+    # label omits p, on which the mixed unit ball depends
+    key = (fam.label(), fam.p, fam.n, n)
+    if key not in _ANGULAR_CACHE:
+        _ANGULAR_CACHE[key] = n * unit_ball_volume(fam=fam, metric="dual")
+    return _ANGULAR_CACHE[key]
+
+
+def radial_integral(f, lo, hi, n, angular, align=(), n_r=768, order=6):
+    """angular * int_lo^hi f(rho) rho^(n-1) drho on aligned log-radial panels.
+
+    ``f`` maps radii to values; if it returns a tuple of arrays, the result
+    is the tuple of their integrals, all taken on the same nodes.
+    """
+    r, w = log_radial_rule(lo, hi, n_r, align=align, order=order)
+    wr = w * r ** (n - 1)
+    vals = f(r)
+    if isinstance(vals, tuple):
+        return tuple(angular * float(np.dot(wr, v)) for v in vals)
+    return angular * float(np.dot(wr, vals))
+
+
 @dataclass(frozen=True, eq=False)
 class QuadratureScheme:
-    """Nodes/weights for an annular shell, plus the radial layout metadata."""
+    """Nodes/weights for an annular shell."""
 
     nodes: np.ndarray           # (m, n)
     weights: np.ndarray         # (m,)
@@ -144,10 +177,6 @@ class QuadratureScheme:
     r_min: float
     r_max: float
     metric: str = "euclidean"   # euclidean | dual
-    radial_only: bool = False
-    radii: np.ndarray | None = None        # radial coordinate per node
-    radial_weights: np.ndarray | None = None  # 1D dr-weights (radial_only)
-    angular_factor: float | None = None       # total angular measure (radial_only)
 
     @property
     def volume(self):
@@ -172,33 +201,8 @@ def annulus_scheme(r0, r1, n, n_r=256, n_ang=64, fam=None, metric="euclidean",
         raise ValueError(f"unknown metric {metric!r}")
     nodes = (r[:, None, None] * theta[None, :, :]).reshape(-1, n)
     w = (wr[:, None] * r[:, None] ** (n - 1) * (wo * J)[None, :]).ravel()
-    radii = np.repeat(r, len(omega))
     return QuadratureScheme(nodes=nodes, weights=w, n=n, r_min=float(r0),
-                            r_max=float(r1), metric=metric, radii=radii)
-
-
-def radial_scheme(r0, r1, n, n_r=512, fam=None, metric="euclidean", align=(),
-                  order=6, n_ang=96):
-    """Radial-only scheme: nodes on one ray, exact angular factor in the weights.
-
-    Valid for integrands that are functions of the radial coordinate alone
-    (any dimension n >= 2).
-    """
-    r, wr = log_radial_rule(r0, r1, n_r, align=align, order=order)
-    if metric == "euclidean" or fam is None or fam.kind == "euclidean":
-        ang = n * unit_ball_volume(n=n, metric="euclidean")
-        direction = np.zeros(n)
-        direction[0] = 1.0
-    else:
-        ang = n * unit_ball_volume(fam=fam, metric="dual", n_ang=n_ang)
-        e1 = np.zeros(n)
-        e1[0] = 1.0
-        direction = e1 / float(norms.dual_norm(fam, None, e1))
-    nodes = r[:, None] * direction[None, :]
-    w = ang * wr * r ** (n - 1)
-    return QuadratureScheme(nodes=nodes, weights=w, n=n, r_min=float(r0),
-                            r_max=float(r1), metric=metric, radial_only=True,
-                            radii=r, radial_weights=wr, angular_factor=ang)
+                            r_max=float(r1), metric=metric)
 
 
 def integrate(scheme, f):
@@ -264,14 +268,3 @@ def hardy_ratio(scheme, fam, phi, V, W):
     if eb.lp_mass <= 0.0 or not np.isfinite(eb.lp_mass):
         raise ValueError("test function is supported where the weight vanishes")
     return eb.total / eb.lp_mass
-
-
-def integrand_rows(scheme, f):
-    """(x_1..x_n, weight, value) rows of an integrand over the scheme's nodes.
-
-    The hand-off format for external plotting; pair with
-    :func:`finslerhardy.report.rows_to_csv`.
-    """
-    vals = np.asarray(f(scheme.nodes), dtype=float)
-    return [tuple(x) + (float(w), float(v))
-            for x, w, v in zip(scheme.nodes, scheme.weights, vals)]

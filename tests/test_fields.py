@@ -40,7 +40,6 @@ def test_gradient_identity_H_of_gradH0():
     # H(grad H0(x)) = 1 at sampled points for closed-form and numeric kinds
     for fam, tol in [(norms.lp(4, 3.0, 2), 1e-10), (norms.mixed(4, A2, 3.0), 1e-10)]:
         x = norms.sample_vectors(2, 1000, 5, stream=6)
-        G = fields.make_dual_power_field(fam, GlobalParams(fam.p, fam.n))
         g0 = norms.grad_dual(fam, x)
         assert np.abs(norms.norm_eval(fam, None, g0) - 1.0).max() < tol
 
@@ -149,16 +148,14 @@ def test_coarea_identity_with_profiles():
         lo_t, hi_t = lo_v ** (1 / e), hi_v ** (1 / e)   # source levels
         rho_lo = min(float(G.radial_inverse(lo_t)), float(G.radial_inverse(hi_t)))
         rho_hi = max(float(G.radial_inverse(lo_t)), float(G.radial_inverse(hi_t)))
-        rs = quadrature.radial_scheme(rho_lo, rho_hi, n, n_r=2048, fam=fam,
-                                      metric="dual")
 
-        def integrand(x):
-            rho = norms.dual_norm(fam, None, x)
+        def integrand(rho):
             vv = (rho ** a) ** e
             dv = abs(e * a) * rho ** (a * e - 1.0)
             return f_prof(vv) * dv ** p
 
-        lhs = quadrature.integrate(rs, integrand)
+        lhs = quadrature.radial_integral(integrand, rho_lo, rho_hi, n,
+                                         quadrature.angular_measure(n, fam), n_r=2048)
         rhs = C * quad(lambda t: f_prof(t ** e) * (e * t ** (e - 1.0)) ** p,
                        lo_t, hi_t, limit=400)[0]
         assert lhs == pytest.approx(rhs, rel=1e-2)

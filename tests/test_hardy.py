@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from finslerhardy import bregman, fields, hardy, norms
+from finslerhardy import bregman, fields, hardy, norms, quadrature
 from finslerhardy.errors import BranchError, RangeError
 from finslerhardy.norms import GlobalParams
 
@@ -20,15 +20,17 @@ def standard_weight(p, n, fam=None):
 
 
 def test_angular_measure_cache_is_keyed_by_value():
-    # a family freed before another is built may hand its id() on
+    # a family freed before another is built may hand its id() on; the
+    # dual unit ball of quadratic(A) is an ellipse of area pi sqrt(det A)
     for _ in range(200):
-        hardy.angular_measure(norms.lp(4, 3.0, 2), 2, "dual")
-        fac = hardy.angular_measure(norms.euclidean(3.0, 2), 2, "dual")
-        assert fac == pytest.approx(2.0 * math.pi, rel=1e-15)
+        quadrature.angular_measure(2, norms.lp(4, 3.0, 2))
+        fac = quadrature.angular_measure(2, norms.quadratic(A2, 3.0))
+        assert fac == pytest.approx(2.0 * 6.0 * math.pi, rel=1e-12)
+    assert quadrature.angular_measure(2, norms.euclidean(3.0, 2)) == 2.0 * math.pi
     # the mixed unit ball depends on p, which the family label omits
     f2, f3 = norms.mixed(4, A2, 2.0), norms.mixed(4, A2, 3.0)
     assert f2.label() == f3.label()
-    assert hardy.angular_measure(f2, 2, "dual") != hardy.angular_measure(f3, 2, "dual")
+    assert quadrature.angular_measure(2, f2) != quadrature.angular_measure(2, f3)
 
 
 # -- cutoffs ------------------------------------------------------------------
@@ -174,6 +176,23 @@ def test_null_sequence_matches_independent_quadrature(p, n):
                       math.log(lo), math.log(hi), limit=500)
         total += val
     assert ns.energies[0] == pytest.approx(total, rel=1e-6)
+
+
+def test_null_sequence_matches_full_dual_quadrature_lp4():
+    """The radial-mode energy against a full H0-shell quadrature of u_k."""
+    p, n, k = 3.0, 2, 16
+    fam = norms.lp(4, p, n)
+    hw = standard_weight(p, n, fam)
+    ns = hardy.null_sequence(hw, [k])
+    u = fields.ComposedField(lambda t: t * hardy.cutoff(t, k),
+                             lambda t: hardy.cutoff(t, k) + hardy.cutoff_slope(t, k),
+                             fields.power_of(hw.source, (p - 1.0) / p))
+    levels = (k ** -2.0, 1.0 / k, k ** (2.0 - 1.0 / math.log(k)), float(k), k ** 2.0)
+    radii = sorted(hw.rho_of_v(t)[0] for t in levels)
+    scheme = quadrature.annulus_scheme(radii[0], radii[-1], n, n_r=256, n_ang=128,
+                                       fam=fam, metric="dual", align=radii, order=6)
+    energy = quadrature.energy(scheme, fam, u, V=lambda x: -hw.weight(x)).total
+    assert ns.energies[0] == pytest.approx(energy, rel=1e-3)
 
 
 def test_null_sequence_range_error():

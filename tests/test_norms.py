@@ -212,6 +212,24 @@ def test_dual_rejects_weighted_and_zero():
             norms.dual(fam, np.array([[1.0, 2.0], [0.0, 0.0]]))
 
 
+def test_dual_norm_is_zero_at_zero_for_every_kind():
+    Y = norms.sample_vectors(2, 12, 3, stream=2)
+    Y[[0, 5, 11]] = 0.0
+    zero = np.linalg.norm(Y, axis=-1) == 0.0
+    for fam in [norms.euclidean(2.0, 2), norms.lp(4, 3.0, 2),
+                norms.quadratic(A2_FULL, 2.0), norms.mixed(4, A2, 3.0)]:
+        h0 = norms.dual_norm(fam, None, Y)
+        assert np.all(h0[zero] == 0.0)
+        np.testing.assert_allclose(h0[~zero], norms.dual(fam, Y[~zero])[0],
+                                   rtol=1e-12, atol=0.0)
+        assert float(norms.dual_norm(fam, None, np.zeros(2))) == 0.0
+        # the gradient stays undefined at 0
+        with pytest.raises(DomainError):
+            norms.dual(fam, Y)
+        with pytest.raises(DomainError):
+            norms.grad_dual(fam, Y)
+
+
 def test_biduality_round_trip():
     for fam, tol in [(norms.lp(4, 2.0, 2), 1e-6), (norms.quadratic(A2, 2.0), 1e-6),
                      (norms.mixed(4, A2, 2.0), 1e-4)]:

@@ -25,10 +25,25 @@ def test_polar_integrals():
     assert val3 == pytest.approx(4.0 * math.pi * math.log(2.0), rel=1e-10)
 
 
-def test_radial_scheme_agrees_with_full():
-    rs = quadrature.radial_scheme(1.0, 2.0, 3, n_r=256)
-    val = quadrature.integrate(rs, lambda x: np.linalg.norm(x, axis=1) ** -3.0)
+def test_radial_integral_agrees_with_full():
+    ang = quadrature.angular_measure(3)
+    val = quadrature.radial_integral(lambda r: r ** -3.0, 1.0, 2.0, 3, ang, n_r=256)
     assert val == pytest.approx(4.0 * math.pi * math.log(2.0), rel=1e-11)
+    # dual gauge: the full scheme on H0-shells with the same angular rule
+    fam = norms.lp(4, 3.0, 2)
+
+    def f(r):
+        return np.exp(-r) * r ** -1.5
+
+    val2 = quadrature.radial_integral(f, 0.5, 3.0, 2, quadrature.angular_measure(2, fam),
+                                      n_r=256, order=4)
+    full = quadrature.annulus_scheme(0.5, 3.0, 2, n_r=256, n_ang=96, fam=fam, metric="dual")
+    ref = quadrature.integrate(full, lambda x: f(norms.dual_norm(fam, None, x)))
+    assert val2 == pytest.approx(ref, rel=1e-12)
+    # a tuple integrand gives each integral on the same nodes, bit for bit
+    pair = quadrature.radial_integral(lambda r: (r ** -3.0, np.sqrt(r)), 1.0, 2.0, 3, ang)
+    assert pair == (quadrature.radial_integral(lambda r: r ** -3.0, 1.0, 2.0, 3, ang),
+                    quadrature.radial_integral(np.sqrt, 1.0, 2.0, 3, ang))
 
 
 def test_dual_metric_shell_volume():
@@ -135,17 +150,6 @@ def test_hardy_ratio_classical():
     ratio2 = quadrature.hardy_ratio(s, fam, bump, None,
                                     lambda x: 2.0 * W(x))
     assert ratio2 == pytest.approx(ratio / 2.0, rel=1e-12)
-
-
-def test_integrand_rows_export():
-    from finslerhardy.report import rows_to_csv
-
-    s = quadrature.annulus_scheme(1.0, 2.0, 2, n_r=8, n_ang=4, order=2)
-    rows = quadrature.integrand_rows(s, lambda x: np.linalg.norm(x, axis=1))
-    assert len(rows) == len(s.weights)
-    assert len(rows[0]) == 2 + 2              # x, y, weight, value
-    text = rows_to_csv(["x", "y", "w", "f"], rows)
-    assert text.splitlines()[0] == "x,y,w,f"
 
 
 def test_hardy_ratio_zero_denominator():
