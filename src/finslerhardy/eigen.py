@@ -34,6 +34,7 @@ from scipy.linalg import cholesky_banded, cho_solve_banded, solve_banded
 from scipy.optimize import brentq
 
 from .errors import SolverError
+from .green import _psi
 
 
 def p_sine_constant(p):
@@ -74,10 +75,6 @@ class EigenPair:
     problem: EigenProblem
     restarts_agreeing: int = 0
     rayleigh: float = 0.0
-
-
-def _psi(z, p):
-    return np.sign(z) * np.abs(z) ** (p - 1.0)
 
 
 class _Disc:

@@ -37,7 +37,6 @@ EPS_REG = 1e-10
 def _psi(z, p, eps=0.0):
     """|z|^(p-2) z; the optional eps smooths only the Jacobian path."""
     if eps == 0.0:
-        z = np.asarray(z, dtype=float)
         return np.sign(z) * np.abs(z) ** (p - 1.0)
     return z * (z * z + eps * eps) ** ((p - 2.0) / 2.0)
 

@@ -1,9 +1,15 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
-from finslerhardy import cli
+import pytest
+
+from finslerhardy import acceptance, cli, fields
 from finslerhardy.report import mask_timestamp
+
+GREEN_EXAMPLE = Path(__file__).resolve().parents[1] / "scripts" / "green_problem_example.json"
 
 
 def run_main(argv):
@@ -13,6 +19,10 @@ def run_main(argv):
 def test_usage_error_exit_code():
     assert run_main(["no-such-command"]) == 2
     assert run_main(["verify-norms", "--family", "lq:s=4"]) == 2
+    # options are registered only where a handler reads them
+    assert run_main(["null-seq", "--rmin", "0.5"]) == 2
+    assert run_main(["verify-optimality", "--rmax", "5"]) == 2
+    assert run_main(["build-weight", "--grid", "64,16"]) == 2
 
 
 def test_verify_norms_report(tmp_path):
@@ -26,6 +36,27 @@ def test_verify_norms_report(tmp_path):
     names = {c["name"] for c in rep["checks"]}
     assert {"operator_identity", "homogeneity", "monotonicity",
             "dual_identity", "biduality"} <= names
+
+
+@pytest.mark.parametrize("label,family", [
+    ("lp4", "lp:s=4"), ("weighted", "weighted:delta=1.2;base=lp:s=4")])
+def test_verify_norms_matches_suite_records(tmp_path, label, family):
+    out = tmp_path / "n.json"
+    code = run_main(["verify-norms", "--family", family, "--p", "3", "--n", "2",
+                     "--samples", "10000", "--seed", "7", "--out", str(out)])
+    assert code == 0
+    cli_vals = {c["name"]: c["measured"] for c in json.loads(out.read_text())["checks"]}
+    cfg = acceptance.SuiteConfig(seed=7)
+    suite = {r.name: r.measured for fn in (acceptance.check_operator_identity,
+                                           acceptance.check_homogeneity_monotonicity,
+                                           acceptance.check_dual_calculus)
+             for r in fn(cfg)}
+    checks = ["operator_identity", "homogeneity", "monotonicity"]
+    if label != "weighted":
+        checks += ["dual_identity", "biduality"]
+    assert set(cli_vals) == set(checks) | {"equivalence_constants"}
+    for check in checks:
+        assert cli_vals[check] == suite[f"norms.{check}.{label}"], check
 
 
 def test_verify_bregman_payload(tmp_path):
@@ -59,6 +90,35 @@ def test_build_weight_classical_record(tmp_path):
     byname = {c["name"]: c for c in rep["checks"]}
     assert byname["classical_reduction"]["status"] == "pass"
     assert rep["payload"]["branch"] == "standard"
+
+
+def test_build_weight_green_source_has_no_classical_record(tmp_path):
+    out = tmp_path / "w.json"
+    run_main(["build-weight", "--family", "euclidean", "--p", "2", "--n", "3",
+              "--field", f"green:{GREEN_EXAMPLE}",
+              "--tests", "5", "--out", str(out)])
+    rep = json.loads(out.read_text())
+    assert "classical_reduction" not in {c["name"] for c in rep["checks"]}
+    # the source never reaches the fixed flux levels 0.3..30
+    assert rep["payload"]["flux_cv"] is None
+
+
+def test_build_weight_flux_failure_is_not_swallowed(monkeypatch):
+    def boom(*args, **kwargs):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(fields, "flux_constancy", boom)
+    with pytest.raises(RuntimeError, match="injected"):
+        run_main(["build-weight", "--family", "euclidean", "--p", "2", "--n", "3",
+                  "--tests", "5", "--out", os.devnull])
+
+
+def test_ground_state_source_is_configuration_error(tmp_path):
+    for command in ("build-weight", "null-seq", "verify-optimality"):
+        assert run_main([command, "--field", "f0(dualpow)"]) == 2, command
+    # a ground state is still a field whose harmonicity can be measured
+    assert run_main(["verify-harmonic", "--field", "f0(dualpow)", "--tests", "2",
+                     "--out", str(tmp_path / "h.json")]) in (0, 1)
 
 
 def test_null_seq_csv(tmp_path):
