@@ -18,10 +18,14 @@ by a bordered Newton solve of the Euler-Lagrange system
 
     -(w psi(v'))' + w (V - lambda) psi(v) = 0,   psi(z) = |z|^(p-2) z,
 
-under the normalization ||v||_p = 1.  The second eigenvalue is located by
-equalizing the two nodal-domain principal eigenvalues over the interior
-zero position (the second eigenfunction has exactly one interior zero),
-which is derivative-free and deflation-free.
+under the normalization ||v||_p = 1.  Newton stops when the weak residual
+and the normalization defect are both below its tolerance, or after an
+update whose line-search step fell below 2**-20: the residual has then
+reached its round-off floor, and further steps do not change the result.
+The second eigenvalue is located by equalizing the two nodal-domain
+principal eigenvalues over the interior zero position (the second
+eigenfunction has exactly one interior zero), which is derivative-free and
+deflation-free; each nodal domain is solved once per zero position.
 """
 
 from __future__ import annotations
@@ -217,7 +221,12 @@ def _pg_minimize(disc, v, max_iter=400, gtol=1e-11):
 
 
 def _newton_polish(disc, v, lam, max_iter=60, tol=1e-13):
-    """Bordered Newton on the EL system with the normalization constraint."""
+    """Bordered Newton on the EL system with the normalization constraint.
+
+    Stops when the weak residual and the normalization defect are below
+    ``tol``, or after an update whose backtracking step fell below 2**-20
+    (the residual is at its round-off floor); returns (v, lam, residual).
+    """
     p = disc.p
     for _ in range(max_iter):
         r, rnorm = disc.weak_residual(v, lam)
@@ -247,6 +256,8 @@ def _newton_polish(disc, v, lam, max_iter=60, tol=1e-13):
             step *= 0.5
         v = v - step * dvv
         lam = lam - step * dlam
+        if step < 2.0 ** -20:
+            break
     r, rnorm = disc.weak_residual(v, lam)
     return v, lam, rnorm
 
@@ -336,15 +347,25 @@ def second_eigenvalue_and_gap(ep, restarts=4, xtol=1e-9):
     is lambda_2.
     """
     L = ep.L
+    halves = {}
 
     def f(a):
-        left = _principal_on(0.0, a, ep, restarts=restarts)
-        right = _principal_on(a, L, ep, restarts=restarts)
+        if a not in halves:
+            halves[a] = (_principal_on(0.0, a, ep, restarts=restarts),
+                         _principal_on(a, L, ep, restarts=restarts))
+        left, right = halves[a]
         return left[1] - right[1]
 
-    a_star = brentq(f, 0.05 * L, 0.95 * L, xtol=xtol * L)
-    vl, laml, _, discl = _principal_on(0.0, a_star, ep, restarts=restarts)
-    vr, lamr, _, discr = _principal_on(a_star, L, ep, restarts=restarts)
+    lo, hi = 0.05 * L, 0.95 * L
+    if f(lo) * f(hi) > 0.0:
+        raise SolverError(f"no sign change of lambda_1(0, a) - lambda_1(a, L) "
+                          f"between a = {lo!r} and a = {hi!r}")
+    # brentq returns a point it evaluated, so both halves at a* are in hand
+    a_star = brentq(f, lo, hi, xtol=xtol * L)
+    (vl, laml, resl, discl), (vr, lamr, resr, discr) = halves[a_star]
+    res = max(resl, resr)
+    if res > 1e-7:
+        raise SolverError("nodal-domain eigen solve did not converge", residual=res)
     lam2 = 0.5 * (laml + lamr)
     lam1 = principal_eigenvalue(ep, restarts=restarts).lam
     # glue the halves with psi(v')-continuity at the zero

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from finslerhardy import eigen
+from finslerhardy import cli, eigen
 
 import oracles
 
@@ -142,3 +142,71 @@ def test_convergence_probe():
     assert dists[0] > dists[1] > dists[2]
     assert all(abs(r["norm"] - 1.0) <= 1e-10
                for r in probe["shift"] + probe["relative"])
+
+
+def _p3_problem():
+    return eigen.EigenProblem(p=3.0, L=1.0, N=128, seed=0)
+
+
+def test_p3_values_are_pinned_bit_for_bit():
+    # the Newton stop rule and the reuse of brentq's nodal-domain solves
+    # exist to save work; neither may move a bit of these values
+    pr = eigen.principal_eigenvalue(_p3_problem(), restarts=2)
+    s2 = eigen.second_eigenvalue_and_gap(_p3_problem(), restarts=2)
+    assert pr.lam.hex() == "0x1.c493c4dc55591p+4"
+    assert s2["lambda2"].hex() == "0x1.c471a88441801p+7"
+    assert s2["gap"].hex() == "0x1.8bdf2fe8b6d4fp+7"
+    assert s2["zero"].hex() == "0x1.ffffffffffd89p-2"
+
+
+def test_principal_solve_stops_at_the_residual_floor(monkeypatch):
+    # about 150 evaluations; a polish that ran all 60 Newton steps with 30
+    # halvings each at the residual's round-off floor would take ~1.8k
+    calls = []
+    weak_residual = eigen._Disc.weak_residual
+
+    def counted(self, v, lam):
+        calls.append(1)
+        return weak_residual(self, v, lam)
+
+    monkeypatch.setattr(eigen._Disc, "weak_residual", counted)
+    pr = eigen.principal_eigenvalue(_p3_problem(), restarts=2)
+    assert pr.residual <= 1e-7
+    assert len(calls) <= 600
+
+
+def test_second_solves_each_nodal_domain_once(monkeypatch):
+    seen = []
+    principal_on = eigen._principal_on
+
+    def recorded(a, b, ep, **kw):
+        seen.append((a, b))
+        return principal_on(a, b, ep, **kw)
+
+    monkeypatch.setattr(eigen, "_principal_on", recorded)
+    eigen.second_eigenvalue_and_gap(_p3_problem(), restarts=2)
+    assert len(seen) == len(set(seen))
+
+
+def test_second_rejects_unconverged_nodal_domain(monkeypatch):
+    newton_polish = eigen._newton_polish
+
+    def stalled(disc, v, lam):
+        v, lam, _ = newton_polish(disc, v, lam)
+        return v, lam, 1e-3
+
+    monkeypatch.setattr(eigen, "_newton_polish", stalled)
+    with pytest.raises(eigen.SolverError, match="nodal-domain") as info:
+        eigen.second_eigenvalue_and_gap(_p3_problem(), restarts=2)
+    assert info.value.residual == 1e-3
+
+
+def test_second_without_bracket_is_numeric_failure(monkeypatch):
+    # lambda_1(0, a) - lambda_1(a, L) = -a has one sign on [0.05 L, 0.95 L]
+    def same_sign(a, b, ep, **kw):
+        return None, 1.0 + a, 0.0, None
+
+    monkeypatch.setattr(eigen, "_principal_on", same_sign)
+    with pytest.raises(eigen.SolverError, match="no sign change"):
+        eigen.second_eigenvalue_and_gap(_p3_problem(), restarts=2)
+    assert cli.main(["eigen", "--p", "3", "--grid", "128"]) == 3

@@ -1,0 +1,26 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from finslerhardy import eigen
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_eigen_sweep_script_matches_closed_forms():
+    path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "eigen_sweep.py"),
+         "--N", "128", "--steps", "2"],
+        capture_output=True, text=True, timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()[1:]]
+    assert [float(r[0]) for r in rows] == [1.5, 4.0]
+    for p, lam1, ex1, lam2, ex2, gap in (map(float, r) for r in rows):
+        # the printed closed forms are (p-1)(k pi_p)^p on (0, 1)
+        assert ex1 == round((p - 1.0) * eigen.p_sine_constant(p) ** p, 5)
+        assert abs(lam1 / ex1 - 1.0) <= 2e-3
+        assert abs(lam2 / ex2 - 1.0) <= 2e-3
+        assert gap > 0.0
