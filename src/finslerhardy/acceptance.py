@@ -73,14 +73,41 @@ class SuiteConfig:
         return max(1, int(env)) if env else 1
 
 
-def _families_all_kinds():
-    return [
-        ("euclidean", norms.euclidean(2.5, 3)),
-        ("lp4", norms.lp(4, 3.0, 2)),
-        ("quad", norms.quadratic(A2, 2.0)),
-        ("mix", norms.mixed(4, A2, 1.5)),
-        ("weighted", norms.weighted(1.2, norms.lp(4, 3.0, 2))),
-    ]
+def _family(label, p, n):
+    """The battery's family of kind ``label`` at exponent p in dimension n."""
+    A = A2 if n == 2 else A3
+    return {"euclidean": lambda: norms.euclidean(p, n),
+            "lp4": lambda: norms.lp(4, p, n),
+            "quad": lambda: norms.quadratic(A, p),
+            "mix": lambda: norms.mixed(4, A, p),
+            "weighted": lambda: norms.weighted(1.2, norms.lp(4, p, n))}[label]()
+
+
+def _pn(p, n):
+    return f"p{p:g}_n{n}"
+
+
+# The parameter grids the checks loop over; CATALOG derives the record names
+# from the same constants.  Family grids map a kind label to its (p, n).
+
+#: criteria 1-2: one family of each kind
+ALL_KINDS = {"euclidean": (2.5, 3), "lp4": (3.0, 2), "quad": (2.0, 2),
+             "mix": (1.5, 2), "weighted": (3.0, 2)}
+#: criterion 3: the x-independent kinds
+DUAL_KINDS = {"euclidean": (2.0, 3), "lp4": (3.0, 2), "quad": (2.0, 2),
+              "mix": (3.0, 2)}
+#: criterion 4: the non-euclidean x-independent kinds (n = 2) at each p
+BREGMAN_KINDS = ("lp4", "quad", "mix")
+BREGMAN_PS = (1.5, 2.0, 3.0, 4.0)
+CLASSICAL_PN = ((1.5, 2), (2.0, 3), (3.0, 2), (5.0, 3))
+HARMONIC_PN = ((3.0, 2), (1.5, 3))
+HARMONIC_KINDS = ("euclidean", "lp4", "quad", "mix")
+FLUX_KINDS = {"lp4": (3.0, 2), "mix": (1.5, 2)}
+NULLSEQ_PN = ((1.5, 2), (2.0, 3), (3.0, 2))
+#: (kind, p, n, closed-form slope or None); labels ``<kind>_p<p>_n<n>``
+NULL_CRITICAL = (("euclidean", 2.0, 3, math.pi), ("lp4", 3.0, 2, None))
+BEST_PN = ((2.0, 3), (3.0, 2))
+GREEN_PS = (1.5, 2.5)
 
 
 def _sample_x(fam, m, seed):
@@ -106,8 +133,9 @@ def _named(prefix, label, records):
     return [replace(r, name=f"{prefix}.{r.name}.{label}") for r in records]
 
 
-def _norm_group(check, fams, *args):
-    return [r for label, fam in fams for r in _named("norms", label, check(fam, *args))]
+def _norm_group(check, kinds, *args):
+    return [r for label, (p, n) in kinds.items()
+            for r in _named("norms", label, check(_family(label, p, n), *args))]
 
 
 # ---------------------------------------------------------------------------
@@ -166,22 +194,18 @@ def dual_calculus(fam, m, seed, tol, n_dirs):
 
 
 def check_operator_identity(cfg):
-    return _norm_group(operator_identity, _families_all_kinds(), cfg.count(10000),
-                       cfg.seed, cfg.tol)
+    return _norm_group(operator_identity, ALL_KINDS, cfg.count(10000), cfg.seed,
+                       cfg.tol)
 
 
 def check_homogeneity_monotonicity(cfg):
-    return _norm_group(homogeneity_monotonicity, _families_all_kinds(),
-                       cfg.count(10000), cfg.seed, cfg.tol)
+    return _norm_group(homogeneity_monotonicity, ALL_KINDS, cfg.count(10000),
+                       cfg.seed, cfg.tol)
 
 
 def check_dual_calculus(cfg):
-    fams = [("euclidean", norms.euclidean(2.0, 3)),
-            ("lp4", norms.lp(4, 3.0, 2)),
-            ("quad", norms.quadratic(A2, 2.0)),
-            ("mix", norms.mixed(4, A2, 3.0))]
-    return _norm_group(dual_calculus, fams, cfg.count(1000, floor=100), cfg.seed,
-                       cfg.tol, 512 if cfg.quick else 2048)
+    return _norm_group(dual_calculus, DUAL_KINDS, cfg.count(1000, floor=100),
+                       cfg.seed, cfg.tol, 512 if cfg.quick else 2048)
 
 
 # ---------------------------------------------------------------------------
@@ -197,12 +221,9 @@ def check_bregman(cfg):
     ok = abs(est.c_lower - 1.0) <= tol and abs(est.c_upper - 1.0) <= tol
     out.append(record("bregman.exact_p2_euclidean", ok,
                       max(abs(est.c_lower - 1.0), abs(est.c_upper - 1.0)), 0.0, tol))
-    fams = [("lp4", lambda p: norms.lp(4, p, 2)),
-            ("quad", lambda p: norms.quadratic(A2, p)),
-            ("mix", lambda p: norms.mixed(4, A2, p))]
-    for label, make in fams:
-        for p in (1.5, 2.0, 3.0, 4.0):
-            fam = make(p)
+    for label in BREGMAN_KINDS:
+        for p in BREGMAN_PS:
+            fam = _family(label, p, 2)
             e1 = bregman.verify_bounds(fam, m, seed=cfg.seed + 32)
             e2 = bregman.verify_bounds(fam, m, seed=cfg.seed + 1234567)
             plabel = f"{label}.p{p:g}"
@@ -236,11 +257,11 @@ def classical_reduction(hw, x, tol):
 
 def check_classical_reduction(cfg):
     out = []
-    for (p, n) in [(1.5, 2), (2.0, 3), (3.0, 2), (5.0, 3)]:
+    for (p, n) in CLASSICAL_PN:
         hw = _standard_weight(p, n, bracket=(1e-6, 1e6))
         x = norms.sample_vectors(n, cfg.count(500, floor=100), cfg.seed + 41,
                                  decades=2, stream=8)
-        out += _named("hardy", f"p{p:g}_n{n}", [classical_reduction(hw, x, cfg.tol)])
+        out += _named("hardy", _pn(p, n), [classical_reduction(hw, x, cfg.tol)])
     return out
 
 
@@ -249,25 +270,18 @@ def check_classical_reduction(cfg):
 # ---------------------------------------------------------------------------
 
 
-def _family_grid(p, n):
-    A = A2 if n == 2 else A3
-    return [("euclidean", norms.euclidean(p, n)),
-            ("lp4", norms.lp(4, p, n)),
-            ("quad", norms.quadratic(A, p)),
-            ("mix", norms.mixed(4, A, p))]
-
-
 def check_harmonicity(cfg):
     out = []
     tol = cfg.tol(1e-5)
-    for (p, n) in [(3.0, 2), (1.5, 3)]:
+    for (p, n) in HARMONIC_PN:
         dom = fields.annulus(0.1, 10.0, n)
-        for label, fam in _family_grid(p, n):
+        for label in HARMONIC_KINDS:
+            fam = _family(label, p, n)
             G = fields.make_dual_power_field(fam, GlobalParams(p, n))
             n_ang = 12 if cfg.quick else (16 if label == "mix" and n == 3 else 24)
             r = fields.weak_residual(fam, G, dom, n_tests=cfg.bumps(),
                                      seed=cfg.seed + 51, n_ang=n_ang)
-            out.append(record(f"fields.harmonicity.{label}.p{p:g}_n{n}",
+            out.append(record(f"fields.harmonicity.{label}.{_pn(p, n)}",
                               r <= tol, r, 0.0, tol))
     fam = norms.euclidean(2.0, 3)
     bad = fields.FuncField(lambda x: np.linalg.norm(x, axis=-1),
@@ -297,8 +311,8 @@ def check_flux(cfg):
     tol = cfg.tol(0.01)
     out.append(record("fields.flux_newtonian", abs(fx / (4 * math.pi) - 1.0) <= tol,
                       fx, 4 * math.pi, tol))
-    for label, fam2, (p, n) in [("lp4", norms.lp(4, 3.0, 2), (3.0, 2)),
-                                ("mix", norms.mixed(4, A2, 1.5), (1.5, 2))]:
+    for label, (p, n) in FLUX_KINDS.items():
+        fam2 = _family(label, p, n)
         G2 = fields.make_dual_power_field(fam2, GlobalParams(p, n))
         dom2 = fields.annulus(1e-5, 1e5, n)
         levels = np.geomspace(0.3, 30.0, 10)
@@ -352,7 +366,7 @@ def check_nullseq_decay(cfg):
     out = []
     kexp = cfg.kmax_exp()
     ks = [2 ** j for j in range(4, kexp + 1)]
-    for (p, n) in [(1.5, 2), (2.0, 3), (3.0, 2)]:
+    for (p, n) in NULLSEQ_PN:
         hw = _standard_weight(p, n)
         ns = hardy.null_sequence(hw, ks)
         cf = hw.flux_constant()
@@ -385,10 +399,9 @@ def check_nullseq_decay(cfg):
 def check_null_criticality(cfg):
     out = []
     tol = cfg.tol(0.05)
-    for label, hw, expect in [
-        ("euclidean_p2_n3", _standard_weight(2.0, 3), math.pi),
-        ("lp4_p3_n2", _standard_weight(3.0, 2, norms.lp(4, 3.0, 2)), None),
-    ]:
+    for kind, p, n, expect in NULL_CRITICAL:
+        label = f"{kind}_{_pn(p, n)}"
+        hw = _standard_weight(p, n, _family(kind, p, n))
         nc = hardy.verify_null_criticality(hw, [1e-1, 1e-2, 1e-3, 1e-4], T=1.0)
         ok = nc["rel_err"] <= tol
         out.append(record(f"hardy.null_criticality.{label}", ok,
@@ -413,7 +426,7 @@ def check_best_constant(cfg):
     kexp = cfg.kmax_exp()
     ks = [2 ** j for j in range(4, kexp + 1)]
     tol_low = cfg.tol(1e-3)
-    for (p, n) in [(2.0, 3), (3.0, 2)]:
+    for (p, n) in BEST_PN:
         hw = _standard_weight(p, n)
         ns = hardy.null_sequence(hw, ks)
         above = all(r >= 1.0 - tol_low for r in ns.ratios)
@@ -450,22 +463,18 @@ def check_best_constant(cfg):
         sane = sane and mono
     out.append(record("hardy.optimality_mass_monotonicity", sane, detail,
                       "ratio decreases with captured weight-mass", None))
-    est = bregman.verify_bounds(norms.euclidean(2.0, 3), cfg.count(20000),
-                                seed=cfg.seed + 71)
-    ns = hardy.null_sequence(hw, ks)
-    rows = hardy.simplified_energy_bound_check(hw, ns, est.c_upper)
-    out.append(record("hardy.simplified_energy_bound.p2",
-                      all(r["ok"] for r in rows),
-                      max(r["energy"] / r["bound"] for r in rows), "<= 1", None))
-    hw3 = _standard_weight(3.0, 2)
-    est3 = bregman.verify_bounds(norms.euclidean(3.0, 2), cfg.count(20000),
-                                 seed=cfg.seed + 72)
-    ns3 = hardy.null_sequence(hw3, ks)
-    rows3 = hardy.simplified_energy_bound_check(hw3, ns3, est3.c_upper)
-    out.append(record("hardy.simplified_energy_bound.p3",
-                      all(r["ok"] for r in rows3),
-                      max(r["energy"] / r["bound"] for r in rows3), "<= 1", None))
-    xlaw_err = max(r["x_law_rel_err"] for r in rows)
+    bound_rows = []
+    for i, (p, n) in enumerate(BEST_PN):
+        hw = _standard_weight(p, n)
+        est = bregman.verify_bounds(norms.euclidean(p, n), cfg.count(20000),
+                                    seed=cfg.seed + 71 + i)
+        rows = hardy.simplified_energy_bound_check(hw, hardy.null_sequence(hw, ks),
+                                                   est.c_upper)
+        out.append(record(f"hardy.simplified_energy_bound.p{p:g}",
+                          all(r["ok"] for r in rows),
+                          max(r["energy"] / r["bound"] for r in rows), "<= 1", None))
+        bound_rows.append(rows)
+    xlaw_err = max(r["x_law_rel_err"] for r in bound_rows[0])
     out.append(record("hardy.x_closed_form.p2", xlaw_err <= cfg.tol(0.02),
                       xlaw_err, 0.0, cfg.tol(0.02)))
     return out
@@ -497,7 +506,7 @@ def check_green(cfg):
                       fb["worst_identity_rel_err"], 0.0, cfg.tol(0.01)))
     out.append(record("green.flux_bounds.p2n3", fb["upper_ok"] and fb["floor_ok"],
                       {"C0": fb["C0"], "M_phi": fb["M_phi"]}, "bounds hold", None))
-    for p in (1.5, 2.5):
+    for p in GREEN_PS:
         gpp = green.solve_green(green.RadialProblem(
             p=p, n=3, phi=phi, R_out=100.0 if p > 2 else 50.0, n_cells=cells))
         bet, _, _ = green.farfield_exponent(gpp)
@@ -681,64 +690,50 @@ REGISTRY = [
     ("cli.determinism", check_determinism),
 ]
 
-#: static record names per group (names are config independent); lets a
-#: --only filter skip whole groups and pins the report schema
+#: record names per group, in report order, from the checks' grids (names are
+#: config independent); lets a --only filter skip whole groups and pins the
+#: report schema.  Names no grid generates are listed as they are.
 CATALOG = {
-    "norms.operator_identity": [
-        "norms.operator_identity.euclidean", "norms.operator_identity.lp4",
-        "norms.operator_identity.quad", "norms.operator_identity.mix",
-        "norms.operator_identity.weighted"],
+    "norms.operator_identity": [f"norms.operator_identity.{k}" for k in ALL_KINDS],
     "norms.homogeneity_monotonicity": [
-        "norms.homogeneity.euclidean", "norms.monotonicity.euclidean",
-        "norms.homogeneity.lp4", "norms.monotonicity.lp4",
-        "norms.homogeneity.quad", "norms.monotonicity.quad",
-        "norms.homogeneity.mix", "norms.monotonicity.mix",
-        "norms.homogeneity.weighted", "norms.monotonicity.weighted"],
+        f"norms.{c}.{k}" for k in ALL_KINDS for c in ("homogeneity", "monotonicity")],
     "norms.dual_calculus": [
-        "norms.dual_identity.euclidean", "norms.biduality.euclidean",
-        "norms.dual_identity.lp4", "norms.biduality.lp4",
-        "norms.dual_identity.quad", "norms.biduality.quad",
-        "norms.dual_identity.mix", "norms.biduality.mix"],
+        f"norms.{c}.{k}" for k in DUAL_KINDS for c in ("dual_identity", "biduality")],
     "bregman.bounds": ["bregman.exact_p2_euclidean"] + [
-        f"bregman.{kind}.{fam}.p{p:g}{suffix}"
-        for fam in ("lp4", "quad", "mix") for p in (1.5, 2, 3, 4)
-        for kind, suffix in (("envelopes", ""), ("stability", ".c_upper"),
-                             ("stability", ".c_lower"))],
+        f"bregman.{c}.{k}.p{p:g}{suffix}" for k in BREGMAN_KINDS for p in BREGMAN_PS
+        for c, suffix in (("envelopes", ""), ("stability", ".c_upper"),
+                          ("stability", ".c_lower"))],
     "hardy.classical_reduction": [
-        "hardy.classical_reduction.p1.5_n2", "hardy.classical_reduction.p2_n3",
-        "hardy.classical_reduction.p3_n2", "hardy.classical_reduction.p5_n3"],
+        f"hardy.classical_reduction.{_pn(p, n)}" for p, n in CLASSICAL_PN],
     "fields.harmonicity": [
-        f"fields.harmonicity.{fam}.{pn}"
-        for pn in ("p3_n2", "p1.5_n3")
-        for fam in ("euclidean", "lp4", "quad", "mix")
-    ] + ["fields.negative_control", "fields.log_dual_gate"],
-    "fields.flux": ["fields.flux_newtonian", "fields.flux_constancy.lp4",
-                    "fields.flux_constancy.mix"],
+        f"fields.harmonicity.{k}.{_pn(p, n)}" for p, n in HARMONIC_PN
+        for k in HARMONIC_KINDS] + ["fields.negative_control", "fields.log_dual_gate"],
+    "fields.flux": ["fields.flux_newtonian"] + [
+        f"fields.flux_constancy.{k}" for k in FLUX_KINDS],
     "hardy.ground_state": [
         "hardy.ground_state_residual.euclidean",
         "hardy.ground_state_residual.lp4", "hardy.ground_state_residual.halving"],
     "hardy.nullseq": [
-        f"hardy.nullseq_{kind}.p{p:g}" for p in (1.5, 2, 3)
-        for kind in ("energy_slope", "monotone", "bound_slope", "energy_law",
-                     "mass_slope")],
+        f"hardy.nullseq_{c}.p{p:g}" for p, _ in NULLSEQ_PN
+        for c in ("energy_slope", "monotone", "bound_slope", "energy_law", "mass_slope")],
     "hardy.null_criticality": [
-        "hardy.null_criticality.euclidean_p2_n3",
-        "hardy.null_criticality.euclidean_p2_n3.value",
-        "hardy.null_criticality.lp4_p3_n2",
+        f"hardy.null_criticality.{kind}_{_pn(p, n)}{suffix}"
+        for kind, p, n, expect in NULL_CRITICAL
+        for suffix in (("", ".value") if expect else ("",))] + [
         "hardy.null_criticality.capped_lower_bound"],
     "hardy.best_constant": [
-        "hardy.ratio_floor.p2", "hardy.ratio_tail.p2", "hardy.ratio_monotone.p2",
-        "hardy.ratio_floor.p3", "hardy.ratio_tail.p3", "hardy.ratio_monotone.p3",
+        f"hardy.ratio_{c}.p{p:g}" for p, _ in BEST_PN
+        for c in ("floor", "tail", "monotone")] + [
         "hardy.optimality_infima", "hardy.optimality_halflambda",
-        "hardy.optimality_mass_monotonicity",
-        "hardy.simplified_energy_bound.p2", "hardy.simplified_energy_bound.p3",
+        "hardy.optimality_mass_monotonicity"] + [
+        f"hardy.simplified_energy_bound.p{p:g}" for p, _ in BEST_PN] + [
         "hardy.x_closed_form.p2"],
     "green.potentials": [
         "green.residual.p2", "green.farfield_exponent.p2n3",
         "green.farfield_amplitude.p2n3", "green.flux_identity.p2n3",
-        "green.flux_bounds.p2n3", "green.farfield_exponent.p1.5n3",
-        "green.flux_identity.p1.5n3", "green.farfield_exponent.p2.5n3",
-        "green.flux_identity.p2.5n3"],
+        "green.flux_bounds.p2n3"] + [
+        f"green.{c}.p{p:g}n3" for p in GREEN_PS
+        for c in ("farfield_exponent", "flux_identity")],
     "hardy.green_weight": [
         "hardy.green_hypotheses", "hardy.green_ground_state_residual",
         "hardy.green_mass_slope"],

@@ -50,6 +50,11 @@ def _parse_grid(s):
     return int(float(parts[0])), int(float(parts[1])) if len(parts) > 1 else 32
 
 
+def _green_from_spec(spec):
+    prob = green.load_problem(spec[len("green:"):])
+    return prob, green.solve_green(prob)
+
+
 def _field_from_spec(spec, fam, params):
     spec = spec.strip()
     if spec == "dualpow":
@@ -57,8 +62,7 @@ def _field_from_spec(spec, fam, params):
     if spec.startswith("logdual:R="):
         return fields.make_log_dual_field(fam, params, float(spec[len("logdual:R="):]))
     if spec.startswith("green:"):
-        prob = green.load_problem(spec[len("green:"):])
-        gp = green.solve_green(prob)
+        _, gp = _green_from_spec(spec)
         return fields.RadialProfileField(gp.profile, gp.dprofile, fam=fam,
                                          metric="euclidean", kind="green_radial",
                                          bracket=(gp.r[0], gp.r[-1]))
@@ -131,7 +135,16 @@ def cmd_verify_harmonic(args):
 
 
 def _build_hw(args, fam, params):
-    field = _field_from_spec(args.field, fam, params)
+    """The weight the suite checks for the source: the nonzero-potential
+    construction for a Green potential, the zero-potential one otherwise."""
+    spec = args.field.strip()
+    if spec.startswith("green:"):
+        if args.sigma != 0.0:
+            raise ConstructionError("a Green potential has no capped branch (--sigma)")
+        prob, gp = _green_from_spec(spec)
+        V = prob.V or (lambda r: np.zeros_like(np.asarray(r, dtype=float)))
+        return hardy.build_weight_green(fam, params, gp, V, prob.phi)
+    field = _field_from_spec(spec, fam, params)
     if isinstance(field, fields.ComposedField):
         raise ConstructionError(
             f"field {args.field!r} has no radial inverse: f0(...) is a ground "

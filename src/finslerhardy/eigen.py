@@ -378,7 +378,7 @@ def second_eigenvalue_and_gap(ep, restarts=4, xtol=1e-9):
     return {"lambda2": float(lam2), "gap": float(lam2 - lam1),
             "lambda1": float(lam1), "zero": float(a_star),
             "x": glued_x, "v": glued_v,
-            "sign_changes": 1,
+            "sign_changes": _count_sign_changes(glued_v),
             "mismatch": abs(laml - lamr)}
 
 

@@ -17,19 +17,6 @@ class BranchError(ValueError):
     """Wrong construction branch for the given (p, n, sigma) or a violated branch constraint."""
 
 
-class PoisonedIntegrandError(ValueError):
-    """Integrand returned NaN/inf at a quadrature node.  Carries the offending node."""
-
-    def __init__(self, node, value):
-        self.node = node
-        self.value = value
-        super().__init__(f"integrand is {value!r} at node {node!r}")
-
-
-class MarginError(ValueError):
-    """Support of a test function touches the domain boundary."""
-
-
 class RangeError(ValueError):
     """Field range too narrow for the requested cutoff family."""
 

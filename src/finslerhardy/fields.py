@@ -33,39 +33,19 @@ from .errors import BranchError, DomainError
 
 @dataclass(frozen=True)
 class Domain:
-    """A punctured radial domain (puncture at the origin) or an interval."""
+    """The annulus {r_inner < rho < r_outer} in R^n, clear of the puncture at 0."""
 
-    kind: str          # punctured_ball | annulus | punctured_space | interval
     n: int
-    r_inner: float     # 0 for punctured ball / space
-    r_outer: float     # ball radius, outer annulus radius, or truncation radius
+    r_inner: float
+    r_outer: float
 
     def __post_init__(self):
-        if self.kind == "annulus" and not 0.0 < self.r_inner < self.r_outer:
+        if not 0.0 < self.r_inner < self.r_outer:
             raise ValueError("annulus needs 0 < r0 < r1")
-        if self.kind in ("punctured_ball", "punctured_space") and self.r_outer <= 0.0:
-            raise ValueError("radius must be positive")
 
 
 def annulus(r0, r1, n):
-    return Domain("annulus", n, float(r0), float(r1))
-
-
-def punctured_ball(R, n):
-    return Domain("punctured_ball", n, 0.0, float(R))
-
-
-def punctured_space(R_truncation, n):
-    return Domain("punctured_space", n, 0.0, float(R_truncation))
-
-
-def interval(L):
-    return Domain("interval", 1, 0.0, float(L))
-
-
-def _bounds(dom, inner_guard=1e-6):
-    lo = dom.r_inner if dom.r_inner > 0.0 else inner_guard * dom.r_outer
-    return lo, dom.r_outer
+    return Domain(n, float(r0), float(r1))
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +247,7 @@ def power_of(field, exponent):
                          kind=f"pow[{e:g}]({field.kind})")
 
 
-def synthetic_capped_profile(sigma, R, a=2.0, b=0.0, n=2):
+def synthetic_capped_profile(sigma, R, a=2.0, b=0.0):
     """Radial profile sigma (1 - (r/R)^a)(r/R)^b on (0, R): 0 < G < sigma.
 
     Not claimed p-harmonic; exercises the capped weight formulas.  b = 0
@@ -344,8 +324,7 @@ def _ball_scheme(center, rho, n, n_panels, n_ang, order=2):
 def random_bumps(dom, n_tests, seed, margin=0.05, rho_frac=(0.25, 0.75)):
     """Seeded bump family inside the domain, supports clear of puncture and boundary."""
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    lo, hi = _bounds(dom, inner_guard=1e-3)
-    lo = lo if dom.r_inner > 0.0 else hi * 1e-3
+    lo, hi = dom.r_inner, dom.r_outer
     bumps = []
     for _ in range(n_tests):
         rc = math.exp(rng.uniform(math.log(lo * (1.0 + 4.0 * margin)),
@@ -429,7 +408,7 @@ def _shell_patch(fam, metric, bump, n, n_rho=16, n_ang=24):
 
 
 def weak_residual(fam, field, dom, V=None, n_tests=100, seed=0,
-                  n_rho=16, n_ang=24, layout="shell", return_all=False):
+                  n_rho=16, n_ang=24, layout="shell"):
     """Max over random bumps phi of |int a(x, grad u).grad phi + V u^(p-1) phi| / ||phi||_W1p.
 
     ``V`` may be ``None`` (zero), a callable on points, or a field.  A small
@@ -475,7 +454,7 @@ def weak_residual(fam, field, dom, V=None, n_tests=100, seed=0,
         gq = np.linalg.norm(gphi, axis=-1)
         den = float(np.dot(w, np.abs(phiv) ** p + gq ** p)) ** (1.0 / p)
         res.append(num / den)
-    return res if return_all else max(res)
+    return max(res)
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +473,7 @@ def level_set_flux(fam, field, dom, t, n_ang=96):
         raise ValueError("level sets are only parametrized for radial fields")
     metric, prof, dprof = field.radial
     rho = float(field.radial_inverse(t))
-    lo, hi = _bounds(dom)
+    lo, hi = dom.r_inner, dom.r_outer
     if not (lo * (1.0 - 1e-12) <= rho <= hi * (1.0 + 1e-12)):
         raise DomainError(f"level {t} maps to radius {rho:.3g} outside the domain")
     n = dom.n
@@ -517,14 +496,3 @@ def flux_constancy(fam, field, dom, levels, n_ang=96):
     fluxes = np.array([level_set_flux(fam, field, dom, t, n_ang=n_ang) for t in levels])
     cv = float(fluxes.std() / fluxes.mean())
     return fluxes, cv
-
-
-def preimage_bounds(field, t_lo, t_hi):
-    """Radial interval mapped onto the value interval [t_lo, t_hi] (monotone profiles).
-
-    The properness surrogate: compact value intervals pull back to radial
-    intervals bounded away from the puncture and the outer boundary.
-    """
-    r1 = float(field.radial_inverse(t_lo))
-    r2 = float(field.radial_inverse(t_hi))
-    return (min(r1, r2), max(r1, r2))

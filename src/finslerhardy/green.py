@@ -107,13 +107,10 @@ class RadialProblem:
         return (self.p - self.n) / (self.p - 1.0)
 
 
-def load_problem(path_or_dict):
+def load_problem(path):
     """Problem file (JSON): {p, n, V:{type,params}, phi:{r_a,r_b,mass}, R_out, mesh}."""
-    if isinstance(path_or_dict, dict):
-        spec = path_or_dict
-    else:
-        with open(path_or_dict) as fh:
-            spec = json.load(fh)
+    with open(path) as fh:
+        spec = json.load(fh)
     n = int(spec["n"])
     phi = BumpDensity(spec["phi"]["r_a"], spec["phi"]["r_b"],
                       spec["phi"].get("mass", 1.0), n)
@@ -421,16 +418,3 @@ def farfield_exponent(gp, window=(4.0, 0.125)):
     beta = float(opt.x)
     _, coef = resid(beta)
     return beta, float(coef[0]), float(coef[1])
-
-
-def truncation_stability(prob, factor=2.0):
-    """Relative profile change on [r_min, R_out/2] when R_out is scaled by ``factor``."""
-    gp1 = solve_green(prob)
-    prob2 = RadialProblem(p=prob.p, n=prob.n, phi=prob.phi, V=prob.V,
-                          R_out=prob.R_out * factor,
-                          n_cells=int(prob.n_cells * 1.25),
-                          r_min=prob.r_min, boundary=prob.boundary)
-    gp2 = solve_green(prob2)
-    r = np.geomspace(gp1.r[0] * 1.01, prob.R_out / 2.0, 512)
-    u1, u2 = gp1.profile(r), gp2.profile(r)
-    return float(np.max(np.abs(u1 - u2) / np.abs(u2)))

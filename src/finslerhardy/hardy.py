@@ -188,7 +188,7 @@ class HardyWeight:
         """
         if self._flux is None:
             lo, hi = self.source_bracket
-            dom = fields.Domain("annulus", self.n, lo * 0.999, hi * 1.001)
+            dom = fields.annulus(lo * 0.999, hi * 1.001, self.n)
             if self.branch == "green_based":
                 gmin, _ = self.source_range()
                 m_phi = float(np.min(self.g(
@@ -206,12 +206,11 @@ class HardyWeight:
 # ---------------------------------------------------------------------------
 
 
-def build_weight_zero_potential(fam, params, G, sigma=0.0, check_points=512,
-                                bracket=None):
+def build_weight_zero_potential(fam, params, G, sigma=0.0, bracket=None):
     """Branch-correct (W, v) from a positive p-harmonic field G.
 
     sigma > 0 selects the capped branch (p > n only; refused for p <= n)
-    and requires 0 < G < sigma, checked on a log grid of quadrature radii.
+    and requires 0 < G < sigma, checked on a log grid of 512 radii.
     """
     p, n = params.p, params.n
     if sigma < 0.0:
@@ -226,7 +225,7 @@ def build_weight_zero_potential(fam, params, G, sigma=0.0, check_points=512,
             bracket = G._bracket
         else:
             bracket = (1e-8, 1e8)
-    rho = np.geomspace(bracket[0] * (1 + 1e-12), bracket[1] * (1 - 1e-12), check_points)
+    rho = np.geomspace(bracket[0] * (1 + 1e-12), bracket[1] * (1 - 1e-12), 512)
     gvals = G.radial[1](rho)
     if np.any(gvals <= 0.0):
         raise BranchError("source field must be positive on the domain")
@@ -252,8 +251,7 @@ def build_weight_zero_potential(fam, params, G, sigma=0.0, check_points=512,
                        metric=metric, angular=ang, source_bracket=tuple(bracket))
 
 
-def build_weight_green(fam, params, green_potential, V_profile, phi_profile,
-                       rtol_hypotheses=0.0):
+def build_weight_green(fam, params, green_potential, V_profile, phi_profile):
     """Weight from a Green potential of Q'_{c_p V}[u] = phi (euclidean radial).
 
     Checks the construction hypotheses numerically: int |V| G^(p-1) finite,
@@ -333,7 +331,7 @@ def _vrange(hw):
     return float(vv.min()), float(vv.max())
 
 
-def null_sequence(hw, k_list, U_interval=None, n_r=768):
+def null_sequence(hw, k_list, n_r=768):
     """Cutoff sequence u_k = v phi_k(v) with energies, masses and Hardy ratios.
 
     k values whose cutoff support exceeds the representable range of v are
@@ -360,6 +358,9 @@ def null_sequence(hw, k_list, U_interval=None, n_r=768):
         raise RangeError(
             f"ground-state range ({vmin:.3g}, {vmax:.3g}) admits no k >= 2")
     p, V = hw.p, hw.V_profile
+    # the band U = {ulo < v < uhi} of norms_U
+    ulo, uhi = (min(1.0, vmax / 4.0) / 2.0, min(1.0, vmax / 4.0)) \
+        if vmax < 2.0 else (1.0, 2.0)
     energies, masses, ratios, xg, xf, nU = [], [], [], [], [], []
     for k in kept:
         # rho bounds and aligned breakpoints from the cutoff levels; also
@@ -412,10 +413,6 @@ def null_sequence(hw, k_list, U_interval=None, n_r=768):
         ratios.append(1.0 + E / M)
         xg.append(X)
         xf.append(Y)
-        if U_interval is None:
-            U_interval = (min(1.0, vmax / 4.0) / 2.0, min(1.0, vmax / 4.0)) \
-                if vmax < 2.0 else (1.0, 2.0)
-        ulo, uhi = U_interval
         rhos = []
         for t in (ulo, uhi):
             rhos.extend(hw.rho_of_v(t))
@@ -465,7 +462,7 @@ def weight_mass_slope_law(p, c_flux):
 # ---------------------------------------------------------------------------
 
 
-def verify_null_criticality(hw, tau_list, T=None, n_r=768):
+def verify_null_criticality(hw, tau_list, T, n_r=768):
     """Integrals I(tau) = int_{tau < G < T} W v^p and their log(1/tau) slope.
 
     For the standard and green branches the growth is affine in log(1/tau)
@@ -473,9 +470,6 @@ def verify_null_criticality(hw, tau_list, T=None, n_r=768):
     """
     p = hw.p
     taus = sorted(float(t) for t in tau_list)
-    if T is None:
-        glo, ghi = sorted((float(hw.g(np.asarray([b]))[0]) for b in hw.source_bracket))
-        T = min(1.0, 0.5 * ghi) if hw.branch == "green_based" else 1.0
     rows = []
     for tau in taus:
         r1 = hw.source.radial_inverse(tau)
@@ -505,7 +499,7 @@ def capped_null_criticality_lower_bound(hw, t_list, n_levels=24, n_r=768):
         raise BranchError("lower-bound check is for the capped branch")
     p, s = hw.p, hw.sigma
     lo_b, hi_b = hw.source_bracket
-    dom = fields.Domain("annulus", hw.n, lo_b * 0.999, hi_b * 1.001)
+    dom = fields.annulus(lo_b * 0.999, hi_b * 1.001, hw.n)
     rows = []
     for t in t_list:
         levels = np.geomspace(t * 1.01, s / 4.0 * 0.99, n_levels)

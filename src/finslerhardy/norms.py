@@ -140,17 +140,6 @@ class NormFamily:
             return f"weighted(delta={self.delta:g};base={self.base.label()})"
         return "euclidean"
 
-    # -- evaluation, thin wrappers over the module functions ---------------
-
-    def __call__(self, xi, x=None):
-        return norm_eval(self, x, xi)
-
-    def grad(self, xi, x=None):
-        return grad_H(self, x, xi)
-
-    def flux(self, xi, x=None):
-        return operator_a(self, x, xi)
-
 
 def euclidean(p, n):
     return NormFamily("euclidean", float(p), int(n))
@@ -393,62 +382,37 @@ def grad_dual(fam, y):
 
 
 def _m_and_jac(fam, xi):
-    """m(xi) = H grad H and its Jacobian, batched over rows of xi."""
+    """m(xi) = H grad H and its Jacobian for the mixed kind, batched over rows of xi."""
     p = fam.p
-    if fam.kind == "euclidean":
-        m = xi
-        J = np.broadcast_to(np.eye(fam.n), xi.shape[:-1] + (fam.n, fam.n)).copy()
-        return m, J
-    if fam.kind == "quadratic":
-        m = xi @ fam.A
-        J = np.broadcast_to(fam.A, xi.shape[:-1] + (fam.n, fam.n)).copy()
-        return m, J
-    if fam.kind == "lp":
-        s = fam.s
-        h = _lp_norm(xi, s)[..., None]
-        g = _lp_grad(xi, s)
-        m = h * g
-        # Hess H = (s-1) [S^(1/s-1) diag(|xi|^(s-2)) - S^(1/s-2) a (x) a]
-        Sa = np.abs(xi) ** (s - 2.0)
-        a = np.sign(xi) * np.abs(xi) ** (s - 1.0)
-        S = np.sum(np.abs(xi) ** s, axis=-1)[..., None, None]
-        hess = (s - 1.0) * (
-            S ** (1.0 / s - 1.0) * _diag_embed(Sa)
-            - S ** (1.0 / s - 2.0) * a[..., :, None] * a[..., None, :]
-        )
-        J = g[..., :, None] * g[..., None, :] + h[..., None] * hess
-        return m, J
-    if fam.kind == "mixed":
-        s = fam.s
-        hs = _lp_norm(xi, s)[..., None]
-        ha = _quad_norm(xi, fam.A)[..., None]
-        h = norm_eval(fam, None, xi)[..., None]
-        gs = _lp_grad(xi, s)
-        ga = (xi @ fam.A) / ha
-        G = hs ** (p - 1.0) * gs + ha ** (p - 1.0) * ga
-        gH = h ** (1.0 - p) * G
-        m = h * gH  # = h^(2-p) G
-        # Hessians of the two building blocks
-        Sa = np.abs(xi) ** (s - 2.0)
-        a = np.sign(xi) * np.abs(xi) ** (s - 1.0)
-        S = np.sum(np.abs(xi) ** s, axis=-1)[..., None, None]
-        hess_s = (s - 1.0) * (
-            S ** (1.0 / s - 1.0) * _diag_embed(Sa)
-            - S ** (1.0 / s - 2.0) * a[..., :, None] * a[..., None, :]
-        )
-        Axi = xi @ fam.A
-        hess_a = fam.A / ha[..., None] - Axi[..., :, None] * Axi[..., None, :] / ha[..., None] ** 3
-        DG = (
-            (p - 1.0) * hs[..., None] ** (p - 2.0) * gs[..., :, None] * gs[..., None, :]
-            + hs[..., None] ** (p - 1.0) * hess_s
-            + (p - 1.0) * ha[..., None] ** (p - 2.0) * ga[..., :, None] * ga[..., None, :]
-            + ha[..., None] ** (p - 1.0) * hess_a
-        )
-        # m = h^(2-p) G,  Dm = (2-p) h^(1-p) gH (x) G + h^(2-p) DG
-        J = (2.0 - p) * h[..., None] ** (1.0 - p) * gH[..., :, None] * G[..., None, :]
-        J = J + h[..., None] ** (2.0 - p) * DG
-        return m, J
-    raise UnsupportedKindError(fam.kind)
+    s = fam.s
+    hs = _lp_norm(xi, s)[..., None]
+    ha = _quad_norm(xi, fam.A)[..., None]
+    h = norm_eval(fam, None, xi)[..., None]
+    gs = _lp_grad(xi, s)
+    ga = (xi @ fam.A) / ha
+    G = hs ** (p - 1.0) * gs + ha ** (p - 1.0) * ga
+    gH = h ** (1.0 - p) * G
+    m = h * gH  # = h^(2-p) G
+    # Hessians of the two building blocks
+    Sa = np.abs(xi) ** (s - 2.0)
+    a = np.sign(xi) * np.abs(xi) ** (s - 1.0)
+    S = np.sum(np.abs(xi) ** s, axis=-1)[..., None, None]
+    hess_s = (s - 1.0) * (
+        S ** (1.0 / s - 1.0) * _diag_embed(Sa)
+        - S ** (1.0 / s - 2.0) * a[..., :, None] * a[..., None, :]
+    )
+    Axi = xi @ fam.A
+    hess_a = fam.A / ha[..., None] - Axi[..., :, None] * Axi[..., None, :] / ha[..., None] ** 3
+    DG = (
+        (p - 1.0) * hs[..., None] ** (p - 2.0) * gs[..., :, None] * gs[..., None, :]
+        + hs[..., None] ** (p - 1.0) * hess_s
+        + (p - 1.0) * ha[..., None] ** (p - 2.0) * ga[..., :, None] * ga[..., None, :]
+        + ha[..., None] ** (p - 1.0) * hess_a
+    )
+    # m = h^(2-p) G,  Dm = (2-p) h^(1-p) gH (x) G + h^(2-p) DG
+    J = (2.0 - p) * h[..., None] ** (1.0 - p) * gH[..., :, None] * G[..., None, :]
+    J = J + h[..., None] ** (2.0 - p) * DG
+    return m, J
 
 
 def _diag_embed(d):
@@ -465,6 +429,8 @@ def dual_newton(fam, Y, tol=1e-13, maxit=60):
     (near-)singular Jacobians; rows still above ``tol`` after ``maxit``
     steps are returned as they are.
     """
+    if fam.kind != "mixed":
+        raise UnsupportedKindError(f"the Newton dual is for the mixed kind, not {fam.kind}")
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     norms = np.linalg.norm(Y, axis=-1)
     if np.any(norms == 0.0):

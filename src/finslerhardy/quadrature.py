@@ -1,32 +1,29 @@
-"""Deterministic volume quadrature on punctured radial domains and energy evaluation.
+"""Deterministic quadrature rules on punctured radial domains.
 
-Schemes combine a geometric (log-spaced) radial grid, integrated by
-composite Gauss-Legendre panels in log r, with a smooth angular rule:
-equispaced trapezoid on the circle for n = 2 and a product
-Gauss-Legendre(cos theta) x trapezoid(phi) rule for n = 3.
+The rules are a geometric (log-spaced) radial grid, integrated by composite
+Gauss-Legendre panels in log r, and smooth angular rules: equispaced
+trapezoid on the circle for n = 2 and a product Gauss-Legendre(cos theta)
+x trapezoid(phi) rule for n = 3.
 
 Two radial metrics are supported.  In the ``euclidean`` metric the radial
 coordinate is |x| and shells are round spheres.  In the ``dual`` metric the
 radial coordinate is the dual norm H0(x) of a supplied family and shells
-are H0-spheres; nodes are placed at ``x = rho * Theta(omega)`` with
-``Theta(omega) = omega / H0(omega)`` and the exact angular Jacobian
-``J(omega) = |det[Theta, d Theta]| / dsigma`` is folded into the weights.
+are H0-spheres; :func:`_dual_shell_geometry` maps directions to
+``Theta(omega) = omega / H0(omega)`` with the exact angular Jacobian
+``J(omega) = |det[Theta, d Theta]| / dsigma``.
 
 Integrands that are functions of the radial coordinate alone (any
 dimension n >= 2) take :func:`radial_integral`: one log-radial rule times
 the exact angular factor :func:`angular_measure` (surface area, resp.
 n * vol of the H0 unit ball).
 """
-
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import norms
-from .errors import MarginError, PoisonedIntegrandError
 
 _GAUSS_CACHE: dict = {}
 
@@ -119,7 +116,7 @@ def _dual_shell_geometry(fam, omega):
         d1, d2 = push(t1), push(t2)
         J = np.abs(np.einsum("...i,...i->...", theta, np.cross(d1, d2)))
     else:
-        raise ValueError("full quadrature supports n in {2, 3}")
+        raise ValueError("dual shells are parametrized for n in {2, 3}")
     grad_len = np.linalg.norm(g0, axis=-1)
     return theta, J, grad_len
 
@@ -165,106 +162,3 @@ def radial_integral(f, lo, hi, n, angular, align=(), n_r=768, order=6):
     if isinstance(vals, tuple):
         return tuple(angular * float(np.dot(wr, v)) for v in vals)
     return angular * float(np.dot(wr, vals))
-
-
-@dataclass(frozen=True, eq=False)
-class QuadratureScheme:
-    """Nodes/weights for an annular shell."""
-
-    nodes: np.ndarray           # (m, n)
-    weights: np.ndarray         # (m,)
-    n: int
-    r_min: float
-    r_max: float
-    metric: str = "euclidean"   # euclidean | dual
-
-    @property
-    def volume(self):
-        return float(self.weights.sum())
-
-
-def annulus_scheme(r0, r1, n, n_r=256, n_ang=64, fam=None, metric="euclidean",
-                   align=(), order=4):
-    """Full product scheme on the shell {r0 < rho(x) < r1}.
-
-    ``rho`` is |x| for the euclidean metric and H0(x) for the dual metric
-    (then ``fam`` is required).  The puncture guard requires r0 > 0.
-    """
-    r, wr = log_radial_rule(r0, r1, n_r, align=align, order=order)
-    if metric == "euclidean" or (fam is not None and fam.kind == "euclidean" and metric == "dual"):
-        omega, wo = circle_rule(n_ang) if n == 2 else sphere_rule(n_ang)
-        theta, J = omega, np.ones(len(omega))
-    elif metric == "dual":
-        omega, wo = circle_rule(n_ang) if n == 2 else sphere_rule(n_ang)
-        theta, J, _ = _dual_shell_geometry(fam, omega)
-    else:
-        raise ValueError(f"unknown metric {metric!r}")
-    nodes = (r[:, None, None] * theta[None, :, :]).reshape(-1, n)
-    w = (wr[:, None] * r[:, None] ** (n - 1) * (wo * J)[None, :]).ravel()
-    return QuadratureScheme(nodes=nodes, weights=w, n=n, r_min=float(r0),
-                            r_max=float(r1), metric=metric)
-
-
-def integrate(scheme, f):
-    """Weighted sum of ``f`` over the scheme's nodes.
-
-    ``f`` maps an (m, n) array of points to m values.  A NaN/inf value at
-    any node raises :class:`PoisonedIntegrandError` naming the node.
-    """
-    vals = np.asarray(f(scheme.nodes), dtype=float)
-    bad = ~np.isfinite(vals)
-    if np.any(bad):
-        i = int(np.flatnonzero(bad)[0])
-        raise PoisonedIntegrandError(scheme.nodes[i].tolist(), float(vals[i]))
-    return float(np.dot(scheme.weights, vals))
-
-
-@dataclass
-class EnergyBreakdown:
-    """Split of the energy functional over a scheme."""
-
-    dirichlet: float
-    potential: float
-    total: float
-    lp_mass: float = 0.0
-
-
-def energy(scheme, fam, phi, V=None, weight_g=None, margin=0.0):
-    """Energy Q_V[phi] = int (H(x, grad phi)^p + V |phi|^p) over the scheme.
-
-    ``phi`` must expose ``__call__`` and ``grad``; if it carries a radial
-    ``support`` interval, the support must sit inside the scheme's shell
-    with the requested relative ``margin``.
-    """
-    sup = getattr(phi, "support", None)
-    if sup is not None and margin >= 0.0:
-        lo, hi = sup
-        if lo <= scheme.r_min * (1.0 + margin) or hi >= scheme.r_max * (1.0 - margin):
-            raise MarginError(
-                f"support [{lo:.3g}, {hi:.3g}] touches the shell "
-                f"[{scheme.r_min:.3g}, {scheme.r_max:.3g}]"
-            )
-    x = scheme.nodes
-    vals = np.asarray(phi(x), dtype=float)
-    grads = np.asarray(phi.grad(x), dtype=float)
-    hp = norms.norm_eval(fam, x, grads) ** fam.p
-    dirichlet = float(np.dot(scheme.weights, hp))
-    pot = 0.0
-    if V is not None:
-        pot = float(np.dot(scheme.weights, np.asarray(V(x), dtype=float) * np.abs(vals) ** fam.p))
-    lpm = 0.0
-    if weight_g is not None:
-        lpm = float(np.dot(scheme.weights,
-                           np.abs(np.asarray(weight_g(x), dtype=float)) * np.abs(vals) ** fam.p))
-    total = dirichlet + pot
-    if not np.isfinite(total):
-        raise PoisonedIntegrandError("<energy>", total)
-    return EnergyBreakdown(dirichlet=dirichlet, potential=pot, total=total, lp_mass=lpm)
-
-
-def hardy_ratio(scheme, fam, phi, V, W):
-    """Q_V[phi] / int W |phi|^p, an upper bound for the Hardy constant of W."""
-    eb = energy(scheme, fam, phi, V=V, weight_g=W)
-    if eb.lp_mass <= 0.0 or not np.isfinite(eb.lp_mass):
-        raise ValueError("test function is supported where the weight vanishes")
-    return eb.total / eb.lp_mass

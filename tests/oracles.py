@@ -3,16 +3,19 @@
 Everything here deliberately avoids the production code paths it checks:
 the ODE oracles integrate with scipy's RK45 and bisection, the dual oracle
 is plain sphere sampling with a local polish, and gradients come from
-central differences.
+central differences.  The one exception is the full-product volume scheme
+(``annulus_scheme``), which is built from the production 1-D rules and so
+checks only the radial reduction of ``quadrature.radial_integral``.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
-from finslerhardy import norms
+from finslerhardy import norms, quadrature
 
 
 def fd_gradient(f, x, h=1e-6):
@@ -194,3 +197,93 @@ def radial_energy_1d(profile_prime, p, n, r0, r1):
     val, _ = quad(lambda r: abs(profile_prime(r)) ** p * r ** (n - 1), r0, r1,
                   limit=400)
     return ang * val
+
+
+# ---------------------------------------------------------------------------
+# full-product volume quadrature on an annular shell
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class QuadratureScheme:
+    """Nodes/weights for an annular shell."""
+
+    nodes: np.ndarray           # (m, n)
+    weights: np.ndarray         # (m,)
+    n: int
+    r_min: float
+    r_max: float
+    metric: str = "euclidean"   # euclidean | dual
+
+    @property
+    def volume(self):
+        return float(self.weights.sum())
+
+
+def annulus_scheme(r0, r1, n, n_r=256, n_ang=64, fam=None, metric="euclidean",
+                   align=(), order=4):
+    """Full product scheme on the shell {r0 < rho(x) < r1}.
+
+    ``rho`` is |x| for the euclidean metric and H0(x) for the dual metric
+    (then ``fam`` is required).  The radial and angular rules and the dual
+    shell map are the production ones: this scheme is a reference for the
+    reduction to one radial integral, not for the 1-D rules themselves.
+    """
+    r, wr = quadrature.log_radial_rule(r0, r1, n_r, align=align, order=order)
+    omega, wo = quadrature.circle_rule(n_ang) if n == 2 else quadrature.sphere_rule(n_ang)
+    if metric == "euclidean" or fam.kind == "euclidean":
+        theta, J = omega, np.ones(len(omega))
+    elif metric == "dual":
+        theta, J, _ = quadrature._dual_shell_geometry(fam, omega)
+    else:
+        raise ValueError(f"unknown metric {metric!r}")
+    nodes = (r[:, None, None] * theta[None, :, :]).reshape(-1, n)
+    w = (wr[:, None] * r[:, None] ** (n - 1) * (wo * J)[None, :]).ravel()
+    return QuadratureScheme(nodes=nodes, weights=w, n=n, r_min=float(r0),
+                            r_max=float(r1), metric=metric)
+
+
+def integrate(scheme, f):
+    """Weighted sum of ``f`` over the scheme's nodes; a NaN/inf value at any
+    node raises ValueError naming the node."""
+    vals = np.asarray(f(scheme.nodes), dtype=float)
+    bad = ~np.isfinite(vals)
+    if np.any(bad):
+        i = int(np.flatnonzero(bad)[0])
+        raise ValueError(f"integrand is {float(vals[i])!r} at node {scheme.nodes[i].tolist()!r}")
+    return float(np.dot(scheme.weights, vals))
+
+
+@dataclass
+class EnergyBreakdown:
+    """Split of the energy functional over a scheme."""
+
+    dirichlet: float
+    potential: float
+    total: float
+
+
+def energy(scheme, fam, phi, V=None, margin=0.0):
+    """Energy Q_V[phi] = int (H(x, grad phi)^p + V |phi|^p) over the scheme.
+
+    ``phi`` must expose ``__call__`` and ``grad``; if it carries a radial
+    ``support`` interval, the support must sit inside the scheme's shell
+    with the requested relative ``margin`` (ValueError otherwise).
+    """
+    sup = getattr(phi, "support", None)
+    if sup is not None and margin >= 0.0:
+        lo, hi = sup
+        if lo <= scheme.r_min * (1.0 + margin) or hi >= scheme.r_max * (1.0 - margin):
+            raise ValueError(f"support [{lo:.3g}, {hi:.3g}] touches the shell "
+                             f"[{scheme.r_min:.3g}, {scheme.r_max:.3g}]")
+    x = scheme.nodes
+    grads = np.asarray(phi.grad(x), dtype=float)
+    dirichlet = float(np.dot(scheme.weights, norms.norm_eval(fam, x, grads) ** fam.p))
+    pot = 0.0
+    if V is not None:
+        vals = np.asarray(phi(x), dtype=float)
+        pot = float(np.dot(scheme.weights, np.asarray(V(x), dtype=float) * np.abs(vals) ** fam.p))
+    total = dirichlet + pot
+    if not np.isfinite(total):
+        raise ValueError(f"energy is {total!r}")
+    return EnergyBreakdown(dirichlet=dirichlet, potential=pot, total=total)

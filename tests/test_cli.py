@@ -103,6 +103,20 @@ def test_build_weight_green_source_has_no_classical_record(tmp_path):
     assert rep["payload"]["flux_cv"] is None
 
 
+def test_build_weight_green_source_builds_the_green_weight(tmp_path):
+    out = tmp_path / "w.json"
+    code = run_main(["build-weight", "--family", "euclidean", "--p", "2", "--n", "3",
+                     "--field", f"green:{GREEN_EXAMPLE}", "--out", str(out)])
+    assert code == 0
+    rep = json.loads(out.read_text())
+    assert rep["payload"]["branch"] == "green_based"
+    byname = {c["name"]: c for c in rep["checks"]}
+    assert byname["ground_state_residual"]["status"] == "pass"
+    # the Green construction has no capped branch
+    assert run_main(["build-weight", "--field", f"green:{GREEN_EXAMPLE}",
+                     "--sigma", "1"]) == 2
+
+
 def test_build_weight_flux_failure_is_not_swallowed(monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("injected")

@@ -210,3 +210,16 @@ def test_second_without_bracket_is_numeric_failure(monkeypatch):
     with pytest.raises(eigen.SolverError, match="no sign change"):
         eigen.second_eigenvalue_and_gap(_p3_problem(), restarts=2)
     assert cli.main(["eigen", "--p", "3", "--grid", "128"]) == 3
+
+
+def test_second_counts_the_sign_changes_it_returns(monkeypatch):
+    seen = []
+
+    def counted(v):
+        seen.append(v)
+        return 100 + len(seen)
+
+    monkeypatch.setattr(eigen, "_count_sign_changes", counted)
+    s2 = eigen.second_eigenvalue_and_gap(_p3_problem(), restarts=2)
+    assert seen[-1] is s2["v"]
+    assert s2["sign_changes"] == 100 + len(seen)

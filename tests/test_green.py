@@ -90,10 +90,21 @@ def test_mesh_refinement_order():
     assert e1 / e2 >= 3.5
 
 
+def truncation_stability(prob, factor=2.0):
+    """Relative profile change on [r_min, R_out/2] when R_out is scaled by ``factor``."""
+    gp1 = green.solve_green(prob)
+    gp2 = green.solve_green(green.RadialProblem(
+        p=prob.p, n=prob.n, phi=prob.phi, V=prob.V, R_out=prob.R_out * factor,
+        n_cells=int(prob.n_cells * 1.25), r_min=prob.r_min, boundary=prob.boundary))
+    r = np.geomspace(gp1.r[0] * 1.01, prob.R_out / 2.0, 512)
+    u1, u2 = gp1.profile(r), gp2.profile(r)
+    return float(np.max(np.abs(u1 - u2) / np.abs(u2)))
+
+
 def test_truncation_stability():
     phi = green.BumpDensity(0.5, 1.0, 1.0, 3)
     for p in (2.0, 1.5):
-        ts = green.truncation_stability(
+        ts = truncation_stability(
             green.RadialProblem(p=p, n=3, phi=phi, R_out=50.0, n_cells=1024))
         assert ts <= 1e-3
 

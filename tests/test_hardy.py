@@ -8,6 +8,8 @@ from finslerhardy import bregman, fields, hardy, norms, quadrature
 from finslerhardy.errors import BranchError, RangeError
 from finslerhardy.norms import GlobalParams
 
+import oracles
+
 A2 = np.array([[4.0, 0.0], [0.0, 9.0]])
 KS = [2 ** j for j in range(4, 13)]
 
@@ -189,9 +191,9 @@ def test_null_sequence_matches_full_dual_quadrature_lp4():
                              fields.power_of(hw.source, (p - 1.0) / p))
     levels = (k ** -2.0, 1.0 / k, k ** (2.0 - 1.0 / math.log(k)), float(k), k ** 2.0)
     radii = sorted(hw.rho_of_v(t)[0] for t in levels)
-    scheme = quadrature.annulus_scheme(radii[0], radii[-1], n, n_r=256, n_ang=128,
-                                       fam=fam, metric="dual", align=radii, order=6)
-    energy = quadrature.energy(scheme, fam, u, V=lambda x: -hw.weight(x)).total
+    scheme = oracles.annulus_scheme(radii[0], radii[-1], n, n_r=256, n_ang=128,
+                                    fam=fam, metric="dual", align=radii, order=6)
+    energy = oracles.energy(scheme, fam, u, V=lambda x: -hw.weight(x)).total
     assert ns.energies[0] == pytest.approx(energy, rel=1e-3)
 
 
