@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConstructionError, DomainError, UnsupportedKindError
+from .errors import ConstructionError, DomainError, SolverError, UnsupportedKindError
 
 KINDS = ("euclidean", "lp", "quadratic", "mixed", "weighted")
 
@@ -197,27 +197,35 @@ def parse_family(spec, p, n):
 # ---------------------------------------------------------------------------
 
 
-def _lp_norm(xi, s):
-    # rescale by the max component so |z_i|^s cannot overflow
-    m = np.max(np.abs(xi), axis=-1)
-    safe = np.where(m > 0.0, m, 1.0)
-    z = xi / safe[..., None]
-    val = safe * np.sum(np.abs(z) ** s, axis=-1) ** (1.0 / s)
-    return np.where(m > 0.0, val, 0.0)
-
-
-def _lp_grad(xi, s):
+def _lp_scaled(xi, s):
+    # z = xi / max_i |xi_i| (1 at xi = 0) so |z_i|^s cannot overflow; keeps the
+    # reduced axis of m = max_i |xi_i| and S = sum_i |z_i|^s
     m = np.max(np.abs(xi), axis=-1, keepdims=True)
     safe = np.where(m > 0.0, m, 1.0)
     z = xi / safe
-    a = np.sign(z) * np.abs(z) ** (s - 1.0)              # scale-free
-    S = np.sum(np.abs(z) ** s, axis=-1, keepdims=True)
-    return a * S ** (1.0 / s - 1.0)
+    return m, safe, z, np.sum(np.abs(z) ** s, axis=-1, keepdims=True)
+
+
+def _lp_norm(xi, s):
+    m, safe, _, S = _lp_scaled(xi, s)
+    return np.where(m > 0.0, safe * S ** (1.0 / s), 0.0)[..., 0]
+
+
+def _lp_grad(xi, s):
+    _, _, z, S = _lp_scaled(xi, s)
+    return np.sign(z) * np.abs(z) ** (s - 1.0) * S ** (1.0 / s - 1.0)
 
 
 def _quad_norm(xi, A):
     w = xi @ A
     return np.sqrt(np.einsum("...i,...i->...", xi, w))
+
+
+def _mixed_value(hs, ha, p):
+    m = np.maximum(hs, ha)
+    safe = np.where(m > 0.0, m, 1.0)
+    val = safe * ((hs / safe) ** p + (ha / safe) ** p) ** (1.0 / p)
+    return np.where(m > 0.0, val, 0.0)
 
 
 def norm_eval(fam, x, xi):
@@ -230,12 +238,7 @@ def norm_eval(fam, x, xi):
     if fam.kind == "quadratic":
         return _quad_norm(xi, fam.A)
     if fam.kind == "mixed":
-        hs = _lp_norm(xi, fam.s)
-        ha = _quad_norm(xi, fam.A)
-        m = np.maximum(hs, ha)
-        safe = np.where(m > 0.0, m, 1.0)
-        val = safe * ((hs / safe) ** fam.p + (ha / safe) ** fam.p) ** (1.0 / fam.p)
-        return np.where(m > 0.0, val, 0.0)
+        return _mixed_value(_lp_norm(xi, fam.s), _quad_norm(xi, fam.A), fam.p)
     # weighted
     if x is None:
         raise DomainError("weighted families need the spatial point x")
@@ -260,7 +263,7 @@ def grad_H(fam, x, xi):
     if fam.kind == "mixed":
         hs = _lp_norm(xi, fam.s)[..., None]
         ha = _quad_norm(xi, fam.A)[..., None]
-        h = norm_eval(fam, None, xi)[..., None]
+        h = _mixed_value(hs, ha, fam.p)
         gs = _lp_grad(xi, fam.s)
         ga = (xi @ fam.A) / ha
         return (hs ** (fam.p - 1.0) * gs + ha ** (fam.p - 1.0) * ga) * h ** (1.0 - fam.p)
@@ -287,12 +290,7 @@ def operator_a(fam, x, xi):
         if x is not None:
             x_arr = np.broadcast_to(np.asarray(x, dtype=float), xi.shape)
             sub_x = x_arr[nz] if xi.ndim > 1 else x_arr
-        g = grad_H(fam, sub_x, sub)
-        hval = norm_eval(fam, sub_x, sub)
-        if xi.ndim > 1:
-            a[nz] = hval[..., None] ** (fam.p - 1.0) * g
-        else:
-            a = hval ** (fam.p - 1.0) * g
+        a[nz] = hp_[nz][..., None] ** (fam.p - 1.0) * grad_H(fam, sub_x, sub)
     return a, hp_ ** fam.p
 
 
@@ -378,30 +376,35 @@ def grad_dual(fam, y):
 # {H = 1} satisfies m(xi) := H(xi) grad H(xi) = y after rescaling, and then
 # H0(y) = H(xi*), grad H0(y) = xi*/H(xi*): one solve gives both values.
 # m = grad(H^2/2) has an SPD (a.e.) Jacobian, so damped Newton converges
-# quadratically from the euclidean start.
+# quadratically from the euclidean start.  No operation mixes rows, so each
+# iteration takes only the rows not yet below tol; the line search needs m alone.
 
 
-def _m_and_jac(fam, xi):
-    """m(xi) = H grad H and its Jacobian for the mixed kind, batched over rows of xi."""
+def _m_and_jac(fam, xi, jac=True):
+    """``(H, m, J)`` of the mixed kind over rows of xi: m = H grad H, J its Jacobian
+    (None unless ``jac``), each block computed once; H is bit-for-bit norm_eval's."""
     p = fam.p
     s = fam.s
-    hs = _lp_norm(xi, s)[..., None]
-    ha = _quad_norm(xi, fam.A)[..., None]
-    h = norm_eval(fam, None, xi)[..., None]
-    gs = _lp_grad(xi, s)
-    ga = (xi @ fam.A) / ha
+    mx, safe, z, Sz = _lp_scaled(xi, s)
+    hs = np.where(mx > 0.0, safe * Sz ** (1.0 / s), 0.0)
+    gs = np.sign(z) * np.abs(z) ** (s - 1.0) * Sz ** (1.0 / s - 1.0)
+    Axi = xi @ fam.A
+    ha = np.sqrt(np.einsum("...i,...i->...", xi, Axi))[..., None]
+    ga = Axi / ha
+    h = _mixed_value(hs, ha, p)
     G = hs ** (p - 1.0) * gs + ha ** (p - 1.0) * ga
     gH = h ** (1.0 - p) * G
     m = h * gH  # = h^(2-p) G
+    if not jac:
+        return h[..., 0], m, None
     # Hessians of the two building blocks
     Sa = np.abs(xi) ** (s - 2.0)
     a = np.sign(xi) * np.abs(xi) ** (s - 1.0)
     S = np.sum(np.abs(xi) ** s, axis=-1)[..., None, None]
     hess_s = (s - 1.0) * (
-        S ** (1.0 / s - 1.0) * _diag_embed(Sa)
+        S ** (1.0 / s - 1.0) * (Sa[..., None] * np.eye(fam.n))
         - S ** (1.0 / s - 2.0) * a[..., :, None] * a[..., None, :]
     )
-    Axi = xi @ fam.A
     hess_a = fam.A / ha[..., None] - Axi[..., :, None] * Axi[..., None, :] / ha[..., None] ** 3
     DG = (
         (p - 1.0) * hs[..., None] ** (p - 2.0) * gs[..., :, None] * gs[..., None, :]
@@ -412,22 +415,16 @@ def _m_and_jac(fam, xi):
     # m = h^(2-p) G,  Dm = (2-p) h^(1-p) gH (x) G + h^(2-p) DG
     J = (2.0 - p) * h[..., None] ** (1.0 - p) * gH[..., :, None] * G[..., None, :]
     J = J + h[..., None] ** (2.0 - p) * DG
-    return m, J
-
-
-def _diag_embed(d):
-    out = np.zeros(d.shape + (d.shape[-1],))
-    idx = np.arange(d.shape[-1])
-    out[..., idx, idx] = d
-    return out
+    return h[..., 0], m, J
 
 
 def dual_newton(fam, Y, tol=1e-13, maxit=60):
     """Batched dual norm and gradient via Newton on m(xi) = y.
 
-    Returns ``(H0, gradH0)`` for rows of ``Y``.  A Levenberg term guards
-    (near-)singular Jacobians; rows still above ``tol`` after ``maxit``
-    steps are returned as they are.
+    Returns ``(H0, gradH0)`` for rows of ``Y``.  A row leaves the batch as soon
+    as an evaluation finds it below ``tol``, keeping that evaluation's H; a
+    Levenberg term guards (near-)singular Jacobians.  Raises :class:`SolverError`,
+    with the worst relative residual, if a row is above ``tol`` after ``maxit`` steps.
     """
     if fam.kind != "mixed":
         raise UnsupportedKindError(f"the Newton dual is for the mixed kind, not {fam.kind}")
@@ -437,35 +434,48 @@ def dual_newton(fam, Y, tol=1e-13, maxit=60):
         raise DomainError("dual gradient undefined at 0")
     # scale-free start: direction of y, scaled so m(xi0) ~ y
     xi = Y / norms[..., None]
-    m0, _ = _m_and_jac(fam, xi)
+    _, m0, _ = _m_and_jac(fam, xi, jac=False)
     scale = np.einsum("...i,...i->...", Y, m0) / np.einsum("...i,...i->...", m0, m0)
     xi = xi * scale[..., None]
-    active = np.ones(Y.shape[0], dtype=bool)
-    for _ in range(maxit):
-        m, J = _m_and_jac(fam, xi)
-        res = m - Y
-        rn = np.linalg.norm(res, axis=-1) / norms
-        active = rn > tol
-        if not np.any(active):
+    h = np.empty(Y.shape[0])
+    rows = np.arange(Y.shape[0])  # the rows not yet seen below tol
+    for it in range(maxit + 1):
+        hr, m, J = _m_and_jac(fam, xi[rows], jac=it < maxit)
+        res = m - Y[rows]
+        rn = np.linalg.norm(res, axis=-1) / norms[rows]
+        done = rn <= tol
+        h[rows[done]] = hr[done]
+        if np.all(done):
             break
-        step = np.zeros_like(xi)
-        Ja = J[active]
+        if it == maxit:
+            raise SolverError(f"dual Newton: {np.sum(~done)} rows above tol {tol:g} after "
+                              f"{maxit} steps", residual=float(np.max(rn[~done])))
+        rows, res, rn, J = rows[~done], res[~done], rn[~done], J[~done]
         # Levenberg guard for (near-)singular Jacobians
-        mu = 1e-14 * np.trace(Ja, axis1=-2, axis2=-1)[..., None, None]
-        Ja = Ja + mu * np.eye(fam.n)
-        step[active] = np.linalg.solve(Ja, res[active][..., None])[..., 0]
+        mu = 1e-14 * np.trace(J, axis1=-2, axis2=-1)[..., None, None]
+        step = np.linalg.solve(J + mu * np.eye(fam.n), res[..., None])[..., 0]
         # damped update: halve until the residual does not grow
-        lam = np.ones(Y.shape[0])
+        lam = np.ones(rows.size)
+        ht, rt = np.empty(rows.size), np.empty(rows.size)
+        trying = np.arange(rows.size)
         for _ in range(30):
-            trial = xi - lam[..., None] * step
-            mt, _ = _m_and_jac(fam, trial)
-            rt = np.linalg.norm(mt - Y, axis=-1) / norms
-            bad = active & (rt > rn)
+            r = rows[trying]
+            trial = xi[r] - lam[trying, None] * step[trying]
+            ht[trying], mt, _ = _m_and_jac(fam, trial, jac=False)
+            rt[trying] = np.linalg.norm(mt - Y[r], axis=-1) / norms[r]
+            bad = rt[trying] > rn[trying]
             if not np.any(bad):
                 break
-            lam[bad] *= 0.5
-        xi = xi - lam[..., None] * step
-    h = norm_eval(fam, None, xi)
+            trying = trying[bad]
+            lam[trying] *= 0.5
+        xi[rows] = xi[rows] - lam[..., None] * step
+        # rows whose accepted trial is below tol are done; a row still bad after
+        # 30 halvings has rt > rn > tol and is evaluated again
+        done = rt <= tol
+        h[rows[done]] = ht[done]
+        rows = rows[~done]
+        if rows.size == 0:
+            break
     return h, xi / h[..., None]
 
 

@@ -2,7 +2,7 @@
 
 Everything here deliberately avoids the production code paths it checks:
 the ODE oracles integrate with scipy's RK45 and bisection, the dual oracle
-is plain sphere sampling with a local polish, and gradients come from
+is plain sphere sampling with a compass polish, and gradients come from
 central differences.  The one exception is the full-product volume scheme
 (``annulus_scheme``), which is built from the production 1-D rules and so
 checks only the radial reduction of ``quadrature.radial_integral``.
@@ -29,7 +29,11 @@ def fd_gradient(f, x, h=1e-6):
 
 
 def brute_dual_norm(fam, y, n_samples=1_000_000, seed=123, polish_iters=200):
-    """sup y.xi / H(xi) over random sphere samples plus a local polish."""
+    """sup y.xi / H(xi) over random sphere samples plus a compass polish.
+
+    The polish steps along +-y and +-e_i, renormalizing onto {H = 1}, and
+    halves the step when none improves, so it converges in any dimension.
+    """
     rng = np.random.default_rng(seed)
     best_val, best_xi = -np.inf, None
     chunk = 200_000
@@ -44,13 +48,16 @@ def brute_dual_norm(fam, y, n_samples=1_000_000, seed=123, polish_iters=200):
             best_val, best_xi = float(vals[i]), xi[i]
     xi = best_xi / norms.norm_eval(fam, None, best_xi)
     val = float(y @ xi)
+    dirs = np.vstack([y / np.linalg.norm(y), np.eye(fam.n)])
+    dirs = np.vstack([dirs, -dirs])
     step = 0.5
     for _ in range(polish_iters):
-        trial = xi + step * (y / np.linalg.norm(y))
-        trial /= norms.norm_eval(fam, None, trial)
-        tval = float(y @ trial)
-        if tval > val:
-            xi, val = trial, tval
+        trials = xi + step * dirs
+        trials /= norms.norm_eval(fam, None, trials)[:, None]
+        tvals = trials @ y
+        i = int(np.argmax(tvals))
+        if tvals[i] > val:
+            xi, val = trials[i], float(tvals[i])
         else:
             step *= 0.5
             if step < 1e-14:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,12 +6,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from finslerhardy import norms
-from finslerhardy.errors import ConstructionError, DomainError, UnsupportedKindError
+from finslerhardy.errors import ConstructionError, DomainError, SolverError, UnsupportedKindError
 
 import oracles
 
 A2 = np.array([[4.0, 0.0], [0.0, 9.0]])
 A2_FULL = np.array([[4.0, 1.0], [1.0, 9.0]])
+A3 = np.diag([4.0, 9.0, 1.0])
+
+#: the n = 3 mixed family of the fields.harmonicity records
+MIX3 = norms.mixed(4, A3, 1.5)
 
 
 def all_kinds():
@@ -167,21 +172,63 @@ def test_dual_rejects_weighted():
 
 
 def test_dual_newton_identities():
-    fam = norms.mixed(4, A2, 3.0)
-    Y = norms.sample_vectors(2, 3000, 11, stream=4)
-    h0, g = norms.dual_newton(fam, Y)
-    assert np.abs(norms.norm_eval(fam, None, g) - 1.0).max() < 1e-12
-    euler = np.einsum("ij,ij->i", Y, g) / h0
-    assert np.abs(euler - 1.0).max() < 1e-12
+    for fam in [norms.mixed(4, A2, 3.0), MIX3]:
+        Y = norms.sample_vectors(fam.n, 3000, 11, stream=4)
+        h0, g = norms.dual_newton(fam, Y)
+        assert np.abs(norms.norm_eval(fam, None, g) - 1.0).max() < 1e-12
+        euler = np.einsum("ij,ij->i", Y, g) / h0
+        assert np.abs(euler - 1.0).max() < 1e-12
 
 
 def test_numeric_dual_against_brute_force():
-    fam = norms.mixed(4, A2, 3.0)
-    for y in [np.array([1.0, 1.0]), np.array([2.0, -0.3])]:
-        brute = oracles.brute_dual_norm(fam, y, n_samples=1_000_000, seed=2)
-        newt = float(norms.dual_norm(fam, None, y))
-        assert newt == pytest.approx(brute, rel=1e-8)
-        assert newt >= brute - 1e-12  # sampled sup cannot exceed the true sup
+    cases = [(norms.mixed(4, A2, 3.0), [[1.0, 1.0], [2.0, -0.3]]),
+             (MIX3, [[1.0, 1.0, 1.0], [2.0, -0.3, 0.7]])]
+    for fam, ys in cases:
+        for y in map(np.array, ys):
+            brute = oracles.brute_dual_norm(fam, y, n_samples=1_000_000, seed=2)
+            newt = float(norms.dual_norm(fam, None, y))
+            assert newt == pytest.approx(brute, rel=1e-8)
+            assert newt >= brute - 1e-12  # sampled sup cannot exceed the true sup
+
+
+def test_dual_newton_values_are_pinned_bit_for_bit():
+    # dropping converged rows and the line search's Jacobians saves work only;
+    # neither may move a bit of H0 or grad H0
+    pins = [(norms.mixed(4, A2, 3.0),
+             "ce66ab36a9cdc165b670d35c3e11d74e5f5460fcb7f955c02bc9787a82ee234c"),
+            (MIX3, "640ec6677c12a61d1e81e6aa4cd6078705f0951376468b8515c17689530099f6")]
+    for fam, digest in pins:
+        h, g = norms.dual_newton(fam, norms.sample_vectors(fam.n, 512, 7))
+        assert hashlib.sha256(h.tobytes() + g.tobytes()).hexdigest() == digest
+
+
+def test_dual_newton_takes_each_jacobian_once(monkeypatch):
+    calls = []
+    evaluate = norms._m_and_jac
+
+    def counted(fam, xi, jac=True):
+        calls.append((len(xi), jac))
+        return evaluate(fam, xi, jac)
+
+    monkeypatch.setattr(norms, "_m_and_jac", counted)
+    norms.dual_newton(MIX3, norms.sample_vectors(3, 4096, 7))
+    newton = [rows for rows, jac in calls if jac]
+    # the start and every line-search trial ask for m alone: each Jacobian is
+    # one of the 6 Newton steps, and the next call is its first trial
+    assert not calls[0][1] and not calls[-1][1]
+    assert all(not calls[i + 1][1] for i, (_, jac) in enumerate(calls) if jac)
+    assert len(newton) <= 6
+    # rows leave the batch once below tol: 18517 Jacobian rows, not 6 * 4096
+    assert newton[0] == 4096
+    assert all(a >= b for a, b in zip(newton, newton[1:]))
+    assert sum(newton) <= 18517 < len(newton) * 4096
+
+
+def test_dual_newton_raises_on_unconverged_rows():
+    Y = norms.sample_vectors(2, 64, 7)
+    with pytest.raises(SolverError) as err:
+        norms.dual_newton(norms.mixed(4, A2, 3.0), Y, maxit=1)
+    assert err.value.residual > 1e-13
 
 
 def test_dual_is_bitwise_its_projections():
