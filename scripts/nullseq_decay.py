@@ -32,7 +32,7 @@ def main():
 
     fam = norms.parse_family(args.family, args.p, args.n)
     params = GlobalParams(args.p, args.n)
-    G = fields.make_dual_power_field(fam, params)
+    G = fields.DualPowerField(fam, params)
     hw = hardy.build_weight_zero_potential(fam, params, G, bracket=(1e-30, 1e30))
     ks = [2 ** j for j in range(int(math.log2(args.kmin)),
                                 int(math.log2(args.kmax)) + 1)]

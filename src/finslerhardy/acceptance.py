@@ -124,7 +124,7 @@ def _standard_weight(p, n, fam=None, bracket=(1e-30, 1e30)):
     """The standard-branch weight of the dual-power field (euclidean by default)."""
     fam = fam or norms.euclidean(p, n)
     gp = GlobalParams(p, n)
-    G = fields.make_dual_power_field(fam, gp)
+    G = fields.DualPowerField(fam, gp)
     return hardy.build_weight_zero_potential(fam, gp, G, bracket=bracket)
 
 
@@ -277,7 +277,7 @@ def check_harmonicity(cfg):
         dom = fields.annulus(0.1, 10.0, n)
         for label in HARMONIC_KINDS:
             fam = _family(label, p, n)
-            G = fields.make_dual_power_field(fam, GlobalParams(p, n))
+            G = fields.DualPowerField(fam, GlobalParams(p, n))
             n_ang = 12 if cfg.quick else (16 if label == "mix" and n == 3 else 24)
             r = fields.weak_residual(fam, G, dom, n_tests=cfg.bumps(),
                                      seed=cfg.seed + 51, n_ang=n_ang)
@@ -290,7 +290,7 @@ def check_harmonicity(cfg):
                                 n_tests=10, seed=cfg.seed + 52)
     out.append(record("fields.negative_control", rneg > 1e-2, rneg, "> 0.01", 1e-2))
     fam_log = norms.lp(4, 2.0, 2)
-    Glog = fields.make_log_dual_field(fam_log, GlobalParams(2.0, 2), R=50.0)
+    Glog = fields.LogDualField(fam_log, GlobalParams(2.0, 2), R=50.0)
     rlog = fields.weak_residual(fam_log, Glog, fields.annulus(0.1, 10.0, 2),
                                 n_tests=cfg.bumps(50), seed=cfg.seed + 53)
     out.append(record("fields.log_dual_gate", rlog <= tol, rlog, 0.0, tol))
@@ -305,7 +305,7 @@ def check_harmonicity(cfg):
 def check_flux(cfg):
     out = []
     fam = norms.euclidean(2.0, 3)
-    G = fields.make_dual_power_field(fam, GlobalParams(2.0, 3))
+    G = fields.DualPowerField(fam, GlobalParams(2.0, 3))
     dom = fields.annulus(1e-4, 1e4, 3)
     fx = fields.level_set_flux(fam, G, dom, 1.0)
     tol = cfg.tol(0.01)
@@ -313,7 +313,7 @@ def check_flux(cfg):
                       fx, 4 * math.pi, tol))
     for label, (p, n) in FLUX_KINDS.items():
         fam2 = _family(label, p, n)
-        G2 = fields.make_dual_power_field(fam2, GlobalParams(p, n))
+        G2 = fields.DualPowerField(fam2, GlobalParams(p, n))
         dom2 = fields.annulus(1e-5, 1e5, n)
         levels = np.geomspace(0.3, 30.0, 10)
         _, cv = fields.flux_constancy(fam2, G2, dom2, levels)
@@ -540,7 +540,7 @@ def check_green_weight(cfg):
     tol = cfg.tol(1e-5)
     out.append(record("hardy.green_ground_state_residual", res <= tol,
                       res, 0.0, tol))
-    gmin, _ = hw.source_range()
+    gmin, _ = hw.profile_range(hw.g)
     T = float(gp.profile(np.asarray([prob.phi.r_a]))[0]) * 0.5
     taus = np.geomspace(gmin * 4.0, T / 4.0, 5)
     nc = hardy.verify_null_criticality(hw, taus, T=T)

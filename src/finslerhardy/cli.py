@@ -58,14 +58,11 @@ def _green_from_spec(spec):
 def _field_from_spec(spec, fam, params):
     spec = spec.strip()
     if spec == "dualpow":
-        return fields.make_dual_power_field(fam, params)
+        return fields.DualPowerField(fam, params)
     if spec.startswith("logdual:R="):
-        return fields.make_log_dual_field(fam, params, float(spec[len("logdual:R="):]))
+        return fields.LogDualField(fam, params, float(spec[len("logdual:R="):]))
     if spec.startswith("green:"):
-        _, gp = _green_from_spec(spec)
-        return fields.RadialProfileField(gp.profile, gp.dprofile, fam=fam,
-                                         metric="euclidean", kind="green_radial",
-                                         bracket=(gp.r[0], gp.r[-1]))
+        return _green_from_spec(spec)[1].field()
     if spec.startswith("f0(") and spec.endswith(")"):
         inner = _field_from_spec(spec[3:-1], fam, params)
         return fields.power_of(inner, (params.p - 1.0) / params.p)
@@ -155,6 +152,17 @@ def _build_hw(args, fam, params):
                                              if args.sigma == 0.0 else None)
 
 
+def _flux_cv(fam, hw):
+    """Coefficient of variation of the source's flux over the levels 0.3..30;
+    None when the source does not take every level on its bracket."""
+    levels = np.geomspace(0.3, 30.0, 10)
+    gmin, gmax = hw.profile_range(hw.g)
+    if not (gmin <= levels[0] and levels[-1] <= gmax):
+        return None
+    dom = fields.annulus(*hw.source_bracket, hw.n)
+    return fields.flux_constancy(fam, hw.source, dom, levels)[1]
+
+
 def cmd_build_weight(args):
     fam = norms.parse_family(args.family, args.p, args.n)
     params = GlobalParams(args.p, args.n)
@@ -169,20 +177,13 @@ def cmd_build_weight(args):
     res = acceptance.ground_state_residual(
         hw, fields.annulus(args.rmin, args.rmax, args.n), args.tests, args.seed)
     checks.append(record("ground_state_residual", res <= 1e-5, res, 0.0, 1e-5))
-    # the flux is measured on fixed levels, so only where the source takes them
-    levels = np.geomspace(0.3, 30.0, 10)
-    gmin, gmax = hw.source_range()
-    flux_cv = None
-    if gmin <= levels[0] and levels[-1] <= gmax:
-        dom_flux = fields.annulus(*hw.source_bracket, args.n)
-        _, flux_cv = fields.flux_constancy(fam, hw.source, dom_flux, levels)
     return _emit(args, "build-weight",
                  {"family": args.family, "p": args.p, "n": args.n,
                   "field": args.field, "sigma": args.sigma, "seed": args.seed},
                  checks,
                  payload={"branch": hw.branch, "p": args.p, "n": args.n,
                           "family": fam.label(), "c_p": hw.c_p,
-                          "residual": res, "flux_cv": flux_cv,
+                          "residual": res, "flux_cv": _flux_cv(fam, hw),
                           "flux_constant": hw.flux_constant()})
 
 
@@ -207,15 +208,12 @@ def cmd_null_seq(args):
                                                ns.energies[ns.k0 + 1:])),
                      {"k0_index": ns.k0}, "decreasing", None)]
     x = np.log(np.log(np.array(ns.k_list, dtype=float)))
-    levels = np.geomspace(0.3, 30.0, 10)
-    dom_flux = fields.annulus(1e-8, 1e8, args.n)
-    _, flux_cv = fields.flux_constancy(fam, hw.source, dom_flux, levels)
     payload = {
         "branch": hw.branch, "p": args.p, "n": args.n, "family": fam.label(),
         "slope_energy": float(np.polyfit(x, np.log(ns.energies), 1)[0]),
         "slope_mass": float(np.polyfit(np.log(ns.k_list), ns.masses, 1)[0]),
         "ratio_tail": ns.ratios[-1],
-        "flux_cv": flux_cv,
+        "flux_cv": _flux_cv(fam, hw),
         "rows": rows, "truncated": ns.truncated,
     }
     return _emit(args, "null-seq",

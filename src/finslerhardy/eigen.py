@@ -272,6 +272,25 @@ def _disc_for(ep):
                  left_dirichlet=(ep.geometry == "interval"))
 
 
+def _restarts(disc, seed, restarts):
+    """(v, lambda, residual) of each restart on disc: the first mode, then
+    smoothed random starts, each minimized and Newton-polished."""
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    a, b = disc.x[0], disc.x[-1]
+    xs = disc.x[1 if disc.left_dirichlet else 0:-1]
+    runs = []
+    for j in range(restarts):
+        if j == 0:
+            v0 = np.sin(math.pi * (xs - a) / (b - a)) if disc.left_dirichlet \
+                else np.cos(0.5 * math.pi * (xs - a) / (b - a))
+        else:
+            v0 = np.abs(rng.standard_normal(disc.n_unknown))
+            v0 = np.convolve(v0, np.ones(9) / 9.0, mode="same") + 0.05
+        v, lam = _pg_minimize(disc, v0)
+        runs.append(_newton_polish(disc, v, lam))
+    return runs
+
+
 def principal_eigenvalue(ep, restarts=32, agree_tol=1e-6):
     """Minimize the Rayleigh quotient; returns the normalized principal pair.
 
@@ -280,27 +299,12 @@ def principal_eigenvalue(ep, restarts=32, agree_tol=1e-6):
     ``agree_tol`` of the best.
     """
     disc = _disc_for(ep)
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(ep.seed)))
-    lo = 1 if disc.left_dirichlet else 0
-    xs = ep.grid()[lo:-1]
-    best = None
-    lams = []
-    for j in range(restarts):
-        if j == 0:
-            v0 = np.cos(0.5 * math.pi * xs / ep.L) if not disc.left_dirichlet \
-                else np.sin(math.pi * xs / ep.L)
-        else:
-            v0 = np.abs(rng.standard_normal(disc.n_unknown))
-            v0 = np.convolve(v0, np.ones(9) / 9.0, mode="same") + 0.05
-        v, lam = _pg_minimize(disc, v0)
-        v, lam, rnorm = _newton_polish(disc, v, lam)
-        lams.append(lam)
-        if best is None or lam < best[1]:
-            best = (v, lam, rnorm)
-    v, lam, rnorm = best
+    runs = _restarts(disc, ep.seed, restarts)
+    v, lam, rnorm = min(runs, key=lambda run: run[1])
     if np.sum(v) < 0.0:
         v = -v
-    agree = int(np.sum(np.abs(np.array(lams) - lam) <= agree_tol * (1.0 + abs(lam))))
+    lams = np.array([run[1] for run in runs])
+    agree = int(np.sum(np.abs(lams - lam) <= agree_tol * (1.0 + abs(lam))))
     ray = disc.rayleigh(v)
     if rnorm > 1e-7:
         raise SolverError("eigen minimization did not converge", residual=rnorm)
@@ -320,22 +324,7 @@ def _principal_on(a, b, ep, n_min=64, restarts=4):
     x = np.linspace(a, b, N + 1)
     left_dir = not (ep.geometry == "ball" and a == 0.0)
     disc = _Disc(ep.p, x, ep.V, n_w=ep.weight_dim, left_dirichlet=left_dir)
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(ep.seed + 1)))
-    lo = 1 if left_dir else 0
-    xs = x[lo:-1]
-    best = None
-    for j in range(restarts):
-        if j == 0:
-            v0 = np.sin(math.pi * (xs - a) / (b - a)) if left_dir \
-                else np.cos(0.5 * math.pi * (xs - a) / (b - a))
-        else:
-            v0 = np.abs(rng.standard_normal(disc.n_unknown))
-            v0 = np.convolve(v0, np.ones(9) / 9.0, mode="same") + 0.05
-        v, lam = _pg_minimize(disc, v0)
-        v, lam, rnorm = _newton_polish(disc, v, lam)
-        if best is None or lam < best[1]:
-            best = (v, lam, rnorm, disc)
-    return best
+    return min(_restarts(disc, ep.seed + 1, restarts), key=lambda run: run[1]) + (disc,)
 
 
 def second_eigenvalue_and_gap(ep, restarts=4, xtol=1e-9):

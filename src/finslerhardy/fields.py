@@ -11,8 +11,9 @@ residual verifier for ``-div a(x, grad u) + V u^(p-1) = 0``, and level-set
 flux quadrature for the coarea constant.
 
 Every field evaluates on point arrays of shape (m, n) and exposes an
-analytic gradient when one exists; otherwise central differences with a
-puncture-aware step are used.
+analytic gradient.  Radial fields carry their gauge (see
+:mod:`quadrature`): ``None`` for profiles of |x|, or the family whose dual
+norm H0 is their radial coordinate.
 """
 
 from __future__ import annotations
@@ -54,10 +55,10 @@ def annulus(r0, r1, n):
 
 
 class ScalarField:
-    """Base: positive scalar field with an (analytic or FD) gradient.
+    """Base: positive scalar field with an analytic gradient.
 
-    Radial fields carry ``radial = (metric, value, dvalue)`` where ``metric``
-    is ``euclidean`` (profile of |x|) or ``dual`` (profile of H0(x)), plus
+    Radial fields carry ``radial = (gauge, value, dvalue)``, the profile of
+    the gauge's radial coordinate and its derivative, plus
     ``radial_inverse(t)`` when the profile is invertible.
     """
 
@@ -69,27 +70,16 @@ class ScalarField:
         raise NotImplementedError
 
     def grad(self, x):
-        return self._fd_grad(x)
-
-    def _fd_grad(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        dist = np.linalg.norm(x, axis=-1)
-        h = np.minimum(1e-6, 0.01 * dist)
-        g = np.zeros_like(x)
-        for i in range(x.shape[1]):
-            e = np.zeros(x.shape[1])
-            e[i] = 1.0
-            g[:, i] = (self(x + h[:, None] * e) - self(x - h[:, None] * e)) / (2.0 * h)
-        return g
+        raise NotImplementedError
 
     def radial_inverse(self, t):
         raise NotImplementedError
 
 
 class FuncField(ScalarField):
-    """Wrap plain callables; gradient falls back to central differences."""
+    """Wrap a plain callable and its gradient."""
 
-    def __init__(self, fn, grad=None, kind="generic", support=None):
+    def __init__(self, fn, grad, kind="generic", support=None):
         self._fn = fn
         self._grad = grad
         self.kind = kind
@@ -99,8 +89,6 @@ class FuncField(ScalarField):
         return self._fn(np.asarray(x, dtype=float))
 
     def grad(self, x):
-        if self._grad is None:
-            return super().grad(x)
         return self._grad(np.asarray(x, dtype=float))
 
 
@@ -118,7 +106,7 @@ class DualPowerField(ScalarField):
         self.p = params.p
         self.n = params.n
         self.a = (params.p - params.n) / (params.p - 1.0)
-        self.radial = ("dual", lambda r: r ** self.a,
+        self.radial = (fam, lambda r: r ** self.a,
                        lambda r: self.a * r ** (self.a - 1.0))
 
     def __call__(self, x):
@@ -148,7 +136,7 @@ class LogDualField(ScalarField):
         self.p = params.p
         self.n = params.n
         self.R = float(R)
-        self.radial = ("dual", lambda r: np.log(self.R / r), lambda r: -1.0 / r)
+        self.radial = (fam, lambda r: np.log(self.R / r), lambda r: -1.0 / r)
 
     def __call__(self, x):
         h0 = norms.dual_norm(self.fam, None, x)
@@ -167,37 +155,24 @@ class LogDualField(ScalarField):
 
 
 class RadialProfileField(ScalarField):
-    """Field defined by a 1D profile of the radial coordinate (either metric)."""
+    """Field defined by a 1D profile of the radial coordinate of a gauge."""
 
-    def __init__(self, profile, dprofile, fam=None, metric="euclidean",
-                 kind="radial", bracket=None, support=None):
+    def __init__(self, profile, dprofile, gauge=None, kind="radial",
+                 bracket=None, support=None):
         self._profile = profile
         self._dprofile = dprofile
-        self.fam = fam
-        self.metric = metric if (fam is None or fam.kind != "euclidean") else "euclidean"
         self.kind = kind
-        self.radial = (self.metric, profile, dprofile)
+        self.radial = (gauge, profile, dprofile)
         self._bracket = bracket  # (r_lo, r_hi) for inversion
         self.support = support
 
-    def _rho(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.metric == "euclidean":
-            return np.linalg.norm(x, axis=-1)
-        return norms.dual_norm(self.fam, None, x)
-
-    def _rho_grad(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.metric == "euclidean":
-            return x / np.linalg.norm(x, axis=-1, keepdims=True)
-        return norms.grad_dual(self.fam, x)
-
     def __call__(self, x):
-        return self._profile(self._rho(x))
+        return self._profile(quadrature.radius(self.radial[0], x))
 
     def grad(self, x):
-        rho = self._rho(x)
-        return self._dprofile(rho)[..., None] * self._rho_grad(x)
+        gauge = self.radial[0]
+        rho = quadrature.radius(gauge, x)
+        return self._dprofile(rho)[..., None] * quadrature.radius_grad(gauge, x)
 
     def radial_inverse(self, t):
         t = float(t)
@@ -215,8 +190,8 @@ class ComposedField(ScalarField):
         self.inner = inner
         self.kind = kind
         if inner.radial is not None:
-            metric, prof, dprof = inner.radial
-            self.radial = (metric,
+            gauge, prof, dprof = inner.radial
+            self.radial = (gauge,
                            lambda r: f(prof(r)),
                            lambda r: fprime(prof(r)) * dprof(r))
 
@@ -228,16 +203,6 @@ class ComposedField(ScalarField):
 
     def radial_inverse(self, t):
         raise NotImplementedError("invert through the inner field instead")
-
-
-def make_dual_power_field(fam, params):
-    """The explicit p-harmonic field H0^((p-n)/(p-1)) (p != n, x-independent fam)."""
-    return DualPowerField(fam, params)
-
-
-def make_log_dual_field(fam, params, R):
-    """The p = n candidate log(R / H0) on the H0-ball of radius R."""
-    return LogDualField(fam, params, R)
 
 
 def power_of(field, exponent):
@@ -265,7 +230,7 @@ def synthetic_capped_profile(sigma, R, a=2.0, b=0.0):
             return sigma * (b * z ** (b - 1.0) * (1.0 - z ** a) - a * z ** (a + b - 1.0)) / R
         return -sigma * a * z ** (a - 1.0) / R
 
-    return RadialProfileField(prof, dprof, metric="euclidean", kind="sigma_capped",
+    return RadialProfileField(prof, dprof, kind="sigma_capped",
                               bracket=(1e-12 * R, R * (1.0 - 1e-12)))
 
 
@@ -369,12 +334,12 @@ def _cap_rule(center_dir, gamma, n, n_ang):
     return omega.reshape(-1, 3), w.ravel()
 
 
-def _shell_patch(fam, metric, bump, n, n_rho=16, n_ang=24):
+def _shell_patch(gauge, bump, n, n_rho=16, n_ang=24):
     """Shell-aligned quadrature patch covering a bump's support.
 
-    Nodes sit on rays x = rho * Theta(omega) of the radial metric, each ray
+    Nodes sit on rays x = rho * Theta(omega) of the radial gauge, each ray
     carrying composite Gauss panels over its exact chord through the bump
-    ball.  For fields that are radial in this metric the weak-form
+    ball.  For fields that are radial in this gauge the weak-form
     integrand integrates to ~0 along every ray, so the angular regularity
     of the dual norm never limits the accuracy.
     """
@@ -382,16 +347,14 @@ def _shell_patch(fam, metric, bump, n, n_rho=16, n_ang=24):
     rc = np.linalg.norm(c)
     gamma = math.asin(min(0.999999, bump.rho / rc))
     omega, wo = _cap_rule(c / rc, gamma, n, n_ang)
-    if metric == "euclidean" or fam.kind == "euclidean":
-        theta, J = omega, np.ones(len(omega))
-    else:
-        theta, J, _ = quadrature._dual_shell_geometry(fam, omega)
+    theta, J, _ = quadrature.shell_geometry(gauge, omega)
+    wo = wo * J
     # chord of each ray rho -> rho*Theta against the euclidean ball B_rho(c)
     tt = np.einsum("ij,ij->i", theta, theta)
     tc = theta @ c
     disc = tc ** 2 - tt * (rc ** 2 - bump.rho ** 2)
     keep = disc > 0.0
-    theta, J, wo, tt, tc, disc = theta[keep], J[keep], wo[keep], tt[keep], tc[keep], disc[keep]
+    theta, wo, tt, tc, disc = theta[keep], wo[keep], tt[keep], tc[keep], disc[keep]
     sq = np.sqrt(disc)
     rho_lo = (tc - sq) / tt
     rho_hi = (tc + sq) / tt
@@ -403,7 +366,7 @@ def _shell_patch(fam, metric, bump, n, n_rho=16, n_ang=24):
     rho = (mid[..., None] + half[..., None] * gx).reshape(len(theta), -1)   # (nray, nq)
     wr = (half[..., None] * gw).reshape(len(theta), -1)
     nodes = rho[..., None] * theta[:, None, :]
-    w = wr * rho ** (n - 1) * (wo * J)[:, None]
+    w = wr * rho ** (n - 1) * wo[:, None]
     return nodes.reshape(-1, n), w.ravel()
 
 
@@ -424,11 +387,11 @@ def weak_residual(fam, field, dom, V=None, n_tests=100, seed=0,
     Newton-based dual affordable.
     """
     p = fam.p
-    metric = field.radial[0] if field.radial is not None else "euclidean"
+    gauge = field.radial[0] if field.radial is not None else None
     schemes = []
     for bump in random_bumps(dom, n_tests, seed):
         if layout == "shell":
-            nodes, w = _shell_patch(fam, metric, bump, dom.n, n_rho=n_rho, n_ang=n_ang)
+            nodes, w = _shell_patch(gauge, bump, dom.n, n_rho=n_rho, n_ang=n_ang)
         else:
             nodes, w = _ball_scheme(bump.center, bump.rho, dom.n, n_rho, n_ang)
         schemes.append((bump, nodes, w))
@@ -465,13 +428,12 @@ def weak_residual(fam, field, dom, V=None, n_tests=100, seed=0,
 def level_set_flux(fam, field, dom, t, n_ang=96):
     """Surface quadrature of H(grad G)^p / |grad G| over the level set {G = t}.
 
-    Level sets must be radial shells of the field's metric (H0-spheres for
+    Level sets must be radial shells of the field's gauge (H0-spheres for
     the dual-power/log fields, round spheres for radial-profile fields).
     For a p-harmonic G this flux is the coarea constant, independent of t.
     """
     if field.radial is None:
         raise ValueError("level sets are only parametrized for radial fields")
-    metric, prof, dprof = field.radial
     rho = float(field.radial_inverse(t))
     lo, hi = dom.r_inner, dom.r_outer
     if not (lo * (1.0 - 1e-12) <= rho <= hi * (1.0 + 1e-12)):
@@ -479,10 +441,7 @@ def level_set_flux(fam, field, dom, t, n_ang=96):
     n = dom.n
     omega, wo = (quadrature.circle_rule(n_ang) if n == 2
                  else quadrature.sphere_rule(n_ang))
-    if metric == "euclidean" or fam.kind == "euclidean":
-        theta, J, grad_len = omega, np.ones(len(omega)), np.ones(len(omega))
-    else:
-        theta, J, grad_len = quadrature._dual_shell_geometry(fam, omega)
+    theta, J, grad_len = quadrature.shell_geometry(field.radial[0], omega)
     x = rho * theta
     gu = np.asarray(field.grad(x), dtype=float)
     hval = norms.norm_eval(fam, x, gu)

@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field as dfield
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
-from . import quadrature
+from . import fields, quadrature
 from .errors import SolverError
 
 EPS_REG = 1e-10
@@ -134,8 +134,8 @@ class GreenPotential:
     residual: float
     problem: RadialProblem
     newton_iters: int
-    _interp: object = field(default=None, repr=False)
-    _dinterp: object = field(default=None, repr=False)
+    _interp: object = dfield(default=None, repr=False)
+    _dinterp: object = dfield(default=None, repr=False)
 
     def __post_init__(self):
         self._interp = PchipInterpolator(self.r, self.u, extrapolate=False)
@@ -148,6 +148,11 @@ class GreenPotential:
     def dprofile(self, r):
         r = np.clip(np.asarray(r, dtype=float), self.r[0], self.r[-1])
         return self._dinterp(r)
+
+    def field(self):
+        """The potential as a field of |x|, invertible on its mesh."""
+        return fields.RadialProfileField(self.profile, self.dprofile, kind="green_radial",
+                                         bracket=(self.r[0], self.r[-1]))
 
     def radius_of_level(self, t):
         """Radius with u(r) = t on the decreasing far side (outside supp phi)."""

@@ -25,7 +25,7 @@ The verification side builds the log-profile cutoff null sequences
 null-criticality growth of ``int W v^p`` over shrinking source levels, and
 a ratio probe over tail-supported cutoffs (optimality at infinity).  All
 the integrals here have integrands that are radial in the source field's
-metric, so they are taken by :func:`quadrature.radial_integral` with the
+gauge, so they are taken by :func:`quadrature.radial_integral` with the
 exact angular factor and with panels aligned to the cutoff breakpoints.
 """
 
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from . import fields, norms, quadrature
+from . import fields, quadrature
 from .errors import BranchError, RangeError
 
 # ---------------------------------------------------------------------------
@@ -95,12 +95,10 @@ class HardyWeight:
     sigma: float
     source: object                   # the field G (or G_phi)
     ground_state: object             # v as a ScalarField
-    metric: str                      # radial metric of the source
     angular: float                   # total angular measure n*vol(unit gauge ball)
     source_bracket: tuple            # usable rho-range
     V_profile: object = None         # radial potential (green branch)
     phi_profile: object = None       # radial density (green branch)
-    phi_support: tuple | None = None
     hypotheses: dict = dfield(default_factory=dict)
     _flux: float | None = None
 
@@ -113,19 +111,10 @@ class HardyWeight:
         return self.source.radial[2](np.asarray(rho, dtype=float))
 
     def v(self, rho):
-        g = self.g(rho)
-        e = (self.p - 1.0) / self.p
-        if self.branch == "sigma_capped":
-            return (g * (self.sigma - g)) ** e
-        return g ** e
+        return self.ground_state.radial[1](np.asarray(rho, dtype=float))
 
     def dv(self, rho):
-        g, dg = self.g(rho), self.dg(rho)
-        e = (self.p - 1.0) / self.p
-        if self.branch == "sigma_capped":
-            prod = g * (self.sigma - g)
-            return e * prod ** (e - 1.0) * (self.sigma - 2.0 * g) * dg
-        return e * g ** (e - 1.0) * dg
+        return self.ground_state.radial[2](np.asarray(rho, dtype=float))
 
     def weight_profile(self, rho):
         p = self.p
@@ -143,27 +132,21 @@ class HardyWeight:
 
     # -- point evaluators ---------------------------------------------------
 
-    def _rho_of(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.metric == "euclidean" or self.fam.kind == "euclidean":
-            return np.linalg.norm(x, axis=-1)
-        return norms.dual_norm(self.fam, None, x)
-
     def weight(self, x):
         """W at points x (nonnegative by construction)."""
-        return self.weight_profile(self._rho_of(x))
+        return self.weight_profile(quadrature.radius(self.source.radial[0], x))
 
     def potential(self, x):
         if self.V_profile is None:
             return np.zeros(np.asarray(x, dtype=float).shape[:-1])
-        return self.V_profile(self._rho_of(x))
+        return self.V_profile(quadrature.radius(self.source.radial[0], x))
 
-    def source_range(self):
-        """(min, max) of the source profile over the usable radial bracket."""
+    def profile_range(self, profile):
+        """(min, max) of a radial profile (``g`` or ``v``) over the usable bracket."""
         lo, hi = self.source_bracket
         rr = np.geomspace(lo * (1 + 1e-9), hi * (1 - 1e-9), 4097)
-        gg = self.g(rr)
-        return float(gg.min()), float(gg.max())
+        vals = profile(rr)
+        return float(vals.min()), float(vals.max())
 
     def rho_of_v(self, t):
         """Radial coordinate(s) where the ground state equals t."""
@@ -190,9 +173,9 @@ class HardyWeight:
             lo, hi = self.source_bracket
             dom = fields.annulus(lo * 0.999, hi * 1.001, self.n)
             if self.branch == "green_based":
-                gmin, _ = self.source_range()
+                gmin, _ = self.profile_range(self.g)
                 m_phi = float(np.min(self.g(
-                    np.geomspace(self.phi_support[0], self.phi_support[1], 128))))
+                    np.geomspace(self.phi_profile.r_a, self.phi_profile.r_b, 128))))
                 level = math.sqrt(3.0 * gmin * m_phi)
             else:
                 rho_mid = math.sqrt(lo * hi)
@@ -219,7 +202,6 @@ def build_weight_zero_potential(fam, params, G, sigma=0.0, bracket=None):
         raise BranchError("the capped branch needs p > n; for p <= n use sigma = 0")
     if G.radial is None:
         raise BranchError("the constructions need a field with radial structure")
-    metric = G.radial[0]
     if bracket is None:
         if hasattr(G, "_bracket") and G._bracket is not None:
             bracket = G._bracket
@@ -245,10 +227,10 @@ def build_weight_zero_potential(fam, params, G, sigma=0.0, bracket=None):
             lambda t: (t * (s - t)) ** e,
             lambda t: e * (t * (s - t)) ** (e - 1.0) * (s - 2.0 * t),
             G, kind="capped_ground_state")
-    ang = quadrature.angular_measure(n, fam if metric == "dual" else None)
+    ang = quadrature.angular_measure(n, G.radial[0])
     return HardyWeight(branch=branch, fam=fam, p=p, n=n, c_p=params.c_p,
                        sigma=float(sigma), source=G, ground_state=v_field,
-                       metric=metric, angular=ang, source_bracket=tuple(bracket))
+                       angular=ang, source_bracket=tuple(bracket))
 
 
 def build_weight_green(fam, params, green_potential, V_profile, phi_profile):
@@ -278,19 +260,15 @@ def build_weight_green(fam, params, green_potential, V_profile, phi_profile):
     if not v_nonpos and not sgn_int < 0.0:
         raise BranchError(
             f"hypothesis failed: V changes sign and int V G_phi^(p-1) dx = {sgn_int:.3g} >= 0")
-    src = fields.RadialProfileField(gp.profile, gp.dprofile, fam=fam,
-                                    metric="euclidean", kind="green_radial",
-                                    bracket=(gp.r[0], gp.r[-1]))
+    src = gp.field()
     e = (p - 1.0) / p
     v_field = fields.power_of(src, e)
     hyp = {"abs_potential_integral": abs_int, "signed_potential_integral": sgn_int,
            "V_nonpositive": v_nonpos}
     return HardyWeight(branch="green_based", fam=fam, p=p, n=n, c_p=params.c_p,
                        sigma=0.0, source=src, ground_state=v_field,
-                       metric="euclidean", angular=ang,
-                       source_bracket=(gp.r[0], gp.r[-1]),
+                       angular=ang, source_bracket=(gp.r[0], gp.r[-1]),
                        V_profile=V_profile, phi_profile=phi_profile,
-                       phi_support=(phi_profile.r_a, phi_profile.r_b),
                        hypotheses=hyp)
 
 
@@ -324,13 +302,6 @@ class NullSequence:
     one_sided: bool
 
 
-def _vrange(hw):
-    lo, hi = hw.source_bracket
-    rr = np.geomspace(lo * (1 + 1e-9), hi * (1 - 1e-9), 4097)
-    vv = hw.v(rr)
-    return float(vv.min()), float(vv.max())
-
-
 def null_sequence(hw, k_list, n_r=768):
     """Cutoff sequence u_k = v phi_k(v) with energies, masses and Hardy ratios.
 
@@ -339,7 +310,7 @@ def null_sequence(hw, k_list, n_r=768):
     one-sided cutoff.
     """
     one_sided = hw.branch == "sigma_capped"
-    vmin, vmax = _vrange(hw)
+    vmin, vmax = hw.profile_range(hw.v)
     kept, dropped = [], []
     for k in k_list:
         if k < 2:
@@ -539,7 +510,7 @@ def optimality_at_infinity_probe(hw, eps_list, k_list=(4, 16, 64, 256, 1024, 409
     the largest weight-mass density).
     """
     p, V = hw.p, hw.V_profile
-    vmin, vmax = _vrange(hw)
+    vmin, vmax = hw.profile_range(hw.v)
     table = []
     for eps in eps_list:
         if not vmin < eps * 0.999:

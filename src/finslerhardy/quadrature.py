@@ -5,10 +5,12 @@ Gauss-Legendre panels in log r, and smooth angular rules: equispaced
 trapezoid on the circle for n = 2 and a product Gauss-Legendre(cos theta)
 x trapezoid(phi) rule for n = 3.
 
-Two radial metrics are supported.  In the ``euclidean`` metric the radial
-coordinate is |x| and shells are round spheres.  In the ``dual`` metric the
-radial coordinate is the dual norm H0(x) of a supplied family and shells
-are H0-spheres; :func:`_dual_shell_geometry` maps directions to
+The radial gauge is one value: ``None`` (the coordinate is |x| and shells
+are round spheres) or an x-independent family (the coordinate is its dual
+norm H0 and shells are H0-spheres).  Only this module tells the two apart,
+through :func:`_round`; :func:`radius`, :func:`radius_grad` and
+:func:`shell_geometry` answer for either.  On H0-shells
+:func:`_dual_shell_geometry` maps directions to
 ``Theta(omega) = omega / H0(omega)`` with the exact angular Jacobian
 ``J(omega) = |det[Theta, d Theta]| / dsigma``.
 
@@ -121,32 +123,59 @@ def _dual_shell_geometry(fam, omega):
     return theta, J, grad_len
 
 
-def unit_ball_volume(fam=None, n=None, n_ang=96, metric="euclidean"):
+def _round(gauge):
+    """True when the radial coordinate of the gauge is |x|."""
+    return gauge is None or gauge.kind == "euclidean"
+
+
+def radius(gauge, x):
+    """The radial coordinate of points x: |x|, or H0(x) of the gauge."""
+    x = np.asarray(x, dtype=float)
+    if _round(gauge):
+        return np.linalg.norm(x, axis=-1)
+    return norms.dual_norm(gauge, None, x)
+
+
+def radius_grad(gauge, x):
+    """The gradient of :func:`radius` at points x."""
+    x = np.asarray(x, dtype=float)
+    if _round(gauge):
+        return x / np.linalg.norm(x, axis=-1, keepdims=True)
+    return norms.grad_dual(gauge, x)
+
+
+def shell_geometry(gauge, omega):
+    """(Theta, J, |grad rho(Theta)|) of the unit shell over directions omega.
+
+    Round shells give ``(omega, 1, 1)``; H0-shells are mapped by
+    :func:`_dual_shell_geometry`.
+    """
+    if _round(gauge):
+        return omega, 1, 1
+    return _dual_shell_geometry(gauge, omega)
+
+
+def unit_ball_volume(n, gauge=None, n_ang=96):
     """Volume of the unit ball of the radial gauge (|.| or the dual norm H0)."""
-    if metric == "euclidean":
+    if _round(gauge):
         return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
-    if fam.kind == "euclidean":
-        return math.pi ** (fam.n / 2.0) / math.gamma(fam.n / 2.0 + 1.0)
-    omega, w = circle_rule(n_ang) if fam.n == 2 else sphere_rule(n_ang)
-    _, J, _ = _dual_shell_geometry(fam, omega)
-    return float(np.dot(w, J)) / fam.n
+    omega, w = circle_rule(n_ang) if n == 2 else sphere_rule(n_ang)
+    _, J, _ = _dual_shell_geometry(gauge, omega)
+    return float(np.dot(w, J)) / n
 
 
 _ANGULAR_CACHE: dict = {}
 
 
-def angular_measure(n, fam=None):
-    """n * vol(unit ball of the radial gauge): the angular factor of radial integrals.
-
-    The gauge is |x| when ``fam`` is None or euclidean, and H0 otherwise.
-    """
-    if fam is None or fam.kind == "euclidean":
-        return n * unit_ball_volume(n=n, metric="euclidean")
+def angular_measure(n, gauge=None):
+    """n * vol(unit ball of the radial gauge): the angular factor of radial integrals."""
+    if _round(gauge):
+        return n * unit_ball_volume(n)
     # keyed by value: an id() could be reused by a later family, and the
     # label omits p, on which the mixed unit ball depends
-    key = (fam.label(), fam.p, fam.n, n)
+    key = (gauge.label(), gauge.p, gauge.n, n)
     if key not in _ANGULAR_CACHE:
-        _ANGULAR_CACHE[key] = n * unit_ball_volume(fam=fam, metric="dual")
+        _ANGULAR_CACHE[key] = n * unit_ball_volume(n, gauge)
     return _ANGULAR_CACHE[key]
 
 

@@ -17,7 +17,7 @@ KS = [2 ** j for j in range(4, 13)]
 def standard_weight(p, n, fam=None):
     fam = fam or norms.euclidean(p, n)
     gp = GlobalParams(p, n)
-    G = fields.make_dual_power_field(fam, gp)
+    G = fields.DualPowerField(fam, gp)
     return hardy.build_weight_zero_potential(fam, gp, G, bracket=(1e-30, 1e30))
 
 
@@ -33,6 +33,14 @@ def test_angular_measure_cache_is_keyed_by_value():
     f2, f3 = norms.mixed(4, A2, 2.0), norms.mixed(4, A2, 3.0)
     assert f2.label() == f3.label()
     assert quadrature.angular_measure(2, f2) != quadrature.angular_measure(2, f3)
+
+
+def test_null_sequence_energies_are_pinned_bit_for_bit():
+    # the ground-state profiles come from the weight's ground-state field
+    hw = standard_weight(3.0, 2, norms.lp(4, 3.0, 2))
+    ns = hardy.null_sequence(hw, [16, 64])
+    assert [e.hex() for e in ns.energies] == ["0x1.3fbcd80fadd9fp-1",
+                                               "0x1.a54a780f0c29bp-2"]
 
 
 # -- cutoffs ------------------------------------------------------------------
@@ -79,7 +87,7 @@ def test_weight_nonnegative_everywhere():
 
 def test_branch_rules():
     with pytest.raises(BranchError):
-        standard = fields.make_dual_power_field(norms.euclidean(2.0, 3),
+        standard = fields.DualPowerField(norms.euclidean(2.0, 3),
                                                 GlobalParams(2, 3))
         hardy.build_weight_zero_potential(norms.euclidean(2.0, 3),
                                           GlobalParams(2, 3), standard, sigma=1.0)
@@ -200,7 +208,7 @@ def test_null_sequence_matches_full_dual_quadrature_lp4():
 def test_null_sequence_range_error():
     hw_small = hardy.build_weight_zero_potential(
         norms.euclidean(2.0, 3), GlobalParams(2, 3),
-        fields.make_dual_power_field(norms.euclidean(2.0, 3), GlobalParams(2, 3)),
+        fields.DualPowerField(norms.euclidean(2.0, 3), GlobalParams(2, 3)),
         bracket=(0.9, 1.1))
     with pytest.raises(RangeError):
         hardy.null_sequence(hw_small, [4096])

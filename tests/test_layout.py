@@ -40,3 +40,10 @@ def test_catalog_names_are_pinned():
     names = [name for group, _ in REGISTRY for name in CATALOG[group]]
     assert len(names) == len(set(names)) == 137
     assert hashlib.sha256("\n".join(names).encode()).hexdigest() == CATALOG_SHA256
+
+
+def test_only_quadrature_maps_dual_shells():
+    src = Path(__file__).resolve().parents[1] / "src" / "finslerhardy"
+    naming = sorted(p.name for p in src.glob("*.py")
+                    if "_dual_shell_geometry" in p.read_text())
+    assert naming == ["quadrature.py"]

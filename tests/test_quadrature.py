@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from finslerhardy import fields, norms, quadrature
+from finslerhardy.norms import GlobalParams
 
 import oracles
 
@@ -48,12 +49,26 @@ def test_radial_integral_agrees_with_full():
 def test_dual_metric_shell_volume():
     # dual of lp(4) is lp(4/3); 2D lp(q) ball area = 4 G(1+1/q)^2 / G(1+2/q)
     fam = norms.lp(4, 2.0, 2)
-    V0 = quadrature.unit_ball_volume(fam=fam, metric="dual", n_ang=512)
+    V0 = quadrature.unit_ball_volume(2, fam, n_ang=512)
     q = 4.0 / 3.0
     exact = 4.0 * math.gamma(1 + 1 / q) ** 2 / math.gamma(1 + 2 / q)
     assert V0 == pytest.approx(exact, rel=5e-4)
     sd = oracles.annulus_scheme(1.0, 2.0, 2, fam=fam, metric="dual", n_ang=512)
     assert sd.volume == pytest.approx(3.0 * V0, rel=1e-10)
+
+
+def test_gauge_paths_are_pinned_bit_for_bit():
+    # H0-gauge angular factor, H0-shell level flux and shell-patch weak
+    # residual, each equal to its value before the gauge became one value
+    assert quadrature.angular_measure(2, norms.lp(4, 3, 2)).hex() == "0x1.45621f1edb804p+2"
+    mix = norms.mixed(4, [[4.0, 0.0], [0.0, 9.0]], 1.5)
+    G = fields.DualPowerField(mix, GlobalParams(1.5, 2))
+    flux = fields.level_set_flux(mix, G, fields.annulus(1e-5, 1e5, 2), 1.0)
+    assert flux.hex() == "0x1.931748c14d1e6p+5"
+    lp4 = norms.lp(4, 3.0, 2)
+    G = fields.DualPowerField(lp4, GlobalParams(3.0, 2))
+    res = fields.weak_residual(lp4, G, fields.annulus(0.1, 10.0, 2), n_tests=10, seed=7)
+    assert res.hex() == "0x1.d79ce2e5e211dp-58"
 
 
 def test_richardson_order_radial():
@@ -120,7 +135,7 @@ def test_radial_hat_energy_against_1d_oracle():
         out[inside] = val * (-2.0 * z[inside] / (1.0 - z[inside] ** 2) ** 2) / rho
         return out
 
-    hat = fields.RadialProfileField(prof, dprof, metric="euclidean")
+    hat = fields.RadialProfileField(prof, dprof)
     s = oracles.annulus_scheme(0.5, 4.0, 3, n_r=512, n_ang=16,
                                   align=(c - rho, c + rho))
     eb = oracles.energy(s, fam, hat)
@@ -129,8 +144,7 @@ def test_radial_hat_energy_against_1d_oracle():
     assert eb.dirichlet == pytest.approx(oracle, rel=1e-6)
     # constant plateau region contributes nothing to the Dirichlet part
     plateau = fields.RadialProfileField(lambda r: np.ones_like(np.asarray(r)),
-                                        lambda r: np.zeros_like(np.asarray(r)),
-                                        metric="euclidean")
+                                        lambda r: np.zeros_like(np.asarray(r)))
     assert oracles.energy(s, fam, plateau).dirichlet == 0.0
 
 
