@@ -426,15 +426,18 @@ def check_best_constant(cfg):
     kexp = cfg.kmax_exp()
     ks = [2 ** j for j in range(4, kexp + 1)]
     tol_low = cfg.tol(1e-3)
+    tail = 1.0 + cfg.tol(0.05)
+    floor_text = f"1 - {tol_low:.0e}".replace("e-0", "e-")
+    seqs = []
     for (p, n) in BEST_PN:
         hw = _standard_weight(p, n)
         ns = hardy.null_sequence(hw, ks)
+        seqs.append((hw, ns))
         above = all(r >= 1.0 - tol_low for r in ns.ratios)
         out.append(record(f"hardy.ratio_floor.p{p:g}", above,
-                          min(ns.ratios), ">= 1 - 1e-3", tol_low))
-        out.append(record(f"hardy.ratio_tail.p{p:g}",
-                          ns.ratios[-1] <= 1.0 + cfg.tol(0.05),
-                          ns.ratios[-1], "<= 1.05", cfg.tol(0.05)))
+                          min(ns.ratios), f">= {floor_text}", tol_low))
+        out.append(record(f"hardy.ratio_tail.p{p:g}", ns.ratios[-1] <= tail,
+                          ns.ratios[-1], f"<= {tail:g}", cfg.tol(0.05)))
         drops = np.diff(ns.ratios)
         out.append(record(f"hardy.ratio_monotone.p{p:g}",
                           bool(np.all(drops <= 0.05)), float(drops.max()),
@@ -442,10 +445,9 @@ def check_best_constant(cfg):
     hw = _standard_weight(2.0, 3)
     probe = hardy.optimality_at_infinity_probe(
         hw, [1e-1, 1e-2], k_list=tuple(2 ** j for j in range(2, kexp + 1, 2)))
-    inf_ok = all(1.0 - tol_low <= v <= 1.0 + cfg.tol(0.05)
-                 for v in probe["infima"].values())
+    inf_ok = all(1.0 - tol_low <= v <= tail for v in probe["infima"].values())
     out.append(record("hardy.optimality_infima", inf_ok, probe["infima"],
-                      "in [1 - 1e-3, 1.05]", None))
+                      f"in [{floor_text}, {tail:g}]", None))
     lam_half = all(row["halfweight_energy"] > 0.0 for row in probe["table"])
     out.append(record("hardy.optimality_halflambda", lam_half,
                       "Q_{V-W/2} > 0 on all probes", "> 0", None))
@@ -464,12 +466,10 @@ def check_best_constant(cfg):
     out.append(record("hardy.optimality_mass_monotonicity", sane, detail,
                       "ratio decreases with captured weight-mass", None))
     bound_rows = []
-    for i, (p, n) in enumerate(BEST_PN):
-        hw = _standard_weight(p, n)
+    for i, ((p, n), (hw, ns)) in enumerate(zip(BEST_PN, seqs)):
         est = bregman.verify_bounds(norms.euclidean(p, n), cfg.count(20000),
                                     seed=cfg.seed + 71 + i)
-        rows = hardy.simplified_energy_bound_check(hw, hardy.null_sequence(hw, ks),
-                                                   est.c_upper)
+        rows = hardy.simplified_energy_bound_check(hw, ns, est.c_upper)
         out.append(record(f"hardy.simplified_energy_bound.p{p:g}",
                           all(r["ok"] for r in rows),
                           max(r["energy"] / r["bound"] for r in rows), "<= 1", None))

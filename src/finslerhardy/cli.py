@@ -69,15 +69,20 @@ def _field_from_spec(spec, fam, params):
     raise ConstructionError(f"unrecognized field spec {spec!r}")
 
 
+def _write(text, out):
+    """Write text atomically to the path ``out``, or to stdout when it is empty."""
+    if out:
+        report.write_atomic(text, out)
+    else:
+        sys.stdout.write(text)
+
+
 def _emit(args, command, config, checks, payload=None):
     rep = report.build_report(command, config, checks)
     if payload is not None:
         rep["payload"] = payload
-    text = report.render_json(rep) if args.format == "json" else report.render_csv(rep)
-    if args.out:
-        report.write_atomic(text, args.out)
-    else:
-        sys.stdout.write(text)
+    _write(report.render_json(rep) if args.format == "json" else report.render_csv(rep),
+           args.out)
     return 0 if rep["summary"]["fail"] == 0 else 1
 
 
@@ -197,11 +202,7 @@ def cmd_null_seq(args):
     rows = [(k, e, m_, r) for k, e, m_, r in
             zip(ns.k_list, ns.energies, ns.masses, ns.ratios)]
     if args.format == "csv" or (args.out and args.out.endswith(".csv")):
-        text = report.rows_to_csv(["k", "energy", "mass", "ratio"], rows)
-        if args.out:
-            report.write_atomic(text, args.out)
-        else:
-            sys.stdout.write(text)
+        _write(report.rows_to_csv(["k", "energy", "mass", "ratio"], rows), args.out)
         return 0
     checks = [record("energies_decreasing",
                      all(a > b for a, b in zip(ns.energies[ns.k0:],

@@ -137,11 +137,10 @@ class _Disc:
         """Nodal weak residual and its scaled strong-form norm."""
         p = self.p
         fl = _psi(self.dv(v), p) * self.me / self.h
-        lo = 1 if self.left_dirichlet else 0
-        r = np.empty(self.n_unknown)
         if self.left_dirichlet:
             r = fl[:-1] - fl[1:]
         else:
+            r = np.empty(self.n_unknown)
             r[0] = -fl[0]
             r[1:] = fl[:-1] - fl[1:]
         r = r + (self.Vv - lam) * _psi(v, p) * self.mass
@@ -178,11 +177,11 @@ class _Disc:
         w = (p - 1.0) * (dv * dv + eps * eps) ** ((p - 2.0) / 2.0) * self.me / self.h ** 2
         dpot = (self.Vv - lam) * (p - 1.0) \
             * (np.abs(v) ** 2 + (eps * self.h) ** 2) ** ((p - 2.0) / 2.0) * self.mass
-        main = np.empty(self.n_unknown)
         if self.left_dirichlet:
             main = w[:-1] + w[1:]
             off = -w[1:-1]              # unknown i <-> i+1 couple via element i+1
         else:
+            main = np.empty(self.n_unknown)
             main[0] = w[0]
             main[1:] = w[:-1] + w[1:]
             off = -w[: self.n_unknown - 1]   # unknown i <-> i+1 couple via element i

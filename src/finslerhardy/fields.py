@@ -64,7 +64,6 @@ class ScalarField:
 
     kind = "generic"
     radial = None
-    support = None
 
     def __call__(self, x):
         raise NotImplementedError
@@ -79,11 +78,9 @@ class ScalarField:
 class FuncField(ScalarField):
     """Wrap a plain callable and its gradient."""
 
-    def __init__(self, fn, grad, kind="generic", support=None):
+    def __init__(self, fn, grad):
         self._fn = fn
         self._grad = grad
-        self.kind = kind
-        self.support = support
 
     def __call__(self, x):
         return self._fn(np.asarray(x, dtype=float))
@@ -155,24 +152,21 @@ class LogDualField(ScalarField):
 
 
 class RadialProfileField(ScalarField):
-    """Field defined by a 1D profile of the radial coordinate of a gauge."""
+    """Field defined by a 1D profile of |x|."""
 
-    def __init__(self, profile, dprofile, gauge=None, kind="radial",
-                 bracket=None, support=None):
+    def __init__(self, profile, dprofile, kind="radial", bracket=None):
         self._profile = profile
         self._dprofile = dprofile
         self.kind = kind
-        self.radial = (gauge, profile, dprofile)
+        self.radial = (None, profile, dprofile)
         self._bracket = bracket  # (r_lo, r_hi) for inversion
-        self.support = support
 
     def __call__(self, x):
-        return self._profile(quadrature.radius(self.radial[0], x))
+        return self._profile(quadrature.radius(None, x))
 
     def grad(self, x):
-        gauge = self.radial[0]
-        rho = quadrature.radius(gauge, x)
-        return self._dprofile(rho)[..., None] * quadrature.radius_grad(gauge, x)
+        rho = quadrature.radius(None, x)
+        return self._dprofile(rho)[..., None] * quadrature.radius_grad(None, x)
 
     def radial_inverse(self, t):
         t = float(t)

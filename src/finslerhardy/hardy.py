@@ -23,10 +23,11 @@ with ground state ``v = G_phi^((p-1)/p)``.
 The verification side builds the log-profile cutoff null sequences
 ``u_k = v phi_k(v)``, their energies/masses/Hardy ratios, the
 null-criticality growth of ``int W v^p`` over shrinking source levels, and
-a ratio probe over tail-supported cutoffs (optimality at infinity).  All
-the integrals here have integrands that are radial in the source field's
-gauge, so they are taken by :func:`quadrature.radial_integral` with the
-exact angular factor and with panels aligned to the cutoff breakpoints.
+a ratio probe over the tail cutoffs ``v phi_k(v k^2/eps)`` (optimality at
+infinity).  The cutoff integrand, the level-to-radius map and ``int W v^p``
+are each written once.  Every integrand is radial in the source field's
+gauge, so :func:`_radial_integral` takes it with the exact angular factor
+and with panels aligned to the cutoff breakpoints.
 """
 
 from __future__ import annotations
@@ -273,7 +274,7 @@ def build_weight_green(fam, params, green_potential, V_profile, phi_profile):
 
 
 # ---------------------------------------------------------------------------
-# radial integration helper
+# radial integration helpers
 # ---------------------------------------------------------------------------
 
 
@@ -281,6 +282,39 @@ def _radial_integral(hw, fun, lo, hi, align=(), n_r=768, order=6):
     """angular * int_lo^hi fun(rho) rho^(n-1) drho with aligned Gauss panels."""
     return quadrature.radial_integral(fun, lo, hi, hw.n, hw.angular, align=align,
                                       n_r=n_r, order=order)
+
+
+def _level_radii(hw, levels, vmin, vmax):
+    """Radii where the ground state takes those of ``levels`` inside (vmin, vmax)."""
+    return [r for t in levels if vmin < t < vmax for r in hw.rho_of_v(t)]
+
+
+def _cutoff_terms(hw, rho, k, scale, one_sided):
+    """Integrands of u = v phi_k(v scale) at radii rho.
+
+    Returns the energy |u'|^p + (V - W) u^p, the weight mass W u^p, and
+    u, v, v', phi and the cutoff slope t phi'(t) at t = v scale.
+    """
+    p, V = hw.p, hw.V_profile
+    v, dv = hw.v(rho), hw.dv(rho)
+    ph = cutoff(v * scale, k, one_sided)
+    slope = cutoff_slope(v * scale, k, one_sided)
+    u = v * ph
+    du = dv * (ph + slope)
+    W = hw.weight_profile(rho)
+    pot = -W if V is None else (V(rho) - W)
+    return np.abs(du) ** p + pot * u ** p, W * u ** p, u, v, dv, ph, slope
+
+
+def _weight_mass_between(hw, t1, t2):
+    """int W v^p over the shell between the source levels t1 and t2."""
+    r1 = hw.source.radial_inverse(t1)
+    r2 = hw.source.radial_inverse(t2)
+
+    def f(rho):
+        return hw.weight_profile(rho) * hw.v(rho) ** hw.p
+
+    return _radial_integral(hw, f, min(r1, r2), max(r1, r2))
 
 
 # ---------------------------------------------------------------------------
@@ -296,13 +330,12 @@ class NullSequence:
     ratios: list            # Q_V[u_k] / mass
     x_grad: list            # X(v, w_k) = int v^p |grad w_k|_H^p
     x_field: list           # X(w_k, v) = int w_k^p |grad v|_H^p
-    norms_U: list           # ||u_k||_{L^p(U)}
     k0: int                 # first index with monotone decay onward
     truncated: list         # k values dropped for range reasons
     one_sided: bool
 
 
-def null_sequence(hw, k_list, n_r=768):
+def null_sequence(hw, k_list):
     """Cutoff sequence u_k = v phi_k(v) with energies, masses and Hardy ratios.
 
     k values whose cutoff support exceeds the representable range of v are
@@ -328,11 +361,8 @@ def null_sequence(hw, k_list, n_r=768):
     if not kept:
         raise RangeError(
             f"ground-state range ({vmin:.3g}, {vmax:.3g}) admits no k >= 2")
-    p, V = hw.p, hw.V_profile
-    # the band U = {ulo < v < uhi} of norms_U
-    ulo, uhi = (min(1.0, vmax / 4.0) / 2.0, min(1.0, vmax / 4.0)) \
-        if vmax < 2.0 else (1.0, 2.0)
-    energies, masses, ratios, xg, xf, nU = [], [], [], [], [], []
+    p = hw.p
+    energies, masses, ratios, xg, xf = [], [], [], [], []
     for k in kept:
         # rho bounds and aligned breakpoints from the cutoff levels; also
         # align at the interior zero of u' on the falling transition
@@ -340,14 +370,7 @@ def null_sequence(hw, k_list, n_r=768):
         levels = list(cutoff_breaks(k, one_sided))
         if not one_sided:
             levels.append(k ** (2.0 - 1.0 / math.log(k)))
-        breaks = []
-        for t in levels:
-            if not vmin < t < vmax:
-                continue
-            try:
-                breaks.extend(hw.rho_of_v(t))
-            except (RangeError, ValueError):
-                pass
+        breaks = _level_radii(hw, levels, vmin, vmax)
         # bracket ends where the cutoff is still active (saturated plateau)
         for end in hw.source_bracket:
             e_in = end * (1 + 1e-9) if end == hw.source_bracket[0] else end * (1 - 1e-9)
@@ -359,45 +382,26 @@ def null_sequence(hw, k_list, n_r=768):
             lo, hi = blo * (1 + 1e-9), bhi * (1 - 1e-9)
             breaks.append(float(hw.source.radial_inverse(hw.sigma / 2.0)))
 
-        def u_and_du(rho):
-            v, dv = hw.v(rho), hw.dv(rho)
-            ph = cutoff(v, k, one_sided)
-            slope = cutoff_slope(v, k, one_sided)       # = v phi'(v)
-            u = v * ph
-            du = dv * (ph + slope)
-            return u, du, v, dv, ph, slope
-
         def emxy_fun(rho):
             # energy, weight mass, X(v, w_k) and X(w_k, v) on the same nodes
-            u, du, v, dv, ph, slope = u_and_du(rho)
-            W = hw.weight_profile(rho)
-            pot = -W if V is None else (V(rho) - W)
-            return (np.abs(du) ** p + pot * u ** p,
-                    W * u ** p,
+            e, m, _, v, dv, ph, slope = _cutoff_terms(hw, rho, k, 1.0, one_sided)
+            return (e, m,
                     v ** p * np.abs(slope * dv / np.where(v > 0, v, 1.0)) ** p,
                     ph ** p * np.abs(dv) ** p)
 
-        E, M, X, Y = _radial_integral(hw, emxy_fun, lo, hi,
-                                      align=tuple(sorted(breaks)), n_r=n_r)
+        E, M, X, Y = _radial_integral(hw, emxy_fun, lo, hi, align=tuple(sorted(breaks)))
         energies.append(E)
         masses.append(M)
         ratios.append(1.0 + E / M)
         xg.append(X)
         xf.append(Y)
-        rhos = []
-        for t in (ulo, uhi):
-            rhos.extend(hw.rho_of_v(t))
-        rlo, rhi = min(rhos), max(rhos)
-        nrm = _radial_integral(hw, lambda rho: u_and_du(rho)[0] ** p, rlo, rhi,
-                               n_r=max(128, n_r // 4)) ** (1.0 / p)
-        nU.append(nrm)
     k0 = 0
     for i in range(len(kept) - 1):
         if all(energies[j] > energies[j + 1] for j in range(i, len(kept) - 1)):
             k0 = i
             break
     return NullSequence(k_list=kept, energies=energies, masses=masses,
-                        ratios=ratios, x_grad=xg, x_field=xf, norms_U=nU,
+                        ratios=ratios, x_grad=xg, x_field=xf,
                         k0=k0, truncated=dropped, one_sided=one_sided)
 
 
@@ -433,24 +437,15 @@ def weight_mass_slope_law(p, c_flux):
 # ---------------------------------------------------------------------------
 
 
-def verify_null_criticality(hw, tau_list, T, n_r=768):
+def verify_null_criticality(hw, tau_list, T):
     """Integrals I(tau) = int_{tau < G < T} W v^p and their log(1/tau) slope.
 
     For the standard and green branches the growth is affine in log(1/tau)
     with slope ((p-1)/p)^p * c_flux.
     """
     p = hw.p
-    taus = sorted(float(t) for t in tau_list)
-    rows = []
-    for tau in taus:
-        r1 = hw.source.radial_inverse(tau)
-        r2 = hw.source.radial_inverse(T)
-        lo, hi = (min(r1, r2), max(r1, r2))
-
-        def f(rho):
-            return hw.weight_profile(rho) * hw.v(rho) ** p
-
-        rows.append((tau, _radial_integral(hw, f, lo, hi, n_r=n_r)))
+    rows = [(tau, _weight_mass_between(hw, tau, T))
+            for tau in sorted(float(t) for t in tau_list)]
     x = np.log(1.0 / np.array([t for t, _ in rows]))
     y = np.array([v for _, v in rows])
     slope, intercept = np.polyfit(x, y, 1)
@@ -460,11 +455,11 @@ def verify_null_criticality(hw, tau_list, T, n_r=768):
             "rel_err": float(abs(slope / expected - 1.0)), "T": float(T)}
 
 
-def capped_null_criticality_lower_bound(hw, t_list, n_levels=24, n_r=768):
+def capped_null_criticality_lower_bound(hw, t_list):
     """Capped-branch check: int_{t < G < sigma/4} W v^p >= lower bound.
 
     The bound is (sigma^(p-1)/2^(p-2)) ((p-1)/p)^p flux_min log(sigma/(4t))
-    with flux_min the smallest measured level flux on (t, sigma/4).
+    with flux_min the smallest measured flux over 24 levels in (t, sigma/4).
     """
     if hw.branch != "sigma_capped":
         raise BranchError("lower-bound check is for the capped branch")
@@ -473,21 +468,11 @@ def capped_null_criticality_lower_bound(hw, t_list, n_levels=24, n_r=768):
     dom = fields.annulus(lo_b * 0.999, hi_b * 1.001, hw.n)
     rows = []
     for t in t_list:
-        levels = np.geomspace(t * 1.01, s / 4.0 * 0.99, n_levels)
-        fluxes = []
-        for lv in levels:
-            # the source is not monotone-free here: capped sources used in
-            # practice are monotone profiles, one radius per level
-            fluxes.append(fields.level_set_flux(hw.fam, hw.source, dom, float(lv)))
-        flux_min = min(fluxes)
-        r1 = hw.source.radial_inverse(t)
-        r2 = hw.source.radial_inverse(s / 4.0)
-        lo, hi = (min(r1, r2), max(r1, r2))
-
-        def f(rho):
-            return hw.weight_profile(rho) * hw.v(rho) ** p
-
-        lhs = _radial_integral(hw, f, lo, hi, n_r=n_r)
+        # capped sources used in practice are monotone profiles, one
+        # radius per level
+        levels = np.geomspace(t * 1.01, s / 4.0 * 0.99, 24)
+        flux_min = float(fields.flux_constancy(hw.fam, hw.source, dom, levels)[0].min())
+        lhs = _weight_mass_between(hw, t, s / 4.0)
         rhs = (s ** (p - 1.0) / 2.0 ** (p - 2.0)) * ((p - 1.0) / p) ** p \
             * flux_min * math.log(s / (4.0 * t))
         rows.append({"t": float(t), "lhs": lhs, "rhs": rhs, "ok": bool(lhs >= rhs)})
@@ -499,8 +484,7 @@ def capped_null_criticality_lower_bound(hw, t_list, n_levels=24, n_r=768):
 # ---------------------------------------------------------------------------
 
 
-def optimality_at_infinity_probe(hw, eps_list, k_list=(4, 16, 64, 256, 1024, 4096),
-                                 n_r=512):
+def optimality_at_infinity_probe(hw, eps_list, k_list=(4, 16, 64, 256, 1024, 4096)):
     """Hardy ratios over cutoffs supported in the tail {v < eps}.
 
     For each eps the scaled cutoff family chi_k(t) = phi_k(t k^2/eps) lives
@@ -509,7 +493,7 @@ def optimality_at_infinity_probe(hw, eps_list, k_list=(4, 16, 64, 256, 1024, 409
     weight-mass density of each member (the sanity: the minimizer carries
     the largest weight-mass density).
     """
-    p, V = hw.p, hw.V_profile
+    p = hw.p
     vmin, vmax = hw.profile_range(hw.v)
     table = []
     for eps in eps_list:
@@ -517,34 +501,19 @@ def optimality_at_infinity_probe(hw, eps_list, k_list=(4, 16, 64, 256, 1024, 409
             raise RangeError(f"tail level {eps} below the representable range")
         for k in k_list:
             scale = k ** 2 / eps
-
-            def u_du(rho):
-                v, dv = hw.v(rho), hw.dv(rho)
-                ph = cutoff(v * scale, k)
-                slope = cutoff_slope(v * scale, k)
-                return v * ph, dv * (ph + slope), v
-
             lo_t = max(vmin * 1.000001, eps / k ** 4)
             if lo_t >= eps * 0.999:
                 continue
-            rhos = []
-            for t in (lo_t, eps * 0.9999999):
-                rhos.extend(hw.rho_of_v(t))
-            lo, hi = min(rhos), max(rhos)
-            al = []
-            for t in cutoff_breaks(k):
-                tt = t / scale
-                if vmin < tt < vmax:
-                    al.extend(hw.rho_of_v(tt))
+            rhos = hw.rho_of_v(lo_t) + hw.rho_of_v(eps * 0.9999999)
+            al = _level_radii(hw, [t / scale for t in cutoff_breaks(k)], vmin, vmax)
 
             def emu_fun(rho):
                 # energy, weight mass and int u^p on the same nodes
-                u, du, v = u_du(rho)
-                W = hw.weight_profile(rho)
-                pot = -W if V is None else (V(rho) - W)
-                return np.abs(du) ** p + pot * u ** p, W * u ** p, u ** p
+                e, m, u = _cutoff_terms(hw, rho, k, scale, False)[:3]
+                return e, m, u ** p
 
-            E, M, UP = _radial_integral(hw, emu_fun, lo, hi, align=tuple(al), n_r=n_r)
+            E, M, UP = _radial_integral(hw, emu_fun, min(rhos), max(rhos),
+                                        align=tuple(al), n_r=512)
             if M <= 0.0:
                 continue
             ratio = 1.0 + E / M

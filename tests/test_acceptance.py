@@ -15,7 +15,7 @@ import sys
 import numpy as np
 import pytest
 
-from finslerhardy import green, eigen
+from finslerhardy import acceptance, green, eigen
 from finslerhardy.acceptance import (CATALOG, EXPECTED_FAILURES, REGISTRY,
                                      SuiteConfig)
 from finslerhardy.report import mask_timestamp
@@ -122,6 +122,18 @@ def test_criterion_10_null_criticality(battery):
 def test_criterion_11_best_constant(battery):
     _crit(battery, "11 best constant and optimality at infinity",
           CATALOG["hardy.best_constant"])
+
+
+def test_best_constant_expected_states_the_applied_bound(battery):
+    # --quick relaxes every tolerance x5; the expected text must follow
+    quick = acceptance.check_best_constant(SuiteConfig(seed=7, quick=True, threads=1))
+    for recs, floor, tail in ((battery["hardy.best_constant"], "1 - 1e-3", "1.05"),
+                              (quick, "1 - 5e-3", "1.25")):
+        expected = {r.name: r.expected for r in recs}
+        for p in ("2", "3"):
+            assert expected[f"hardy.ratio_floor.p{p}"] == f">= {floor}"
+            assert expected[f"hardy.ratio_tail.p{p}"] == f"<= {tail}"
+        assert expected["hardy.optimality_infima"] == f"in [{floor}, {tail}]"
 
 
 def test_criterion_12_green(battery):

@@ -43,6 +43,60 @@ def test_null_sequence_energies_are_pinned_bit_for_bit():
                                                "0x1.a54a780f0c29bp-2"]
 
 
+def capped_weight():
+    G = fields.synthetic_capped_profile(2.0, 10.0, a=2.0, b=0.0)
+    return hardy.build_weight_zero_potential(norms.euclidean(3.0, 2),
+                                             GlobalParams(3, 2), G, sigma=2.0,
+                                             bracket=(1e-2, 10.0 * (1 - 1e-10)))
+
+
+def _capped_null_sequence():
+    ns = hardy.null_sequence(capped_weight(), [4, 16, 64])
+    return ns.energies + ns.masses + ns.x_grad + ns.x_field
+
+
+def _optimality_probe():
+    probe = hardy.optimality_at_infinity_probe(standard_weight(2.0, 3), [1e-1, 1e-2],
+                                               k_list=(4, 16, 64, 256))
+    return [r[key] for r in probe["table"] for key in ("ratio", "mass", "mass_density")]
+
+
+def _null_criticality_slope():
+    hw = standard_weight(3.0, 2, norms.lp(4, 3.0, 2))
+    return [hardy.verify_null_criticality(hw, [1e-1, 1e-2, 1e-3, 1e-4], T=1.0)["slope"]]
+
+
+def _capped_lower_bound():
+    rows = hardy.capped_null_criticality_lower_bound(capped_weight(), [1e-3, 1e-4])
+    return [r[key] for r in rows for key in ("lhs", "rhs")]
+
+
+@pytest.mark.parametrize("compute,pinned", [
+    (_capped_null_sequence, [
+        "0x1.c7a25e48fb512p+4", "0x1.d882c2fcbe163p+3", "0x1.41601508a0732p+3",
+        "0x1.011101794c28ap+5", "0x1.f6215d9123446p+5", "0x1.51e4e8d173143p+6",
+        "0x1.14d00aa5257d8p+3", "0x1.1994bc3e9e6d0p+1", "0x1.9206837666628p-1",
+        "0x1.26513620762f8p+4", "0x1.7dff9c79ff65cp+5", "0x1.155e3c03e0469p+6"]),
+    (_optimality_probe, [
+        "0x1.63e7dc721b871p+0", "0x1.73a4302162b9fp+4", "0x1.7e41493daa9c6p-40",
+        "0x1.18f9f72415689p+0", "0x1.73a4302162b9ep+5", "0x1.748ced6a0cc1ep-69",
+        "0x1.0b19c32d99e3ap+0", "0x1.16bb24190a0b8p+6", "0x1.3a48257e2d416p-99",
+        "0x1.063e7dc9f72b0p+0", "0x1.73a4302162b9ep+6", "0x1.747b55473d1e6p-130",
+        "0x1.63e7dc721b872p+0", "0x1.73a4302162b9fp+4", "0x1.3924b05349002p-53",
+        "0x1.18f9f7241568ap+0", "0x1.73a4302162b9ep+5", "0x1.3131808b4e08fp-82",
+        "0x1.0b19c32d99e3ap+0", "0x1.16bb24190a0b8p+6", "0x1.0175acd869e30p-112",
+        "0x1.063e7dc9f72b0p+0", "0x1.73a4302162b9dp+6", "0x1.312316c186db1p-143"]),
+    (_null_criticality_slope, ["0x1.81a3b31b171d2p-2"]),
+    (_capped_lower_bound, [
+        "0x1.1ac60df85ac85p+6", "0x1.82ad96c0474e9p+4",
+        "0x1.8318b581ab82dp+6", "0x1.08f9320d27e54p+5"]),
+])
+def test_optimality_probes_are_pinned_bit_for_bit(compute, pinned):
+    # one-sided capped null sequence (no suite record reaches it), the tail
+    # probe table, the null-criticality slope and the capped lower bound
+    assert [float(x).hex() for x in compute()] == pinned
+
+
 # -- cutoffs ------------------------------------------------------------------
 
 
@@ -234,12 +288,7 @@ def test_null_criticality_slope_values():
 
 
 def test_capped_lower_bound_rows():
-    sigma = 2.0
-    G = fields.synthetic_capped_profile(sigma, 10.0, a=2.0, b=0.0)
-    hw = hardy.build_weight_zero_potential(norms.euclidean(3.0, 2),
-                                           GlobalParams(3, 2), G, sigma=sigma,
-                                           bracket=(1e-2, 10.0 * (1 - 1e-10)))
-    rows = hardy.capped_null_criticality_lower_bound(hw, [1e-3, 1e-4])
+    rows = hardy.capped_null_criticality_lower_bound(capped_weight(), [1e-3, 1e-4])
     assert all(r["ok"] for r in rows)
 
 
