@@ -13,7 +13,8 @@ term uses midpoint quadrature, exact for the piecewise-constant |v'|^p.
 
 The principal eigenvalue is the minimum of R, found by a preconditioned
 projected gradient descent (inverse weighted linear stiffness as the
-metric) with Armijo line search from seeded random restarts, then polished
+metric, factored once per discretization and applied with LAPACK ``pbtrs``)
+with Armijo line search from seeded random restarts, then polished
 by a bordered Newton solve of the Euler-Lagrange system
 
     -(w psi(v'))' + w (V - lambda) psi(v) = 0,   psi(z) = |z|^(p-2) z,
@@ -34,7 +35,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky_banded, cho_solve_banded, solve_banded
+from scipy.linalg import cholesky_banded, get_lapack_funcs, solve_banded
 from scipy.optimize import brentq
 
 from .errors import SolverError
@@ -109,49 +110,63 @@ class _Disc:
         self.mass = nodal[lo:-1]
         xs = self.x[lo:-1]
         self.Vv = np.zeros_like(xs) if V is None else np.asarray(V(xs), dtype=float)
+        bad = np.flatnonzero(~np.isfinite(self.Vv))
+        if len(bad):
+            i = bad[0]
+            raise ValueError(f"potential is not finite at node x = {float(xs[i])!r}: "
+                             f"{float(self.Vv[i])!r}")
+        self.Vmax = float(np.max(np.abs(self.Vv))) if len(self.Vv) else 0.0
         self.n_unknown = len(xs)
         self._factor = self._stiffness_factor()
-
-    def embed(self, v):
-        if self.left_dirichlet:
-            return np.concatenate([[0.0], v, [0.0]])
-        return np.concatenate([v, [0.0]])
+        self._pbtrs, = get_lapack_funcs(("pbtrs",), (self._factor,))
 
     def dv(self, v):
-        return np.diff(self.embed(v)) / self.h
+        """np.diff of v with its Dirichlet nodes put back as zeros, over h."""
+        lo = 1 if self.left_dirichlet else 0
+        d = np.empty(len(v) + lo)
+        if lo:
+            d[0] = v[0] - 0.0
+        np.subtract(v[1:], v[:-1], out=d[lo:-1])
+        d[-1] = 0.0 - v[-1]
+        d /= self.h
+        return d
 
     def norm_p(self, v):
-        return (np.sum(self.mass * np.abs(v) ** self.p)) ** (1.0 / self.p)
+        return np.add.reduce(self.mass * np.abs(v) ** self.p) ** (1.0 / self.p)
 
     def normalize(self, v):
         return v / self.norm_p(v)
 
     def rayleigh(self, v):
-        dv = self.dv(v)
-        D = float(np.sum(np.abs(dv) ** self.p * self.me))
-        P = float(np.sum(self.Vv * np.abs(v) ** self.p * self.mass))
-        M = float(np.sum(np.abs(v) ** self.p * self.mass))
+        vp = np.abs(v) ** self.p
+        D = float(np.add.reduce(np.abs(self.dv(v)) ** self.p * self.me))
+        P = float(np.add.reduce(self.Vv * vp * self.mass))
+        M = float(np.add.reduce(vp * self.mass))
         return (D + P) / M
 
-    def weak_residual(self, v, lam):
-        """Nodal weak residual and its scaled strong-form norm."""
-        p = self.p
-        fl = _psi(self.dv(v), p) * self.me / self.h
+    def _residual(self, v, lam, psi_v):
+        fl = _psi(self.dv(v), self.p) * self.me / self.h
         if self.left_dirichlet:
             r = fl[:-1] - fl[1:]
         else:
             r = np.empty(self.n_unknown)
             r[0] = -fl[0]
             r[1:] = fl[:-1] - fl[1:]
-        r = r + (self.Vv - lam) * _psi(v, p) * self.mass
-        scale = abs(lam) + (float(np.max(np.abs(self.Vv))) if len(self.Vv) else 0.0) + 1.0
+        r += (self.Vv - lam) * psi_v * self.mass
+        return r
+
+    def weak_residual(self, v, lam):
+        """Nodal weak residual and its scaled strong-form norm."""
+        psi_v = _psi(v, self.p)
+        r = self._residual(v, lam, psi_v)
+        scale = abs(lam) + self.Vmax + 1.0
         # relative weak-residual norm: the equation scale is the mass term
-        eq_scale = float(np.linalg.norm(self.mass * _psi(v, p))) + 1e-300
+        eq_scale = float(np.linalg.norm(self.mass * psi_v)) + 1e-300
         return r, float(np.linalg.norm(r)) / (scale * eq_scale)
 
     def gradient(self, v, lam):
-        r, _ = self.weak_residual(v, lam)
-        return self.p * r
+        """p times the weak residual: the gradient of R at ||v||_p = 1, lam = R[v]."""
+        return self.p * self._residual(v, lam, _psi(v, self.p))
 
     def _stiffness_factor(self):
         ab = np.zeros((2, self.n_unknown))
@@ -165,10 +180,15 @@ class _Disc:
             off = -self.me[:-1] / self.h ** 2
         ab[0, 1:] = off
         ab[1, :] = main
-        return cholesky_banded(ab, lower=False)
+        # Fortran order, so that pbtrs reads the factor without a copy
+        return np.asfortranarray(cholesky_banded(ab, lower=False))
 
     def precondition(self, g):
-        return cho_solve_banded((self._factor, False), g)
+        """Solve K x = g with the upper banded Cholesky factor of K."""
+        x, info = self._pbtrs(self._factor, g, lower=0)
+        if info != 0:
+            raise SolverError(f"preconditioner solve failed: pbtrs info = {info}")
+        return x
 
     def jacobian_bands(self, v, lam):
         p = self.p
@@ -201,7 +221,10 @@ def _pg_minimize(disc, v, max_iter=400, gtol=1e-11):
     for _ in range(max_iter):
         grad = disc.gradient(v, lam)
         pg = disc.precondition(grad)
-        gn = float(np.abs(grad @ pg)) / (abs(lam) + 1.0)
+        gn = abs(float(grad @ pg)) / (abs(lam) + 1.0)
+        if not math.isfinite(gn):
+            raise SolverError("preconditioned gradient norm is not finite",
+                              residual=gn)
         if gn < gtol:
             break
         improved = False
@@ -229,15 +252,16 @@ def _newton_polish(disc, v, lam, max_iter=60, tol=1e-13):
     p = disc.p
     for _ in range(max_iter):
         r, rnorm = disc.weak_residual(v, lam)
-        gres = float(np.sum(disc.mass * np.abs(v) ** p)) - 1.0
+        gres = float(np.add.reduce(disc.mass * np.abs(v) ** p)) - 1.0
         if rnorm < tol and abs(gres) < tol:
             break
         ab = disc.jacobian_bands(v, lam)
-        b = -_psi(v, p) * disc.mass          # d r / d lambda
-        c = p * _psi(v, p) * disc.mass       # d g / d v
+        psi_v = _psi(v, p)
+        b = -psi_v * disc.mass          # d r / d lambda
+        c = p * psi_v * disc.mass       # d g / d v
         try:
-            z1 = solve_banded((1, 1), ab, r)
-            z2 = solve_banded((1, 1), ab, b)
+            # both right-hand sides in one solve; columns of a Fortran array
+            z1, z2 = solve_banded((1, 1), ab, np.array([r, b]).T).T
         except np.linalg.LinAlgError:
             break
         denom = c @ z2
@@ -249,8 +273,8 @@ def _newton_polish(disc, v, lam, max_iter=60, tol=1e-13):
         r0 = np.linalg.norm(r)
         for _ in range(30):
             rt, _ = disc.weak_residual(v - step * dvv, lam - step * dlam)
-            if np.linalg.norm(rt) < r0 * (1.0 - 1e-4 * step) \
-                    or np.linalg.norm(rt) < 1e-14:
+            rt_norm = np.linalg.norm(rt)
+            if rt_norm < r0 * (1.0 - 1e-4 * step) or rt_norm < 1e-14:
                 break
             step *= 0.5
         v = v - step * dvv

@@ -198,6 +198,30 @@ def shoot_eigen_ball(p, n, lam):
     return float(sol.y[0][-1])
 
 
+def p2_tridiagonal_eigenvalues(disc, k=2):
+    """The k smallest eigenvalues of K v = lambda M v for p = 2 on an
+    ``eigen._Disc``: its discrete problem, solved exactly.
+
+    K is the tridiagonal stiffness of the cell moments ``disc.me`` plus the
+    potential's diagonal ``Vv * mass``, and M = diag(mass), so the pencil is
+    the symmetric tridiagonal M^-1/2 K M^-1/2, handed to LAPACK's
+    ``eigh_tridiagonal`` instead of a descent on the Rayleigh quotient.
+    """
+    from scipy.linalg import eigh_tridiagonal
+
+    stiff = disc.me / disc.h ** 2
+    if disc.left_dirichlet:
+        main = stiff[:-1] + stiff[1:]
+        off = -stiff[1:-1]            # unknowns i, i+1 share cell i+1
+    else:
+        main = np.concatenate([stiff[:1], stiff[:-1] + stiff[1:]])
+        off = -stiff[:-1]             # unknowns i, i+1 share cell i
+    main = main + disc.Vv * disc.mass
+    s = 1.0 / np.sqrt(disc.mass)
+    return eigh_tridiagonal(main * s * s, off * s[:-1] * s[1:], eigvals_only=True,
+                            select="i", select_range=(0, k - 1))
+
+
 def radial_energy_1d(profile_prime, p, n, r0, r1):
     """ang * int |phi'(r)|^p r^(n-1) dr by adaptive quadrature (oracle)."""
     ang = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)

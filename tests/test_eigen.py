@@ -159,8 +159,30 @@ def test_p3_values_are_pinned_bit_for_bit():
     assert s2["zero"].hex() == "0x1.ffffffffffd89p-2"
 
 
+def _cosine(x):
+    return 5.0 * np.cos(2.0 * math.pi * np.asarray(x, dtype=float))
+
+
+def test_other_branches_are_pinned_bit_for_bit():
+    # the branches the p = 3 pins do not reach: the natural centre condition
+    # of the ball, a potential, and p < 2 in the second solve
+    ball = eigen.principal_eigenvalue(
+        eigen.EigenProblem(p=2.5, L=1.0, N=128, seed=0, geometry="ball", n=3),
+        restarts=2)
+    assert ball.lam.hex() == "0x1.c3812cd53304fp+3"
+    cos = eigen.principal_eigenvalue(
+        eigen.EigenProblem(p=3.0, L=1.0, N=128, seed=0, V=_cosine), restarts=2)
+    assert cos.lam.hex() == "0x1.8e7e0200ddee6p+4"
+    s2 = eigen.second_eigenvalue_and_gap(
+        eigen.EigenProblem(p=1.5, L=1.0, N=128, seed=0), restarts=2)
+    assert s2["lambda2"].hex() == "0x1.e1524aa9c0084p+3"
+    assert s2["zero"].hex() == "0x1.ffffffffffe78p-2"
+
+
 def test_principal_solve_stops_at_the_residual_floor(monkeypatch):
-    # about 150 evaluations; a polish that ran all 60 Newton steps with 30
+    # only the Newton polish evaluates the weak residual (its step checks,
+    # line-search trials and final value; the descent's gradient does not):
+    # about 80 evaluations; a polish that ran all 60 Newton steps with 30
     # halvings each at the residual's round-off floor would take ~1.8k
     calls = []
     weak_residual = eigen._Disc.weak_residual
@@ -223,3 +245,59 @@ def test_second_counts_the_sign_changes_it_returns(monkeypatch):
     s2 = eigen.second_eigenvalue_and_gap(_p3_problem(), restarts=2)
     assert seen[-1] is s2["v"]
     assert s2["sign_changes"] == 100 + len(seen)
+
+
+@pytest.mark.parametrize("N, geometry", [(128, "interval"), (512, "interval"),
+                                         (256, "ball")])
+def test_p2_principal_matches_the_tridiagonal_oracle(N, geometry):
+    ep = eigen.EigenProblem(p=2.0, L=1.0, N=N, seed=0, geometry=geometry, n=3)
+    lam1 = oracles.p2_tridiagonal_eigenvalues(eigen._disc_for(ep), k=1)[0]
+    pr = eigen.principal_eigenvalue(ep, restarts=2)
+    assert abs(pr.lam / lam1 - 1.0) <= 1e-11
+
+
+@pytest.mark.parametrize("N", [128, 512])
+def test_p2_second_matches_the_tridiagonal_oracle(N):
+    ep = eigen.EigenProblem(p=2.0, L=1.0, N=N, seed=0)
+    lam1, lam2 = oracles.p2_tridiagonal_eigenvalues(eigen._disc_for(ep), k=2)
+    s2 = eigen.second_eigenvalue_and_gap(ep, restarts=2)
+    assert abs(s2["lambda2"] / lam2 - 1.0) <= 1e-10
+    assert abs(s2["lambda1"] / lam1 - 1.0) <= 1e-11
+
+
+def test_non_finite_potential_is_bad_input():
+    def V(x):
+        out = np.zeros_like(np.asarray(x, dtype=float))
+        out[5] = np.nan
+        return out
+
+    ep = eigen.EigenProblem(p=3.0, L=1.0, V=V, N=128)
+    with pytest.raises(ValueError, match=r"not finite at node x = 0\.046875"):
+        eigen._disc_for(ep)
+    assert cli.main(["eigen", "--p", "3", "--grid", "128",
+                     "--potential", "const:nan"]) == 2
+    assert cli.main(["eigen", "--p", "3", "--grid", "128",
+                     "--potential", "const:inf"]) == 2
+
+
+def test_non_finite_gradient_is_numeric_failure(monkeypatch):
+    monkeypatch.setattr(eigen._Disc, "gradient",
+                        lambda self, v, lam: np.full(self.n_unknown, np.nan))
+    disc = eigen._disc_for(_p3_problem())
+    with pytest.raises(eigen.SolverError, match="gradient norm is not finite"):
+        eigen._pg_minimize(disc, np.ones(disc.n_unknown))
+    assert cli.main(["eigen", "--p", "3", "--grid", "128"]) == 3
+
+
+def test_failed_preconditioner_solve_is_numeric_failure(monkeypatch):
+    get_lapack_funcs = eigen.get_lapack_funcs
+
+    def failing(names, arrays):
+        pbtrs, = get_lapack_funcs(names, arrays)
+        return (lambda ab, b, lower: (pbtrs(ab, b, lower=lower)[0], 1),)
+
+    monkeypatch.setattr(eigen, "get_lapack_funcs", failing)
+    disc = eigen._disc_for(_p3_problem())
+    with pytest.raises(eigen.SolverError, match="pbtrs info = 1"):
+        eigen._pg_minimize(disc, np.ones(disc.n_unknown))
+    assert cli.main(["eigen", "--p", "3", "--grid", "128"]) == 3

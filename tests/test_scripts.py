@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -24,3 +25,20 @@ def test_eigen_sweep_script_matches_closed_forms():
         assert abs(lam1 / ex1 - 1.0) <= 2e-3
         assert abs(lam2 / ex2 - 1.0) <= 2e-3
         assert gap > 0.0
+
+
+def test_eigen_kernels_script_writes_its_timings(tmp_path):
+    path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    out = tmp_path / "kernels.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "eigen_kernels.py"),
+         "--N", "64", "--repeat", "1", "--out", str(out)],
+        capture_output=True, text=True, timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(out.read_text())
+    assert list(result["N"]) == ["64"]
+    assert sorted(result["N"]["64"]) == sorted(
+        ["rayleigh_us", "gradient_us", "precondition_us", "weak_residual_us",
+         "principal_s", "second_s"])
+    assert all(t > 0.0 for t in result["N"]["64"].values())
