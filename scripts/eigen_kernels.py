@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
 """Time the eigen solver's inner-loop kernels and its two solves, per N.
 
-On the interval (0, 1) with V = 0 at exponent --p, for each N: the per-call
-time of the ``eigen._Disc`` kernels that the descent and the Newton polish
-call (``rayleigh``, ``gradient``, ``precondition``, ``weak_residual``), taken
-at the normalized first mode sin(pi x), and the per-solve time of
-``principal_eigenvalue`` and ``second_eigenvalue_and_gap`` with --restarts
-restarts.  Each figure is the median over --repeat timings; a kernel timing
-runs as many calls as take about 0.2 s.  Writes JSON to --out (stdout if
-omitted).  Pin BLAS to one thread for figures that compare:
+On the interval (0, 1) with V = 0 at p = 3, for each N: the per-call time
+of the ``eigen._Disc`` kernels that the descent and the Newton polish call
+(``rayleigh``, ``gradient``, ``precondition``, ``weak_residual``), taken at
+the normalized first mode sin(pi x), and the per-solve time of
+``principal_eigenvalue`` and ``second_eigenvalue_and_gap`` with 2 restarts.
+Each figure is the median over 5 timings; a kernel timing runs as many calls
+as take about 0.2 s.  Writes JSON to --out (stdout if omitted).  Pin BLAS to
+one thread for figures that compare:
 
     OPENBLAS_NUM_THREADS=1 python scripts/eigen_kernels.py --N 128 1024 --out k.json
 """
@@ -25,54 +25,54 @@ import numpy as np
 
 from finslerhardy import eigen, report
 
+P = 3.0
+RESTARTS = 2
+REPEAT = 5
 
-def kernel_us(fn, repeat):
+
+def kernel_us(fn):
     """Median per-call time of fn() in microseconds."""
     timer = timeit.Timer(fn)
     number, _ = timer.autorange()
-    return 1e6 * statistics.median(t / number for t in timer.repeat(repeat, number))
+    return 1e6 * statistics.median(t / number for t in timer.repeat(REPEAT, number))
 
 
-def solve_s(fn, repeat):
+def solve_s(fn):
     times = []
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
     return statistics.median(times)
 
 
-def measure(p, N, restarts, repeat):
-    ep = eigen.EigenProblem(p=p, L=1.0, N=N, seed=0)
+def measure(N):
+    ep = eigen.EigenProblem(p=P, L=1.0, N=N, seed=0)
     disc = eigen._disc_for(ep)
     v = disc.normalize(np.sin(math.pi * disc.x[1:-1]))
     lam = disc.rayleigh(v)
     g = disc.gradient(v, lam)
     return {
-        "rayleigh_us": kernel_us(lambda: disc.rayleigh(v), repeat),
-        "gradient_us": kernel_us(lambda: disc.gradient(v, lam), repeat),
-        "precondition_us": kernel_us(lambda: disc.precondition(g), repeat),
-        "weak_residual_us": kernel_us(lambda: disc.weak_residual(v, lam), repeat),
+        "rayleigh_us": kernel_us(lambda: disc.rayleigh(v)),
+        "gradient_us": kernel_us(lambda: disc.gradient(v, lam)),
+        "precondition_us": kernel_us(lambda: disc.precondition(g)),
+        "weak_residual_us": kernel_us(lambda: disc.weak_residual(v, lam)),
         "principal_s": solve_s(
-            lambda: eigen.principal_eigenvalue(ep, restarts=restarts), repeat),
+            lambda: eigen.principal_eigenvalue(ep, restarts=RESTARTS)),
         "second_s": solve_s(
-            lambda: eigen.second_eigenvalue_and_gap(ep, restarts=restarts), repeat),
+            lambda: eigen.second_eigenvalue_and_gap(ep, restarts=RESTARTS)),
     }
 
 
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--N", type=int, nargs="+", default=[128, 1024])
-    ap.add_argument("--p", type=float, default=3.0)
-    ap.add_argument("--restarts", type=int, default=2)
-    ap.add_argument("--repeat", type=int, default=5)
     ap.add_argument("--out", default=None)
     args = ap.parse_args()
 
-    result = {"p": args.p, "restarts": args.restarts, "repeat": args.repeat,
+    result = {"p": P, "restarts": RESTARTS, "repeat": REPEAT,
               "versions": report.versions(),
-              "N": {str(N): measure(args.p, N, args.restarts, args.repeat)
-                    for N in args.N}}
+              "N": {str(N): measure(N) for N in args.N}}
     text = json.dumps(result, indent=1) + "\n"
     if args.out:
         report.write_atomic(text, args.out)

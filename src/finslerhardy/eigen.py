@@ -272,8 +272,8 @@ def _newton_polish(disc, v, lam, max_iter=60, tol=1e-13):
         step = 1.0
         r0 = np.linalg.norm(r)
         for _ in range(30):
-            rt, _ = disc.weak_residual(v - step * dvv, lam - step * dlam)
-            rt_norm = np.linalg.norm(rt)
+            vt = v - step * dvv
+            rt_norm = np.linalg.norm(disc._residual(vt, lam - step * dlam, _psi(vt, p)))
             if rt_norm < r0 * (1.0 - 1e-4 * step) or rt_norm < 1e-14:
                 break
             step *= 0.5

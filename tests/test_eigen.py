@@ -180,21 +180,32 @@ def test_other_branches_are_pinned_bit_for_bit():
 
 
 def test_principal_solve_stops_at_the_residual_floor(monkeypatch):
-    # only the Newton polish evaluates the weak residual (its step checks,
-    # line-search trials and final value; the descent's gradient does not):
+    # counts the residual evaluations of the Newton polish (its step checks,
+    # line-search trials and final value; not the descent's gradients):
     # about 80 evaluations; a polish that ran all 60 Newton steps with 30
     # halvings each at the residual's round-off floor would take ~1.8k
     calls = []
-    weak_residual = eigen._Disc.weak_residual
+    polishing = []
+    residual = eigen._Disc._residual
+    newton_polish = eigen._newton_polish
 
-    def counted(self, v, lam):
-        calls.append(1)
-        return weak_residual(self, v, lam)
+    def counted(self, v, lam, psi_v):
+        if polishing:
+            calls.append(1)
+        return residual(self, v, lam, psi_v)
 
-    monkeypatch.setattr(eigen._Disc, "weak_residual", counted)
+    def flagged(*args, **kwargs):
+        polishing.append(1)
+        try:
+            return newton_polish(*args, **kwargs)
+        finally:
+            polishing.pop()
+
+    monkeypatch.setattr(eigen._Disc, "_residual", counted)
+    monkeypatch.setattr(eigen, "_newton_polish", flagged)
     pr = eigen.principal_eigenvalue(_p3_problem(), restarts=2)
     assert pr.residual <= 1e-7
-    assert len(calls) <= 600
+    assert 0 < len(calls) <= 600
 
 
 def test_second_solves_each_nodal_domain_once(monkeypatch):

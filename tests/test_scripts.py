@@ -33,7 +33,7 @@ def test_eigen_kernels_script_writes_its_timings(tmp_path):
     out = tmp_path / "kernels.json"
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "eigen_kernels.py"),
-         "--N", "64", "--repeat", "1", "--out", str(out)],
+         "--N", "64", "--out", str(out)],
         capture_output=True, text=True, timeout=300, env=env)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(out.read_text())
