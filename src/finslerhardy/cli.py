@@ -288,10 +288,13 @@ def cmd_eigen(args):
                             geometry=args.geometry, n=args.n)
     pr = eigen.principal_eigenvalue(ep)
     s2 = eigen.second_eigenvalue_and_gap(ep)
+    # the gap from the reported lambda1 (32 restarts), not from the 4-restart
+    # principal solve inside second_eigenvalue_and_gap
+    gap = s2["lambda2"] - pr.lam
     checks = [
         record("principal_residual", pr.residual <= 1e-7, pr.residual, 0.0, 1e-7),
         record("principal_positive", pr.sign_changes == 0, pr.sign_changes, 0, None),
-        record("gap_positive", s2["gap"] > 0.0, s2["gap"], "> 0", None),
+        record("gap_positive", gap > 0.0, gap, "> 0", None),
     ]
     return _emit(args, "eigen",
                  {"p": args.p, "L": args.L, "potential": args.potential,
@@ -299,7 +302,7 @@ def cmd_eigen(args):
                   "n": args.n},
                  checks,
                  payload={"lambda1": pr.lam, "lambda2": s2["lambda2"],
-                          "gap": s2["gap"],
+                          "gap": gap,
                           "residuals": {"principal": pr.residual,
                                         "nodal_mismatch": s2["mismatch"]},
                           "restarts_agreeing": pr.restarts_agreeing})

@@ -19,10 +19,17 @@ by a bordered Newton solve of the Euler-Lagrange system
 
     -(w psi(v'))' + w (V - lambda) psi(v) = 0,   psi(z) = |z|^(p-2) z,
 
-under the normalization ||v||_p = 1.  Newton stops when the weak residual
-and the normalization defect are both below its tolerance, or after an
-update whose line-search step fell below 2**-20: the residual has then
-reached its round-off floor, and further steps do not change the result.
+under the normalization ||v||_p = 1.  The descent only brings each restart
+into the principal mode's basin: it hands over to Newton after a fixed
+budget of ``DESCENT_STEPS`` = 40 steps (or earlier, at a stationary
+point), and Newton finishes from there in a few steps, as in
+descent-then-Newton solvers for the p-Laplacian (Biezuner, Ercole and
+Martins 2009).  Newton stops when the weak residual and the normalization
+defect are both below its tolerance, or after an update whose line-search
+step fell below 2**-20: the residual has then reached its round-off floor,
+and further steps do not change the result.  A hand-over outside the basin
+is not hidden: the solvers raise ``SolverError`` when Newton's weak
+residual ends above 1e-7.
 The second eigenvalue is located by equalizing the two nodal-domain
 principal eigenvalues over the interior zero position (the second
 eigenfunction has exactly one interior zero), which is derivative-free and
@@ -213,12 +220,27 @@ class _Disc:
         return ab
 
 
-def _pg_minimize(disc, v, max_iter=400, gtol=1e-11):
-    """Preconditioned projected gradient with Armijo backtracking."""
+#: descent steps before the hand-over to ``_newton_polish``.  Once in the
+#: basin, further descent steps only crawl down an ill-conditioned tail that
+#: Newton crosses in a few steps.  Over 18 seeds, N = 128 and 1024, p = 1.5,
+#: 3, 4 on the interval and p = 1.5, 2.5 on the n = 3 ball, every restart
+#: converged from 10 steps on, while 5 steps left p = 1.5 ball restarts
+#: outside the basin (Newton's gate raised); 40 keeps a fourfold margin.
+DESCENT_STEPS = 40
+
+
+def _pg_minimize(disc, v, gtol=1e-11):
+    """Preconditioned projected gradient with Armijo backtracking.
+
+    Runs at most ``DESCENT_STEPS`` (40) steps, stopping early at a stationary
+    point (preconditioned gradient norm below ``gtol``) or when the line
+    search finds no decrease.  Its result is a start for ``_newton_polish``,
+    not an eigenpair: Newton's residual gate is what accepts or rejects it.
+    """
     v = disc.normalize(v)
     lam = disc.rayleigh(v)
     tau = 1.0
-    for _ in range(max_iter):
+    for _ in range(DESCENT_STEPS):
         grad = disc.gradient(v, lam)
         pg = disc.precondition(grad)
         gn = abs(float(grad @ pg)) / (abs(lam) + 1.0)

@@ -163,6 +163,26 @@ def test_criterion_14_eigen(battery):
     _crit(battery, "14 eigenvalues", CATALOG["eigen.appendix"])
 
 
+def test_criterion_14_p2_records_match_the_tridiagonal_oracle(battery):
+    # the p = 2 records against the exact eigenvalues of their own discrete
+    # problems, not only against pi^2 to 0.5%: lambda1 at the record's N,
+    # lambda2 and the gap at max(512, N // 2).  Measured at seed 7: 2.2e-11,
+    # 2.6e-11 and 1.2e-11 (lambda2's error is not brentq's: its zero lies
+    # within 5e-15 of 1/2, and xtol = 1e-13 gives the same bits)
+    measured = {r.name: r.measured for r in battery["eigen.appendix"]}
+    N = SuiteConfig(seed=7, quick=False).cells(4096)
+
+    def exact(cells, k):
+        disc = eigen._disc_for(eigen.EigenProblem(p=2.0, L=1.0, N=cells))
+        return oracles.p2_tridiagonal_eigenvalues(disc, k=k)
+
+    (lam1,) = exact(N, 1)
+    mu1, mu2 = exact(max(512, N // 2), 2)
+    assert abs(measured["eigen.p2_lambda1"] / lam1 - 1.0) <= 3e-11
+    assert abs(measured["eigen.p2_lambda2"] / mu2 - 1.0) <= 3e-11
+    assert abs(measured["eigen.p2_gap"] / (mu2 - mu1) - 1.0) <= 2e-11
+
+
 def test_criterion_14_shooting_oracle_cross_check():
     lam_shoot = oracles.shoot_eigen(3.0, 1.0, count_zero=0)
     pr = eigen.principal_eigenvalue(eigen.EigenProblem(p=3.0, L=1.0, N=4096),

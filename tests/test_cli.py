@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from finslerhardy import acceptance, cli, fields
+from finslerhardy import acceptance, cli, eigen, fields
 from finslerhardy.report import mask_timestamp
 
 GREEN_EXAMPLE = Path(__file__).resolve().parents[1] / "scripts" / "green_problem_example.json"
@@ -174,6 +174,25 @@ def test_eigen_subcommand(tmp_path):
     import math
     assert abs(lam1 - (math.pi ** 2 + 1.0)) < 0.05
     assert rep["payload"]["gap"] > 0
+
+
+def test_eigen_gap_is_taken_from_the_reported_lambda1(tmp_path, monkeypatch):
+    # second_eigenvalue_and_gap's own gap rests on a separate 4-restart
+    # principal solve; shift it, as a lambda1 that differs would
+    second = eigen.second_eigenvalue_and_gap
+
+    def other_lambda1(ep):
+        s2 = second(ep)
+        return dict(s2, gap=s2["gap"] + 1.0)
+
+    monkeypatch.setattr(eigen, "second_eigenvalue_and_gap", other_lambda1)
+    out = tmp_path / "e.json"
+    assert run_main(["eigen", "--p", "3", "--grid", "128", "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    payload = rep["payload"]
+    assert payload["gap"] == payload["lambda2"] - payload["lambda1"]
+    (gap_record,) = [c for c in rep["checks"] if c["name"] == "gap_positive"]
+    assert gap_record["measured"] == payload["gap"]
 
 
 def test_suite_only_filter(tmp_path):

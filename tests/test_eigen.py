@@ -208,6 +208,21 @@ def test_principal_solve_stops_at_the_residual_floor(monkeypatch):
     assert 0 < len(calls) <= 600
 
 
+@pytest.mark.parametrize("p, geometry", [(1.5, "interval"), (3.0, "interval"),
+                                         (4.0, "interval"), (1.5, "ball"),
+                                         (2.5, "ball")])
+def test_descent_budget_hands_every_restart_to_the_principal_mode(p, geometry):
+    # the descent stops after DESCENT_STEPS steps; every random restart must
+    # still reach the principal mode, not stop on a higher one
+    for seed in (0, 1, 7, 1183103791):
+        pr = eigen.principal_eigenvalue(
+            eigen.EigenProblem(p=p, L=1.0, N=128, seed=seed, geometry=geometry,
+                               n=3), restarts=4)
+        assert pr.restarts_agreeing == 4, seed
+        assert pr.sign_changes == 0, seed
+        assert pr.residual <= 1e-7, seed
+
+
 def test_second_solves_each_nodal_domain_once(monkeypatch):
     seen = []
     principal_on = eigen._principal_on
