@@ -3,7 +3,10 @@
 Every acceptance criterion maps to one or more named check records; the
 registry fixes the execution order and the record names, so reports are
 byte-stable across runs and thread counts.  ``--quick`` keeps the record
-names, shrinks grids/samples, and relaxes every tolerance by 5x.  The
+names, shrinks grids/samples, and multiplies by 5 each tolerance that goes
+through ``SuiteConfig.tol``; twelve records keep a fixed bound (README).  A
+record's status is one comparison of the numbers it reports (a constructor of
+``report``), except for the composite checks built with the bare ``record``.  The
 norm-calculus, classical-reduction and ground-state checks are defined here
 once and also run by the ``verify-norms`` and ``build-weight`` subcommands.
 
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -25,23 +29,20 @@ import numpy as np
 
 from . import bregman, eigen, fields, green, hardy, norms
 from .norms import GlobalParams
-from .report import CheckRecord, record
+from .report import (CheckRecord, bound, build_report, equals, mask_timestamp, record,
+                     render_json, within, within_rel)
 
 A2 = [[4.0, 0.0], [0.0, 9.0]]
 A3 = [[4.0, 0.0, 0.0], [0.0, 9.0, 0.0], [0.0, 0.0, 1.0]]
 
 #: records that fail for documented mathematical reasons (see README)
 EXPECTED_FAILURES = {
-    "hardy.nullseq_energy_slope.p1.5":
-        "Q_{-W}[u_k] decays like 1/log k for every p; -(p-1) is the X-bound rate",
-    "hardy.nullseq_energy_slope.p3":
-        "Q_{-W}[u_k] decays like 1/log k for every p; -(p-1) is the X-bound rate",
-    "bregman.stability.lp4.p1.5.c_lower":
-        "pure lp(4) lower Bregman envelope has zero infimum (axis degeneracy)",
-    "bregman.stability.lp4.p2.c_lower":
-        "pure lp(4) lower Bregman envelope has zero infimum (axis degeneracy)",
-    "bregman.stability.lp4.p3.c_lower":
-        "pure lp(4) lower Bregman envelope has zero infimum (axis degeneracy)",
+    **{f"hardy.nullseq_energy_slope.p{p}":
+       "Q_{-W}[u_k] decays like 1/log k for every p; -(p-1) is the X-bound rate"
+       for p in ("1.5", "3")},
+    **{f"bregman.stability.lp4.p{p}.c_lower":
+       "pure lp(4) lower Bregman envelope has zero infimum (axis degeneracy)"
+       for p in ("1.5", "2", "3")},
 }
 
 
@@ -109,6 +110,11 @@ NULL_CRITICAL = (("euclidean", 2.0, 3, math.pi), ("lp4", 3.0, 2, None))
 BEST_PN = ((2.0, 3), (3.0, 2))
 GREEN_PS = (1.5, 2.5)
 
+#: criteria 10-11 at full tolerance, shared with ``verify-optimality``: tail
+#: Hardy ratios lie in [1 - RATIO_FLOOR, 1 + RATIO_TAIL], and the weight-mass
+#: slope is within NULL_SLOPE_TOL (relative) of ((p-1)/p)^p c_flux
+RATIO_FLOOR, RATIO_TAIL, NULL_SLOPE_TOL = 1e-3, 0.05, 0.05
+
 
 def _sample_x(fam, m, seed):
     """Base points for an x-dependent family; None when H ignores x."""
@@ -152,7 +158,7 @@ def operator_identity(fam, m, seed, tol):
     xi = norms.sample_vectors(fam.n, m, seed + 11, stream=3)
     a, hp = norms.operator_a(fam, _sample_x(fam, m, seed + 12), xi)
     err = float((np.abs(np.einsum("ij,ij->i", a, xi) - hp) / (1.0 + hp)).max())
-    return [record("operator_identity", err <= tol(1e-12), err, 0.0, tol(1e-12))]
+    return [within("operator_identity", err, 0.0, tol(1e-12))]
 
 
 def homogeneity_monotonicity(fam, m, seed, tol):
@@ -173,8 +179,8 @@ def homogeneity_monotonicity(fam, m, seed, tol):
     scale = (np.linalg.norm(a1, axis=1) + np.linalg.norm(ae, axis=1)) \
         * (np.linalg.norm(xi - eta, axis=1) + 1e-300)
     viol = int(np.sum(inner <= -1e-10 * scale))
-    return [record("homogeneity", hom <= tol(1e-10), hom, 0.0, tol(1e-10)),
-            record("monotonicity", viol == 0, viol, 0, 0)]
+    return [within("homogeneity", hom, 0.0, tol(1e-10)),
+            within("monotonicity", viol, 0, 0)]
 
 
 def dual_calculus(fam, m, seed, tol, n_dirs):
@@ -189,8 +195,8 @@ def dual_calculus(fam, m, seed, tol, n_dirs):
     xi = norms.sample_vectors(fam.n, m, seed + 22, stream=7)
     bid = norms.bidual_norm(fam, xi, seed=seed + 23, n_dirs=n_dirs)
     berr = float(np.abs(bid / norms.norm_eval(fam, None, xi) - 1.0).max())
-    return [record("dual_identity", err <= tol(tol_grad), err, 1.0, tol(tol_grad)),
-            record("biduality", berr <= tol(tol_bid), berr, 1.0, tol(tol_bid))]
+    return [within("dual_identity", err, 0.0, tol(tol_grad)),
+            within("biduality", berr, 0.0, tol(tol_bid))]
 
 
 def check_operator_identity(cfg):
@@ -217,10 +223,10 @@ def check_bregman(cfg):
     out = []
     m = cfg.count(100000, floor=20000)
     est = bregman.verify_bounds(norms.euclidean(2.0, 3), m, seed=cfg.seed + 31)
-    tol = cfg.tol(1e-10)
-    ok = abs(est.c_lower - 1.0) <= tol and abs(est.c_upper - 1.0) <= tol
-    out.append(record("bregman.exact_p2_euclidean", ok,
-                      max(abs(est.c_lower - 1.0), abs(est.c_upper - 1.0)), 0.0, tol))
+    # np.maximum, unlike max, keeps a NaN from either envelope
+    out.append(within("bregman.exact_p2_euclidean",
+                      float(np.maximum(abs(est.c_lower - 1.0), abs(est.c_upper - 1.0))),
+                      0.0, cfg.tol(1e-10)))
     for label in BREGMAN_KINDS:
         for p in BREGMAN_PS:
             fam = _family(label, p, 2)
@@ -229,17 +235,16 @@ def check_bregman(cfg):
             plabel = f"{label}.p{p:g}"
             finite = (e1.c_lower > 0.0 and np.isfinite(e1.c_upper)
                       and e2.c_lower > 0.0 and np.isfinite(e2.c_upper))
+            # composite: both envelopes of both seeds positive and finite
             out.append(record(f"bregman.envelopes.{plabel}", finite,
                               {"c_lower": e1.c_lower, "c_upper": e1.c_upper},
                               "positive finite", None,
                               witness={"lower": e1.witness_lower,
                                        "upper": e1.witness_upper}))
-            dev_u = abs(e1.c_upper / e2.c_upper - 1.0)
-            out.append(record(f"bregman.stability.{plabel}.c_upper",
-                              dev_u <= cfg.tol(0.10), dev_u, 0.0, cfg.tol(0.10)))
-            dev_l = abs(e1.c_lower / e2.c_lower - 1.0)
-            out.append(record(f"bregman.stability.{plabel}.c_lower",
-                              dev_l <= cfg.tol(0.10), dev_l, 0.0, cfg.tol(0.10)))
+            for c in ("c_upper", "c_lower"):
+                dev = abs(getattr(e1, c) / getattr(e2, c) - 1.0)
+                out.append(within(f"bregman.stability.{plabel}.{c}", dev, 0.0,
+                                  cfg.tol(0.10)))
     return out
 
 
@@ -252,7 +257,7 @@ def classical_reduction(hw, x, tol):
     """W = |(p-n)/p|^p |x|^-p at the points x (euclidean dual-power source)."""
     Wref = abs((hw.p - hw.n) / hw.p) ** hw.p * np.linalg.norm(x, axis=1) ** (-hw.p)
     err = float(np.abs(hw.weight(x) / Wref - 1.0).max())
-    return record("classical_reduction", err <= tol(1e-10), err, 0.0, tol(1e-10))
+    return within("classical_reduction", err, 0.0, tol(1e-10))
 
 
 def check_classical_reduction(cfg):
@@ -281,19 +286,18 @@ def check_harmonicity(cfg):
             n_ang = 12 if cfg.quick else (16 if label == "mix" and n == 3 else 24)
             r = fields.weak_residual(fam, G, dom, n_tests=cfg.bumps(),
                                      seed=cfg.seed + 51, n_ang=n_ang)
-            out.append(record(f"fields.harmonicity.{label}.{_pn(p, n)}",
-                              r <= tol, r, 0.0, tol))
+            out.append(within(f"fields.harmonicity.{label}.{_pn(p, n)}", r, 0.0, tol))
     fam = norms.euclidean(2.0, 3)
     bad = fields.FuncField(lambda x: np.linalg.norm(x, axis=-1),
                            grad=lambda x: x / np.linalg.norm(x, axis=-1, keepdims=True))
     rneg = fields.weak_residual(fam, bad, fields.annulus(0.1, 10.0, 3),
                                 n_tests=10, seed=cfg.seed + 52)
-    out.append(record("fields.negative_control", rneg > 1e-2, rneg, "> 0.01", 1e-2))
+    out.append(bound("fields.negative_control", rneg, ">", 0.01, 1e-2))
     fam_log = norms.lp(4, 2.0, 2)
     Glog = fields.LogDualField(fam_log, GlobalParams(2.0, 2), R=50.0)
     rlog = fields.weak_residual(fam_log, Glog, fields.annulus(0.1, 10.0, 2),
                                 n_tests=cfg.bumps(50), seed=cfg.seed + 53)
-    out.append(record("fields.log_dual_gate", rlog <= tol, rlog, 0.0, tol))
+    out.append(within("fields.log_dual_gate", rlog, 0.0, tol))
     return out
 
 
@@ -309,15 +313,14 @@ def check_flux(cfg):
     dom = fields.annulus(1e-4, 1e4, 3)
     fx = fields.level_set_flux(fam, G, dom, 1.0)
     tol = cfg.tol(0.01)
-    out.append(record("fields.flux_newtonian", abs(fx / (4 * math.pi) - 1.0) <= tol,
-                      fx, 4 * math.pi, tol))
+    out.append(within_rel("fields.flux_newtonian", fx, 4 * math.pi, tol))
     for label, (p, n) in FLUX_KINDS.items():
         fam2 = _family(label, p, n)
         G2 = fields.DualPowerField(fam2, GlobalParams(p, n))
         dom2 = fields.annulus(1e-5, 1e5, n)
         levels = np.geomspace(0.3, 30.0, 10)
         _, cv = fields.flux_constancy(fam2, G2, dom2, levels)
-        out.append(record(f"fields.flux_constancy.{label}", cv <= tol, cv, 0.0, tol))
+        out.append(within(f"fields.flux_constancy.{label}", cv, 0.0, tol))
     return out
 
 
@@ -342,15 +345,14 @@ def check_ground_state(cfg):
     seed = cfg.seed + 61
     hw = _standard_weight(2.0, 3, bracket=(1e-8, 1e8))
     r_euc = ground_state_residual(hw, fields.annulus(0.1, 10.0, 3), cfg.bumps(40), seed)
-    out.append(record("hardy.ground_state_residual.euclidean", r_euc <= tol,
-                      r_euc, 0.0, tol))
+    out.append(within("hardy.ground_state_residual.euclidean", r_euc, 0.0, tol))
     hw = _standard_weight(3.0, 2, norms.lp(4, 3.0, 2), bracket=(1e-8, 1e8))
     r_coarse, r_fine = (
         ground_state_residual(hw, fields.annulus(0.1, 10.0, 2), cfg.bumps(30), seed,
                               layout="ball", n_rho=n_rho, n_ang=2 * n_rho)
         for n_rho in (12, 24))
-    out.append(record("hardy.ground_state_residual.lp4", r_coarse <= tol,
-                      r_coarse, 0.0, tol))
+    out.append(within("hardy.ground_state_residual.lp4", r_coarse, 0.0, tol))
+    # composite: the fine residual against half the coarse one
     out.append(record("hardy.ground_state_residual.halving",
                       r_fine <= 0.5 * r_coarse,
                       {"coarse": r_coarse, "fine": r_fine}, "fine <= coarse/2", 0.5))
@@ -373,84 +375,93 @@ def check_nullseq_decay(cfg):
         x = np.log(np.log(np.array(ns.k_list, dtype=float)))
         slope_q = float(np.polyfit(x, np.log(ns.energies), 1)[0])
         tol = cfg.tol(0.15)
-        out.append(record(f"hardy.nullseq_energy_slope.p{p:g}",
-                          abs(slope_q - (-(p - 1.0))) <= tol, slope_q,
+        out.append(within(f"hardy.nullseq_energy_slope.p{p:g}", slope_q,
                           -(p - 1.0), tol))
         mono = all(e1 > e2 for e1, e2 in
                    zip(ns.energies[ns.k0:], ns.energies[ns.k0 + 1:]))
+        # composite: every step of the sequence past k0
         out.append(record(f"hardy.nullseq_monotone.p{p:g}", mono,
                           {"k0_index": ns.k0}, "strictly decreasing", None))
         slope_x = float(np.polyfit(x, np.log(ns.x_grad), 1)[0])
-        out.append(record(f"hardy.nullseq_bound_slope.p{p:g}",
-                          abs(slope_x - (-(p - 1.0))) <= tol, slope_x,
+        out.append(within(f"hardy.nullseq_bound_slope.p{p:g}", slope_x,
                           -(p - 1.0), tol))
         laws = [hardy.transition_energy_law(p, cf, k) for k in ns.k_list]
         lerr = max(abs(e / l - 1.0) for e, l in zip(ns.energies, laws))
-        out.append(record(f"hardy.nullseq_energy_law.p{p:g}",
-                          lerr <= cfg.tol(1e-3), lerr, 0.0, cfg.tol(1e-3)))
+        out.append(within(f"hardy.nullseq_energy_law.p{p:g}", lerr, 0.0,
+                          cfg.tol(1e-3)))
         mslope = float(np.polyfit(np.log(ns.k_list), ns.masses, 1)[0])
         mlaw = hardy.weight_mass_slope_law(p, cf)
-        out.append(record(f"hardy.nullseq_mass_slope.p{p:g}",
-                          abs(mslope / mlaw - 1.0) <= cfg.tol(0.05),
-                          mslope, mlaw, cfg.tol(0.05)))
+        out.append(within_rel(f"hardy.nullseq_mass_slope.p{p:g}", mslope, mlaw,
+                              cfg.tol(0.05)))
     return out
 
 
 def check_null_criticality(cfg):
     out = []
-    tol = cfg.tol(0.05)
+    tol = cfg.tol(NULL_SLOPE_TOL)
     for kind, p, n, expect in NULL_CRITICAL:
         label = f"{kind}_{_pn(p, n)}"
         hw = _standard_weight(p, n, _family(kind, p, n))
         nc = hardy.verify_null_criticality(hw, [1e-1, 1e-2, 1e-3, 1e-4], T=1.0)
-        ok = nc["rel_err"] <= tol
-        out.append(record(f"hardy.null_criticality.{label}", ok,
-                          nc["slope"], nc["expected_slope"], tol))
+        out.append(within_rel(f"hardy.null_criticality.{label}", nc["slope"],
+                              nc["expected_slope"], tol))
         if expect is not None:
-            out.append(record(f"hardy.null_criticality.{label}.value",
-                              abs(nc["slope"] / expect - 1.0) <= tol,
-                              nc["slope"], expect, tol))
+            out.append(within_rel(f"hardy.null_criticality.{label}.value",
+                                  nc["slope"], expect, tol))
     hw = hardy.build_weight_zero_potential(
         norms.euclidean(3.0, 2), GlobalParams(3.0, 2),
         fields.synthetic_capped_profile(2.0, 10.0, a=2.0, b=0.0),
         sigma=2.0, bracket=(1e-2, 10.0 * (1.0 - 1e-10)))
     lb = hardy.capped_null_criticality_lower_bound(hw, [1e-3, 1e-4])
+    # composite: lhs >= rhs at each level
     out.append(record("hardy.null_criticality.capped_lower_bound",
                       all(r["ok"] for r in lb),
                       [r["lhs"] / r["rhs"] for r in lb], ">= 1", None))
     return out
 
 
+def _one_minus(t):
+    """``1 - t`` with t in shortest scientific form: ``1 - 1e-3``."""
+    return f"1 - {np.format_float_scientific(t, trim='-', exp_digits=1)}"
+
+
+def optimality_infima(name, infima, tol):
+    """Tail Hardy-ratio infima in [1 - RATIO_FLOOR, 1 + RATIO_TAIL]."""
+    low, hi = tol(RATIO_FLOOR), 1.0 + tol(RATIO_TAIL)
+    # composite: one bound pair per tail level, the floor stated as 1 - tol
+    return record(name, all(1.0 - low <= v <= hi for v in infima.values()), infima,
+                  f"in [{_one_minus(low)}, {hi:g}]", None)
+
+
 def check_best_constant(cfg):
     out = []
     kexp = cfg.kmax_exp()
     ks = [2 ** j for j in range(4, kexp + 1)]
-    tol_low = cfg.tol(1e-3)
-    tail = 1.0 + cfg.tol(0.05)
-    floor_text = f"1 - {tol_low:.0e}".replace("e-0", "e-")
+    tol_low = cfg.tol(RATIO_FLOOR)
     seqs = []
     for (p, n) in BEST_PN:
         hw = _standard_weight(p, n)
         ns = hardy.null_sequence(hw, ks)
         seqs.append((hw, ns))
-        above = all(r >= 1.0 - tol_low for r in ns.ratios)
-        out.append(record(f"hardy.ratio_floor.p{p:g}", above,
-                          min(ns.ratios), f">= {floor_text}", tol_low))
-        out.append(record(f"hardy.ratio_tail.p{p:g}", ns.ratios[-1] <= tail,
-                          ns.ratios[-1], f"<= {tail:g}", cfg.tol(0.05)))
+        # composite: the floor is stated as 1 - tol, not as a number
+        out.append(record(f"hardy.ratio_floor.p{p:g}",
+                          all(r >= 1.0 - tol_low for r in ns.ratios),
+                          min(ns.ratios), f">= {_one_minus(tol_low)}", tol_low))
+        out.append(bound(f"hardy.ratio_tail.p{p:g}", ns.ratios[-1], "<=",
+                         1.0 + cfg.tol(RATIO_TAIL), cfg.tol(RATIO_TAIL)))
         drops = np.diff(ns.ratios)
+        # composite: every step of the ratio sequence
         out.append(record(f"hardy.ratio_monotone.p{p:g}",
                           bool(np.all(drops <= 0.05)), float(drops.max()),
                           "non-increasing within 0.05", 0.05))
     hw = _standard_weight(2.0, 3)
     probe = hardy.optimality_at_infinity_probe(
         hw, [1e-1, 1e-2], k_list=tuple(2 ** j for j in range(2, kexp + 1, 2)))
-    inf_ok = all(1.0 - tol_low <= v <= tail for v in probe["infima"].values())
-    out.append(record("hardy.optimality_infima", inf_ok, probe["infima"],
-                      f"in [{floor_text}, {tail:g}]", None))
-    lam_half = all(row["halfweight_energy"] > 0.0 for row in probe["table"])
-    out.append(record("hardy.optimality_halflambda", lam_half,
-                      "Q_{V-W/2} > 0 on all probes", "> 0", None))
+    out.append(optimality_infima("hardy.optimality_infima", probe["infima"], cfg.tol))
+    # np.min, unlike min, keeps a NaN energy
+    out.append(bound("hardy.optimality_halflambda",
+                     float(np.min([row["halfweight_energy"] for row in probe["table"]])),
+                     ">", 0))
     # monotonicity probe: within each tail level, the members capturing more
     # weight-mass have the smaller ratios (location alone cannot matter: the
     # standard weight is scale invariant and ratios depend on log-width only)
@@ -463,6 +474,7 @@ def check_best_constant(cfg):
         mono = all(a >= b for a, b in zip(ratios, ratios[1:]))
         detail[e] = {"ratios_by_mass": ratios}
         sane = sane and mono
+    # composite: ratio order against mass order at each tail level
     out.append(record("hardy.optimality_mass_monotonicity", sane, detail,
                       "ratio decreases with captured weight-mass", None))
     bound_rows = []
@@ -470,13 +482,12 @@ def check_best_constant(cfg):
         est = bregman.verify_bounds(norms.euclidean(p, n), cfg.count(20000),
                                     seed=cfg.seed + 71 + i)
         rows = hardy.simplified_energy_bound_check(hw, ns, est.c_upper)
-        out.append(record(f"hardy.simplified_energy_bound.p{p:g}",
-                          all(r["ok"] for r in rows),
-                          max(r["energy"] / r["bound"] for r in rows), "<= 1", None))
+        out.append(bound(f"hardy.simplified_energy_bound.p{p:g}",
+                         float(np.max([r["energy"] / r["bound"] for r in rows])),
+                         "<=", 1))
         bound_rows.append(rows)
     xlaw_err = max(r["x_law_rel_err"] for r in bound_rows[0])
-    out.append(record("hardy.x_closed_form.p2", xlaw_err <= cfg.tol(0.02),
-                      xlaw_err, 0.0, cfg.tol(0.02)))
+    out.append(within("hardy.x_closed_form.p2", xlaw_err, 0.0, cfg.tol(0.02)))
     return out
 
 
@@ -492,18 +503,15 @@ def check_green(cfg):
     phi = green.BumpDensity(0.5, 1.0, 1.0, 3)
     gp = green.solve_green(green.RadialProblem(p=2.0, n=3, phi=phi, R_out=100.0,
                                                n_cells=cells))
-    out.append(record("green.residual.p2", gp.residual <= 1e-8, gp.residual,
-                      0.0, 1e-8))
+    out.append(within("green.residual.p2", gp.residual, 0.0, 1e-8))
     beta, A, B = green.farfield_exponent(gp)
-    out.append(record("green.farfield_exponent.p2n3",
-                      abs(beta - (-1.0)) <= tol_b, beta, -1.0, tol_b))
-    out.append(record("green.farfield_amplitude.p2n3",
-                      abs(A / (1.0 / (4.0 * math.pi)) - 1.0) <= cfg.tol(0.01),
-                      A, 1.0 / (4.0 * math.pi), cfg.tol(0.01)))
+    out.append(within("green.farfield_exponent.p2n3", beta, -1.0, tol_b))
+    out.append(within_rel("green.farfield_amplitude.p2n3", A, 1.0 / (4.0 * math.pi),
+                          cfg.tol(0.01)))
     fb = green.flux_bound_check(gp)
-    out.append(record("green.flux_identity.p2n3",
-                      fb["worst_identity_rel_err"] <= cfg.tol(0.01),
-                      fb["worst_identity_rel_err"], 0.0, cfg.tol(0.01)))
+    out.append(within("green.flux_identity.p2n3", fb["worst_identity_rel_err"], 0.0,
+                      cfg.tol(0.01)))
+    # composite: the flux upper bound and the floor
     out.append(record("green.flux_bounds.p2n3", fb["upper_ok"] and fb["floor_ok"],
                       {"C0": fb["C0"], "M_phi": fb["M_phi"]}, "bounds hold", None))
     for p in GREEN_PS:
@@ -511,11 +519,9 @@ def check_green(cfg):
             p=p, n=3, phi=phi, R_out=100.0 if p > 2 else 50.0, n_cells=cells))
         bet, _, _ = green.farfield_exponent(gpp)
         expect = (p - 3.0) / (p - 1.0)
-        out.append(record(f"green.farfield_exponent.p{p:g}n3",
-                          abs(bet - expect) <= tol_b, bet, expect, tol_b))
+        out.append(within(f"green.farfield_exponent.p{p:g}n3", bet, expect, tol_b))
         fbp = green.flux_bound_check(gpp)
-        out.append(record(f"green.flux_identity.p{p:g}n3",
-                          fbp["worst_identity_rel_err"] <= cfg.tol(0.01),
+        out.append(within(f"green.flux_identity.p{p:g}n3",
                           fbp["worst_identity_rel_err"], 0.0, cfg.tol(0.01)))
     return out
 
@@ -531,6 +537,7 @@ def check_green_weight(cfg):
     fam = norms.euclidean(2.0, 3)
     hw = hardy.build_weight_green(fam, GlobalParams(2.0, 3), gp, V, prob.phi)
     hyp = hw.hypotheses
+    # composite: a finite |V| integral and a nonpositive or negative-mean V
     out.append(record("hardy.green_hypotheses",
                       np.isfinite(hyp["abs_potential_integral"])
                       and (hyp["V_nonpositive"] or hyp["signed_potential_integral"] < 0),
@@ -538,14 +545,13 @@ def check_green_weight(cfg):
     dom = fields.annulus(prob.phi.r_a / 5.0, prob.R_out / 8.0, 3)
     res = ground_state_residual(hw, dom, cfg.bumps(40), cfg.seed + 81)
     tol = cfg.tol(1e-5)
-    out.append(record("hardy.green_ground_state_residual", res <= tol,
-                      res, 0.0, tol))
+    out.append(within("hardy.green_ground_state_residual", res, 0.0, tol))
     gmin, _ = hw.profile_range(hw.g)
     T = float(gp.profile(np.asarray([prob.phi.r_a]))[0]) * 0.5
     taus = np.geomspace(gmin * 4.0, T / 4.0, 5)
     nc = hardy.verify_null_criticality(hw, taus, T=T)
-    out.append(record("hardy.green_mass_slope", nc["rel_err"] <= cfg.tol(0.05),
-                      nc["slope"], nc["expected_slope"], cfg.tol(0.05)))
+    out.append(within_rel("hardy.green_mass_slope", nc["slope"], nc["expected_slope"],
+                          cfg.tol(NULL_SLOPE_TOL)))
     return out
 
 
@@ -559,50 +565,33 @@ def check_eigen(cfg):
     N = cfg.cells(4096)
     restarts = 3 if cfg.quick else 32
     xt = 1e-5 if cfg.quick else 1e-9
-    pr2 = eigen.principal_eigenvalue(eigen.EigenProblem(p=2.0, L=1.0, N=N,
-                                                        seed=cfg.seed),
-                                     restarts=restarts)
-    out.append(record("eigen.p2_lambda1",
-                      abs(pr2.lam / math.pi ** 2 - 1.0) <= cfg.tol(0.005),
-                      pr2.lam, math.pi ** 2, cfg.tol(0.005)))
-    out.append(record("eigen.p2_positive", pr2.sign_changes == 0,
-                      pr2.sign_changes, 0, None))
-    out.append(record("eigen.p2_agreement", pr2.restarts_agreeing == restarts,
-                      pr2.restarts_agreeing, restarts, None))
-    out.append(record("eigen.p2_rayleigh_consistency",
-                      abs(pr2.rayleigh / pr2.lam - 1.0) <= 1e-9,
+
+    def problem(p, cells, V=None):
+        return eigen.EigenProblem(p=p, L=1.0, V=V, N=cells, seed=cfg.seed)
+
+    pr2 = eigen.principal_eigenvalue(problem(2.0, N), restarts=restarts)
+    out.append(within_rel("eigen.p2_lambda1", pr2.lam, math.pi ** 2, cfg.tol(0.005)))
+    out.append(equals("eigen.p2_positive", pr2.sign_changes, 0))
+    out.append(equals("eigen.p2_agreement", pr2.restarts_agreeing, restarts))
+    out.append(within("eigen.p2_rayleigh_consistency",
                       abs(pr2.rayleigh / pr2.lam - 1.0), 0.0, 1e-9))
-    s2 = eigen.second_eigenvalue_and_gap(eigen.EigenProblem(
-        p=2.0, L=1.0, N=max(512, N // 2), seed=cfg.seed), restarts=4, xtol=xt)
-    out.append(record("eigen.p2_lambda2",
-                      abs(s2["lambda2"] / (4 * math.pi ** 2) - 1.0) <= 0.005,
-                      s2["lambda2"], 4 * math.pi ** 2, 0.005))
-    out.append(record("eigen.p2_gap",
-                      abs(s2["gap"] / (3 * math.pi ** 2) - 1.0) <= 0.005,
-                      s2["gap"], 3 * math.pi ** 2, 0.005))
-    pr3 = eigen.principal_eigenvalue(eigen.EigenProblem(p=3.0, L=1.0, N=N,
-                                                        seed=cfg.seed),
-                                     restarts=restarts)
+    s2 = eigen.second_eigenvalue_and_gap(problem(2.0, max(512, N // 2)), restarts=4,
+                                         xtol=xt)
+    out.append(within_rel("eigen.p2_lambda2", s2["lambda2"], 4 * math.pi ** 2, 0.005))
+    out.append(within_rel("eigen.p2_gap", s2["gap"], 3 * math.pi ** 2, 0.005))
+    pr3 = eigen.principal_eigenvalue(problem(3.0, N), restarts=restarts)
     lam3 = 2.0 * eigen.p_sine_constant(3.0) ** 3
-    out.append(record("eigen.p3_lambda1",
-                      abs(pr3.lam / lam3 - 1.0) <= cfg.tol(1e-3),
-                      pr3.lam, lam3, cfg.tol(1e-3)))
-    s3 = eigen.second_eigenvalue_and_gap(eigen.EigenProblem(
-        p=3.0, L=1.0, N=max(512, N // 2), seed=cfg.seed), restarts=4, xtol=xt)
+    out.append(within_rel("eigen.p3_lambda1", pr3.lam, lam3, cfg.tol(1e-3)))
+    s3 = eigen.second_eigenvalue_and_gap(problem(3.0, max(512, N // 2)), restarts=4,
+                                         xtol=xt)
     lam23 = 2.0 * (2.0 * eigen.p_sine_constant(3.0)) ** 3
-    out.append(record("eigen.p3_lambda2",
-                      abs(s3["lambda2"] / lam23 - 1.0) <= cfg.tol(1e-2),
-                      s3["lambda2"], lam23, cfg.tol(1e-2)))
+    out.append(within_rel("eigen.p3_lambda2", s3["lambda2"], lam23, cfg.tol(1e-2)))
     # constant-shift identity
-    pr0 = eigen.principal_eigenvalue(eigen.EigenProblem(p=2.0, L=1.0, N=1024,
-                                                        seed=cfg.seed), restarts=4)
-    prc = eigen.principal_eigenvalue(eigen.EigenProblem(
-        p=2.0, L=1.0,
-        V=lambda x: np.full_like(np.asarray(x, dtype=float), 2.5),
-        N=1024, seed=cfg.seed), restarts=4)
-    shift_err = abs(prc.lam - pr0.lam - 2.5)
-    out.append(record("eigen.constant_shift", shift_err <= 1e-8, shift_err,
-                      0.0, 1e-8))
+    pr0 = eigen.principal_eigenvalue(problem(2.0, 1024), restarts=4)
+    prc = eigen.principal_eigenvalue(
+        problem(2.0, 1024, lambda x: np.full_like(np.asarray(x, dtype=float), 2.5)),
+        restarts=4)
+    out.append(within("eigen.constant_shift", abs(prc.lam - pr0.lam - 2.5), 0.0, 1e-8))
     # isolation signature: random bounded potentials
     n_pots = 4 if cfg.quick else 20
     N_gap = (384, 768) if cfg.quick else (512, 1024)
@@ -619,36 +608,30 @@ def check_eigen(cfg):
             return sum(ci * np.cos((i + 1) * math.pi * x)
                        for i, ci in enumerate(c))
 
-        g1 = eigen.second_eigenvalue_and_gap(
-            eigen.EigenProblem(p=2.0, L=1.0, V=V, N=N_gap[0], seed=cfg.seed),
-            restarts=2, xtol=xt_gap)
-        g2 = eigen.second_eigenvalue_and_gap(
-            eigen.EigenProblem(p=2.0, L=1.0, V=V, N=N_gap[1], seed=cfg.seed),
-            restarts=2, xtol=xt_gap)
+        g1, g2 = (eigen.second_eigenvalue_and_gap(problem(2.0, cells, V), restarts=2,
+                                                  xtol=xt_gap) for cells in N_gap)
         stab = abs(g1["gap"] / g2["gap"] - 1.0)
         worst_stab = max(worst_stab, stab)
         if not (g1["gap"] > 0.0 and stab <= stab_tol):
             bad += 1
+    # composite: gap > 0 and mesh stability for each potential
     out.append(record("eigen.gap_random_battery", bad == 0,
                       {"violations": bad, "worst_stability": worst_stab},
                       "gap > 0, stable under mesh doubling", stab_tol))
     probe = eigen.eigenpair_convergence_probe(
-        eigen.EigenProblem(p=2.0, L=1.0,
-                           V=lambda x: 1.5 * np.sin(2 * math.pi * np.asarray(x)),
-                           N=1024, seed=cfg.seed),
+        problem(2.0, 1024, lambda x: 1.5 * np.sin(2 * math.pi * np.asarray(x))),
         k_list=(2, 4, 8) if cfg.quick else (2, 4, 8, 16, 32), restarts=4)
-    shift_ok = all(r["shift_err"] <= 1e-8 for r in probe["shift"])
-    out.append(record("eigen.convergence_shift", shift_ok,
-                      max(r["shift_err"] for r in probe["shift"]), 0.0, 1e-8))
+    # np.max, unlike max, keeps a NaN
+    out.append(within("eigen.convergence_shift",
+                      float(np.max([r["shift_err"] for r in probe["shift"]])), 0.0, 1e-8))
     dists = [r["dist"] for r in probe["relative"]]
     ks = [r["k"] for r in probe["relative"]]
     fit = float(np.polyfit(np.log(ks), np.log(dists), 1)[0])
-    out.append(record("eigen.convergence_rate", -1.35 <= fit <= -0.65, fit,
-                      -1.0, 0.35))
-    norm_ok = all(abs(r["norm"] - 1.0) <= 1e-10
-                  for r in probe["shift"] + probe["relative"])
-    out.append(record("eigen.convergence_normalization", norm_ok,
-                      "all normalized", 1.0, 1e-10))
+    out.append(within("eigen.convergence_rate", fit, -1.0, 0.35))
+    # the norm farthest from 1 (np.argmax picks a NaN first)
+    nrm = np.array([r["norm"] for r in probe["shift"] + probe["relative"]])
+    out.append(within("eigen.convergence_normalization",
+                      float(nrm[np.argmax(np.abs(nrm - 1.0))]), 1.0, 1e-10))
     return out
 
 
@@ -659,17 +642,15 @@ def check_eigen(cfg):
 
 
 def check_determinism(cfg):
-    from .report import build_report, mask_timestamp, render_json
-
     sub = SuiteConfig(seed=cfg.seed, quick=True, threads=1)
     texts = []
     for _ in range(2):
         recs = check_operator_identity(sub) + check_classical_reduction(sub)
         rep = build_report("determinism-probe", {"seed": sub.seed}, recs)
         texts.append(mask_timestamp(render_json(rep)))
-    return [record("cli.determinism_probe", texts[0] == texts[1],
-                    "byte-identical" if texts[0] == texts[1] else "mismatch",
-                    "byte-identical", None)]
+    return [equals("cli.determinism_probe",
+                   "byte-identical" if texts[0] == texts[1] else "mismatch",
+                   "byte-identical")]
 
 
 REGISTRY = [
@@ -711,8 +692,7 @@ CATALOG = {
     "fields.flux": ["fields.flux_newtonian"] + [
         f"fields.flux_constancy.{k}" for k in FLUX_KINDS],
     "hardy.ground_state": [
-        "hardy.ground_state_residual.euclidean",
-        "hardy.ground_state_residual.lp4", "hardy.ground_state_residual.halving"],
+        f"hardy.ground_state_residual.{c}" for c in ("euclidean", "lp4", "halving")],
     "hardy.nullseq": [
         f"hardy.nullseq_{c}.p{p:g}" for p, _ in NULLSEQ_PN
         for c in ("energy_slope", "monotone", "bound_slope", "energy_law", "mass_slope")],
@@ -735,8 +715,7 @@ CATALOG = {
         f"green.{c}.p{p:g}n3" for p in GREEN_PS
         for c in ("farfield_exponent", "flux_identity")],
     "hardy.green_weight": [
-        "hardy.green_hypotheses", "hardy.green_ground_state_residual",
-        "hardy.green_mass_slope"],
+        f"hardy.green_{c}" for c in ("hypotheses", "ground_state_residual", "mass_slope")],
     "eigen.appendix": [
         "eigen.p2_lambda1", "eigen.p2_positive", "eigen.p2_agreement",
         "eigen.p2_rayleigh_consistency", "eigen.p2_lambda2", "eigen.p2_gap",
@@ -757,8 +736,6 @@ def run_battery(cfg, only=None):
     in parallel; assembly order is the fixed registry order, so reports are
     deterministic for a given config.
     """
-    import re
-
     pattern = re.compile(only) if only else None
     groups = REGISTRY
     if pattern:

@@ -451,8 +451,7 @@ def verify_null_criticality(hw, tau_list, T):
     slope, intercept = np.polyfit(x, y, 1)
     expected = ((p - 1.0) / p) ** p * hw.flux_constant()
     return {"rows": rows, "slope": float(slope), "intercept": float(intercept),
-            "expected_slope": float(expected),
-            "rel_err": float(abs(slope / expected - 1.0)), "T": float(T)}
+            "expected_slope": float(expected), "T": float(T)}
 
 
 def capped_null_criticality_lower_bound(hw, t_list):

@@ -7,6 +7,7 @@ import dataclasses
 import datetime
 import io
 import json
+import operator
 import os
 import platform
 import re
@@ -15,7 +16,9 @@ import tempfile
 
 @dataclasses.dataclass
 class CheckRecord:
-    """One named check with its measurement, expectation, and witness."""
+    """One named check with its measurement, expectation, and witness.  ``kind``
+    names the comparison that decided ``status`` (None for a composite check);
+    it is not part of the report."""
 
     name: str
     status: str                 # pass | fail | skipped
@@ -23,6 +26,7 @@ class CheckRecord:
     expected: object = None
     tolerance: object = None
     witness: dict | None = None
+    kind: str | None = None
 
     def as_dict(self):
         return {
@@ -36,10 +40,39 @@ class CheckRecord:
 
 
 def record(name, ok, measured=None, expected=None, tolerance=None, witness=None,
-           skipped=False):
-    status = "skipped" if skipped else ("pass" if ok else "fail")
-    return CheckRecord(name=name, status=status, measured=measured,
-                       expected=expected, tolerance=tolerance, witness=witness)
+           kind=None):
+    """A record with status ``ok``.  Called bare, it is a composite check that
+    the caller decides; the comparison constructors below pass their kind."""
+    return CheckRecord(name, "pass" if ok else "fail", measured, expected, tolerance,
+                       witness, kind)
+
+
+# Comparison constructors: each decides the status from the fields it writes,
+# so the bound a record states is the bound its status used.
+
+
+def within(name, measured, expected, tolerance):
+    """|measured - expected| <= tolerance."""
+    return record(name, abs(measured - expected) <= tolerance, measured, expected,
+                  tolerance, kind="within")
+
+
+def within_rel(name, measured, expected, tolerance):
+    """|measured / expected - 1| <= tolerance."""
+    return record(name, abs(measured / expected - 1.0) <= tolerance, measured,
+                  expected, tolerance, kind="within_rel")
+
+
+def bound(name, measured, op, limit, tolerance=None):
+    """measured <op> limit, op one of <=, >=, >; expected reads "<op> <limit>"
+    and tolerance is only reported."""
+    ok = {"<=": operator.le, ">=": operator.ge, ">": operator.gt}[op](measured, limit)
+    return record(name, ok, measured, f"{op} {limit}", tolerance, kind="bound")
+
+
+def equals(name, measured, expected):
+    """measured == expected."""
+    return record(name, measured == expected, measured, expected, kind="equals")
 
 
 def versions():
@@ -79,13 +112,8 @@ def render_json(report):
 
 
 def render_csv(report):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["name", "status", "measured", "expected", "tolerance"])
-    for c in report["checks"]:
-        writer.writerow([c["name"], c["status"], c["measured"], c["expected"],
-                         c["tolerance"]])
-    return buf.getvalue()
+    cols = ["name", "status", "measured", "expected", "tolerance"]
+    return rows_to_csv(cols, ([c[k] for k in cols] for c in report["checks"]))
 
 
 def write_atomic(text, path):
@@ -114,6 +142,5 @@ def rows_to_csv(header, rows):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     return buf.getvalue()

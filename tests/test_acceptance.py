@@ -15,10 +15,10 @@ import sys
 import numpy as np
 import pytest
 
-from finslerhardy import acceptance, green, eigen
+from finslerhardy import acceptance, green, eigen, hardy
 from finslerhardy.acceptance import (CATALOG, EXPECTED_FAILURES, REGISTRY,
                                      SuiteConfig)
-from finslerhardy.report import mask_timestamp
+from finslerhardy.report import build_report, mask_timestamp, render_json
 
 import oracles
 
@@ -30,6 +30,11 @@ def battery():
     for name, fn in REGISTRY:
         out[name] = fn(cfg)
     return out
+
+
+@pytest.fixture(scope="session")
+def quick_battery():
+    return acceptance.run_battery(SuiteConfig(seed=7, quick=True, threads=1))
 
 
 def _crit(battery, label, names, allow_expected_failures=False):
@@ -124,9 +129,9 @@ def test_criterion_11_best_constant(battery):
           CATALOG["hardy.best_constant"])
 
 
-def test_best_constant_expected_states_the_applied_bound(battery):
-    # --quick relaxes every tolerance x5; the expected text must follow
-    quick = acceptance.check_best_constant(SuiteConfig(seed=7, quick=True, threads=1))
+def test_best_constant_expected_states_the_applied_bound(battery, quick_battery):
+    # --quick relaxes the ratio floor and tail x5; the expected text must follow
+    quick = [r for r in quick_battery if r.name in CATALOG["hardy.best_constant"]]
     for recs, floor, tail in ((battery["hardy.best_constant"], "1 - 1e-3", "1.05"),
                               (quick, "1 - 5e-3", "1.25")):
         expected = {r.name: r.expected for r in recs}
@@ -226,3 +231,157 @@ def test_suite_has_enough_records(battery):
     total = sum(len(v) for v in battery.values())
     print(f"suite: {total} named records")
     assert total >= 25
+
+
+# ---------------------------------------------------------------------------
+# every record's status follows from the bound it states
+# ---------------------------------------------------------------------------
+
+#: the records whose status is not one comparison of their own fields
+COMPOSITE = {
+    *(f"bregman.envelopes.{k}.p{p:g}" for k in acceptance.BREGMAN_KINDS
+      for p in acceptance.BREGMAN_PS),
+    "hardy.ground_state_residual.halving", "hardy.nullseq_monotone.p1.5",
+    "hardy.nullseq_monotone.p2", "hardy.nullseq_monotone.p3",
+    "hardy.null_criticality.capped_lower_bound", "hardy.ratio_floor.p2",
+    "hardy.ratio_floor.p3", "hardy.ratio_monotone.p2", "hardy.ratio_monotone.p3",
+    "hardy.optimality_infima", "hardy.optimality_mass_monotonicity",
+    "green.flux_bounds.p2n3", "hardy.green_hypotheses", "eigen.gap_random_battery",
+}
+
+_OPS = {"<=": lambda m, b: m <= b, ">=": lambda m, b: m >= b, ">": lambda m, b: m > b}
+
+#: each kind's pass condition on the rendered fields (measured, expected, tolerance)
+KINDS = {
+    "within": lambda m, e, t: abs(m - e) <= t,
+    "within_rel": lambda m, e, t: abs(m / e - 1.0) <= t,
+    "bound": lambda m, e, t: _OPS[e.split()[0]](m, float(e.split()[1])),
+    "equals": lambda m, e, t: m == e,
+}
+
+
+def _rendered(records):
+    """(kind, fields as the JSON report renders them) for each record."""
+    checks = json.loads(render_json(build_report("suite", {}, records)))["checks"]
+    return [(r.kind, c) for r, c in zip(records, checks)]
+
+
+def _all(battery):
+    return [r for group in battery.values() for r in group]
+
+
+@pytest.mark.parametrize("grids", ["full", "quick"])
+def test_status_follows_from_the_stated_bound(battery, quick_battery, grids):
+    rendered = _rendered(_all(battery) if grids == "full" else quick_battery)
+    assert len(rendered) == 137
+    assert {c["name"] for kind, c in rendered if kind is None} == COMPOSITE
+    for kind, c in rendered:
+        if kind is not None:
+            ok = KINDS[kind](c["measured"], c["expected"], c["tolerance"])
+            assert c["status"] == ("pass" if ok else "fail"), c
+
+
+#: floor(log10(error / tolerance)) at seed 7 on full grids, for every within and
+#: within_rel record with tolerance > 0 (error |m - e| or |m / e - 1|).  Errors
+#: at or below 1e-12 max(1, |e|) are "exact": their last bits move with what
+#: earlier groups allocated.  A change that moves a decade updates it here.
+ERROR_DECADES = {
+    "exact": [
+        "norms.operator_identity.euclidean", "norms.operator_identity.lp4",
+        "norms.operator_identity.quad", "norms.operator_identity.mix",
+        "norms.operator_identity.weighted", "norms.homogeneity.euclidean",
+        "norms.homogeneity.lp4", "norms.homogeneity.quad", "norms.homogeneity.mix",
+        "norms.homogeneity.weighted", "norms.dual_identity.euclidean",
+        "norms.biduality.euclidean", "norms.dual_identity.lp4",
+        "norms.dual_identity.quad", "norms.biduality.quad",
+        "norms.dual_identity.mix", "norms.biduality.mix",
+        "bregman.exact_p2_euclidean", "hardy.classical_reduction.p1.5_n2",
+        "hardy.classical_reduction.p2_n3", "hardy.classical_reduction.p3_n2",
+        "hardy.classical_reduction.p5_n3", "fields.harmonicity.euclidean.p3_n2",
+        "fields.harmonicity.lp4.p3_n2", "fields.harmonicity.quad.p3_n2",
+        "fields.harmonicity.mix.p3_n2", "fields.harmonicity.euclidean.p1.5_n3",
+        "fields.harmonicity.lp4.p1.5_n3", "fields.harmonicity.quad.p1.5_n3",
+        "fields.harmonicity.mix.p1.5_n3", "fields.log_dual_gate",
+        "fields.flux_newtonian", "fields.flux_constancy.lp4",
+        "fields.flux_constancy.mix", "hardy.nullseq_bound_slope.p1.5",
+        "hardy.nullseq_energy_slope.p2", "hardy.nullseq_bound_slope.p2",
+        "hardy.nullseq_energy_law.p2", "hardy.nullseq_mass_slope.p2",
+        "hardy.nullseq_bound_slope.p3", "hardy.nullseq_energy_law.p3",
+        "hardy.nullseq_mass_slope.p3", "hardy.null_criticality.euclidean_p2_n3",
+        "hardy.null_criticality.euclidean_p2_n3.value",
+        "hardy.null_criticality.lp4_p3_n2", "hardy.x_closed_form.p2",
+        "eigen.p2_rayleigh_consistency", "eigen.constant_shift",
+        "eigen.convergence_shift", "eigen.convergence_normalization"],
+    0: [
+        "bregman.stability.lp4.p1.5.c_lower", "bregman.stability.lp4.p2.c_lower",
+        "bregman.stability.lp4.p3.c_lower", "hardy.nullseq_energy_slope.p1.5",
+        "hardy.nullseq_energy_slope.p3"],
+    -1: [
+        "hardy.ground_state_residual.euclidean", "hardy.ground_state_residual.lp4",
+        "hardy.green_ground_state_residual"],
+    -2: [
+        "bregman.stability.lp4.p1.5.c_upper", "bregman.stability.lp4.p3.c_upper",
+        "bregman.stability.lp4.p4.c_lower", "bregman.stability.quad.p3.c_lower",
+        "bregman.stability.quad.p4.c_lower", "bregman.stability.mix.p3.c_lower",
+        "bregman.stability.mix.p4.c_lower"],
+    -3: [
+        "norms.biduality.lp4", "bregman.stability.lp4.p2.c_upper",
+        "bregman.stability.quad.p1.5.c_lower", "bregman.stability.mix.p1.5.c_lower",
+        "bregman.stability.mix.p2.c_lower", "green.farfield_amplitude.p2n3",
+        "green.flux_identity.p2n3", "green.flux_identity.p1.5n3",
+        "green.flux_identity.p2.5n3", "eigen.convergence_rate"],
+    -4: [
+        "bregman.stability.lp4.p4.c_upper", "bregman.stability.mix.p2.c_upper",
+        "bregman.stability.mix.p3.c_upper", "hardy.nullseq_energy_law.p1.5",
+        "green.residual.p2", "eigen.p2_lambda2", "eigen.p2_gap", "eigen.p3_lambda2"],
+    -5: [
+        "bregman.stability.quad.p1.5.c_upper", "bregman.stability.quad.p3.c_upper",
+        "bregman.stability.quad.p4.c_upper", "bregman.stability.mix.p1.5.c_upper",
+        "bregman.stability.mix.p4.c_upper", "hardy.green_mass_slope",
+        "eigen.p3_lambda1"],
+    -6: [
+        "eigen.p2_lambda1"],
+    -7: [
+        "green.farfield_exponent.p2n3", "green.farfield_exponent.p1.5n3"],
+    -8: [
+        "hardy.nullseq_mass_slope.p1.5", "green.farfield_exponent.p2.5n3"],
+    -9: [
+        "bregman.stability.quad.p2.c_upper"],
+    -10: [
+        "bregman.stability.quad.p2.c_lower"],
+}
+
+
+def test_error_decades_are_pinned(battery):
+    decades = {}
+    for kind, c in _rendered(_all(battery)):
+        m, e, t = c["measured"], c["expected"], c["tolerance"]
+        if kind not in ("within", "within_rel") or not t > 0:
+            continue
+        err = abs(m - e) if kind == "within" else abs(m / e - 1.0)
+        exact = abs(m - e) <= 1e-12 * max(1.0, abs(e))
+        decades[c["name"]] = "exact" if exact else math.floor(math.log10(err / t))
+    assert decades == {name: d for d, names in ERROR_DECADES.items() for name in names}
+
+
+def test_probe_records_report_the_number_that_failed(monkeypatch):
+    cfg = SuiteConfig(seed=7, quick=True, threads=1)
+    probe, convergence = hardy.optimality_at_infinity_probe, eigen.eigenpair_convergence_probe
+
+    def negative_energy(*args, **kw):
+        out = probe(*args, **kw)
+        out["table"][1]["halfweight_energy"] = -0.25
+        return out
+
+    def unnormalized(*args, **kw):
+        out = convergence(*args, **kw)
+        out["relative"][1]["norm"] = 1.0 + 1e-6
+        return out
+
+    monkeypatch.setattr(hardy, "optimality_at_infinity_probe", negative_energy)
+    monkeypatch.setattr(eigen, "eigenpair_convergence_probe", unnormalized)
+    recs = {r.name: r for r in acceptance.check_best_constant(cfg)
+            + acceptance.check_eigen(cfg)}
+    for name, measured in (("hardy.optimality_halflambda", -0.25),
+                           ("eigen.convergence_normalization", 1.0 + 1e-6)):
+        assert (recs[name].status, recs[name].measured) == ("fail", measured), name

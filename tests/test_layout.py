@@ -4,6 +4,7 @@
 record catalog fixes the report schema; neither needs a battery run to check.
 """
 
+import ast
 import hashlib
 import importlib
 import importlib.util
@@ -47,3 +48,33 @@ def test_only_quadrature_maps_dual_shells():
     naming = sorted(p.name for p in src.glob("*.py")
                     if "_dual_shell_geometry" in p.read_text())
     assert naming == ["quadrature.py"]
+
+
+def test_only_composite_checks_use_the_bare_record():
+    # every other record states its bound through a comparison constructor
+    # of report.py, which decides the status from the fields it writes
+    src = Path(__file__).resolve().parents[1] / "src" / "finslerhardy"
+    calls = []
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        for fn in ast.parse(text).body:
+            if isinstance(fn, ast.FunctionDef) and path.name != "report.py":
+                calls += [f"{path.stem}.{fn.name}: {ast.get_source_segment(text, c.args[0])}"
+                          for c in ast.walk(fn) if isinstance(c, ast.Call)
+                          and getattr(c.func, "id", None) == "record"]
+    assert sorted(calls) == [
+        'acceptance.check_best_constant: "hardy.optimality_mass_monotonicity"',
+        'acceptance.check_best_constant: f"hardy.ratio_floor.p{p:g}"',
+        'acceptance.check_best_constant: f"hardy.ratio_monotone.p{p:g}"',
+        'acceptance.check_bregman: f"bregman.envelopes.{plabel}"',
+        'acceptance.check_eigen: "eigen.gap_random_battery"',
+        'acceptance.check_green: "green.flux_bounds.p2n3"',
+        'acceptance.check_green_weight: "hardy.green_hypotheses"',
+        'acceptance.check_ground_state: "hardy.ground_state_residual.halving"',
+        'acceptance.check_null_criticality: "hardy.null_criticality.capped_lower_bound"',
+        'acceptance.check_nullseq_decay: f"hardy.nullseq_monotone.p{p:g}"',
+        'acceptance.optimality_infima: name',
+        'cli.cmd_null_seq: "energies_decreasing"',
+        'cli.cmd_verify_bregman: "c_upper_finite"',
+        'cli.cmd_verify_norms: "equivalence_constants"',
+    ]
