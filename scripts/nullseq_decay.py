@@ -16,7 +16,6 @@ import sys
 import numpy as np
 
 from finslerhardy import fields, hardy, norms
-from finslerhardy.norms import GlobalParams
 from finslerhardy.report import rows_to_csv, write_atomic
 
 
@@ -31,9 +30,8 @@ def main():
     args = ap.parse_args()
 
     fam = norms.parse_family(args.family, args.p, args.n)
-    params = GlobalParams(args.p, args.n)
-    G = fields.DualPowerField(fam, params)
-    hw = hardy.build_weight_zero_potential(fam, params, G, bracket=(1e-30, 1e30))
+    G = fields.DualPowerField(fam)
+    hw = hardy.build_weight_zero_potential(fam, G, bracket=(1e-30, 1e30))
     ks = [2 ** j for j in range(int(math.log2(args.kmin)),
                                 int(math.log2(args.kmax)) + 1)]
     ns = hardy.null_sequence(hw, ks)

@@ -11,4 +11,4 @@ eigenvalue checks.
 __version__ = "0.1.0"
 
 from . import bregman, eigen, fields, green, hardy, norms, quadrature  # noqa: F401
-from .norms import GlobalParams, NormFamily, parse_family  # noqa: F401
+from .norms import NormFamily, parse_family  # noqa: F401

@@ -28,7 +28,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import bregman, eigen, fields, green, hardy, norms
-from .norms import GlobalParams
 from .report import (CheckRecord, bound, build_report, equals, mask_timestamp, record,
                      render_json, within, within_rel)
 
@@ -126,12 +125,9 @@ def _sample_x(fam, m, seed):
     return d * np.exp(rng.uniform(math.log(0.5), math.log(2.0), m))[:, None]
 
 
-def _standard_weight(p, n, fam=None, bracket=(1e-30, 1e30)):
-    """The standard-branch weight of the dual-power field (euclidean by default)."""
-    fam = fam or norms.euclidean(p, n)
-    gp = GlobalParams(p, n)
-    G = fields.DualPowerField(fam, gp)
-    return hardy.build_weight_zero_potential(fam, gp, G, bracket=bracket)
+def _standard_weight(fam, bracket=(1e-30, 1e30)):
+    """The standard-branch weight of the family's dual-power field."""
+    return hardy.build_weight_zero_potential(fam, fields.DualPowerField(fam), bracket=bracket)
 
 
 def _named(prefix, label, records):
@@ -263,7 +259,7 @@ def classical_reduction(hw, x, tol):
 def check_classical_reduction(cfg):
     out = []
     for (p, n) in CLASSICAL_PN:
-        hw = _standard_weight(p, n, bracket=(1e-6, 1e6))
+        hw = _standard_weight(norms.euclidean(p, n), bracket=(1e-6, 1e6))
         x = norms.sample_vectors(n, cfg.count(500, floor=100), cfg.seed + 41,
                                  decades=2, stream=8)
         out += _named("hardy", _pn(p, n), [classical_reduction(hw, x, cfg.tol)])
@@ -282,7 +278,7 @@ def check_harmonicity(cfg):
         dom = fields.annulus(0.1, 10.0, n)
         for label in HARMONIC_KINDS:
             fam = _family(label, p, n)
-            G = fields.DualPowerField(fam, GlobalParams(p, n))
+            G = fields.DualPowerField(fam)
             n_ang = 12 if cfg.quick else (16 if label == "mix" and n == 3 else 24)
             r = fields.weak_residual(fam, G, dom, n_tests=cfg.bumps(),
                                      seed=cfg.seed + 51, n_ang=n_ang)
@@ -294,7 +290,7 @@ def check_harmonicity(cfg):
                                 n_tests=10, seed=cfg.seed + 52)
     out.append(bound("fields.negative_control", rneg, ">", 0.01, 1e-2))
     fam_log = norms.lp(4, 2.0, 2)
-    Glog = fields.LogDualField(fam_log, GlobalParams(2.0, 2), R=50.0)
+    Glog = fields.LogDualField(fam_log, R=50.0)
     rlog = fields.weak_residual(fam_log, Glog, fields.annulus(0.1, 10.0, 2),
                                 n_tests=cfg.bumps(50), seed=cfg.seed + 53)
     out.append(within("fields.log_dual_gate", rlog, 0.0, tol))
@@ -309,14 +305,14 @@ def check_harmonicity(cfg):
 def check_flux(cfg):
     out = []
     fam = norms.euclidean(2.0, 3)
-    G = fields.DualPowerField(fam, GlobalParams(2.0, 3))
+    G = fields.DualPowerField(fam)
     dom = fields.annulus(1e-4, 1e4, 3)
     fx = fields.level_set_flux(fam, G, dom, 1.0)
     tol = cfg.tol(0.01)
     out.append(within_rel("fields.flux_newtonian", fx, 4 * math.pi, tol))
     for label, (p, n) in FLUX_KINDS.items():
         fam2 = _family(label, p, n)
-        G2 = fields.DualPowerField(fam2, GlobalParams(p, n))
+        G2 = fields.DualPowerField(fam2)
         dom2 = fields.annulus(1e-5, 1e5, n)
         levels = np.geomspace(0.3, 30.0, 10)
         _, cv = fields.flux_constancy(fam2, G2, dom2, levels)
@@ -343,10 +339,10 @@ def check_ground_state(cfg):
     out = []
     tol = cfg.tol(1e-5)
     seed = cfg.seed + 61
-    hw = _standard_weight(2.0, 3, bracket=(1e-8, 1e8))
+    hw = _standard_weight(norms.euclidean(2.0, 3), bracket=(1e-8, 1e8))
     r_euc = ground_state_residual(hw, fields.annulus(0.1, 10.0, 3), cfg.bumps(40), seed)
     out.append(within("hardy.ground_state_residual.euclidean", r_euc, 0.0, tol))
-    hw = _standard_weight(3.0, 2, norms.lp(4, 3.0, 2), bracket=(1e-8, 1e8))
+    hw = _standard_weight(norms.lp(4, 3.0, 2), bracket=(1e-8, 1e8))
     r_coarse, r_fine = (
         ground_state_residual(hw, fields.annulus(0.1, 10.0, 2), cfg.bumps(30), seed,
                               layout="ball", n_rho=n_rho, n_ang=2 * n_rho)
@@ -369,7 +365,7 @@ def check_nullseq_decay(cfg):
     kexp = cfg.kmax_exp()
     ks = [2 ** j for j in range(4, kexp + 1)]
     for (p, n) in NULLSEQ_PN:
-        hw = _standard_weight(p, n)
+        hw = _standard_weight(norms.euclidean(p, n))
         ns = hardy.null_sequence(hw, ks)
         cf = hw.flux_constant()
         x = np.log(np.log(np.array(ns.k_list, dtype=float)))
@@ -401,7 +397,7 @@ def check_null_criticality(cfg):
     tol = cfg.tol(NULL_SLOPE_TOL)
     for kind, p, n, expect in NULL_CRITICAL:
         label = f"{kind}_{_pn(p, n)}"
-        hw = _standard_weight(p, n, _family(kind, p, n))
+        hw = _standard_weight(_family(kind, p, n))
         nc = hardy.verify_null_criticality(hw, [1e-1, 1e-2, 1e-3, 1e-4], T=1.0)
         out.append(within_rel(f"hardy.null_criticality.{label}", nc["slope"],
                               nc["expected_slope"], tol))
@@ -409,7 +405,7 @@ def check_null_criticality(cfg):
             out.append(within_rel(f"hardy.null_criticality.{label}.value",
                                   nc["slope"], expect, tol))
     hw = hardy.build_weight_zero_potential(
-        norms.euclidean(3.0, 2), GlobalParams(3.0, 2),
+        norms.euclidean(3.0, 2),
         fields.synthetic_capped_profile(2.0, 10.0, a=2.0, b=0.0),
         sigma=2.0, bracket=(1e-2, 10.0 * (1.0 - 1e-10)))
     lb = hardy.capped_null_criticality_lower_bound(hw, [1e-3, 1e-4])
@@ -440,7 +436,7 @@ def check_best_constant(cfg):
     tol_low = cfg.tol(RATIO_FLOOR)
     seqs = []
     for (p, n) in BEST_PN:
-        hw = _standard_weight(p, n)
+        hw = _standard_weight(norms.euclidean(p, n))
         ns = hardy.null_sequence(hw, ks)
         seqs.append((hw, ns))
         # composite: the floor is stated as 1 - tol, not as a number
@@ -454,7 +450,7 @@ def check_best_constant(cfg):
         out.append(record(f"hardy.ratio_monotone.p{p:g}",
                           bool(np.all(drops <= 0.05)), float(drops.max()),
                           "non-increasing within 0.05", 0.05))
-    hw = _standard_weight(2.0, 3)
+    hw = _standard_weight(norms.euclidean(2.0, 3))
     probe = hardy.optimality_at_infinity_probe(
         hw, [1e-1, 1e-2], k_list=tuple(2 ** j for j in range(2, kexp + 1, 2)))
     out.append(optimality_infima("hardy.optimality_infima", probe["infima"], cfg.tol))
@@ -535,7 +531,7 @@ def check_green_weight(cfg):
                                n_cells=cells)
     gp = green.solve_green(prob)
     fam = norms.euclidean(2.0, 3)
-    hw = hardy.build_weight_green(fam, GlobalParams(2.0, 3), gp, V, prob.phi)
+    hw = hardy.build_weight_green(fam, gp)
     hyp = hw.hypotheses
     # composite: a finite |V| integral and a nonpositive or negative-mean V
     out.append(record("hardy.green_hypotheses",

@@ -133,19 +133,6 @@ class BoundEstimate:
     witness_upper: dict = field(default_factory=dict)
     skipped: int = 0
 
-    def as_dict(self):
-        return {
-            "family": self.family,
-            "p": self.p,
-            "seed": self.seed,
-            "samples": self.samples,
-            "c_lower": self.c_lower,
-            "c_upper": self.c_upper,
-            "witness_lower": self.witness_lower,
-            "witness_upper": self.witness_upper,
-            "skipped": self.skipped,
-        }
-
 
 def verify_bounds(fam, n_samples, seed, radius_decades=3):
     """Estimate the envelope constants c_lower, c_upper over seeded samples.

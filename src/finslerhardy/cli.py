@@ -16,12 +16,12 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from . import acceptance, bregman, eigen, fields, green, hardy, norms, report
 from .errors import ConstructionError, SolverError
-from .norms import GlobalParams
 from .report import bound, equals, record, within, within_rel
 
 
@@ -32,9 +32,13 @@ def _add_common(sp, family=True, radii=False):
     if family:
         sp.add_argument("--family", default="euclidean",
                         help="euclidean | lp:s=<f> | quad:[[..],..] | "
-                             "mix:s=<f>;A=[[..],..] | weighted:delta=<f>;base=<spec>")
-        sp.add_argument("--p", type=float, default=2.0)
-        sp.add_argument("--n", type=int, default=3)
+                             "mix:s=<f>;A=[[..],..] | weighted:delta=<f>;base=<spec>"
+                             " (a matrix must be n x n)")
+        sp.add_argument("--p", type=float, default=2.0,
+                        help="exponent; a green:<file> weight needs the file's p")
+        sp.add_argument("--n", type=int, default=3,
+                        help="dimension; must match a matrix family's size, and "
+                             "a green:<file> weight needs the file's n")
     if radii:
         sp.add_argument("--rmin", type=float, default=0.1)
         sp.add_argument("--rmax", type=float, default=10.0)
@@ -51,21 +55,20 @@ def _parse_grid(s):
 
 
 def _green_from_spec(spec):
-    prob = green.load_problem(spec[len("green:"):])
-    return prob, green.solve_green(prob)
+    return green.solve_green(green.load_problem(spec[len("green:"):]))
 
 
-def _field_from_spec(spec, fam, params):
+def _field_from_spec(spec, fam):
     spec = spec.strip()
     if spec == "dualpow":
-        return fields.DualPowerField(fam, params)
+        return fields.DualPowerField(fam)
     if spec.startswith("logdual:R="):
-        return fields.LogDualField(fam, params, float(spec[len("logdual:R="):]))
+        return fields.LogDualField(fam, float(spec[len("logdual:R="):]))
     if spec.startswith("green:"):
-        return _green_from_spec(spec)[1].field()
+        return _green_from_spec(spec).field()
     if spec.startswith("f0(") and spec.endswith(")"):
-        inner = _field_from_spec(spec[3:-1], fam, params)
-        return fields.power_of(inner, (params.p - 1.0) / params.p)
+        inner = _field_from_spec(spec[3:-1], fam)
+        return fields.power_of(inner, (fam.p - 1.0) / fam.p)
     raise ConstructionError(f"unrecognized field spec {spec!r}")
 
 
@@ -118,14 +121,12 @@ def cmd_verify_bregman(args):
         record("c_upper_finite", bool(np.isfinite(est.c_upper)), est.c_upper,
                "finite", None),
     ]
-    return _emit(args, "verify-bregman", est.as_dict(), checks,
-                 payload=est.as_dict())
+    return _emit(args, "verify-bregman", asdict(est), checks, payload=asdict(est))
 
 
 def cmd_verify_harmonic(args):
     fam = norms.parse_family(args.family, args.p, args.n)
-    params = GlobalParams(args.p, args.n)
-    field = _field_from_spec(args.field, fam, params)
+    field = _field_from_spec(args.field, fam)
     dom = fields.annulus(args.rmin, args.rmax, args.n)
     n_r, n_ang = _parse_grid(args.grid)
     res = fields.weak_residual(fam, field, dom, n_tests=args.tests,
@@ -140,25 +141,25 @@ def cmd_verify_harmonic(args):
 
 def _build_hw(args):
     """The weight the suite checks for the source: the nonzero-potential
-    construction for a Green potential, the zero-potential one otherwise."""
+    construction for a Green potential, the zero-potential one otherwise.
+    Without --sigma the check bracket is (1e-30, 1e30), ended inside
+    {H0 < R} for the log field."""
     fam = norms.parse_family(args.family, args.p, args.n)
-    params = GlobalParams(args.p, args.n)
     spec = args.field.strip()
     if spec.startswith("green:"):
         if args.sigma != 0.0:
             raise ConstructionError("a Green potential has no capped branch (--sigma)")
-        prob, gp = _green_from_spec(spec)
-        V = prob.V or (lambda r: np.zeros_like(np.asarray(r, dtype=float)))
-        return hardy.build_weight_green(fam, params, gp, V, prob.phi)
-    field = _field_from_spec(spec, fam, params)
+        return hardy.build_weight_green(fam, _green_from_spec(spec))
+    field = _field_from_spec(spec, fam)
     if isinstance(field, fields.ComposedField):
         raise ConstructionError(
             f"field {args.field!r} has no radial inverse: f0(...) is a ground "
             "state, not a p-harmonic source")
-    return hardy.build_weight_zero_potential(fam, params, field,
-                                             sigma=args.sigma,
-                                             bracket=(1e-30, 1e30)
-                                             if args.sigma == 0.0 else None)
+    bracket = None
+    if args.sigma == 0.0:
+        bracket = (1e-30, field.R * (1.0 - 1e-9) if field.kind == "log_dual" else 1e30)
+    return hardy.build_weight_zero_potential(fam, field, sigma=args.sigma,
+                                             bracket=bracket)
 
 
 def _flux_cv(hw):

@@ -39,7 +39,7 @@ deflation-free; each nodal domain is solved once per zero position.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import cholesky_banded, get_lapack_funcs, solve_banded
@@ -435,10 +435,7 @@ def eigenpair_convergence_probe(ep, k_list=(2, 4, 8, 16, 32), restarts=6):
                 out = out + Vbase(x)
             return out
 
-        pa = principal_eigenvalue(
-            EigenProblem(p=ep.p, L=ep.L, V=Va, N=ep.N, seed=ep.seed,
-                         geometry=ep.geometry, n=ep.n),
-            restarts=restarts)
+        pa = principal_eigenvalue(replace(ep, V=Va), restarts=restarts)
         rows_a.append({"k": k, "lam": pa.lam,
                        "shift_err": abs(pa.lam - base.lam - 1.0 / k),
                        "norm": disc.norm_p(pa.v)})
@@ -448,10 +445,7 @@ def eigenpair_convergence_probe(ep, k_list=(2, 4, 8, 16, 32), restarts=6):
                 return np.zeros_like(np.asarray(x, dtype=float))
             return Vbase(x) * (1.0 + (-1.0) ** k / k)
 
-        pb = principal_eigenvalue(
-            EigenProblem(p=ep.p, L=ep.L, V=Vb, N=ep.N, seed=ep.seed,
-                         geometry=ep.geometry, n=ep.n),
-            restarts=restarts)
+        pb = principal_eigenvalue(replace(ep, V=Vb), restarts=restarts)
         dist = float(np.sum(disc.mass * np.abs(pb.v - base.v) ** ep.p)) ** (1.0 / ep.p)
         rows_b.append({"k": k, "lam": pb.lam, "dist": dist,
                        "lam_err": abs(pb.lam - base.lam),

@@ -94,20 +94,18 @@ class DualPowerField(ScalarField):
 
     kind = "dual_power"
 
-    def __init__(self, fam, params):
+    def __init__(self, fam):
         if fam.kind == "weighted":
             raise BranchError("dual-power field needs an x-independent family")
-        if params.p == params.n:
+        if fam.p == fam.n:
             raise BranchError("p = n has no dual-power field; use the log field")
         self.fam = fam
-        self.p = params.p
-        self.n = params.n
-        self.a = (params.p - params.n) / (params.p - 1.0)
+        self.a = (fam.p - fam.n) / (fam.p - 1.0)
         self.radial = (fam, lambda r: r ** self.a,
                        lambda r: self.a * r ** (self.a - 1.0))
 
     def __call__(self, x):
-        return norms.dual_norm(self.fam, None, x) ** self.a
+        return norms.dual_norm(self.fam, x) ** self.a
 
     def grad(self, x):
         h0, g0 = norms.dual(self.fam, x)
@@ -122,21 +120,19 @@ class LogDualField(ScalarField):
 
     kind = "log_dual"
 
-    def __init__(self, fam, params, R):
+    def __init__(self, fam, R):
         if fam.kind == "weighted":
             raise BranchError("log-dual field needs an x-independent family")
-        if params.p != params.n:
+        if fam.p != fam.n:
             raise BranchError("log-dual field is the p = n candidate")
         if R <= 0.0:
             raise ValueError("R must be positive")
         self.fam = fam
-        self.p = params.p
-        self.n = params.n
         self.R = float(R)
         self.radial = (fam, lambda r: np.log(self.R / r), lambda r: -1.0 / r)
 
     def __call__(self, x):
-        h0 = norms.dual_norm(self.fam, None, x)
+        h0 = norms.dual_norm(self.fam, x)
         if np.any(h0 >= self.R):
             raise DomainError("point outside {H0 < R}")
         return np.log(self.R / h0)

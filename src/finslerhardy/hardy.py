@@ -38,7 +38,7 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 
 from . import fields, quadrature
-from .errors import BranchError, RangeError
+from .errors import BranchError, ConstructionError, RangeError
 
 # ---------------------------------------------------------------------------
 # cutoff profiles
@@ -86,13 +86,13 @@ def cutoff_breaks(k, one_sided=False):
 
 @dataclass(eq=False)
 class HardyWeight:
-    """A constructed weight W, its ground state, and radial profile closures."""
+    """A constructed weight W, its ground state, and radial profile closures.
+
+    The exponent p and the dimension n are the family's.
+    """
 
     branch: str                      # standard | sigma_capped | green_based
     fam: object
-    p: float
-    n: int
-    c_p: float
     sigma: float
     source: object                   # the field G (or G_phi)
     ground_state: object             # v as a ScalarField
@@ -102,6 +102,18 @@ class HardyWeight:
     phi_profile: object = None       # radial density (green branch)
     hypotheses: dict = dfield(default_factory=dict)
     _flux: float | None = None
+
+    @property
+    def p(self):
+        return self.fam.p
+
+    @property
+    def n(self):
+        return self.fam.n
+
+    @property
+    def c_p(self):
+        return (self.p / (self.p - 1.0)) ** (self.p - 1.0)
 
     # -- radial profiles ----------------------------------------------------
 
@@ -190,13 +202,17 @@ class HardyWeight:
 # ---------------------------------------------------------------------------
 
 
-def build_weight_zero_potential(fam, params, G, sigma=0.0, bracket=None):
+def _zero_profile(r):
+    return np.zeros_like(np.asarray(r, dtype=float))
+
+
+def build_weight_zero_potential(fam, G, sigma=0.0, bracket=None):
     """Branch-correct (W, v) from a positive p-harmonic field G.
 
     sigma > 0 selects the capped branch (p > n only; refused for p <= n)
     and requires 0 < G < sigma, checked on a log grid of 512 radii.
     """
-    p, n = params.p, params.n
+    p, n = fam.p, fam.n
     if sigma < 0.0:
         raise BranchError("sigma must be nonnegative")
     if sigma > 0.0 and p <= n:
@@ -229,22 +245,27 @@ def build_weight_zero_potential(fam, params, G, sigma=0.0, bracket=None):
             lambda t: e * (t * (s - t)) ** (e - 1.0) * (s - 2.0 * t),
             G, kind="capped_ground_state")
     ang = quadrature.angular_measure(n, G.radial[0])
-    return HardyWeight(branch=branch, fam=fam, p=p, n=n, c_p=params.c_p,
-                       sigma=float(sigma), source=G, ground_state=v_field,
-                       angular=ang, source_bracket=tuple(bracket))
+    return HardyWeight(branch=branch, fam=fam, sigma=float(sigma), source=G,
+                       ground_state=v_field, angular=ang, source_bracket=tuple(bracket))
 
 
-def build_weight_green(fam, params, green_potential, V_profile, phi_profile):
+def build_weight_green(fam, green_potential):
     """Weight from a Green potential of Q'_{c_p V}[u] = phi (euclidean radial).
 
-    Checks the construction hypotheses numerically: int |V| G^(p-1) finite,
-    and V <= 0 everywhere or int V G^(p-1) < 0.  Failures raise with the
-    name of the offending integral.
+    V and phi are the Green problem's (V = 0 when it has none), and the
+    family must share its p and n.  Checks the construction hypotheses
+    numerically: int |V| G^(p-1) finite, and V <= 0 everywhere or
+    int V G^(p-1) < 0.  Failures raise with the name of the offending integral.
     """
     if fam.kind not in ("euclidean",):
         raise BranchError("the radial Green construction runs on the euclidean kind")
-    p, n = params.p, params.n
     gp = green_potential
+    prob = gp.problem
+    p, n = fam.p, fam.n
+    if (p, n) != (prob.p, prob.n):
+        raise ConstructionError(f"family has p = {p:g}, n = {n}; the Green problem "
+                                f"has p = {prob.p:g}, n = {prob.n}")
+    V_profile = prob.V or _zero_profile
     ang = quadrature.angular_measure(n)
 
     def hyp_fun(r):
@@ -266,10 +287,10 @@ def build_weight_green(fam, params, green_potential, V_profile, phi_profile):
     v_field = fields.power_of(src, e)
     hyp = {"abs_potential_integral": abs_int, "signed_potential_integral": sgn_int,
            "V_nonpositive": v_nonpos}
-    return HardyWeight(branch="green_based", fam=fam, p=p, n=n, c_p=params.c_p,
-                       sigma=0.0, source=src, ground_state=v_field,
-                       angular=ang, source_bracket=(gp.r[0], gp.r[-1]),
-                       V_profile=V_profile, phi_profile=phi_profile,
+    return HardyWeight(branch="green_based", fam=fam, sigma=0.0, source=src,
+                       ground_state=v_field, angular=ang,
+                       source_bracket=(gp.r[0], gp.r[-1]),
+                       V_profile=V_profile, phi_profile=prob.phi,
                        hypotheses=hyp)
 
 

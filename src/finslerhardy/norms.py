@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,12 +48,12 @@ KINDS = ("euclidean", "lp", "quadratic", "mixed", "weighted")
 _SPD_SYM_TOL = 1e-12
 
 
-def _as_spd(A, n=None):
+def _as_spd(A, n):
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ConstructionError(f"matrix must be square, got shape {A.shape}")
-    if n is not None and A.shape[0] != n:
-        raise ConstructionError(f"matrix is {A.shape[0]}x{A.shape[0]}, dimension is {n}")
+    if A.shape[0] != n:
+        raise ConstructionError(f"matrix is {A.shape[0]}x{A.shape[0]} but n = {n}")
     if not np.allclose(A, A.T, rtol=0.0, atol=_SPD_SYM_TOL * max(1.0, float(np.abs(A).max()))):
         raise ConstructionError("matrix is not symmetric")
     try:
@@ -64,24 +64,9 @@ def _as_spd(A, n=None):
 
 
 @dataclass(frozen=True, eq=False)
-class GlobalParams:
-    """Exponent/dimension bundle with the derived constant c_p = (p/(p-1))^(p-1)."""
-
-    p: float
-    n: int
-    c_p: float = field(init=False)
-
-    def __post_init__(self):
-        if not 1.0 < self.p < math.inf:
-            raise ConstructionError(f"p must lie in (1, inf), got {self.p}")
-        if self.n < 2:
-            raise ConstructionError(f"n must be >= 2, got {self.n}")
-        object.__setattr__(self, "c_p", (self.p / (self.p - 1.0)) ** (self.p - 1.0))
-
-
-@dataclass(frozen=True, eq=False)
 class NormFamily:
-    """A norm family of one of the five supported kinds.
+    """A norm family of one of the five supported kinds, with the exponent p
+    and the dimension n of the energy it defines.
 
     Use the factory functions :func:`euclidean`, :func:`lp`,
     :func:`quadratic`, :func:`mixed`, :func:`weighted` or
@@ -167,7 +152,8 @@ def parse_family(spec, p, n):
     """Parse the norm-spec mini grammar.
 
     ``euclidean`` | ``lp:s=<f>`` | ``quad:[[..],..]`` | ``mix:s=<f>;A=[[..],..]``
-    | ``weighted:delta=<f>;base=<spec>``.  Matrix literals are row-major JSON.
+    | ``weighted:delta=<f>;base=<spec>``.  Matrix literals are row-major JSON
+    and must be n x n.
     """
     spec = spec.strip()
     if spec == "euclidean":
@@ -178,11 +164,12 @@ def parse_family(spec, p, n):
             raise ConstructionError(f"bad lp spec {spec!r}")
         return lp(float(body[2:]), p, n)
     if spec.startswith("quad:"):
-        return quadratic(json.loads(spec[5:]), p)
+        return NormFamily("quadratic", float(p), int(n), A=json.loads(spec[5:]))
     if spec.startswith("mix:"):
         body = spec[4:]
         parts = dict(kv.split("=", 1) for kv in body.split(";"))
-        return mixed(float(parts["s"]), json.loads(parts["A"]), p)
+        return NormFamily("mixed", float(p), int(n), s=float(parts["s"]),
+                          A=json.loads(parts["A"]))
     if spec.startswith("weighted:"):
         body = spec[len("weighted:"):]
         key, rest = body.split(";", 1)
@@ -344,10 +331,9 @@ def dual(fam, y):
     return h0.reshape(y.shape[:-1])[()], g0.reshape(y.shape)
 
 
-def dual_norm(fam, x, y):
+def dual_norm(fam, y):
     """Dual norm H0(y) = sup_{xi != 0} y . xi / H(xi); see :func:`dual`.
 
-    ``x`` is unused (the dual is only defined for x-independent kinds).
     Unlike :func:`dual`, every kind accepts y = 0, where H0 = 0.
     """
     y = _dual_input(fam, y, nonzero=False)
@@ -492,10 +478,10 @@ def bidual_norm(fam, xi_samples, n_dirs=2048, iters=80, seed=0):
     rng = np.random.Generator(np.random.Philox(key=seed))
     dirs = rng.standard_normal((n_dirs, fam.n))
     dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
-    h0 = dual_norm(fam, None, dirs)
+    h0 = dual_norm(fam, dirs)
     scores = xi_samples @ dirs.T / h0[None, :]
     y = dirs[np.argmax(scores, axis=1)]
-    y = y / dual_norm(fam, None, y)[..., None]
+    y = y / dual_norm(fam, y)[..., None]
     val = np.einsum("ij,ij->i", xi_samples, y)
     step = 1.0 / np.maximum(np.linalg.norm(xi_samples, axis=-1), 1e-300)
     step = np.full(len(y), 1.0) * step
@@ -503,7 +489,7 @@ def bidual_norm(fam, xi_samples, n_dirs=2048, iters=80, seed=0):
         g0 = grad_dual(fam, y)
         grad = xi_samples - val[:, None] * g0   # gradient of xi.y on {H0 = 1}
         trial = y + step[:, None] * grad
-        trial /= dual_norm(fam, None, trial)[..., None]
+        trial /= dual_norm(fam, trial)[..., None]
         tval = np.einsum("ij,ij->i", xi_samples, trial)
         better = tval > val
         y[better] = trial[better]

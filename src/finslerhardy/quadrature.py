@@ -133,7 +133,7 @@ def radius(gauge, x):
     x = np.asarray(x, dtype=float)
     if _round(gauge):
         return np.linalg.norm(x, axis=-1)
-    return norms.dual_norm(gauge, None, x)
+    return norms.dual_norm(gauge, x)
 
 
 def radius_grad(gauge, x):

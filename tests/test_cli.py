@@ -270,3 +270,33 @@ def test_console_entry_point_subprocess():
     assert proc.returncode == 0
     rep = json.loads(proc.stdout)
     assert rep["summary"]["fail"] == 0
+
+
+@pytest.mark.parametrize("argv,values", [
+    (["verify-harmonic", "--family", "quad:[[4,0],[0,9]]", "--p", "3", "--n", "3",
+      "--tests", "2"], ("2x2", "n = 3")),
+    (["build-weight", "--family", "quad:[[4,0],[0,9]]", "--p", "3", "--n", "3",
+      "--tests", "2"], ("2x2", "n = 3")),
+    (["null-seq", "--family", "mix:s=4;A=[[4,0],[0,9]]", "--p", "2", "--n", "3"],
+     ("2x2", "n = 3")),
+    (["verify-norms", "--family", "quad:[[4,0],[0,9]]", "--n", "3"], ("2x2", "n = 3")),
+    (["build-weight", "--p", "3", "--n", "3", "--field", f"green:{GREEN_EXAMPLE}",
+      "--tests", "5"], ("family has p = 3", "Green problem has p = 2")),
+])
+def test_family_and_problem_disagreeing_on_p_or_n_is_configuration_error(
+        argv, values, capsys, tmp_path):
+    assert run_main(argv + ["--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert all(v in err for v in values), err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_log_dual_source_builds_a_weight(tmp_path):
+    out = tmp_path / "w.json"
+    argv = ["--family", "lp:s=4", "--p", "2", "--n", "2", "--field", "logdual:R=50"]
+    assert run_main(["build-weight", *argv, "--tests", "10", "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["payload"]["branch"] == "standard"
+    assert {c["name"]: c["status"] for c in rep["checks"]} == {
+        "weight_nonnegative": "pass", "ground_state_residual": "pass"}
+    assert run_main(["null-seq", *argv, "--kmax", "64", "--out", str(out)]) == 0

@@ -5,7 +5,6 @@ import pytest
 
 from finslerhardy import fields, norms, quadrature
 from finslerhardy.errors import BranchError, DomainError
-from finslerhardy.norms import GlobalParams
 
 from scipy.integrate import quad
 
@@ -14,18 +13,18 @@ A2 = np.array([[4.0, 0.0], [0.0, 9.0]])
 
 def test_dual_power_shapes():
     # euclidean p=2, n=3 is the Newtonian kernel |x|^-1
-    G = fields.DualPowerField(norms.euclidean(2.0, 3), GlobalParams(2, 3))
+    G = fields.DualPowerField(norms.euclidean(2.0, 3))
     x = np.array([[0.0, 0.0, 2.0], [0.0, 3.0, 0.0]])
     assert np.allclose(G(x), [0.5, 1.0 / 3.0])
     # euclidean p=4, n=2: |x|^(2/3), vanishing at the puncture
-    G2 = fields.DualPowerField(norms.euclidean(4.0, 2), GlobalParams(4, 2))
+    G2 = fields.DualPowerField(norms.euclidean(4.0, 2))
     assert float(G2(np.array([[1e-9, 0.0]]))[0]) < 1e-5
     with pytest.raises(BranchError):
-        fields.DualPowerField(norms.euclidean(2.0, 2), GlobalParams(2, 2))
+        fields.DualPowerField(norms.euclidean(2.0, 2))
 
 
 def test_log_dual_field():
-    G = fields.LogDualField(norms.euclidean(2.0, 2), GlobalParams(2, 2), R=1.0)
+    G = fields.LogDualField(norms.euclidean(2.0, 2), R=1.0)
     x = np.array([[0.5, 0.0]])
     assert float(G(x)[0]) == pytest.approx(math.log(2.0))
     at_e = np.array([[1.0 / math.e, 0.0]])
@@ -33,7 +32,7 @@ def test_log_dual_field():
     with pytest.raises(DomainError):
         G(np.array([[2.0, 0.0]]))
     with pytest.raises(BranchError):
-        fields.LogDualField(norms.euclidean(3.0, 2), GlobalParams(3, 2), R=1.0)
+        fields.LogDualField(norms.euclidean(3.0, 2), R=1.0)
 
 
 def test_gradient_identity_H_of_gradH0():
@@ -61,11 +60,11 @@ def newton_calls(monkeypatch):
 def test_mixed_fields_take_one_newton_solve(newton_calls):
     fam = norms.mixed(4, A2, 3.0)
     x = norms.sample_vectors(2, 40, 5, stream=6)
-    fields.DualPowerField(fam, GlobalParams(3, 2)).grad(x)
+    fields.DualPowerField(fam).grad(x)
     assert newton_calls == [40]
     del newton_calls[:]
     fam2 = norms.mixed(4, A2, 2.0)
-    G = fields.LogDualField(fam2, GlobalParams(2, 2), R=1e4)
+    G = fields.LogDualField(fam2, R=1e4)
     G.grad(x)
     assert newton_calls == [40]
     del newton_calls[:]
@@ -76,7 +75,7 @@ def test_mixed_fields_take_one_newton_solve(newton_calls):
 
 def test_weak_residual_classical_and_control():
     fam = norms.euclidean(2.0, 3)
-    G = fields.DualPowerField(fam, GlobalParams(2, 3))
+    G = fields.DualPowerField(fam)
     dom = fields.annulus(0.1, 10.0, 3)
     res = fields.weak_residual(fam, G, dom, n_tests=25, seed=3)
     assert res <= 1e-6
@@ -89,7 +88,7 @@ def test_weak_residual_with_potential_term():
     # u = |x|^-1 solves -div(grad u) + V u = 0 with V = 0 only; adding a
     # fake potential must break the residual
     fam = norms.euclidean(2.0, 3)
-    G = fields.DualPowerField(fam, GlobalParams(2, 3))
+    G = fields.DualPowerField(fam)
     dom = fields.annulus(0.1, 10.0, 3)
     res = fields.weak_residual(fam, G, dom, V=lambda x: np.ones(len(x)),
                                n_tests=10, seed=3)
@@ -98,13 +97,13 @@ def test_weak_residual_with_potential_term():
 
 def test_level_set_flux_newtonian_and_log():
     fam = norms.euclidean(2.0, 3)
-    G = fields.DualPowerField(fam, GlobalParams(2, 3))
+    G = fields.DualPowerField(fam)
     dom = fields.annulus(1e-3, 1e3, 3)
     for t in (0.1, 1.0, 10.0):
         assert fields.level_set_flux(fam, G, dom, t) == pytest.approx(
             4.0 * math.pi, rel=1e-12)
     fam2 = norms.euclidean(2.0, 2)
-    L = fields.LogDualField(fam2, GlobalParams(2, 2), R=10.0)
+    L = fields.LogDualField(fam2, R=10.0)
     dom2 = fields.annulus(1e-3, 9.99, 2)
     assert fields.level_set_flux(fam2, L, dom2, 1.0) == pytest.approx(
         2.0 * math.pi, rel=1e-12)
@@ -112,7 +111,7 @@ def test_level_set_flux_newtonian_and_log():
 
 def test_flux_constancy_anisotropic():
     fam = norms.lp(4, 3.0, 2)
-    G = fields.DualPowerField(fam, GlobalParams(3, 2))
+    G = fields.DualPowerField(fam)
     dom = fields.annulus(1e-6, 1e6, 2)
     levels = np.geomspace(0.05, 5.0, 12)
     fluxes, cv = fields.flux_constancy(fam, G, dom, levels)
@@ -127,7 +126,7 @@ def test_coarea_identity_with_profiles():
     # int f(v) |grad v|^p dx = C_flux int f(h(t)) |h'(t)|^p dt for v = h(G)
     p, n = 3.0, 2
     fam = norms.lp(4, p, n)
-    G = fields.DualPowerField(fam, GlobalParams(p, n))
+    G = fields.DualPowerField(fam)
     dom = fields.annulus(1e-8, 1e8, n)
     C = fields.level_set_flux(fam, G, dom, 1.0)
     e = (p - 1.0) / p
@@ -156,7 +155,7 @@ def test_coarea_identity_with_profiles():
 
 
 def test_properness_surrogate():
-    G = fields.DualPowerField(norms.euclidean(2.0, 3), GlobalParams(2, 3))
+    G = fields.DualPowerField(norms.euclidean(2.0, 3))
     # compact value intervals pull back to radial intervals bounded away
     # from the puncture and from infinity
     lo, hi = sorted(float(G.radial_inverse(t)) for t in (0.1, 10.0))

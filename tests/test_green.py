@@ -6,7 +6,6 @@ import pytest
 
 from finslerhardy import fields, green, hardy, norms
 from finslerhardy.errors import BranchError
-from finslerhardy.norms import GlobalParams
 
 import oracles
 
@@ -129,7 +128,7 @@ def test_green_weight_hypotheses_and_residual():
                                n_cells=4096)
     gp = green.solve_green(prob)
     fam = norms.euclidean(2.0, 3)
-    hw = hardy.build_weight_green(fam, GlobalParams(2, 3), gp, V, prob.phi)
+    hw = hardy.build_weight_green(fam, gp)
     assert hw.hypotheses["V_nonpositive"]
     assert np.isfinite(hw.hypotheses["abs_potential_integral"])
     dom = fields.annulus(0.1, 25.0, 3)
@@ -162,5 +161,4 @@ def test_green_weight_sign_hypothesis_rejects():
                                n_cells=1024)
     gp = green.solve_green(prob)
     with pytest.raises(BranchError):
-        hardy.build_weight_green(norms.euclidean(2.0, 3), GlobalParams(2, 3),
-                                 gp, Vpos, prob.phi)
+        hardy.build_weight_green(norms.euclidean(2.0, 3), gp)

@@ -6,7 +6,6 @@ from scipy.integrate import quad
 
 from finslerhardy import bregman, fields, hardy, norms, quadrature
 from finslerhardy.errors import BranchError, RangeError
-from finslerhardy.norms import GlobalParams
 
 import oracles
 
@@ -16,9 +15,15 @@ KS = [2 ** j for j in range(4, 13)]
 
 def standard_weight(p, n, fam=None):
     fam = fam or norms.euclidean(p, n)
-    gp = GlobalParams(p, n)
-    G = fields.DualPowerField(fam, gp)
-    return hardy.build_weight_zero_potential(fam, gp, G, bracket=(1e-30, 1e30))
+    G = fields.DualPowerField(fam)
+    return hardy.build_weight_zero_potential(fam, G, bracket=(1e-30, 1e30))
+
+
+def test_weight_takes_p_n_and_c_p_from_its_family():
+    for p, n in ((1.5, 3), (2.0, 3), (3.0, 2), (5.0, 2)):
+        hw = standard_weight(p, n)
+        assert (hw.p, hw.n) == (hw.fam.p, hw.fam.n) == (p, n)
+        assert abs(hw.c_p - (p / (p - 1.0)) ** (p - 1.0)) < 1e-14
 
 
 def test_angular_measure_cache_is_keyed_by_value():
@@ -45,8 +50,7 @@ def test_null_sequence_energies_are_pinned_bit_for_bit():
 
 def capped_weight():
     G = fields.synthetic_capped_profile(2.0, 10.0, a=2.0, b=0.0)
-    return hardy.build_weight_zero_potential(norms.euclidean(3.0, 2),
-                                             GlobalParams(3, 2), G, sigma=2.0,
+    return hardy.build_weight_zero_potential(norms.euclidean(3.0, 2), G, sigma=2.0,
                                              bracket=(1e-2, 10.0 * (1 - 1e-10)))
 
 
@@ -141,22 +145,18 @@ def test_weight_nonnegative_everywhere():
 
 def test_branch_rules():
     with pytest.raises(BranchError):
-        standard = fields.DualPowerField(norms.euclidean(2.0, 3),
-                                                GlobalParams(2, 3))
-        hardy.build_weight_zero_potential(norms.euclidean(2.0, 3),
-                                          GlobalParams(2, 3), standard, sigma=1.0)
+        standard = fields.DualPowerField(norms.euclidean(2.0, 3))
+        hardy.build_weight_zero_potential(norms.euclidean(2.0, 3), standard, sigma=1.0)
     G = fields.synthetic_capped_profile(2.0, 10.0, a=2.0, b=0.0)
     with pytest.raises(BranchError):
-        hardy.build_weight_zero_potential(norms.euclidean(3.0, 2),
-                                          GlobalParams(3, 2), G, sigma=0.4,
+        hardy.build_weight_zero_potential(norms.euclidean(3.0, 2), G, sigma=0.4,
                                           bracket=(1e-2, 10.0 * (1 - 1e-10)))
 
 
 def test_capped_branch_formulas():
     sigma = 2.0
     G = fields.synthetic_capped_profile(sigma, 10.0, a=2.0, b=0.0)
-    hw = hardy.build_weight_zero_potential(norms.euclidean(3.0, 2),
-                                           GlobalParams(3, 2), G, sigma=sigma,
+    hw = hardy.build_weight_zero_potential(norms.euclidean(3.0, 2), G, sigma=sigma,
                                            bracket=(1e-2, 10.0 * (1 - 1e-10)))
     rr = np.geomspace(1.1e-2, 9.99, 500)
     assert hw.weight_profile(rr).min() >= 0.0
@@ -261,8 +261,8 @@ def test_null_sequence_matches_full_dual_quadrature_lp4():
 
 def test_null_sequence_range_error():
     hw_small = hardy.build_weight_zero_potential(
-        norms.euclidean(2.0, 3), GlobalParams(2, 3),
-        fields.DualPowerField(norms.euclidean(2.0, 3), GlobalParams(2, 3)),
+        norms.euclidean(2.0, 3),
+        fields.DualPowerField(norms.euclidean(2.0, 3)),
         bracket=(0.9, 1.1))
     with pytest.raises(RangeError):
         hardy.null_sequence(hw_small, [4096])

@@ -62,10 +62,12 @@ def test_parse_family_round_trip():
         norms.parse_family("lq:s=4", 2, 2)
 
 
-def test_global_params_cp():
-    for p in (1.5, 2.0, 3.0, 5.0):
-        gp = norms.GlobalParams(p, 3)
-        assert abs(gp.c_p - (p / (p - 1.0)) ** (p - 1.0)) < 1e-14
+def test_parse_family_matrix_must_be_n_by_n():
+    for spec in ("quad:[[4,0],[0,9]]", "mix:s=4;A=[[4,0],[0,9]]",
+                 "weighted:delta=1;base=quad:[[4,0],[0,9]]"):
+        with pytest.raises(ConstructionError, match="2x2 but n = 3"):
+            norms.parse_family(spec, 2.0, 3)
+    assert norms.parse_family("quad:[[4,0,0],[0,9,0],[0,0,1]]", 2.0, 3).n == 3
 
 
 # -- norm axioms (hypothesis) ------------------------------------------------
@@ -158,17 +160,17 @@ def test_grad_matches_finite_differences():
 
 
 def test_dual_known_values():
-    assert norms.dual_norm(norms.euclidean(2, 2), None, np.array([3.0, 4.0])) == 5.0
+    assert norms.dual_norm(norms.euclidean(2, 2), np.array([3.0, 4.0])) == 5.0
     f4 = norms.lp(4, 2, 2)
-    assert float(norms.dual_norm(f4, None, np.array([1.0, 1.0]))) == pytest.approx(2 ** 0.75)
+    assert float(norms.dual_norm(f4, np.array([1.0, 1.0]))) == pytest.approx(2 ** 0.75)
     fq = norms.quadratic(A2, 2)
-    assert float(norms.dual_norm(fq, None, np.array([1.0, 1.0]))) == pytest.approx(math.sqrt(13.0) / 6.0)
+    assert float(norms.dual_norm(fq, np.array([1.0, 1.0]))) == pytest.approx(math.sqrt(13.0) / 6.0)
 
 
 def test_dual_rejects_weighted():
     wf = norms.weighted(1.0, norms.lp(4, 2, 2))
     with pytest.raises(UnsupportedKindError):
-        norms.dual_norm(wf, None, np.array([1.0, 0.0]))
+        norms.dual_norm(wf, np.array([1.0, 0.0]))
 
 
 def test_dual_newton_identities():
@@ -186,7 +188,7 @@ def test_numeric_dual_against_brute_force():
     for fam, ys in cases:
         for y in map(np.array, ys):
             brute = oracles.brute_dual_norm(fam, y, n_samples=1_000_000, seed=2)
-            newt = float(norms.dual_norm(fam, None, y))
+            newt = float(norms.dual_norm(fam, y))
             assert newt == pytest.approx(brute, rel=1e-8)
             assert newt >= brute - 1e-12  # sampled sup cannot exceed the true sup
 
@@ -239,7 +241,7 @@ def test_dual_is_bitwise_its_projections():
         for y in (Y, Y[7]):
             h0, g0 = norms.dual(fam, y)
             assert np.shape(h0) == y.shape[:-1] and g0.shape == y.shape
-            np.testing.assert_array_equal(h0, norms.dual_norm(fam, None, y))
+            np.testing.assert_array_equal(h0, norms.dual_norm(fam, y))
             np.testing.assert_array_equal(g0, norms.grad_dual(fam, y))
         # N-D input is reshaped like the closed forms broadcast
         h3, g3 = norms.dual(fam, Y.reshape(3, 20, 2))
@@ -265,11 +267,11 @@ def test_dual_norm_is_zero_at_zero_for_every_kind():
     zero = np.linalg.norm(Y, axis=-1) == 0.0
     for fam in [norms.euclidean(2.0, 2), norms.lp(4, 3.0, 2),
                 norms.quadratic(A2_FULL, 2.0), norms.mixed(4, A2, 3.0)]:
-        h0 = norms.dual_norm(fam, None, Y)
+        h0 = norms.dual_norm(fam, Y)
         assert np.all(h0[zero] == 0.0)
         np.testing.assert_allclose(h0[~zero], norms.dual(fam, Y[~zero])[0],
                                    rtol=1e-12, atol=0.0)
-        assert float(norms.dual_norm(fam, None, np.zeros(2))) == 0.0
+        assert float(norms.dual_norm(fam, np.zeros(2))) == 0.0
         # the gradient stays undefined at 0
         with pytest.raises(DomainError):
             norms.dual(fam, Y)

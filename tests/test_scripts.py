@@ -42,3 +42,28 @@ def test_eigen_kernels_script_writes_its_timings(tmp_path):
         ["rayleigh_us", "gradient_us", "precondition_us", "weak_residual_us",
          "principal_s", "second_s"])
     assert all(t > 0.0 for t in result["N"]["64"].values())
+
+
+def _run_script(name, *argv):
+    path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *argv],
+                          capture_output=True, text=True, timeout=300, env=env)
+
+
+def test_nullseq_decay_script_prints_the_sequence(tmp_path):
+    out = tmp_path / "seq.csv"
+    proc = _run_script("nullseq_decay.py", "--kmax", "64", "--csv", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert "family=euclidean p=2.0 n=3" in proc.stdout
+    lines = out.read_text().splitlines()
+    assert lines[0] == "k,energy,mass,ratio"
+    assert [int(line.split(",")[0]) for line in lines[1:]] == [16, 32, 64]
+
+
+def test_green_farfield_script_reports_the_decay(tmp_path):
+    out = tmp_path / "profile.csv"
+    proc = _run_script("green_farfield.py", "--cells", "256", "--csv", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert "decay exponent (p-n)/(p-1) = -1.000000" in proc.stdout
+    assert out.read_text().splitlines()[0] == "r,u,du"
