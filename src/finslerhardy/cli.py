@@ -65,7 +65,11 @@ def _field_from_spec(spec, fam):
     if spec.startswith("logdual:R="):
         return fields.LogDualField(fam, float(spec[len("logdual:R="):]))
     if spec.startswith("green:"):
-        return _green_from_spec(spec).field()
+        # build-weight and its siblings take a Green potential in _build_hw
+        raise ConstructionError(
+            "a Green potential solves -div a(grad u) + c_p V u^(p-1) = phi with the "
+            "problem file's V, phi and p, not the p-harmonic equation; check it "
+            "with build-weight --field green:<file>")
     if spec.startswith("f0(") and spec.endswith(")"):
         inner = _field_from_spec(spec[3:-1], fam)
         return fields.power_of(inner, (fam.p - 1.0) / fam.p)
@@ -340,7 +344,8 @@ def build_parser():
     _add_common(sp, radii=True)
     sp.add_argument("--grid", default="256,32", help="n_r,n_ang for quadrature grids")
     sp.add_argument("--field", default="dualpow",
-                    help="dualpow | logdual:R=<f> | green:<file> | f0(<spec>)")
+                    help="dualpow | logdual:R=<f> | f0(<spec>); a green:<file> "
+                         "potential is checked by build-weight")
     sp.add_argument("--tests", type=int, default=100)
     sp.add_argument("--tol", type=float, default=1e-5)
     sp.set_defaults(fn=cmd_verify_harmonic)

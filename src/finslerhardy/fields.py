@@ -59,11 +59,13 @@ class ScalarField:
 
     Radial fields carry ``radial = (gauge, value, dvalue)``, the profile of
     the gauge's radial coordinate and its derivative, plus
-    ``radial_inverse(t)`` when the profile is invertible.
+    ``radial_inverse(t)`` when the profile is invertible.  The field is
+    defined where the radial coordinate is below ``radial_bound``.
     """
 
     kind = "generic"
     radial = None
+    radial_bound = math.inf
 
     def __call__(self, x):
         raise NotImplementedError
@@ -128,7 +130,7 @@ class LogDualField(ScalarField):
         if R <= 0.0:
             raise ValueError("R must be positive")
         self.fam = fam
-        self.R = float(R)
+        self.R = self.radial_bound = float(R)
         self.radial = (fam, lambda r: np.log(self.R / r), lambda r: -1.0 / r)
 
     def __call__(self, x):
@@ -179,6 +181,7 @@ class ComposedField(ScalarField):
         self._fp = fprime
         self.inner = inner
         self.kind = kind
+        self.radial_bound = inner.radial_bound
         if inner.radial is not None:
             gauge, prof, dprof = inner.radial
             self.radial = (gauge,
@@ -332,12 +335,15 @@ def _shell_patch(gauge, bump, n, n_rho=16, n_ang=24):
     ball.  For fields that are radial in this gauge the weak-form
     integrand integrates to ~0 along every ray, so the angular regularity
     of the dual norm never limits the accuracy.
+
+    Returns ``(nodes, w, rho, grad_rho)``: each node's radial coordinate
+    and the gradient of the coordinate on its ray, which is constant there.
     """
     c = bump.center
     rc = np.linalg.norm(c)
     gamma = math.asin(min(0.999999, bump.rho / rc))
     omega, wo = _cap_rule(c / rc, gamma, n, n_ang)
-    theta, J, _ = quadrature.shell_geometry(gauge, omega)
+    theta, J, grad_rho, _ = quadrature.shell_geometry(gauge, omega)
     wo = wo * J
     # chord of each ray rho -> rho*Theta against the euclidean ball B_rho(c)
     tt = np.einsum("ij,ij->i", theta, theta)
@@ -345,6 +351,7 @@ def _shell_patch(gauge, bump, n, n_rho=16, n_ang=24):
     disc = tc ** 2 - tt * (rc ** 2 - bump.rho ** 2)
     keep = disc > 0.0
     theta, wo, tt, tc, disc = theta[keep], wo[keep], tt[keep], tc[keep], disc[keep]
+    grad_rho = grad_rho[keep]
     sq = np.sqrt(disc)
     rho_lo = (tc - sq) / tt
     rho_hi = (tc + sq) / tt
@@ -357,7 +364,8 @@ def _shell_patch(gauge, bump, n, n_rho=16, n_ang=24):
     wr = (half[..., None] * gw).reshape(len(theta), -1)
     nodes = rho[..., None] * theta[:, None, :]
     w = wr * rho ** (n - 1) * wo[:, None]
-    return nodes.reshape(-1, n), w.ravel()
+    grad_rho = np.repeat(grad_rho, rho.shape[1], axis=0)
+    return nodes.reshape(-1, n), w.ravel(), rho.ravel(), grad_rho
 
 
 def weak_residual(fam, field, dom, V=None, n_tests=100, seed=0,
@@ -372,25 +380,37 @@ def weak_residual(fam, field, dom, V=None, n_tests=100, seed=0,
     radial shells (exact ray chords, immune to the angular regularity of
     the dual norm); ``layout="ball"`` uses plain bump-centered polar grids,
     whose error decreases monotonically under ``n_rho`` refinement and so
-    drives the refinement checks.  All bumps are evaluated through one
-    batched field/operator call, which is what makes families with a
-    Newton-based dual affordable.
+    drives the refinement checks.  On shells, a radial field takes
+    ``u = profile(rho)`` and ``grad u = dprofile(rho) grad rho(Theta)``,
+    so a Newton-based dual is solved once per ray, in the shell geometry;
+    other fields and layouts evaluate ``field`` and ``field.grad`` at every
+    node.  All bumps are evaluated through one batched operator call.
     """
     p = fam.p
     gauge = field.radial[0] if field.radial is not None else None
-    schemes = []
+    per_ray = layout == "shell" and field.radial is not None
+    schemes, rays = [], []
     for bump in random_bumps(dom, n_tests, seed):
         if layout == "shell":
-            nodes, w = _shell_patch(gauge, bump, dom.n, n_rho=n_rho, n_ang=n_ang)
+            nodes, w, rho, grad_rho = _shell_patch(gauge, bump, dom.n,
+                                                   n_rho=n_rho, n_ang=n_ang)
+            rays.append((rho, grad_rho))
         else:
             nodes, w = _ball_scheme(bump.center, bump.rho, dom.n, n_rho, n_ang)
         schemes.append((bump, nodes, w))
     all_nodes = np.concatenate([nd for _, nd, _ in schemes], axis=0)
-    gu = np.asarray(field.grad(all_nodes), dtype=float)
+    if per_ray:
+        _, profile, dprofile = field.radial
+        rho = np.concatenate([r for r, _ in rays])
+        if rho.max() >= field.radial_bound:
+            raise DomainError(f"point outside {{rho < {field.radial_bound:g}}}")
+        gu = dprofile(rho)[:, None] * np.concatenate([g for _, g in rays], axis=0)
+    else:
+        gu = np.asarray(field.grad(all_nodes), dtype=float)
     a, _ = norms.operator_a(fam, all_nodes, gu)
     uvals = vvals = None
     if V is not None:
-        uvals = np.asarray(field(all_nodes), dtype=float)
+        uvals = np.asarray(profile(rho) if per_ray else field(all_nodes), dtype=float)
         vvals = np.asarray(V(all_nodes), dtype=float)
     res = []
     ofs = 0
@@ -431,7 +451,7 @@ def level_set_flux(fam, field, dom, t, n_ang=96):
     n = dom.n
     omega, wo = (quadrature.circle_rule(n_ang) if n == 2
                  else quadrature.sphere_rule(n_ang))
-    theta, J, grad_len = quadrature.shell_geometry(field.radial[0], omega)
+    theta, J, _, grad_len = quadrature.shell_geometry(field.radial[0], omega)
     x = rho * theta
     gu = np.asarray(field.grad(x), dtype=float)
     hval = norms.norm_eval(fam, x, gu)

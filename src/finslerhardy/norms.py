@@ -472,27 +472,30 @@ def bidual_norm(fam, xi_samples, n_dirs=2048, iters=80, seed=0):
     to certify the round trip ``H00 = H``.  Shared candidate directions are
     scored for all samples at once, then each sample is polished by
     projected gradient ascent (the gradient needs grad H0, available for
-    every x-independent kind).
+    every x-independent kind).  Each step takes one :func:`dual` call, which
+    gives the trial's H0 and the grad H0 kept for the next step.
     """
     xi_samples = np.atleast_2d(np.asarray(xi_samples, dtype=float))
     rng = np.random.Generator(np.random.Philox(key=seed))
     dirs = rng.standard_normal((n_dirs, fam.n))
     dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
-    h0 = dual_norm(fam, dirs)
+    h0, g = dual(fam, dirs)
     scores = xi_samples @ dirs.T / h0[None, :]
-    y = dirs[np.argmax(scores, axis=1)]
-    y = y / dual_norm(fam, y)[..., None]
+    best = np.argmax(scores, axis=1)
+    y = dirs[best] / h0[best, None]
+    g0 = g[best]   # grad H0 is 0-homogeneous: its value at y, kept with y
     val = np.einsum("ij,ij->i", xi_samples, y)
     step = 1.0 / np.maximum(np.linalg.norm(xi_samples, axis=-1), 1e-300)
     step = np.full(len(y), 1.0) * step
     for _ in range(iters):
-        g0 = grad_dual(fam, y)
         grad = xi_samples - val[:, None] * g0   # gradient of xi.y on {H0 = 1}
         trial = y + step[:, None] * grad
-        trial /= dual_norm(fam, trial)[..., None]
+        ht, gt = dual(fam, trial)
+        trial /= ht[..., None]
         tval = np.einsum("ij,ij->i", xi_samples, trial)
         better = tval > val
         y[better] = trial[better]
+        g0[better] = gt[better]
         val[better] = tval[better]
         step[~better] *= 0.5
     return val

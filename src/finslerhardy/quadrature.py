@@ -87,11 +87,12 @@ def sphere_rule(n_ang):
 
 
 def _dual_shell_geometry(fam, omega):
-    """Theta(omega) = omega/H0(omega), the Jacobian J, and |grad H0(Theta)|.
+    """Theta(omega) = omega/H0(omega), the Jacobian J, and grad H0(Theta).
 
     J is computed from the exact differential of Theta using grad H0, so the
     mapped product rule integrates smooth functions at the underlying
-    angular order.
+    angular order.  grad H0 is 0-homogeneous: its value at omega is its
+    value along the whole ray through Theta, from one dual solve.
     """
     h0, g0 = norms.dual(fam, omega)
     theta = omega / h0[..., None]
@@ -119,8 +120,7 @@ def _dual_shell_geometry(fam, omega):
         J = np.abs(np.einsum("...i,...i->...", theta, np.cross(d1, d2)))
     else:
         raise ValueError("dual shells are parametrized for n in {2, 3}")
-    grad_len = np.linalg.norm(g0, axis=-1)
-    return theta, J, grad_len
+    return theta, J, g0
 
 
 def _round(gauge):
@@ -145,14 +145,17 @@ def radius_grad(gauge, x):
 
 
 def shell_geometry(gauge, omega):
-    """(Theta, J, |grad rho(Theta)|) of the unit shell over directions omega.
+    """(Theta, J, grad rho(Theta), |grad rho(Theta)|) of the unit shell over
+    directions omega.
 
-    Round shells give ``(omega, 1, 1)``; H0-shells are mapped by
-    :func:`_dual_shell_geometry`.
+    grad rho is 0-homogeneous, so it holds on the whole ray rho * Theta.
+    Round shells give ``(omega, 1, omega, 1)``, whose length is the exact 1
+    rather than |omega|; H0-shells are mapped by :func:`_dual_shell_geometry`.
     """
     if _round(gauge):
-        return omega, 1, 1
-    return _dual_shell_geometry(gauge, omega)
+        return omega, 1, omega, 1
+    theta, J, g0 = _dual_shell_geometry(gauge, omega)
+    return theta, J, g0, np.linalg.norm(g0, axis=-1)
 
 
 def unit_ball_volume(n, gauge=None, n_ang=96):

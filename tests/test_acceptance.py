@@ -364,6 +364,18 @@ def test_error_decades_are_pinned(battery):
     assert decades == {name: d for d, names in ERROR_DECADES.items() for name in names}
 
 
+@pytest.mark.parametrize("grids", ["full", "quick"])
+def test_harmonic_residuals_cannot_drift_silently(battery, quick_battery, grids):
+    # the weak residuals of the p-harmonic candidates sit near round-off (the
+    # largest, mix p1.5_n3, is 3.3e-13 at full grids), far below their 1e-5
+    # tolerance: a 1000x drift would still pass the records, not this guard
+    records = _all(battery) if grids == "full" else quick_battery
+    measured = {r.name: r.measured for r in records
+                if r.name.startswith("fields.harmonicity.") or r.name == "fields.log_dual_gate"}
+    assert len(measured) == 9
+    assert {name: m for name, m in measured.items() if not m <= 1e-11} == {}
+
+
 def test_probe_records_report_the_number_that_failed(monkeypatch):
     cfg = SuiteConfig(seed=7, quick=True, threads=1)
     probe, convergence = hardy.optimality_at_infinity_probe, eigen.eigenpair_convergence_probe

@@ -117,6 +117,18 @@ def test_build_weight_green_source_builds_the_green_weight(tmp_path):
                      "--sigma", "1"]) == 2
 
 
+def test_verify_harmonic_rejects_a_green_potential(capsys, tmp_path):
+    # a Green potential solves the equation with the file's V, phi and p, which
+    # the p-harmonic residual would ignore
+    out = tmp_path / "h.json"
+    for spec in (f"green:{GREEN_EXAMPLE}", f"f0(green:{GREEN_EXAMPLE})"):
+        assert run_main(["verify-harmonic", "--p", "2", "--n", "3", "--field", spec,
+                         "--tests", "2", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "c_p V u^(p-1) = phi" in err and "build-weight --field green:" in err
+        assert not out.exists()
+
+
 def test_build_weight_flux_failure_is_not_swallowed(monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("injected")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from finslerhardy import fields, norms, quadrature
+from finslerhardy import acceptance, fields, norms, quadrature
 from finslerhardy.errors import BranchError, DomainError
 
 from scipy.integrate import quad
@@ -71,6 +71,75 @@ def test_mixed_fields_take_one_newton_solve(newton_calls):
     omega, _ = quadrature.circle_rule(32)
     quadrature._dual_shell_geometry(fam, omega)
     assert newton_calls == [len(omega)]
+
+
+def test_mixed_weak_residual_solves_the_dual_once_per_ray(newton_calls, monkeypatch):
+    # grad u = dprofile(rho) grad H0(Theta) on each ray: the only solves are the
+    # shell geometry's, one row per cap direction
+    fam = norms.mixed(4, A2, 3.0)
+    dom = fields.annulus(0.1, 10.0, 2)
+    nodes = sum(len(fields._shell_patch(fam, b, 2, n_ang=12)[0])
+                for b in fields.random_bumps(dom, 5, 3))
+    directions = []
+    geometry = quadrature._dual_shell_geometry
+
+    def counted(f, omega):
+        directions.append(len(omega))
+        return geometry(f, omega)
+
+    monkeypatch.setattr(quadrature, "_dual_shell_geometry", counted)
+    G = fields.DualPowerField(fam)
+    for field, V in ((G, None), (fields.power_of(G, 2.0 / 3.0), lambda x: -np.ones(len(x)))):
+        del newton_calls[:], directions[:]
+        fields.weak_residual(fam, field, dom, V=V, n_tests=5, seed=3, n_ang=12)
+        assert len(directions) == 5
+        assert newton_calls == directions
+        assert 10 * sum(directions) < nodes
+
+
+def test_weak_residual_refuses_nodes_outside_the_log_field():
+    # log(R / H0) lives on {H0 < R}: the per-ray profile must not run past R
+    G = fields.LogDualField(norms.mixed(4, A2, 2.0), R=1.0)
+    dom = fields.annulus(0.1, 10.0, 2)
+    for field in (G, fields.power_of(G, 0.5)):
+        for layout in ("shell", "ball"):
+            with pytest.raises(DomainError):
+                fields.weak_residual(G.fam, field, dom, n_tests=5, seed=3,
+                                     n_ang=12, layout=layout)
+
+
+def test_bidual_takes_one_solve_per_step(newton_calls):
+    fam = norms.mixed(4, A2, 3.0)
+    xi = norms.sample_vectors(2, 20, 5, stream=7)
+    for k in (0, 1, 6):
+        del newton_calls[:]
+        val = norms.bidual_norm(fam, xi, n_dirs=256, iters=k)
+        assert len(newton_calls) == k + 1
+        # every candidate y gives xi.y / H0(y) <= H(xi)
+        assert np.all(val <= norms.norm_eval(fam, None, xi) * (1.0 + 1e-12))
+
+
+def _per_ray_and_pointwise(field, dom, n_tests=3, seed=5):
+    gauge, _, dprofile = field.radial
+    for bump in fields.random_bumps(dom, n_tests, seed):
+        nodes, _, rho, grad_rho = fields._shell_patch(gauge, bump, dom.n, n_rho=4, n_ang=12)
+        yield dprofile(rho)[:, None] * grad_rho, field.grad(nodes)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("label", ["euclidean", "lp4", "quad", "mix"])
+def test_per_ray_gradient_matches_the_pointwise_gradient(label, n):
+    # oracle for the shell weak residual: dprofile(rho) grad rho(Theta) at the
+    # patch nodes against the field's own gradient, solved node by node
+    p = 3.0 if n == 2 else 1.5
+    G = fields.DualPowerField(acceptance._family(label, p, n))
+    log = fields.LogDualField(acceptance._family(label, float(n), n), R=50.0)
+    dom = fields.annulus(0.1, 10.0, n)
+    for field in (G, fields.power_of(G, (p - 1.0) / p), log):
+        for per_ray, pointwise in _per_ray_and_pointwise(field, dom):
+            err = (np.linalg.norm(per_ray - pointwise, axis=-1)
+                   / np.linalg.norm(pointwise, axis=-1))
+            assert err.max() <= 1e-12, (field.kind, err.max())
 
 
 def test_weak_residual_classical_and_control():

@@ -57,8 +57,9 @@ def test_dual_metric_shell_volume():
 
 
 def test_gauge_paths_are_pinned_bit_for_bit():
-    # H0-gauge angular factor, H0-shell level flux and shell-patch weak
-    # residual, each equal to its value before the gauge became one value
+    # H0-gauge angular factor and H0-shell level flux, each equal to its value
+    # before the gauge became one value; shell-patch weak residual as taken
+    # per ray, grad u = dprofile(rho) grad H0(Theta)
     assert quadrature.angular_measure(2, norms.lp(4, 3, 2)).hex() == "0x1.45621f1edb804p+2"
     mix = norms.mixed(4, [[4.0, 0.0], [0.0, 9.0]], 1.5)
     G = fields.DualPowerField(mix)
@@ -67,7 +68,7 @@ def test_gauge_paths_are_pinned_bit_for_bit():
     lp4 = norms.lp(4, 3.0, 2)
     G = fields.DualPowerField(lp4)
     res = fields.weak_residual(lp4, G, fields.annulus(0.1, 10.0, 2), n_tests=10, seed=7)
-    assert res.hex() == "0x1.d79ce2e5e211dp-58"
+    assert res.hex() == "0x1.1e0f6c3fe573bp-57"
 
 
 def test_richardson_order_radial():
