@@ -32,7 +32,7 @@ def main():
     for p in np.linspace(args.pmin, args.pmax, args.steps):
         ep = eigen.EigenProblem(p=float(p), L=args.L, N=args.N)
         pr = eigen.principal_eigenvalue(ep, restarts=6)
-        s2 = eigen.second_eigenvalue_and_gap(ep, xtol=1e-7)
+        s2 = eigen.second_eigenvalue_and_gap(ep, xtol=1e-7, principal=pr)
         pi_p = eigen.p_sine_constant(float(p))
         ex1 = (p - 1.0) * (pi_p / args.L) ** p
         ex2 = (p - 1.0) * (2.0 * pi_p / args.L) ** p

@@ -33,7 +33,15 @@ residual ends above 1e-7.
 The second eigenvalue is located by equalizing the two nodal-domain
 principal eigenvalues over the interior zero position (the second
 eigenfunction has exactly one interior zero), which is derivative-free and
-deflation-free; each nodal domain is solved once per zero position.
+deflation-free.  Neighbouring zero positions have nearly the same nodal
+eigenfunctions, so each nodal domain is warm-started: the first left and
+right halves from the principal eigenfunction of the whole domain, each
+later half from the last solved half on the same side, mapped affinely onto
+the new subdomain.  Newton alone polishes the warm start, and its result is
+accepted only when its residual is at most 1e-7 and every nodal value is
+positive (the principal eigenfunction is the only one that does not change
+sign); otherwise that half is solved again from cold restarts, and the
+fallback is counted.
 """
 
 from __future__ import annotations
@@ -358,35 +366,65 @@ def principal_eigenvalue(ep, restarts=32, agree_tol=1e-6):
                      restarts_agreeing=agree, rayleigh=float(ray))
 
 
-def _principal_on(a, b, ep, n_min=64, restarts=4):
+def _profile(x, v, left_dirichlet):
+    """Nodal values of v with its Dirichlet nodes put back as zeros, against
+    the affine coordinate (x - x[0]) / (x[-1] - x[0]) of the unit interval."""
+    full = np.zeros(len(x))
+    full[1 if left_dirichlet else 0:-1] = v
+    return (x - x[0]) / (x[-1] - x[0]), full
+
+
+def _principal_on(a, b, ep, n_min=64, restarts=4, start=None):
     """Principal eigenvalue on the subdomain (a, b) in absolute coordinates.
 
     Keeps the parent geometry weight; the left end keeps the natural center
-    condition only when it is the true center of a ball (a = 0).
+    condition only when it is the true center of a ball (a = 0).  With a
+    ``start`` profile (``_profile``), Newton alone polishes it, mapped
+    affinely onto (a, b); the result stands when its residual is at most
+    1e-7 and every nodal value is positive.  Otherwise, or without a start,
+    the cold restarts solve it.  Returns (v, lambda, residual, disc,
+    cold_fallbacks), the last 1 when a start was tried and rejected.
     """
     frac = (b - a) / ep.L
     N = max(n_min, int(round(ep.N * frac)))
     x = np.linspace(a, b, N + 1)
     left_dir = not (ep.geometry == "ball" and a == 0.0)
     disc = _Disc(ep.p, x, ep.V, n_w=ep.weight_dim, left_dirichlet=left_dir)
-    return min(_restarts(disc, ep.seed + 1, restarts), key=lambda run: run[1]) + (disc,)
+    if start is not None:
+        xs = x[1 if left_dir else 0:-1]
+        v0 = disc.normalize(np.interp((xs - a) / (b - a), *start))
+        v, lam, rnorm = _newton_polish(disc, v0, disc.rayleigh(v0))
+        if rnorm <= 1e-7 and np.all(v > 0.0):
+            return v, lam, rnorm, disc, 0
+    v, lam, rnorm = min(_restarts(disc, ep.seed + 1, restarts), key=lambda run: run[1])
+    return v, lam, rnorm, disc, int(start is not None)
 
 
-def second_eigenvalue_and_gap(ep, restarts=4, xtol=1e-9):
+def second_eigenvalue_and_gap(ep, restarts=4, xtol=1e-9, principal=None):
     """lambda_2 by equalizing the nodal-domain principal eigenvalues.
 
     Bisection (brentq) on the interior zero position a with
     f(a) = lambda_1(left of a) - lambda_1(right of a) strictly decreasing;
     at the root both nodal Rayleigh quotients agree and their common value
-    is lambda_2.
+    is lambda_2.  ``principal`` is the principal pair of ``ep`` (solved here
+    with ``restarts`` when not given): it gives lambda_1 and the warm start
+    of the first two halves.  ``cold_fallbacks`` counts the halves whose
+    warm start was rejected.
     """
     L = ep.L
+    if principal is None:
+        principal = principal_eigenvalue(ep, restarts=restarts)
+    lam1, pp = principal.lam, principal.problem
+    seed = _profile(pp.grid(), principal.v, pp.geometry == "interval")
+    starts = [seed, seed]           # the last solved left and right halves
     halves = {}
 
     def f(a):
         if a not in halves:
-            halves[a] = (_principal_on(0.0, a, ep, restarts=restarts),
-                         _principal_on(a, L, ep, restarts=restarts))
+            halves[a] = (_principal_on(0.0, a, ep, restarts=restarts, start=starts[0]),
+                         _principal_on(a, L, ep, restarts=restarts, start=starts[1]))
+            starts[:] = [_profile(disc.x, v, disc.left_dirichlet)
+                         for v, _, _, disc, _ in halves[a]]
         left, right = halves[a]
         return left[1] - right[1]
 
@@ -396,12 +434,11 @@ def second_eigenvalue_and_gap(ep, restarts=4, xtol=1e-9):
                           f"between a = {lo!r} and a = {hi!r}")
     # brentq returns a point it evaluated, so both halves at a* are in hand
     a_star = brentq(f, lo, hi, xtol=xtol * L)
-    (vl, laml, resl, discl), (vr, lamr, resr, discr) = halves[a_star]
+    (vl, laml, resl, discl, _), (vr, lamr, resr, discr, _) = halves[a_star]
     res = max(resl, resr)
     if res > 1e-7:
         raise SolverError("nodal-domain eigen solve did not converge", residual=res)
     lam2 = 0.5 * (laml + lamr)
-    lam1 = principal_eigenvalue(ep, restarts=restarts).lam
     # glue the halves with psi(v')-continuity at the zero
     sl = abs(vl[-1] / discl.h)
     sr = abs(vr[0] / discr.h)
@@ -413,7 +450,8 @@ def second_eigenvalue_and_gap(ep, restarts=4, xtol=1e-9):
             "lambda1": float(lam1), "zero": float(a_star),
             "x": glued_x, "v": glued_v,
             "sign_changes": _count_sign_changes(glued_v),
-            "mismatch": abs(laml - lamr)}
+            "mismatch": abs(laml - lamr),
+            "cold_fallbacks": sum(half[4] for pair in halves.values() for half in pair)}
 
 
 def eigenpair_convergence_probe(ep, k_list=(2, 4, 8, 16, 32), restarts=6):

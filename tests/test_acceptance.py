@@ -188,6 +188,35 @@ def test_criterion_14_p2_records_match_the_tridiagonal_oracle(battery):
     assert abs(measured["eigen.p2_gap"] / (mu2 - mu1) - 1.0) <= 2e-11
 
 
+def test_gap_battery_matches_the_tridiagonal_oracle(quick_battery):
+    # the quick gap battery's 4 potentials (same generator as check_eigen),
+    # each second solve against the exact eigenvalues of its own discrete
+    # problem.  Measured at seed 7: lambda2 at most 5.9e-7 relative off (the
+    # zero is only located to xtol = 3e-4) and the inner lambda1 1.5e-11;
+    # each bound is under twice that
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(7 + 91)))
+    gaps = []
+    for _ in range(4):
+        c = rng.uniform(-3.0, 3.0, 4)
+
+        def V(x, c=c):
+            x = np.asarray(x, dtype=float)
+            return sum(ci * np.cos((i + 1) * math.pi * x) for i, ci in enumerate(c))
+
+        pair = []
+        for cells in (384, 768):
+            ep = eigen.EigenProblem(p=2.0, L=1.0, V=V, N=cells, seed=7)
+            s2 = eigen.second_eigenvalue_and_gap(ep, restarts=2, xtol=3e-4)
+            mu1, mu2 = oracles.p2_tridiagonal_eigenvalues(eigen._disc_for(ep), k=2)
+            assert abs(s2["lambda2"] / mu2 - 1.0) <= 1.1e-6
+            assert abs(s2["lambda1"] / mu1 - 1.0) <= 3e-11
+            pair.append(s2["gap"])
+        gaps.append(abs(pair[0] / pair[1] - 1.0))
+    # the same potentials and solves as the record
+    (rec,) = [r for r in quick_battery if r.name == "eigen.gap_random_battery"]
+    assert max(gaps) == rec.measured["worst_stability"]
+
+
 def test_criterion_14_shooting_oracle_cross_check():
     lam_shoot = oracles.shoot_eigen(3.0, 1.0, count_zero=0)
     pr = eigen.principal_eigenvalue(eigen.EigenProblem(p=3.0, L=1.0, N=4096),

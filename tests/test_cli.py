@@ -189,12 +189,12 @@ def test_eigen_subcommand(tmp_path):
 
 
 def test_eigen_gap_is_taken_from_the_reported_lambda1(tmp_path, monkeypatch):
-    # second_eigenvalue_and_gap's own gap rests on a separate 4-restart
-    # principal solve; shift it, as a lambda1 that differs would
+    # shift second_eigenvalue_and_gap's own gap, as a lambda1 that differs
+    # from the reported one would
     second = eigen.second_eigenvalue_and_gap
 
-    def other_lambda1(ep):
-        s2 = second(ep)
+    def other_lambda1(ep, **kw):
+        s2 = second(ep, **kw)
         return dict(s2, gap=s2["gap"] + 1.0)
 
     monkeypatch.setattr(eigen, "second_eigenvalue_and_gap", other_lambda1)
@@ -205,6 +205,23 @@ def test_eigen_gap_is_taken_from_the_reported_lambda1(tmp_path, monkeypatch):
     assert payload["gap"] == payload["lambda2"] - payload["lambda1"]
     (gap_record,) = [c for c in rep["checks"] if c["name"] == "gap_positive"]
     assert gap_record["measured"] == payload["gap"]
+
+
+def test_eigen_solves_the_principal_problem_once(tmp_path, monkeypatch):
+    # the reported pair is second_eigenvalue_and_gap's lambda1 and warm start
+    principal = eigen.principal_eigenvalue
+    calls = []
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return principal(*args, **kw)
+
+    monkeypatch.setattr(eigen, "principal_eigenvalue", counted)
+    out = tmp_path / "e.json"
+    assert run_main(["eigen", "--p", "3", "--grid", "128", "--out", str(out)]) == 0
+    assert len(calls) == 1
+    payload = json.loads(out.read_text())["payload"]
+    assert payload["gap"] == payload["lambda2"] - payload["lambda1"]
 
 
 def test_suite_only_filter(tmp_path):

@@ -149,8 +149,8 @@ def _p3_problem():
 
 
 def test_p3_values_are_pinned_bit_for_bit():
-    # the Newton stop rule and the reuse of brentq's nodal-domain solves
-    # exist to save work; neither may move a bit of these values
+    # the Newton stop rule, the reuse of brentq's nodal-domain solves and
+    # their warm starts exist to save work; none may move a bit of these values
     pr = eigen.principal_eigenvalue(_p3_problem(), restarts=2)
     s2 = eigen.second_eigenvalue_and_gap(_p3_problem(), restarts=2)
     assert pr.lam.hex() == "0x1.c493c4dc55591p+4"
@@ -237,11 +237,14 @@ def test_second_solves_each_nodal_domain_once(monkeypatch):
 
 
 def test_second_rejects_unconverged_nodal_domain(monkeypatch):
+    # only the nodal domains stall: the principal solve on (0, 1) would
+    # raise its own error first
     newton_polish = eigen._newton_polish
 
     def stalled(disc, v, lam):
-        v, lam, _ = newton_polish(disc, v, lam)
-        return v, lam, 1e-3
+        v, lam, res = newton_polish(disc, v, lam)
+        nodal = disc.x[0] > 0.0 or disc.x[-1] < 1.0
+        return v, lam, 1e-3 if nodal else res
 
     monkeypatch.setattr(eigen, "_newton_polish", stalled)
     with pytest.raises(eigen.SolverError, match="nodal-domain") as info:
@@ -252,7 +255,8 @@ def test_second_rejects_unconverged_nodal_domain(monkeypatch):
 def test_second_without_bracket_is_numeric_failure(monkeypatch):
     # lambda_1(0, a) - lambda_1(a, L) = -a has one sign on [0.05 L, 0.95 L]
     def same_sign(a, b, ep, **kw):
-        return None, 1.0 + a, 0.0, None
+        disc = eigen._Disc(ep.p, np.linspace(a, b, 65), None)
+        return np.ones(disc.n_unknown), 1.0 + a, 0.0, disc, 0
 
     monkeypatch.setattr(eigen, "_principal_on", same_sign)
     with pytest.raises(eigen.SolverError, match="no sign change"):
@@ -271,6 +275,109 @@ def test_second_counts_the_sign_changes_it_returns(monkeypatch):
     s2 = eigen.second_eigenvalue_and_gap(_p3_problem(), restarts=2)
     assert seen[-1] is s2["v"]
     assert s2["sign_changes"] == 100 + len(seen)
+
+
+def _cold_nodal_domains(monkeypatch):
+    """Solve every nodal domain from cold restarts, as before warm starts."""
+    principal_on = eigen._principal_on
+
+    def cold(a, b, ep, restarts=4, start=None):
+        return principal_on(a, b, ep, restarts=restarts)
+
+    monkeypatch.setattr(eigen, "_principal_on", cold)
+
+
+WARM_CASES = [(1.5, "interval", None), (3.0, "interval", None),
+              (4.0, "interval", None), (1.5, "ball", None), (2.5, "ball", None),
+              (3.0, "interval", _cosine)]
+
+
+@pytest.mark.parametrize("p, geometry, V", WARM_CASES)
+def test_warm_starts_agree_with_cold_starts(p, geometry, V, monkeypatch):
+    ep = eigen.EigenProblem(p=p, L=1.0, N=128, seed=0, geometry=geometry, n=3, V=V)
+    warm = eigen.second_eigenvalue_and_gap(ep, restarts=2)
+    _cold_nodal_domains(monkeypatch)
+    cold = eigen.second_eigenvalue_and_gap(ep, restarts=2)
+    assert cold["cold_fallbacks"] == 0
+    for key in ("lambda2", "gap", "zero"):
+        assert abs(warm[key] / cold[key] - 1.0) <= 1e-12, key
+
+
+def test_principal_pair_of_the_caller_is_lambda1(monkeypatch):
+    pr = eigen.principal_eigenvalue(_p3_problem(), restarts=3)
+    calls = []
+    monkeypatch.setattr(eigen, "principal_eigenvalue",
+                        lambda *a, **kw: calls.append(1))
+    s2 = eigen.second_eigenvalue_and_gap(_p3_problem(), restarts=2, principal=pr)
+    assert calls == []
+    assert s2["lambda1"] == pr.lam
+    assert s2["gap"] == s2["lambda2"] - pr.lam
+
+
+@pytest.mark.parametrize("p, N, geometry, V, fallbacks",
+                         [(1.5, 128, "interval", None, 0),
+                          (3.0, 128, "interval", None, 0),
+                          (4.0, 128, "interval", None, 0),
+                          (1.5, 256, "ball", None, 0),
+                          (4.0, 256, "interval", _cosine, 1)])
+def test_second_counts_its_cold_fallbacks(p, N, geometry, V, fallbacks, monkeypatch):
+    # the eigen_sweep interval cases need none, nor does the ball, whose
+    # first right half starts from a profile that is nonzero at its
+    # Dirichlet end; at p = 4 with the cosine potential, Newton from the
+    # principal eigenfunction mapped onto the right half (0.05, 1) stalls at
+    # a residual of 2e-2, and that half falls back to the cold restarts
+    ep = eigen.EigenProblem(p=p, L=1.0, N=N, seed=7, geometry=geometry, n=3, V=V)
+    fell_back = []
+    principal_on = eigen._principal_on
+
+    def recorded(a, b, ep, **kw):
+        out = principal_on(a, b, ep, **kw)
+        if out[4]:
+            fell_back.append((a, b))
+        return out
+
+    monkeypatch.setattr(eigen, "_principal_on", recorded)
+    s2 = eigen.second_eigenvalue_and_gap(ep, restarts=2)
+    assert s2["cold_fallbacks"] == fallbacks == len(fell_back)
+    if fallbacks:
+        assert fell_back == [(0.05, 1.0)]
+
+
+@pytest.mark.parametrize("reject", ["residual", "sign"])
+def test_rejected_warm_starts_give_the_cold_path_bit_for_bit(reject, monkeypatch):
+    # a Newton polish that fails the gate on every warm start, by its
+    # residual or by a sign change, leaves each half to the cold restarts
+    ep = eigen.EigenProblem(p=1.5, L=1.0, N=128, seed=0)
+    with monkeypatch.context() as m:
+        _cold_nodal_domains(m)
+        cold = eigen.second_eigenvalue_and_gap(ep, restarts=2)
+    newton_polish, restarts = eigen._newton_polish, eigen._restarts
+    in_restarts, solves = [], []
+
+    def flagged(*args, **kw):
+        in_restarts.append(1)
+        try:
+            return restarts(*args, **kw)
+        finally:
+            in_restarts.pop()
+
+    def rejecting(disc, v, lam, **kw):
+        v, lam, res = newton_polish(disc, v, lam, **kw)
+        if in_restarts:
+            return v, lam, res
+        solves.append(1)
+        if reject == "residual":
+            return v, lam, 1e-6
+        v = v.copy()
+        v[len(v) // 2] = -v[len(v) // 2]
+        return v, lam, res
+
+    monkeypatch.setattr(eigen, "_restarts", flagged)
+    monkeypatch.setattr(eigen, "_newton_polish", rejecting)
+    s2 = eigen.second_eigenvalue_and_gap(ep, restarts=2)
+    assert s2["cold_fallbacks"] == len(solves) > 0
+    for key in ("lambda2", "gap", "lambda1", "zero", "mismatch"):
+        assert s2[key] == cold[key], key
 
 
 @pytest.mark.parametrize("N, geometry", [(128, "interval"), (512, "interval"),
