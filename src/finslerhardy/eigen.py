@@ -51,10 +51,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import cholesky_banded, get_lapack_funcs, solve_banded
-from scipy.optimize import brentq
 
 from .errors import SolverError
 from .green import _psi
+from .scalar import brentq
 
 
 def p_sine_constant(p):

@@ -22,10 +22,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import norms, quadrature
 from .errors import BranchError, DomainError
+from .scalar import brentq
 
 # ---------------------------------------------------------------------------
 # domains

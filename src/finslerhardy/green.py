@@ -25,11 +25,10 @@ import math
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
 from . import fields, quadrature
 from .errors import SolverError
+from .scalar import Pchip, brentq, fminbound
 
 EPS_REG = 1e-10
 
@@ -138,7 +137,7 @@ class GreenPotential:
     _dinterp: object = dfield(default=None, repr=False)
 
     def __post_init__(self):
-        self._interp = PchipInterpolator(self.r, self.u, extrapolate=False)
+        self._interp = Pchip(self.r, self.u)
         self._dinterp = self._interp.derivative()
 
     def profile(self, r):
@@ -395,7 +394,8 @@ def farfield_exponent(gp, window=(4.0, 0.125)):
     """Fit u ~ A r^beta + B on [window[0]*r_b, window[1]*R_out]; returns (beta, A, B).
 
     The constant B absorbs any Dirichlet truncation offset; with the decay
-    boundary condition B is at the noise level.
+    boundary condition B is at the noise level.  A minimum over beta that
+    ends on a NaN or on its evaluation cap raises ``SolverError``.
     """
     prob = gp.problem
     lo = window[0] * prob.phi.r_b
@@ -416,10 +416,6 @@ def farfield_exponent(gp, window=(4.0, 0.125)):
     i = int(np.argmin(vals))
     lo_b = beta_grid[max(0, i - 1)]
     hi_b = beta_grid[min(len(beta_grid) - 1, i + 1)]
-    from scipy.optimize import minimize_scalar
-
-    opt = minimize_scalar(lambda b: resid(b)[0], bounds=(lo_b, hi_b),
-                          method="bounded", options={"xatol": 1e-10})
-    beta = float(opt.x)
+    beta = fminbound(lambda b: resid(b)[0], lo_b, hi_b, xtol=1e-10)
     _, coef = resid(beta)
     return beta, float(coef[0]), float(coef[1])

@@ -9,6 +9,7 @@ mathematical reasons (see notes); they are strict xfails here so a silent
 
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -230,24 +231,26 @@ def test_criterion_14_shooting_oracle_cross_check():
     assert ok
 
 
-def _run_suite_cli(tmp_path, tag, threads):
+def _run_suite_cli(tmp_path, tag, threads, hash_seed):
     out = tmp_path / f"suite_{tag}.json"
     proc = subprocess.run(
         [sys.executable, "-m", "finslerhardy.cli", "suite", "--quick",
          "--seed", "7", "--threads", str(threads), "--out", str(out)],
-        capture_output=True, text=True, timeout=580)
+        capture_output=True, text=True, timeout=580,
+        env=dict(os.environ, PYTHONHASHSEED=hash_seed))
     assert proc.returncode in (0, 1), proc.stderr
     return mask_timestamp(out.read_text())
 
 
 def test_criterion_15_determinism(tmp_path):
-    a = _run_suite_cli(tmp_path, "a", 1)
-    b = _run_suite_cli(tmp_path, "b", 1)
-    c = _run_suite_cli(tmp_path, "c", 4)
+    # b differs from a only in its hash seed (string and set order)
+    a = _run_suite_cli(tmp_path, "a", 1, "0")
+    b = _run_suite_cli(tmp_path, "b", 1, "1")
+    c = _run_suite_cli(tmp_path, "c", 4, "0")
     ok = a == b == c
     print(f"criterion 15 (determinism, masked timestamps): "
-          f"{'PASS' if ok else 'FAIL'}  [2 runs x threads {{1, 4}}]")
-    assert a == b, "reports differ across identical runs"
+          f"{'PASS' if ok else 'FAIL'}  [2 hash seeds x threads {{1, 4}}]")
+    assert a == b, "reports differ across hash seeds"
     assert a == c, "reports differ across thread counts"
 
 

@@ -8,11 +8,15 @@ import ast
 import hashlib
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from finslerhardy.acceptance import CATALOG, REGISTRY
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+SRC = Path(__file__).resolve().parents[1] / "src" / "finslerhardy"
 
 #: sha256 of the 137 catalog names joined by newlines, in registry order
 CATALOG_SHA256 = "f318eda6e79b113882de31ae3bd32241dcf813fcd2bd8a04de61b68c216c97f9"
@@ -44,8 +48,7 @@ def test_catalog_names_are_pinned():
 
 
 def test_only_quadrature_maps_dual_shells():
-    src = Path(__file__).resolve().parents[1] / "src" / "finslerhardy"
-    naming = sorted(p.name for p in src.glob("*.py")
+    naming = sorted(p.name for p in SRC.glob("*.py")
                     if "_dual_shell_geometry" in p.read_text())
     assert naming == ["quadrature.py"]
 
@@ -53,9 +56,8 @@ def test_only_quadrature_maps_dual_shells():
 def test_only_composite_checks_use_the_bare_record():
     # every other record states its bound through a comparison constructor
     # of report.py, which decides the status from the fields it writes
-    src = Path(__file__).resolve().parents[1] / "src" / "finslerhardy"
     calls = []
-    for path in sorted(src.glob("*.py")):
+    for path in sorted(SRC.glob("*.py")):
         text = path.read_text()
         for fn in ast.parse(text).body:
             if isinstance(fn, ast.FunctionDef) and path.name != "report.py":
@@ -78,3 +80,32 @@ def test_only_composite_checks_use_the_bare_record():
         'cli.cmd_verify_bregman: "c_upper_finite"',
         'cli.cmd_verify_norms: "equivalence_constants"',
     ]
+
+
+def test_cli_import_loads_no_scipy_optimize_or_interpolate():
+    # importing either package costs about 0.3 s of every process start;
+    # scalar.py holds the ports the package uses instead
+    code = ("import sys, finslerhardy.cli; print(' '.join(m for m in sys.modules "
+            "if m.startswith(('scipy.optimize', 'scipy.interpolate'))))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
+def test_src_imports_no_scipy_optimize_or_interpolate():
+    # a lazy import inside a function would put the start-up cost back
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.startswith(("scipy.optimize", "scipy.interpolate"))]
+    assert found == []
