@@ -296,8 +296,11 @@ def random_bumps(dom, n_tests, seed, margin=0.05, rho_frac=(0.25, 0.75)):
     return bumps
 
 
-def _cap_rule(center_dir, gamma, n, n_ang):
-    """Directions within angle gamma of center_dir with surface weights."""
+def _cap_rule(bump, n, n_ang):
+    """Directions within the angle a bump's ball subtends, with surface weights."""
+    rc = np.linalg.norm(bump.center)
+    center_dir = bump.center / rc
+    gamma = math.asin(min(0.999999, bump.rho / rc))
     gx, gw = quadrature._gauss(3)
     if n == 2:
         phi_c = math.atan2(center_dir[1], center_dir[0])
@@ -327,31 +330,36 @@ def _cap_rule(center_dir, gamma, n, n_ang):
     return omega.reshape(-1, 3), w.ravel()
 
 
-def _shell_patch(gauge, bump, n, n_rho=16, n_ang=24):
-    """Shell-aligned quadrature patch covering a bump's support.
+def _shell_patches(gauge, bumps, n, n_rho=16, n_ang=24):
+    """Shell-aligned quadrature patches covering the bumps' supports.
 
     Nodes sit on rays x = rho * Theta(omega) of the radial gauge, each ray
     carrying composite Gauss panels over its exact chord through the bump
     ball.  For fields that are radial in this gauge the weak-form
     integrand integrates to ~0 along every ray, so the angular regularity
-    of the dual norm never limits the accuracy.
-
-    Returns ``(nodes, w, rho, grad_rho)``: each node's radial coordinate
-    and the gradient of the coordinate on its ray, which is constant there.
+    of the dual norm never limits the accuracy.  One shell-geometry call
+    maps every bump's cap; :func:`_shell_patch` takes each bump's slice.
     """
+    caps = [_cap_rule(bump, n, n_ang) for bump in bumps]
+    theta, J, grad_rho, _ = quadrature.shell_geometry(
+        gauge, np.concatenate([omega for omega, _ in caps]))
+    cuts = np.cumsum([len(w) for _, w in caps])[:-1]
+    wo = np.concatenate([w for _, w in caps]) * J
+    return [_shell_patch(bump, *geometry, n, n_rho) for bump, *geometry in
+            zip(bumps, *(np.split(arr, cuts) for arr in (theta, wo, grad_rho)))]
+
+
+def _shell_patch(bump, theta, wo, grad_rho, n, n_rho):
+    """One bump's patch from its cap's (Theta, weight * J, grad rho) as
+    ``(nodes, w, rho, grad_rho)``: rho with one row and grad rho once per ray."""
     c = bump.center
     rc = np.linalg.norm(c)
-    gamma = math.asin(min(0.999999, bump.rho / rc))
-    omega, wo = _cap_rule(c / rc, gamma, n, n_ang)
-    theta, J, grad_rho, _ = quadrature.shell_geometry(gauge, omega)
-    wo = wo * J
     # chord of each ray rho -> rho*Theta against the euclidean ball B_rho(c)
     tt = np.einsum("ij,ij->i", theta, theta)
     tc = theta @ c
     disc = tc ** 2 - tt * (rc ** 2 - bump.rho ** 2)
     keep = disc > 0.0
     theta, wo, tt, tc, disc = theta[keep], wo[keep], tt[keep], tc[keep], disc[keep]
-    grad_rho = grad_rho[keep]
     sq = np.sqrt(disc)
     rho_lo = (tc - sq) / tt
     rho_hi = (tc + sq) / tt
@@ -364,8 +372,7 @@ def _shell_patch(gauge, bump, n, n_rho=16, n_ang=24):
     wr = (half[..., None] * gw).reshape(len(theta), -1)
     nodes = rho[..., None] * theta[:, None, :]
     w = wr * rho ** (n - 1) * wo[:, None]
-    grad_rho = np.repeat(grad_rho, rho.shape[1], axis=0)
-    return nodes.reshape(-1, n), w.ravel(), rho.ravel(), grad_rho
+    return nodes.reshape(-1, n), w.ravel(), rho, grad_rho[keep]
 
 
 def weak_residual(fam, field, dom, V=None, n_tests=100, seed=0,
@@ -380,50 +387,49 @@ def weak_residual(fam, field, dom, V=None, n_tests=100, seed=0,
     radial shells (exact ray chords, immune to the angular regularity of
     the dual norm); ``layout="ball"`` uses plain bump-centered polar grids,
     whose error decreases monotonically under ``n_rho`` refinement and so
-    drives the refinement checks.  On shells, a radial field takes
-    ``u = profile(rho)`` and ``grad u = dprofile(rho) grad rho(Theta)``,
-    so a Newton-based dual is solved once per ray, in the shell geometry;
-    other fields and layouts evaluate ``field`` and ``field.grad`` at every
-    node.  All bumps are evaluated through one batched operator call.
+    drives the refinement checks.  On shells, one shell-geometry call serves
+    every bump, and a radial field takes ``u = g(rho)`` and ``grad u =
+    g'(rho) grad rho(Theta)``, so a Newton-based dual is solved once per ray.
+    An x-independent family then takes the flux map once per ray too:
+    a is (p-1)-homogeneous, so ``a(grad u) = sign(g') |g'|^(p-1) a(grad rho)``.
+    Weighted families, whose a depends on x, take a at every node; other
+    fields and layouts take ``field.grad`` there too.  All bumps are
+    evaluated through one batched operator call.
     """
-    p = fam.p
+    p, n = fam.p, dom.n
     gauge = field.radial[0] if field.radial is not None else None
     per_ray = layout == "shell" and field.radial is not None
-    schemes, rays = [], []
-    for bump in random_bumps(dom, n_tests, seed):
-        if layout == "shell":
-            nodes, w, rho, grad_rho = _shell_patch(gauge, bump, dom.n,
-                                                   n_rho=n_rho, n_ang=n_ang)
-            rays.append((rho, grad_rho))
-        else:
-            nodes, w = _ball_scheme(bump.center, bump.rho, dom.n, n_rho, n_ang)
-        schemes.append((bump, nodes, w))
-    all_nodes = np.concatenate([nd for _, nd, _ in schemes], axis=0)
+    bumps = random_bumps(dom, n_tests, seed)
+    patches = (_shell_patches(gauge, bumps, n, n_rho=n_rho, n_ang=n_ang) if layout == "shell"
+               else [_ball_scheme(b.center, b.rho, n, n_rho, n_ang) for b in bumps])
+    all_nodes = np.concatenate([patch[0] for patch in patches], axis=0)
     if per_ray:
         _, profile, dprofile = field.radial
-        rho = np.concatenate([r for r, _ in rays])
+        rho = np.concatenate([patch[2] for patch in patches])   # (rays, nodes per ray)
         if rho.max() >= field.radial_bound:
             raise DomainError(f"point outside {{rho < {field.radial_bound:g}}}")
-        gu = dprofile(rho)[:, None] * np.concatenate([g for _, g in rays], axis=0)
+        dg = dprofile(rho)
+        grad_rho = np.concatenate([patch[3] for patch in patches], axis=0)
+    if per_ray and fam.x_independent:
+        a_ray, _ = norms.operator_a(fam, None, grad_rho)
+        a = ((np.sign(dg) * np.abs(dg) ** (p - 1.0))[..., None] * a_ray[:, None, :]).reshape(-1, n)
     else:
-        gu = np.asarray(field.grad(all_nodes), dtype=float)
-    a, _ = norms.operator_a(fam, all_nodes, gu)
-    uvals = vvals = None
+        gu = ((dg[..., None] * grad_rho[:, None, :]).reshape(-1, n) if per_ray
+              else np.asarray(field.grad(all_nodes), dtype=float))
+        a, _ = norms.operator_a(fam, all_nodes, gu)
     if V is not None:
-        uvals = np.asarray(profile(rho) if per_ray else field(all_nodes), dtype=float)
+        uvals = np.asarray(profile(rho).ravel() if per_ray else field(all_nodes), dtype=float)
         vvals = np.asarray(V(all_nodes), dtype=float)
-    res = []
-    ofs = 0
-    for bump, nodes, w in schemes:
-        m = len(nodes)
-        sl = slice(ofs, ofs + m)
-        ofs += m
+    res, ofs = [], 0
+    for bump, (nodes, w, *_) in zip(bumps, patches):
+        sl = slice(ofs, ofs + len(nodes))
+        ofs += len(nodes)
         gphi = bump.grad(nodes)
+        phiv = bump(nodes)
         vals = np.einsum("ij,ij->i", a[sl], gphi)
         if V is not None:
-            vals = vals + vvals[sl] * uvals[sl] ** (p - 1.0) * bump(nodes)
+            vals = vals + vvals[sl] * uvals[sl] ** (p - 1.0) * phiv
         num = abs(float(np.dot(w, vals)))
-        phiv = bump(nodes)
         gq = np.linalg.norm(gphi, axis=-1)
         den = float(np.dot(w, np.abs(phiv) ** p + gq ** p)) ** (1.0 / p)
         res.append(num / den)
@@ -441,19 +447,22 @@ def level_set_flux(fam, field, dom, t, n_ang=96):
     Level sets must be radial shells of the field's gauge (H0-spheres for
     the dual-power/log fields, round spheres for radial-profile fields).
     For a p-harmonic G this flux is the coarea constant, independent of t.
+    On the shell rho * Theta, grad G = G'(rho) grad rho(Theta) comes from
+    the one shell-geometry call, so a Newton-based dual is solved once.
     """
     if field.radial is None:
         raise ValueError("level sets are only parametrized for radial fields")
+    gauge, _, dprofile = field.radial
     rho = float(field.radial_inverse(t))
     lo, hi = dom.r_inner, dom.r_outer
-    if not (lo * (1.0 - 1e-12) <= rho <= hi * (1.0 + 1e-12)):
+    if not (lo * (1.0 - 1e-12) <= rho <= hi * (1.0 + 1e-12)) or rho >= field.radial_bound:
         raise DomainError(f"level {t} maps to radius {rho:.3g} outside the domain")
     n = dom.n
     omega, wo = (quadrature.circle_rule(n_ang) if n == 2
                  else quadrature.sphere_rule(n_ang))
-    theta, J, _, grad_len = quadrature.shell_geometry(field.radial[0], omega)
+    theta, J, grad_rho, grad_len = quadrature.shell_geometry(gauge, omega)
     x = rho * theta
-    gu = np.asarray(field.grad(x), dtype=float)
+    gu = dprofile(rho) * grad_rho
     hval = norms.norm_eval(fam, x, gu)
     glen = np.linalg.norm(gu, axis=-1)
     integrand = hval ** fam.p / glen

@@ -320,16 +320,15 @@ def solve_green(prob, max_iter=200, tol=3e-10, accept=5e-8):
 # ---------------------------------------------------------------------------
 
 
-def level_flux(gp, t):
-    """ang * r_t^(n-1) |u'(r_t)|^(p-1): the level-set flux of the radial profile."""
+def level_flux(gp, r_t):
+    """ang * r_t^(n-1) |u'(r_t)|^(p-1): the level-set flux of the radial profile at r_t."""
     prob = gp.problem
     ang = quadrature.angular_measure(prob.n)
-    r_t = gp.radius_of_level(t)
     return ang * r_t ** (prob.n - 1) * abs(float(gp.dprofile(r_t))) ** (prob.p - 1.0)
 
 
-def flux_identity_rhs(gp, t, n_r=2048):
-    """int_{u > t} (phi - c_p V psi(u)) dx over the superlevel ball."""
+def flux_identity_rhs(gp, r_t, n_r=2048):
+    """int_{u > t} (phi - c_p V psi(u)) dx over the superlevel ball {r < r_t}."""
     prob = gp.problem
 
     def source(r):
@@ -338,7 +337,7 @@ def flux_identity_rhs(gp, t, n_r=2048):
             vals = vals - prob.c_p * prob.V(r) * _psi(gp.profile(r), prob.p)
         return vals
 
-    return quadrature.radial_integral(source, gp.r[0], gp.radius_of_level(t), prob.n,
+    return quadrature.radial_integral(source, gp.r[0], r_t, prob.n,
                                       quadrature.angular_measure(prob.n),
                                       align=(prob.phi.r_a, prob.phi.r_b), n_r=n_r,
                                       order=4)
@@ -377,8 +376,9 @@ def flux_bound_check(gp, n_levels=20, rtol=1e-2):
     levels = np.geomspace(t_lo * 1.05, t_hi * 0.95, n_levels)
     rows = []
     for t in levels:
-        fl = level_flux(gp, float(t))
-        rhs = flux_identity_rhs(gp, float(t))
+        r_t = gp.radius_of_level(float(t))
+        fl = level_flux(gp, r_t)
+        rhs = flux_identity_rhs(gp, r_t)
         rows.append({"t": float(t), "flux": fl, "rhs": rhs,
                      "rel_err": abs(fl / rhs - 1.0)})
     upper_ok = all(row["flux"] <= C0 * (1.0 + rtol) for row in rows)

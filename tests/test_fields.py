@@ -73,13 +73,30 @@ def test_mixed_fields_take_one_newton_solve(newton_calls):
     assert newton_calls == [len(omega)]
 
 
-def test_mixed_weak_residual_solves_the_dual_once_per_ray(newton_calls, monkeypatch):
-    # grad u = dprofile(rho) grad H0(Theta) on each ray: the only solves are the
-    # shell geometry's, one row per cap direction
+@pytest.fixture
+def operator_rows(monkeypatch):
+    """Counts the rows of every norms.operator_a call."""
+    rows = []
+    flux_map = norms.operator_a
+
+    def counted(fam, x, xi):
+        rows.append(len(xi))
+        return flux_map(fam, x, xi)
+
+    monkeypatch.setattr(norms, "operator_a", counted)
+    return rows
+
+
+def test_mixed_weak_residual_solves_the_dual_once_per_ray(newton_calls, operator_rows,
+                                                        monkeypatch):
+    # grad u = dprofile(rho) grad H0(Theta) on each ray: the only solve is the
+    # shell geometry's, one call for every bump, one row per cap direction;
+    # the flux map a(grad rho(Theta)) is taken on one row per ray
     fam = norms.mixed(4, A2, 3.0)
     dom = fields.annulus(0.1, 10.0, 2)
-    nodes = sum(len(fields._shell_patch(fam, b, 2, n_ang=12)[0])
-                for b in fields.random_bumps(dom, 5, 3))
+    patches = fields._shell_patches(fam, fields.random_bumps(dom, 5, 3), 2, n_ang=12)
+    nodes = sum(len(patch[0]) for patch in patches)
+    rays = sum(len(grad_rho) for *_, grad_rho in patches)
     directions = []
     geometry = quadrature._dual_shell_geometry
 
@@ -90,11 +107,12 @@ def test_mixed_weak_residual_solves_the_dual_once_per_ray(newton_calls, monkeypa
     monkeypatch.setattr(quadrature, "_dual_shell_geometry", counted)
     G = fields.DualPowerField(fam)
     for field, V in ((G, None), (fields.power_of(G, 2.0 / 3.0), lambda x: -np.ones(len(x)))):
-        del newton_calls[:], directions[:]
+        del newton_calls[:], directions[:], operator_rows[:]
         fields.weak_residual(fam, field, dom, V=V, n_tests=5, seed=3, n_ang=12)
-        assert len(directions) == 5
+        assert len(directions) == 1
         assert newton_calls == directions
         assert 10 * sum(directions) < nodes
+        assert operator_rows == [rays]
 
 
 def test_weak_residual_refuses_nodes_outside_the_log_field():
@@ -119,11 +137,18 @@ def test_bidual_takes_one_solve_per_step(newton_calls):
         assert np.all(val <= norms.norm_eval(fam, None, xi) * (1.0 + 1e-12))
 
 
-def _per_ray_and_pointwise(field, dom, n_tests=3, seed=5):
+def _shell_rays(field, dom, n_tests=3, seed=5):
+    """(nodes, g'(rho), grad rho(Theta)) of each shell patch; g' has one row per ray."""
     gauge, _, dprofile = field.radial
-    for bump in fields.random_bumps(dom, n_tests, seed):
-        nodes, _, rho, grad_rho = fields._shell_patch(gauge, bump, dom.n, n_rho=4, n_ang=12)
-        yield dprofile(rho)[:, None] * grad_rho, field.grad(nodes)
+    bumps = fields.random_bumps(dom, n_tests, seed)
+    for nodes, _, rho, grad_rho in fields._shell_patches(gauge, bumps, dom.n,
+                                                         n_rho=4, n_ang=12):
+        yield nodes, dprofile(rho), grad_rho
+
+
+def _per_ray_and_pointwise(field, dom):
+    for nodes, dg, grad_rho in _shell_rays(field, dom):
+        yield (dg[..., None] * grad_rho[:, None, :]).reshape(-1, dom.n), field.grad(nodes)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -140,6 +165,47 @@ def test_per_ray_gradient_matches_the_pointwise_gradient(label, n):
             err = (np.linalg.norm(per_ray - pointwise, axis=-1)
                    / np.linalg.norm(pointwise, axis=-1))
             assert err.max() <= 1e-12, (field.kind, err.max())
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("label", ["euclidean", "lp4", "quad", "mix"])
+def test_per_ray_flux_map_matches_the_pointwise_flux_map(label, n):
+    # oracle for the shell weak residual's flux map: a is (p-1)-homogeneous, so
+    # sign(g') |g'|^(p-1) a(grad rho(Theta)) on each ray against a(x, grad u(x))
+    # evaluated node by node from the field's own gradient
+    p = 3.0 if n == 2 else 1.5
+    G = fields.DualPowerField(acceptance._family(label, p, n))
+    log = fields.LogDualField(acceptance._family(label, float(n), n), R=50.0)
+    dom = fields.annulus(0.1, 10.0, n)
+    for fam, field in ((G.fam, G), (G.fam, fields.power_of(G, (p - 1.0) / p)),
+                       (log.fam, log)):
+        for nodes, dg, grad_rho in _shell_rays(field, dom):
+            a_ray, _ = norms.operator_a(fam, None, grad_rho)
+            per_ray = (np.sign(dg) * np.abs(dg) ** (fam.p - 1.0))[..., None] * a_ray[:, None, :]
+            pointwise, _ = norms.operator_a(fam, nodes, field.grad(nodes))
+            err = (np.linalg.norm(per_ray.reshape(-1, n) - pointwise, axis=-1)
+                   / np.linalg.norm(pointwise, axis=-1))
+            assert err.max() <= 1e-12, (field.kind, err.max())
+
+
+def test_weighted_family_keeps_the_per_node_flux_map(operator_rows):
+    # a weighted family's a depends on x, so the shell residual of a radial field
+    # evaluates it at every node; the values are the per-node path's bits
+    dom = fields.annulus(0.1, 10.0, 2)
+    pins = {"lp": ("0x1.f9a71719ec11fp-7", "0x1.a766cd5c522d2p+2"),
+            "mixed": ("0x1.2584b5a2483ddp-4", "0x1.fc3c1a19f1f43p+1")}
+    for base in (norms.lp(4, 3.0, 2), norms.mixed(4, A2, 3.0)):
+        fam = norms.weighted(0.5, base)
+        G = fields.DualPowerField(base)
+        nodes = sum(len(patch[0]) for patch in
+                    fields._shell_patches(base, fields.random_bumps(dom, 5, 3), 2, n_ang=12))
+        del operator_rows[:]
+        plain = fields.weak_residual(fam, G, dom, n_tests=5, seed=3, n_ang=12)
+        with_v = fields.weak_residual(fam, fields.power_of(G, 2.0 / 3.0), dom,
+                                      V=lambda x: -np.ones(len(x)), n_tests=5, seed=3,
+                                      n_ang=12)
+        assert operator_rows == [nodes, nodes]
+        assert (plain.hex(), with_v.hex()) == pins[base.kind]
 
 
 def test_weak_residual_classical_and_control():
@@ -176,6 +242,9 @@ def test_level_set_flux_newtonian_and_log():
     dom2 = fields.annulus(1e-3, 9.99, 2)
     assert fields.level_set_flux(fam2, L, dom2, 1.0) == pytest.approx(
         2.0 * math.pi, rel=1e-12)
+    # a negative level lies past R, outside {H0 < R}, even inside the annulus
+    with pytest.raises(DomainError):
+        fields.level_set_flux(fam2, L, fields.annulus(1e-3, 20.0, 2), -0.5)
 
 
 def test_flux_constancy_anisotropic():

@@ -52,7 +52,7 @@ def test_flux_identity_and_bounds():
     assert fb["C0"] >= 1.0 - 1e-9      # max(int phi, 1/int phi) with mass 1
     # V = 0: flux equals the density mass at every level below supp phi
     t = fb["M_phi"] * 0.25
-    assert green.level_flux(gp, t) == pytest.approx(1.0, rel=1e-3)
+    assert green.level_flux(gp, gp.radius_of_level(t)) == pytest.approx(1.0, rel=1e-3)
 
 
 def test_negative_potential_raises_solution():
@@ -68,7 +68,7 @@ def test_negative_potential_raises_solution():
     assert fb["upper_ok"] and fb["floor_ok"]
     # V <= 0: flux at low levels exceeds the density mass
     t = fb["M_phi"] * 0.25
-    assert green.level_flux(gpV, t) >= 1.0
+    assert green.level_flux(gpV, gpV.radius_of_level(t)) >= 1.0
 
 
 def test_monotone_decay_outside_support():
