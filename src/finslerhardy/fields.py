@@ -19,6 +19,7 @@ norm H0 is their radial coordinate.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -245,23 +246,20 @@ class Bump(ScalarField):
         self.support = (r - self.rho, r + self.rho)
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        u = np.sum((x - self.center) ** 2, axis=-1) / self.rho ** 2
-        out = np.zeros(u.shape)
-        inside = u < 1.0
-        out[inside] = self.amplitude * np.exp(1.0 - 1.0 / (1.0 - u[inside]))
-        return out
+        return _bump_terms(np.asarray(x, dtype=float) - self.center, self.rho, self.amplitude)[0]
 
     def grad(self, x):
-        x = np.asarray(x, dtype=float)
-        d = x - self.center
-        u = np.sum(d ** 2, axis=-1) / self.rho ** 2
-        out = np.zeros_like(x)
-        inside = u < 1.0
-        vals = self.amplitude * np.exp(1.0 - 1.0 / (1.0 - u[inside]))
-        fac = -vals / (1.0 - u[inside]) ** 2 * (2.0 / self.rho ** 2)
-        out[inside] = fac[:, None] * d[inside]
-        return out
+        return _bump_terms(np.asarray(x, dtype=float) - self.center, self.rho, self.amplitude)[1]
+
+
+def _bump_terms(d, rho, amp):
+    """phi and grad phi of bumps amp exp(1 - 1/(1 - |d|^2/rho^2)) at offsets d = x - c
+    from their centers; rho and amp are scalars or one value per offset."""
+    u = np.sum(d ** 2, axis=-1) / rho ** 2
+    inside = u < 1.0
+    omu = np.where(inside, 1.0 - u, 1.0)
+    phi = np.where(inside, amp * np.exp(1.0 - 1.0 / omu), 0.0)
+    return phi, (-phi / omu ** 2 * (2.0 / rho ** 2))[..., None] * d
 
 
 def _ball_scheme(center, rho, n, n_panels, n_ang, order=2):
@@ -296,83 +294,84 @@ def random_bumps(dom, n_tests, seed, margin=0.05, rho_frac=(0.25, 0.75)):
     return bumps
 
 
-def _cap_rule(bump, n, n_ang):
-    """Directions within the angle a bump's ball subtends, with surface weights."""
-    rc = np.linalg.norm(bump.center)
-    center_dir = bump.center / rc
-    gamma = math.asin(min(0.999999, bump.rho / rc))
+def _gauss_panels(edges):
+    """3-point Gauss nodes and weights over the panels of each row of edges."""
     gx, gw = quadrature._gauss(3)
-    if n == 2:
-        phi_c = math.atan2(center_dir[1], center_dir[0])
-        edges = np.linspace(phi_c - gamma, phi_c + gamma, max(2, n_ang // 3) + 1)
-        mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
-        ang = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
-        w = (half[:, None] * gw[None, :]).ravel()
-        return np.stack([np.cos(ang), np.sin(ang)], axis=-1), w
-    # n == 3: polar cap in local coordinates
-    ref = np.array([0.0, 0.0, 1.0]) if abs(center_dir[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
-    t1 = np.cross(ref, center_dir)
-    t1 /= np.linalg.norm(t1)
-    t2 = np.cross(center_dir, t1)
-    n_mu = max(2, n_ang // 4)
-    edges = np.linspace(math.cos(gamma), 1.0, n_mu + 1)
-    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
-    mu = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
-    wmu = (half[:, None] * gw[None, :]).ravel()
-    n_b = max(8, n_ang // 2)
-    beta = 2.0 * math.pi * np.arange(n_b) / n_b
-    wb = 2.0 * math.pi / n_b
-    st = np.sqrt(np.maximum(0.0, 1.0 - mu ** 2))
-    omega = (mu[:, None, None] * center_dir[None, None, :]
-             + (st[:, None] * np.cos(beta)[None, :])[..., None] * t1[None, None, :]
-             + (st[:, None] * np.sin(beta)[None, :])[..., None] * t2[None, None, :])
-    w = (wmu[:, None] * np.full(n_b, wb)[None, :])
-    return omega.reshape(-1, 3), w.ravel()
+    mid, half = 0.5 * (edges[:, 1:] + edges[:, :-1]), 0.5 * (edges[:, 1:] - edges[:, :-1])
+    return ((mid[..., None] + half[..., None] * gx).reshape(len(edges), -1),
+            (half[..., None] * gw).reshape(len(edges), -1))
+
+
+class _Rays(namedtuple("_Rays", "bump theta grad_rho tt lo hi rho w")):
+    """The kept rays rho * Theta of :func:`_shell_patches`, flat and in bump order:
+    owning bump, Theta, grad rho(Theta), Theta.Theta, chord ends lo < hi, and the
+    Gauss nodes rho with their weights (one row per ray)."""
+
+    def points(self):
+        """The nodes rho * Theta, one row per node."""
+        return (self.rho[..., None] * self.theta[:, None, :]).reshape(-1, self.theta.shape[1])
+
+    def bump_terms(self, radius, amp):
+        """(phi, fac, |x - c|) at the nodes, grad phi = fac (x - c), for bumps of these
+        radii and amplitudes, from the chord alone: 1 - |x - c|^2/r^2 =
+        (Theta.Theta)(hi - rho)(rho - lo)/r^2 has no cancellation and is > 0."""
+        r, rho = radius[self.bump][:, None], self.rho
+        omu = self.tt[:, None] * (self.hi[:, None] - rho) * (rho - self.lo[:, None]) / r ** 2
+        phi = amp[self.bump][:, None] * np.exp(1.0 - 1.0 / omu)
+        return phi, -phi / omu ** 2 * (2.0 / r ** 2), r * np.sqrt(np.maximum(1.0 - omu, 0.0))
 
 
 def _shell_patches(gauge, bumps, n, n_rho=16, n_ang=24):
-    """Shell-aligned quadrature patches covering the bumps' supports.
+    """Shell-aligned quadrature rays covering the bumps' supports, as :class:`_Rays`.
 
-    Nodes sit on rays x = rho * Theta(omega) of the radial gauge, each ray
-    carrying composite Gauss panels over its exact chord through the bump
-    ball.  For fields that are radial in this gauge the weak-form
-    integrand integrates to ~0 along every ray, so the angular regularity
-    of the dual norm never limits the accuracy.  One shell-geometry call
-    maps every bump's cap; :func:`_shell_patch` takes each bump's slice.
+    Each bump's cap holds the directions within the angle its ball subtends;
+    rays x = rho * Theta(omega) of the radial gauge carry composite Gauss
+    panels over their exact chord through the bump ball.  For fields that
+    are radial in this gauge the weak-form integrand integrates to ~0 along
+    every ray, so the angular regularity of the dual norm never limits the
+    accuracy.  Every cap is built in one pass and mapped by one
+    shell-geometry call.
     """
-    caps = [_cap_rule(bump, n, n_ang) for bump in bumps]
-    theta, J, grad_rho, _ = quadrature.shell_geometry(
-        gauge, np.concatenate([omega for omega, _ in caps]))
-    cuts = np.cumsum([len(w) for _, w in caps])[:-1]
-    wo = np.concatenate([w for _, w in caps]) * J
-    return [_shell_patch(bump, *geometry, n, n_rho) for bump, *geometry in
-            zip(bumps, *(np.split(arr, cuts) for arr in (theta, wo, grad_rho)))]
-
-
-def _shell_patch(bump, theta, wo, grad_rho, n, n_rho):
-    """One bump's patch from its cap's (Theta, weight * J, grad rho) as
-    ``(nodes, w, rho, grad_rho)``: rho with one row and grad rho once per ray."""
-    c = bump.center
-    rc = np.linalg.norm(c)
-    # chord of each ray rho -> rho*Theta against the euclidean ball B_rho(c)
+    C, radius = np.array([b.center for b in bumps]), np.array([b.rho for b in bumps])
+    rc = np.sqrt(np.matmul(C[:, None, :], C[:, :, None])[:, 0, 0])   # np.linalg.norm's bits
+    cdir = C / rc[:, None]
+    # libm's scalar asin and atan2: numpy's vectorised ones differ in the last bit
+    gamma = np.array([math.asin(min(0.999999, r / c)) for r, c in zip(radius, rc)])
+    if n == 2:
+        phi_c = np.array([math.atan2(d[1], d[0]) for d in cdir])
+        ang, w = _gauss_panels(np.linspace(phi_c - gamma, phi_c + gamma,
+                                           max(2, n_ang // 3) + 1, axis=-1))
+        omega = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+    else:  # n == 3: polar caps in local coordinates
+        ref = np.where(np.abs(cdir[:, 2:]) < 0.9, [[0.0, 0.0, 1.0]], [[1.0, 0.0, 0.0]])
+        t1 = np.cross(ref, cdir)
+        t1 /= np.sqrt(np.matmul(t1[:, None, :], t1[:, :, None]))[:, 0]
+        t2 = np.cross(cdir, t1)
+        mu, wmu = _gauss_panels(np.linspace(np.cos(gamma), 1.0, max(2, n_ang // 4) + 1,
+                                            axis=-1))
+        n_b = max(8, n_ang // 2)
+        beta = 2.0 * math.pi * np.arange(n_b) / n_b
+        st = np.sqrt(np.maximum(0.0, 1.0 - mu ** 2))[..., None]
+        omega = (mu[..., None, None] * cdir[:, None, None, :]
+                 + (st * np.cos(beta))[..., None] * t1[:, None, None, :]
+                 + (st * np.sin(beta))[..., None] * t2[:, None, None, :])
+        w = wmu[..., None] * np.full(n_b, 2.0 * math.pi / n_b)
+    theta, J, grad_rho, _ = quadrature.shell_geometry(gauge, omega.reshape(-1, n))
+    # chord of each ray rho -> rho*Theta against the euclidean ball B_r(c);
+    # the stacked matmul takes each bump's theta @ c, bit for bit
     tt = np.einsum("ij,ij->i", theta, theta)
-    tc = theta @ c
-    disc = tc ** 2 - tt * (rc ** 2 - bump.rho ** 2)
+    tc = np.matmul(theta.reshape(len(C), -1, n), C[:, :, None]).ravel()
+    bump = np.repeat(np.arange(len(C)), len(tt) // len(C))
+    disc = tc ** 2 - tt * (rc[bump] ** 2 - radius[bump] ** 2)
     keep = disc > 0.0
-    theta, wo, tt, tc, disc = theta[keep], wo[keep], tt[keep], tc[keep], disc[keep]
+    bump, theta, grad_rho, tt, tc, disc = (
+        a[keep] for a in (bump, theta, grad_rho, tt, tc, disc))
+    wo = (w.ravel() * J)[keep]
     sq = np.sqrt(disc)
-    rho_lo = (tc - sq) / tt
-    rho_hi = (tc + sq) / tt
-    gx, gw = quadrature._gauss(3)
+    lo, hi = (tc - sq) / tt, (tc + sq) / tt
     frac = np.linspace(0.0, 1.0, n_rho + 1)
-    edges = rho_lo[:, None] + (rho_hi - rho_lo)[:, None] * frac[None, :]  # (nray, n_rho+1)
-    mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
-    half = 0.5 * (edges[:, 1:] - edges[:, :-1])
-    rho = (mid[..., None] + half[..., None] * gx).reshape(len(theta), -1)   # (nray, nq)
-    wr = (half[..., None] * gw).reshape(len(theta), -1)
-    nodes = rho[..., None] * theta[:, None, :]
-    w = wr * rho ** (n - 1) * wo[:, None]
-    return nodes.reshape(-1, n), w.ravel(), rho, grad_rho[keep]
+    rho, wr = _gauss_panels(lo[:, None] + (hi - lo)[:, None] * frac[None, :])
+    return _Rays(bump, theta, grad_rho, tt, lo, hi, rho, wr * rho ** (n - 1) * wo[:, None])
 
 
 def weak_residual(fam, field, dom, V=None, n_tests=100, seed=0,
@@ -388,52 +387,57 @@ def weak_residual(fam, field, dom, V=None, n_tests=100, seed=0,
     the dual norm); ``layout="ball"`` uses plain bump-centered polar grids,
     whose error decreases monotonically under ``n_rho`` refinement and so
     drives the refinement checks.  On shells, one shell-geometry call serves
-    every bump, and a radial field takes ``u = g(rho)`` and ``grad u =
-    g'(rho) grad rho(Theta)``, so a Newton-based dual is solved once per ray.
-    An x-independent family then takes the flux map once per ray too:
-    a is (p-1)-homogeneous, so ``a(grad u) = sign(g') |g'|^(p-1) a(grad rho)``.
-    Weighted families, whose a depends on x, take a at every node; other
-    fields and layouts take ``field.grad`` there too.  All bumps are
-    evaluated through one batched operator call.
+    every bump.  A radial field with an x-independent family then needs only
+    per-ray scalars: u = g(rho), a(grad u) = sign(g') |g'|^(p-1) a(grad
+    rho(Theta)) (a is (p-1)-homogeneous), and phi, a.grad phi and |grad phi|
+    from the ray's chord through the bump ball (:meth:`_Rays.bump_terms`);
+    points are formed only for ``V``.  Weighted families, whose a depends on
+    x, other fields and the ball layout take a and grad phi at every node.
     """
     p, n = fam.p, dom.n
-    gauge = field.radial[0] if field.radial is not None else None
-    per_ray = layout == "shell" and field.radial is not None
     bumps = random_bumps(dom, n_tests, seed)
-    patches = (_shell_patches(gauge, bumps, n, n_rho=n_rho, n_ang=n_ang) if layout == "shell"
-               else [_ball_scheme(b.center, b.rho, n, n_rho, n_ang) for b in bumps])
-    all_nodes = np.concatenate([patch[0] for patch in patches], axis=0)
-    if per_ray:
+    C, radius, amp = map(np.array, zip(*((b.center, b.rho, b.amplitude) for b in bumps)))
+    radial = layout == "shell" and field.radial is not None
+    if layout == "shell":
+        rays = _shell_patches(field.radial[0] if radial else None, bumps, n,
+                              n_rho=n_rho, n_ang=n_ang)
+    if radial:
         _, profile, dprofile = field.radial
-        rho = np.concatenate([patch[2] for patch in patches])   # (rays, nodes per ray)
-        if rho.max() >= field.radial_bound:
+        if rays.rho.max() >= field.radial_bound:
             raise DomainError(f"point outside {{rho < {field.radial_bound:g}}}")
-        dg = dprofile(rho)
-        grad_rho = np.concatenate([patch[3] for patch in patches], axis=0)
-    if per_ray and fam.x_independent:
-        a_ray, _ = norms.operator_a(fam, None, grad_rho)
-        a = ((np.sign(dg) * np.abs(dg) ** (p - 1.0))[..., None] * a_ray[:, None, :]).reshape(-1, n)
-    else:
-        gu = ((dg[..., None] * grad_rho[:, None, :]).reshape(-1, n) if per_ray
-              else np.asarray(field.grad(all_nodes), dtype=float))
-        a, _ = norms.operator_a(fam, all_nodes, gu)
-    if V is not None:
-        uvals = np.asarray(profile(rho).ravel() if per_ray else field(all_nodes), dtype=float)
-        vvals = np.asarray(V(all_nodes), dtype=float)
-    res, ofs = [], 0
-    for bump, (nodes, w, *_) in zip(bumps, patches):
-        sl = slice(ofs, ofs + len(nodes))
-        ofs += len(nodes)
-        gphi = bump.grad(nodes)
-        phiv = bump(nodes)
-        vals = np.einsum("ij,ij->i", a[sl], gphi)
+        dg = dprofile(rays.rho)
+    if radial and fam.x_independent:
+        a_ray, _ = norms.operator_a(fam, None, rays.grad_rho)
+        phi, fac, dist = rays.bump_terms(radius, amp)
+        a_th, a_c = (np.einsum("ij,ij->i", a_ray, v)[:, None] for v in (rays.theta, C[rays.bump]))
+        vals = np.sign(dg) * np.abs(dg) ** (p - 1.0) * fac * (rays.rho * a_th - a_c)
         if V is not None:
-            vals = vals + vvals[sl] * uvals[sl] ** (p - 1.0) * phiv
-        num = abs(float(np.dot(w, vals)))
-        gq = np.linalg.norm(gphi, axis=-1)
-        den = float(np.dot(w, np.abs(phiv) ** p + gq ** p)) ** (1.0 / p)
-        res.append(num / den)
-    return max(res)
+            vals = vals + (np.asarray(V(rays.points()), dtype=float).reshape(phi.shape)
+                           * profile(rays.rho) ** (p - 1.0) * phi)
+        dens = np.abs(phi) ** p + (np.abs(fac) * dist) ** p
+        starts = np.searchsorted(rays.bump, np.arange(len(bumps)))
+        num, den = (np.add.reduceat(np.einsum("ij,ij->i", rays.w, f), starts)
+                    for f in (vals, dens))
+        return float(np.max(np.abs(num) / den ** (1.0 / p)))
+    if layout == "shell":
+        nodes, w = rays.points(), rays.w.ravel()
+        owner = np.repeat(rays.bump, rays.rho.shape[1])
+    else:
+        schemes = [_ball_scheme(b.center, b.rho, n, n_rho, n_ang) for b in bumps]
+        nodes, w = (np.concatenate(a) for a in zip(*schemes))
+        owner = np.repeat(np.arange(len(bumps)), [len(s[1]) for s in schemes])
+    gu = ((dg[..., None] * rays.grad_rho[:, None, :]).reshape(-1, n) if radial
+          else np.asarray(field.grad(nodes), dtype=float))
+    a, _ = norms.operator_a(fam, nodes, gu)
+    phi, gphi = _bump_terms(nodes - C[owner], radius[owner], amp[owner])
+    vals = np.einsum("ij,ij->i", a, gphi)
+    if V is not None:
+        uvals = np.asarray(profile(rays.rho).ravel() if radial else field(nodes), dtype=float)
+        vals = vals + np.asarray(V(nodes), dtype=float) * uvals ** (p - 1.0) * phi
+    dens = np.abs(phi) ** p + np.linalg.norm(gphi, axis=-1) ** p
+    cuts = np.flatnonzero(np.diff(owner)) + 1
+    return max(abs(float(np.dot(wb, vb))) / float(np.dot(wb, db)) ** (1.0 / p)
+               for wb, vb, db in zip(*(np.split(f, cuts) for f in (w, vals, dens))))
 
 
 # ---------------------------------------------------------------------------
@@ -441,36 +445,42 @@ def weak_residual(fam, field, dom, V=None, n_tests=100, seed=0,
 # ---------------------------------------------------------------------------
 
 
-def level_set_flux(fam, field, dom, t, n_ang=96):
+def _unit_shell(field, n, n_ang):
+    """(weights, Theta, J, grad rho(Theta), |grad rho(Theta)|) on the unit shell
+    of a radial field's gauge, over the n_ang angular rule."""
+    if field.radial is None:
+        raise ValueError("level sets are only parametrized for radial fields")
+    omega, wo = (quadrature.circle_rule(n_ang) if n == 2
+                 else quadrature.sphere_rule(n_ang))
+    return (wo, *quadrature.shell_geometry(field.radial[0], omega))
+
+
+def level_set_flux(fam, field, dom, t, n_ang=96, shell=None):
     """Surface quadrature of H(grad G)^p / |grad G| over the level set {G = t}.
 
     Level sets must be radial shells of the field's gauge (H0-spheres for
     the dual-power/log fields, round spheres for radial-profile fields).
     For a p-harmonic G this flux is the coarea constant, independent of t.
     On the shell rho * Theta, grad G = G'(rho) grad rho(Theta) comes from
-    the one shell-geometry call, so a Newton-based dual is solved once.
+    the one shell-geometry call, so a Newton-based dual is solved once;
+    ``shell`` passes in :func:`_unit_shell`'s geometry when several levels share it.
     """
-    if field.radial is None:
-        raise ValueError("level sets are only parametrized for radial fields")
-    gauge, _, dprofile = field.radial
+    wo, theta, J, grad_rho, grad_len = shell or _unit_shell(field, dom.n, n_ang)
     rho = float(field.radial_inverse(t))
     lo, hi = dom.r_inner, dom.r_outer
     if not (lo * (1.0 - 1e-12) <= rho <= hi * (1.0 + 1e-12)) or rho >= field.radial_bound:
         raise DomainError(f"level {t} maps to radius {rho:.3g} outside the domain")
-    n = dom.n
-    omega, wo = (quadrature.circle_rule(n_ang) if n == 2
-                 else quadrature.sphere_rule(n_ang))
-    theta, J, grad_rho, grad_len = quadrature.shell_geometry(gauge, omega)
     x = rho * theta
-    gu = dprofile(rho) * grad_rho
+    gu = field.radial[2](rho) * grad_rho
     hval = norms.norm_eval(fam, x, gu)
     glen = np.linalg.norm(gu, axis=-1)
     integrand = hval ** fam.p / glen
-    return rho ** (n - 1) * float(np.dot(wo, integrand * grad_len * J))
+    return rho ** (dom.n - 1) * float(np.dot(wo, integrand * grad_len * J))
 
 
 def flux_constancy(fam, field, dom, levels, n_ang=96):
-    """Fluxes over the given levels and their coefficient of variation."""
-    fluxes = np.array([level_set_flux(fam, field, dom, t, n_ang=n_ang) for t in levels])
+    """Fluxes over the given levels, on one shell geometry, and their coefficient of variation."""
+    shell = _unit_shell(field, dom.n, n_ang)
+    fluxes = np.array([level_set_flux(fam, field, dom, t, shell=shell) for t in levels])
     cv = float(fluxes.std() / fluxes.mean())
     return fluxes, cv

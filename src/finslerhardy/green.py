@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field as dfield
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -162,23 +163,32 @@ class GreenPotential:
 
 
 def _mesh(prob):
+    """The geometric mesh r and the u-independent terms of :func:`_assemble`,
+    taken once per solve: element widths h and exact moments m_e = int_e
+    r^(n-1) dr, the outer elimination ratio cN, and on each element's 2-point
+    Gauss points the weights (times r^(n-1)), the hat coordinate lam and the
+    values of phi and V."""
     r = np.geomspace(prob.r_min, prob.R_out, prob.n_cells + 1)
-    # keep the density support crossings as mesh points
-    for a in (prob.phi.r_a, prob.phi.r_b):
+    # keep the density and potential support crossings as mesh points
+    for a in (prob.phi.r_a, prob.phi.r_b, *(getattr(prob.V, "support", None) or ())):
         i = int(np.argmin(np.abs(r - a)))
         if 0 < i < len(r) - 1:
             r[i] = a
-    sup = getattr(prob.V, "support", None)
-    if sup:
-        for a in sup:
-            i = int(np.argmin(np.abs(r - a)))
-            if 0 < i < len(r) - 1:
-                r[i] = a
-    return r
+    n = prob.n
+    gx, gw = quadrature._gauss(2)
+    h = np.diff(r)
+    mid = 0.5 * (r[1:] + r[:-1])
+    half = 0.5 * (r[1:] - r[:-1])
+    rg = mid[:, None] + half[:, None] * gx[None, :]
+    return SimpleNamespace(
+        r=r, h=h, me=(r[1:] ** n - r[:-1] ** n) / n,
+        cN=(r[-1] / r[-2]) ** prob.decay_exponent if prob.boundary == "decay" else 0.0,
+        wg=half[:, None] * gw[None, :] * rg ** (n - 1), lam=(rg - r[:-1, None]) / h[:, None],
+        phi_g=prob.phi(rg), V_g=prob.V(rg) if prob.V is not None else np.zeros_like(rg))
 
 
-def _assemble(prob, r, u_in, p, gx, gw):
-    """Residual and tridiagonal Jacobian bands for the interior unknowns.
+def _assemble(prob, mesh, u_in, p, jac=True):
+    """Residual and, if ``jac``, tridiagonal Jacobian bands for the interior unknowns.
 
     Unknowns are u_0..u_{N-1}; the last node u_N is eliminated through the
     outer boundary condition u_N = cN u_{N-1} (cN = 0 for Dirichlet, the
@@ -187,15 +197,13 @@ def _assemble(prob, r, u_in, p, gx, gw):
         F_i = fl_{i-1} - fl_i + L_i,   fl_e = psi(u'_e) m_e / h_e,
 
     with m_e the exact element moment int_e r^(n-1) dr and L_i the Gauss
-    load of (c_p V psi(u) - phi) against the hat of node i.
+    load of (c_p V psi(u) - phi) against the hat of node i.  Returns
+    ``(F, (dlow, dmain, dup))``, or ``(F, None)`` without ``jac``.
     """
-    n = prob.n
     c_p = prob.c_p
-    N = len(r) - 1
-    cN = (r[-1] / r[-2]) ** prob.decay_exponent if prob.boundary == "decay" else 0.0
+    N = len(mesh.r) - 1
+    cN, h, me, wg, lam, V_g = mesh.cN, mesh.h, mesh.me, mesh.wg, mesh.lam, mesh.V_g
     u = np.concatenate([u_in, [cN * u_in[-1]]])
-    h = np.diff(r)
-    me = (r[1:] ** n - r[:-1] ** n) / n
     du = np.diff(u) / h
     # regularization kept three orders below the smallest physical slope
     # (the outer one): bias (eps/|u'|)^2 <= 1e-6 everywhere except exact
@@ -203,30 +211,25 @@ def _assemble(prob, r, u_in, p, gx, gw):
     du_out = abs(float(du[-1]))
     eps = 1e-3 * du_out if du_out > 0.0 else EPS_REG
     fl = _psi(du, p, eps=eps) * me / h
-    d = _dpsi(du, p, eps=eps) * me / h ** 2       # d fl_e / d u_{e+1} = +d_e
     # loads: 2-pt Gauss per element, P1 hats
-    mid = 0.5 * (r[1:] + r[:-1])
-    half = 0.5 * (r[1:] - r[:-1])
-    rg = mid[:, None] + half[:, None] * gx[None, :]
-    wg = half[:, None] * gw[None, :] * rg ** (n - 1)
-    lam = (rg - r[:-1, None]) / h[:, None]
-    phi_g = prob.phi(rg)
-    V_g = prob.V(rg) if prob.V is not None else np.zeros_like(rg)
     u_g = u[:-1, None] * (1.0 - lam) + u[1:, None] * lam
-    val = c_p * V_g * _psi(u_g, p, eps=eps) - phi_g
-    dval = c_p * V_g * _dpsi(u_g, p, eps=eps)
+    val = c_p * V_g * _psi(u_g, p, eps=eps) - mesh.phi_g
     load_l = np.sum(wg * val * (1.0 - lam), axis=1)      # onto node e
     load_r = np.sum(wg * val * lam, axis=1)              # onto node e+1
-    ll = np.sum(wg * dval * (1.0 - lam) ** 2, axis=1)
-    lr = np.sum(wg * dval * (1.0 - lam) * lam, axis=1)
-    rr = np.sum(wg * dval * lam ** 2, axis=1)
 
     F = np.zeros(N)
     F -= fl[:N]
     F[1:] += fl[: N - 1]
     F += load_l[:N]
     F[1:] += load_r[: N - 1]
+    if not jac:
+        return F, None
 
+    d = _dpsi(du, p, eps=eps) * me / h ** 2       # d fl_e / d u_{e+1} = +d_e
+    dval = c_p * V_g * _dpsi(u_g, p, eps=eps)
+    ll = np.sum(wg * dval * (1.0 - lam) ** 2, axis=1)
+    lr = np.sum(wg * dval * (1.0 - lam) * lam, axis=1)
+    rr = np.sum(wg * dval * lam ** 2, axis=1)
     dmain = d[:N].copy()
     dmain[1:] += d[: N - 1]
     dmain += ll[:N]
@@ -239,7 +242,7 @@ def _assemble(prob, r, u_in, p, gx, gw):
     dmain[N - 1] -= cN * d[N - 1]
     # load: u on element N-1 is u_{N-1}((1-lam) + cN lam)
     dmain[N - 1] += cN * lr[N - 1]
-    return F, dlow, dmain, dup
+    return F, (dlow, dmain, dup)
 
 
 def _tridiag_solve(dlow, dmain, dup, rhs):
@@ -253,14 +256,14 @@ def _tridiag_solve(dlow, dmain, dup, rhs):
     return solve_banded((1, 1), ab, rhs)
 
 
-def _linear_warm_start(prob, r, gx, gw):
+def _linear_warm_start(prob, mesh):
     """Exact p = 2 solve of the same problem (psi = identity, one Newton step)."""
-    u = np.zeros(len(r) - 1)
+    u = np.zeros(len(mesh.r) - 1)
     for _ in range(3):
-        F, dl, dm, du_ = _assemble(prob, r, u, 2.0, gx, gw)
+        F, bands = _assemble(prob, mesh, u, 2.0)
         if np.linalg.norm(F) < 1e-14 * (1.0 + np.linalg.norm(u)):
             break
-        u = u - _tridiag_solve(dl, dm, du_, F)
+        u = u - _tridiag_solve(*bands, F)
     return u
 
 
@@ -272,12 +275,12 @@ def solve_green(prob, max_iter=200, tol=3e-10, accept=5e-8):
     discrete norm of the final Newton residual, and the profile is the
     positive FEM solution with PCHIP interpolation.
     """
-    r = _mesh(prob)
-    gx, gw = quadrature._gauss(2)
-    u = _linear_warm_start(prob, r, gx, gw)
+    mesh = _mesh(prob)
+    r = mesh.r
+    u = _linear_warm_start(prob, mesh)
     # load scale for the convergence test
-    scale = float(np.linalg.norm(
-        _assemble(prob, r, np.zeros(len(r) - 1), prob.p, gx, gw)[0]))
+    scale = float(np.linalg.norm(_assemble(prob, mesh, np.zeros(len(r) - 1), prob.p,
+                                           jac=False)[0]))
     p_path = [prob.p] if prob.p == 2.0 else list(np.linspace(2.0, prob.p, 8)[1:])
     total_iters = 0
     for p_now in p_path:
@@ -285,17 +288,17 @@ def solve_green(prob, max_iter=200, tol=3e-10, accept=5e-8):
         last_res = math.inf
         stalled = 0
         for it in range(max_iter):
-            F, dl, dm, du_ = _assemble(prob, r, u, p_now, gx, gw)
+            F, bands = _assemble(prob, mesh, u, p_now)
             res = float(np.linalg.norm(F)) / scale
             stalled = stalled + 1 if res > 0.5 * last_res else 0
             last_res = min(last_res, res)
             if res < p_tol or (res < accept and stalled >= 3):
                 break
-            step = _tridiag_solve(dl, dm, du_, F)
+            step = _tridiag_solve(*bands, F)
             lam = 1.0
             for _ in range(40):
                 trial = u - lam * step
-                Ft = _assemble(prob, r, trial, p_now, gx, gw)[0]
+                Ft = _assemble(prob, mesh, trial, p_now, jac=False)[0]
                 if np.linalg.norm(Ft) < np.linalg.norm(F) * (1.0 - 1e-4 * lam):
                     break
                 lam *= 0.5
@@ -310,7 +313,7 @@ def solve_green(prob, max_iter=200, tol=3e-10, accept=5e-8):
     u_full = np.concatenate([u, [uN]])
     if np.any(u_full[:-1] <= 0.0):
         raise SolverError("solution lost positivity")
-    F = _assemble(prob, r, u, prob.p, gx, gw)[0]
+    F = _assemble(prob, mesh, u, prob.p, jac=False)[0]
     return GreenPotential(r=r, u=u_full, residual=float(np.linalg.norm(F)) / scale,
                           problem=prob, newton_iters=total_iters)
 

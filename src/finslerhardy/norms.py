@@ -316,18 +316,19 @@ def _closed_grad_dual(fam, y):
     return w / _quad_norm(y, fam.A_inv)[..., None]
 
 
-def dual(fam, y):
+def dual(fam, y, start=None):
     """The dual norm and its gradient, ``(H0(y), grad H0(y))``, for y != 0.
 
     Closed forms: euclidean is self dual, lp(s) dualizes to lp(s'), a
     quadratic form dualizes to its inverse.  The mixed kind takes one
-    batched :func:`dual_newton` solve, which yields both values.  ``y`` has shape ``(..., n)``; the results
-    have shapes ``(...,)`` and ``(..., n)``.  Weighted kinds are rejected.
+    batched :func:`dual_newton` solve, from ``start`` when given, which
+    yields both values.  ``y`` has shape ``(..., n)``; the results have
+    shapes ``(...,)`` and ``(..., n)``.  Weighted kinds are rejected.
     """
     y = _dual_input(fam, y, nonzero=True)
     if fam.has_closed_dual:
         return _closed_dual_norm(fam, y), _closed_grad_dual(fam, y)
-    h0, g0 = dual_newton(fam, y.reshape(-1, fam.n))
+    h0, g0 = dual_newton(fam, y.reshape(-1, fam.n), start=start)
     return h0.reshape(y.shape[:-1])[()], g0.reshape(y.shape)
 
 
@@ -404,13 +405,15 @@ def _m_and_jac(fam, xi, jac=True):
     return h[..., 0], m, J
 
 
-def dual_newton(fam, Y, tol=1e-13, maxit=60):
+def dual_newton(fam, Y, tol=1e-13, maxit=60, start=None):
     """Batched dual norm and gradient via Newton on m(xi) = y.
 
-    Returns ``(H0, gradH0)`` for rows of ``Y``.  A row leaves the batch as soon
-    as an evaluation finds it below ``tol``, keeping that evaluation's H; a
-    Levenberg term guards (near-)singular Jacobians.  Raises :class:`SolverError`,
-    with the worst relative residual, if a row is above ``tol`` after ``maxit`` steps.
+    Returns ``(H0, gradH0)`` for rows of ``Y``, starting from ``start`` (such as
+    grad H0 at nearby points) or the directions of ``Y``.  A row leaves the
+    batch as soon as an evaluation finds it below ``tol``, keeping that
+    evaluation's H; a Levenberg term guards (near-)singular Jacobians.  Raises
+    :class:`SolverError`, with the worst relative residual, if a row is above
+    ``tol`` after ``maxit`` steps.
     """
     if fam.kind != "mixed":
         raise UnsupportedKindError(f"the Newton dual is for the mixed kind, not {fam.kind}")
@@ -418,8 +421,8 @@ def dual_newton(fam, Y, tol=1e-13, maxit=60):
     norms = np.linalg.norm(Y, axis=-1)
     if np.any(norms == 0.0):
         raise DomainError("dual gradient undefined at 0")
-    # scale-free start: direction of y, scaled so m(xi0) ~ y
-    xi = Y / norms[..., None]
+    # scale-free start: the given start or the direction of y, scaled so m(xi0) ~ y
+    xi = Y / norms[..., None] if start is None else np.reshape(start, Y.shape)
     _, m0, _ = _m_and_jac(fam, xi, jac=False)
     scale = np.einsum("...i,...i->...", Y, m0) / np.einsum("...i,...i->...", m0, m0)
     xi = xi * scale[..., None]
@@ -473,7 +476,8 @@ def bidual_norm(fam, xi_samples, n_dirs=2048, iters=80, seed=0):
     scored for all samples at once, then each sample is polished by
     projected gradient ascent (the gradient needs grad H0, available for
     every x-independent kind).  Each step takes one :func:`dual` call, which
-    gives the trial's H0 and the grad H0 kept for the next step.
+    gives the trial's H0 and the grad H0 kept for the next step; a Newton
+    dual starts there from the last accepted grad H0, next to the trial.
     """
     xi_samples = np.atleast_2d(np.asarray(xi_samples, dtype=float))
     rng = np.random.Generator(np.random.Philox(key=seed))
@@ -490,7 +494,7 @@ def bidual_norm(fam, xi_samples, n_dirs=2048, iters=80, seed=0):
     for _ in range(iters):
         grad = xi_samples - val[:, None] * g0   # gradient of xi.y on {H0 = 1}
         trial = y + step[:, None] * grad
-        ht, gt = dual(fam, trial)
+        ht, gt = dual(fam, trial, start=g0)
         trial /= ht[..., None]
         tval = np.einsum("ij,ij->i", xi_samples, trial)
         better = tval > val

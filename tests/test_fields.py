@@ -94,9 +94,8 @@ def test_mixed_weak_residual_solves_the_dual_once_per_ray(newton_calls, operator
     # the flux map a(grad rho(Theta)) is taken on one row per ray
     fam = norms.mixed(4, A2, 3.0)
     dom = fields.annulus(0.1, 10.0, 2)
-    patches = fields._shell_patches(fam, fields.random_bumps(dom, 5, 3), 2, n_ang=12)
-    nodes = sum(len(patch[0]) for patch in patches)
-    rays = sum(len(grad_rho) for *_, grad_rho in patches)
+    rays = fields._shell_patches(fam, fields.random_bumps(dom, 5, 3), 2, n_ang=12)
+    nodes, n_rays = rays.rho.size, len(rays.grad_rho)
     directions = []
     geometry = quadrature._dual_shell_geometry
 
@@ -112,7 +111,7 @@ def test_mixed_weak_residual_solves_the_dual_once_per_ray(newton_calls, operator
         assert len(directions) == 1
         assert newton_calls == directions
         assert 10 * sum(directions) < nodes
-        assert operator_rows == [rays]
+        assert operator_rows == [n_rays]
 
 
 def test_weak_residual_refuses_nodes_outside_the_log_field():
@@ -138,12 +137,11 @@ def test_bidual_takes_one_solve_per_step(newton_calls):
 
 
 def _shell_rays(field, dom, n_tests=3, seed=5):
-    """(nodes, g'(rho), grad rho(Theta)) of each shell patch; g' has one row per ray."""
+    """(nodes, g'(rho), grad rho(Theta)) of the shell rays; g' has one row per ray."""
     gauge, _, dprofile = field.radial
     bumps = fields.random_bumps(dom, n_tests, seed)
-    for nodes, _, rho, grad_rho in fields._shell_patches(gauge, bumps, dom.n,
-                                                         n_rho=4, n_ang=12):
-        yield nodes, dprofile(rho), grad_rho
+    rays = fields._shell_patches(gauge, bumps, dom.n, n_rho=4, n_ang=12)
+    yield rays.points(), dprofile(rays.rho), rays.grad_rho
 
 
 def _per_ray_and_pointwise(field, dom):
@@ -188,6 +186,61 @@ def test_per_ray_flux_map_matches_the_pointwise_flux_map(label, n):
             assert err.max() <= 1e-12, (field.kind, err.max())
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("label", ["euclidean", "lp4", "quad", "mix"])
+def test_chord_form_bump_matches_the_bump_at_the_nodes(label, n):
+    # oracle for the per-ray weak residual's bump: phi, grad phi = fac (x - c)
+    # and |x - c| from each ray's chord, 1 - u = (Theta.Theta)(hi - rho)(rho -
+    # lo)/r^2, against Bump.__call__ and Bump.grad at the nodes rho * Theta
+    fam = acceptance._family(label, 3.0 if n == 2 else 1.5, n)
+    bumps = fields.random_bumps(fields.annulus(0.1, 10.0, n), 8, 5)
+    rays = fields._shell_patches(fam, bumps, n, n_rho=4, n_ang=12)
+    phi, fac, dist = rays.bump_terms(np.array([b.rho for b in bumps]),
+                                     np.array([b.amplitude for b in bumps]))
+    nodes = rays.points().reshape(*rays.rho.shape, n)
+    for i, bump in enumerate(bumps):
+        on = rays.bump == i
+        x = nodes[on].reshape(-1, n)
+        ref, ref_grad = bump(x), bump.grad(x)
+        grad = fac[on].reshape(-1, 1) * (x - bump.center)
+        gmax = np.linalg.norm(ref_grad, axis=-1).max()
+        assert np.abs(phi[on].ravel() - ref).max() <= 1e-12 * ref.max()
+        assert np.linalg.norm(grad - ref_grad, axis=-1).max() <= 1e-12 * gmax
+        assert (np.abs(np.abs(fac[on] * dist[on]).ravel() - np.linalg.norm(ref_grad, axis=-1)).max()
+                <= 1e-12 * gmax)
+
+
+def test_per_ray_path_makes_no_bump_call(operator_rows, monkeypatch):
+    # the per-ray weak residual takes phi and grad phi from the chords alone: no
+    # Bump evaluation and no per-node bump terms, one shell-geometry call, and
+    # the flux map on one row per ray
+    def refuse(*args):
+        raise AssertionError("per-node bump evaluation on the per-ray path")
+
+    for name in ("__call__", "grad"):
+        monkeypatch.setattr(fields.Bump, name, refuse)
+    monkeypatch.setattr(fields, "_bump_terms", refuse)
+    geometry = quadrature._dual_shell_geometry
+    calls = []
+
+    def counted(fam, omega):
+        calls.append(len(omega))
+        return geometry(fam, omega)
+
+    monkeypatch.setattr(quadrature, "_dual_shell_geometry", counted)
+    for label, p, n in (("lp4", 3.0, 2), ("mix", 1.5, 3)):
+        fam = acceptance._family(label, p, n)
+        dom = fields.annulus(0.1, 10.0, n)
+        rays = fields._shell_patches(fam, fields.random_bumps(dom, 5, 3), n, n_ang=12)
+        G = fields.DualPowerField(fam)
+        for field, V in ((G, None), (fields.power_of(G, (p - 1.0) / p),
+                                     lambda x: -np.ones(len(x)))):
+            del calls[:], operator_rows[:]
+            res = fields.weak_residual(fam, field, dom, V=V, n_tests=5, seed=3, n_ang=12)
+            assert np.isfinite(res)
+            assert len(calls) == 1 and operator_rows == [len(rays.grad_rho)]
+
+
 def test_weighted_family_keeps_the_per_node_flux_map(operator_rows):
     # a weighted family's a depends on x, so the shell residual of a radial field
     # evaluates it at every node; the values are the per-node path's bits
@@ -197,8 +250,7 @@ def test_weighted_family_keeps_the_per_node_flux_map(operator_rows):
     for base in (norms.lp(4, 3.0, 2), norms.mixed(4, A2, 3.0)):
         fam = norms.weighted(0.5, base)
         G = fields.DualPowerField(base)
-        nodes = sum(len(patch[0]) for patch in
-                    fields._shell_patches(base, fields.random_bumps(dom, 5, 3), 2, n_ang=12))
+        nodes = fields._shell_patches(base, fields.random_bumps(dom, 5, 3), 2, n_ang=12).rho.size
         del operator_rows[:]
         plain = fields.weak_residual(fam, G, dom, n_tests=5, seed=3, n_ang=12)
         with_v = fields.weak_residual(fam, fields.power_of(G, 2.0 / 3.0), dom,
