@@ -26,6 +26,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 from . import bregman, eigen, fields, green, hardy, norms
 from .report import (CheckRecord, bound, build_report, equals, mask_timestamp, record,
@@ -119,7 +120,7 @@ def _sample_x(fam, m, seed):
     """Base points for an x-dependent family; None when H ignores x."""
     if fam.x_independent:
         return None
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    rng = Generator(Philox(key=np.uint64(seed)))
     d = rng.standard_normal((m, fam.n))
     d /= np.linalg.norm(d, axis=-1, keepdims=True)
     return d * np.exp(rng.uniform(math.log(0.5), math.log(2.0), m))[:, None]
@@ -159,7 +160,7 @@ def operator_identity(fam, m, seed, tol):
 
 def homogeneity_monotonicity(fam, m, seed, tol):
     """(p-1)-homogeneity of a(x, .) and strict monotonicity on sampled pairs."""
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed + 13)))
+    rng = Generator(Philox(key=np.uint64(seed + 13)))
     xi = norms.sample_vectors(fam.n, m, seed + 14, stream=4)
     eta = norms.sample_vectors(fam.n, m, seed + 15, stream=5)
     lam = rng.uniform(-3.0, 3.0, m)
@@ -593,7 +594,7 @@ def check_eigen(cfg):
     N_gap = (384, 768) if cfg.quick else (512, 1024)
     xt_gap = 3e-4 if cfg.quick else 1e-6
     stab_tol = cfg.tol(0.02)
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(cfg.seed + 91)))
+    rng = Generator(Philox(key=np.uint64(cfg.seed + 91)))
     bad = 0
     worst_stab = 0.0
     for _ in range(n_pots):

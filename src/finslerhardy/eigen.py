@@ -13,13 +13,14 @@ term uses midpoint quadrature, exact for the piecewise-constant |v'|^p.
 
 The principal eigenvalue is the minimum of R, found by a preconditioned
 projected gradient descent (inverse weighted linear stiffness as the
-metric, factored once per discretization and applied with LAPACK ``pbtrs``)
-with Armijo line search from seeded random restarts, then polished
-by a bordered Newton solve of the Euler-Lagrange system
+metric, factored once per discretization with LAPACK ``dpbtrf`` and applied
+with ``dpbtrs``) with Armijo line search from seeded random restarts, then
+polished by a bordered Newton solve of the Euler-Lagrange system
 
     -(w psi(v'))' + w (V - lambda) psi(v) = 0,   psi(z) = |z|^(p-2) z,
 
-under the normalization ||v||_p = 1.  The descent only brings each restart
+under the normalization ||v||_p = 1, with tridiagonal LAPACK ``dgtsv`` solves
+(all three routines from ``lapack.py``).  The descent only brings each restart
 into the principal mode's basin: it hands over to Newton after a fixed
 budget of ``DESCENT_STEPS`` = 40 steps (or earlier, at a stationary
 point), and Newton finishes from there in a few steps, as in
@@ -29,7 +30,7 @@ defect are both below its tolerance, or after an update whose line-search
 step fell below 2**-20: the residual has then reached its round-off floor,
 and further steps do not change the result.  A hand-over outside the basin
 is not hidden: the solvers raise ``SolverError`` when Newton's weak
-residual ends above 1e-7.
+residual ends above 1e-7 or is NaN.
 The second eigenvalue is located by equalizing the two nodal-domain
 principal eigenvalues over the interior zero position (the second
 eigenfunction has exactly one interior zero), which is derivative-free and
@@ -50,10 +51,11 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cholesky_banded, get_lapack_funcs, solve_banded
+from numpy.random import Generator, Philox
 
 from .errors import SolverError
 from .green import _psi
+from .lapack import band_cholesky, band_cholesky_solve, tridiagonal_solve
 from .scalar import brentq
 
 
@@ -133,7 +135,6 @@ class _Disc:
         self.Vmax = float(np.max(np.abs(self.Vv))) if len(self.Vv) else 0.0
         self.n_unknown = len(xs)
         self._factor = self._stiffness_factor()
-        self._pbtrs, = get_lapack_funcs(("pbtrs",), (self._factor,))
 
     def dv(self, v):
         """np.diff of v with its Dirichlet nodes put back as zeros, over h."""
@@ -195,17 +196,14 @@ class _Disc:
             off = -self.me[:-1] / self.h ** 2
         ab[0, 1:] = off
         ab[1, :] = main
-        # Fortran order, so that pbtrs reads the factor without a copy
-        return np.asfortranarray(cholesky_banded(ab, lower=False))
+        return band_cholesky(ab)
 
     def precondition(self, g):
         """Solve K x = g with the upper banded Cholesky factor of K."""
-        x, info = self._pbtrs(self._factor, g, lower=0)
-        if info != 0:
-            raise SolverError(f"preconditioner solve failed: pbtrs info = {info}")
-        return x
+        return band_cholesky_solve(self._factor, g)
 
     def jacobian_bands(self, v, lam):
+        """Sub-, main and super-diagonal of the weak residual's Jacobian in v."""
         p = self.p
         dv = self.dv(v)
         eps = 1e-8 * float(np.max(np.abs(dv)))
@@ -220,12 +218,7 @@ class _Disc:
             main[0] = w[0]
             main[1:] = w[:-1] + w[1:]
             off = -w[: self.n_unknown - 1]   # unknown i <-> i+1 couple via element i
-        main = main + dpot
-        ab = np.zeros((3, self.n_unknown))
-        ab[0, 1:] = off
-        ab[1, :] = main + 1e-300
-        ab[2, :-1] = off
-        return ab
+        return off, main + dpot + 1e-300, off
 
 
 #: descent steps before the hand-over to ``_newton_polish``.  Once in the
@@ -285,13 +278,13 @@ def _newton_polish(disc, v, lam, max_iter=60, tol=1e-13):
         gres = float(np.add.reduce(disc.mass * np.abs(v) ** p)) - 1.0
         if rnorm < tol and abs(gres) < tol:
             break
-        ab = disc.jacobian_bands(v, lam)
+        bands = disc.jacobian_bands(v, lam)
         psi_v = _psi(v, p)
         b = -psi_v * disc.mass          # d r / d lambda
         c = p * psi_v * disc.mass       # d g / d v
         try:
             # both right-hand sides in one solve; columns of a Fortran array
-            z1, z2 = solve_banded((1, 1), ab, np.array([r, b]).T).T
+            z1, z2 = tridiagonal_solve(*bands, np.array([r, b]).T).T
         except np.linalg.LinAlgError:
             break
         denom = c @ z2
@@ -328,7 +321,7 @@ def _disc_for(ep):
 def _restarts(disc, seed, restarts):
     """(v, lambda, residual) of each restart on disc: the first mode, then
     smoothed random starts, each minimized and Newton-polished."""
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    rng = Generator(Philox(key=np.uint64(seed)))
     a, b = disc.x[0], disc.x[-1]
     xs = disc.x[1 if disc.left_dirichlet else 0:-1]
     runs = []
@@ -359,7 +352,7 @@ def principal_eigenvalue(ep, restarts=32, agree_tol=1e-6):
     lams = np.array([run[1] for run in runs])
     agree = int(np.sum(np.abs(lams - lam) <= agree_tol * (1.0 + abs(lam))))
     ray = disc.rayleigh(v)
-    if rnorm > 1e-7:
+    if not rnorm <= 1e-7:
         raise SolverError("eigen minimization did not converge", residual=rnorm)
     return EigenPair(lam=float(lam), v=v, residual=rnorm,
                      sign_changes=_count_sign_changes(v), problem=ep,
@@ -435,8 +428,8 @@ def second_eigenvalue_and_gap(ep, restarts=4, xtol=1e-9, principal=None):
     # brentq returns a point it evaluated, so both halves at a* are in hand
     a_star = brentq(f, lo, hi, xtol=xtol * L)
     (vl, laml, resl, discl, _), (vr, lamr, resr, discr, _) = halves[a_star]
-    res = max(resl, resr)
-    if res > 1e-7:
+    res = float(np.maximum(resl, resr))      # NaN if either half is NaN
+    if not res <= 1e-7:
         raise SolverError("nodal-domain eigen solve did not converge", residual=res)
     lam2 = 0.5 * (laml + lamr)
     # glue the halves with psi(v')-continuity at the zero

@@ -23,6 +23,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 from . import norms, quadrature
 from .errors import BranchError, DomainError
@@ -279,7 +280,7 @@ def _ball_scheme(center, rho, n, n_panels, n_ang, order=2):
 
 def random_bumps(dom, n_tests, seed, margin=0.05, rho_frac=(0.25, 0.75)):
     """Seeded bump family inside the domain, supports clear of puncture and boundary."""
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    rng = Generator(Philox(key=np.uint64(seed)))
     lo, hi = dom.r_inner, dom.r_outer
     bumps = []
     for _ in range(n_tests):

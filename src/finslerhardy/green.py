@@ -29,6 +29,7 @@ import numpy as np
 
 from . import fields, quadrature
 from .errors import SolverError
+from .lapack import tridiagonal_solve
 from .scalar import Pchip, brentq, fminbound
 
 EPS_REG = 1e-10
@@ -245,17 +246,6 @@ def _assemble(prob, mesh, u_in, p, jac=True):
     return F, (dlow, dmain, dup)
 
 
-def _tridiag_solve(dlow, dmain, dup, rhs):
-    from scipy.linalg import solve_banded
-
-    N = len(dmain)
-    ab = np.zeros((3, N))
-    ab[0, 1:] = dup
-    ab[1, :] = dmain
-    ab[2, :-1] = dlow
-    return solve_banded((1, 1), ab, rhs)
-
-
 def _linear_warm_start(prob, mesh):
     """Exact p = 2 solve of the same problem (psi = identity, one Newton step)."""
     u = np.zeros(len(mesh.r) - 1)
@@ -263,7 +253,7 @@ def _linear_warm_start(prob, mesh):
         F, bands = _assemble(prob, mesh, u, 2.0)
         if np.linalg.norm(F) < 1e-14 * (1.0 + np.linalg.norm(u)):
             break
-        u = u - _tridiag_solve(*bands, F)
+        u = u - tridiagonal_solve(*bands, F)
     return u
 
 
@@ -294,7 +284,7 @@ def solve_green(prob, max_iter=200, tol=3e-10, accept=5e-8):
             last_res = min(last_res, res)
             if res < p_tol or (res < accept and stalled >= 3):
                 break
-            step = _tridiag_solve(*bands, F)
+            step = tridiagonal_solve(*bands, F)
             lam = 1.0
             for _ in range(40):
                 trial = u - lam * step

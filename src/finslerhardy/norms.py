@@ -40,6 +40,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 from .errors import ConstructionError, DomainError, SolverError, UnsupportedKindError
 
@@ -480,7 +481,7 @@ def bidual_norm(fam, xi_samples, n_dirs=2048, iters=80, seed=0):
     dual starts there from the last accepted grad H0, next to the trial.
     """
     xi_samples = np.atleast_2d(np.asarray(xi_samples, dtype=float))
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = Generator(Philox(key=seed))
     dirs = rng.standard_normal((n_dirs, fam.n))
     dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
     h0, g = dual(fam, dirs)
@@ -512,7 +513,7 @@ def bidual_norm(fam, xi_samples, n_dirs=2048, iters=80, seed=0):
 
 def sample_vectors(n, count, seed, decades=3, stream=0):
     """Seeded random directions with log-uniform magnitudes 10^(-decades)..10^(decades)."""
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed), counter=[0, 0, 0, stream]))
+    rng = Generator(Philox(key=np.uint64(seed), counter=[0, 0, 0, stream]))
     d = rng.standard_normal((count, n))
     d /= np.linalg.norm(d, axis=-1, keepdims=True)
     mag = 10.0 ** rng.uniform(-decades, decades, size=count)
@@ -526,7 +527,7 @@ def equivalence_report(fam, n_samples=4096, seed=11, x_radius=(0.5, 2.0)):
     asserted to exist, not quantified); for the weighted kind, x ranges over
     the given radius interval.
     """
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    rng = Generator(Philox(key=np.uint64(seed)))
     d = rng.standard_normal((n_samples, fam.n))
     d /= np.linalg.norm(d, axis=-1, keepdims=True)
     x = None

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from . import norms
 
@@ -32,7 +33,7 @@ _GAUSS_CACHE: dict = {}
 
 def _gauss(order):
     if order not in _GAUSS_CACHE:
-        x, w = np.polynomial.legendre.leggauss(order)
+        x, w = leggauss(order)
         _GAUSS_CACHE[order] = (x, w)
     return _GAUSS_CACHE[order]
 
@@ -50,7 +51,9 @@ def log_radial_rule(r0, r1, n_r, align=(), order=4):
     edges = np.geomspace(r0, r1, n_panels + 1)
     extra = [a for a in align if r0 < a < r1]
     if extra:
-        edges = np.unique(np.concatenate([edges, np.asarray(extra, dtype=float)]))
+        # sorted and deduplicated as np.unique would, which imports numpy.ma
+        edges = np.sort(np.concatenate([edges, np.asarray(extra, dtype=float)]))
+        edges = edges[np.concatenate([[True], edges[1:] != edges[:-1]])]
     t_edges = np.log(edges)
     gx, gw = _gauss(order)
     mid = 0.5 * (t_edges[1:] + t_edges[:-1])

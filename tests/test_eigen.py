@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from finslerhardy import cli, eigen
+from finslerhardy import cli, eigen, lapack
 
 import oracles
 
@@ -423,14 +423,38 @@ def test_non_finite_gradient_is_numeric_failure(monkeypatch):
 
 
 def test_failed_preconditioner_solve_is_numeric_failure(monkeypatch):
-    get_lapack_funcs = eigen.get_lapack_funcs
-
-    def failing(names, arrays):
-        pbtrs, = get_lapack_funcs(names, arrays)
-        return (lambda ab, b, lower: (pbtrs(ab, b, lower=lower)[0], 1),)
-
-    monkeypatch.setattr(eigen, "get_lapack_funcs", failing)
+    dpbtrs = lapack._dpbtrs
+    monkeypatch.setattr(lapack, "_dpbtrs",
+                        lambda c, b, lower: (dpbtrs(c, b, lower=lower)[0], 1))
     disc = eigen._disc_for(_p3_problem())
     with pytest.raises(eigen.SolverError, match="pbtrs info = 1"):
         eigen._pg_minimize(disc, np.ones(disc.n_unknown))
     assert cli.main(["eigen", "--p", "3", "--grid", "128"]) == 3
+
+
+def _nan_residual_polish(monkeypatch, where):
+    """_newton_polish as it is, but with a NaN residual on the discs ``where`` picks."""
+    polish = eigen._newton_polish
+
+    def nan_polish(disc, v, lam, **kw):
+        v, lam, rnorm = polish(disc, v, lam, **kw)
+        return v, lam, math.nan if where(disc) else rnorm
+
+    monkeypatch.setattr(eigen, "_newton_polish", nan_polish)
+
+
+def test_nan_principal_residual_is_numeric_failure(monkeypatch):
+    # nan > 1e-7 is False: the gate must reject what it cannot compare
+    _nan_residual_polish(monkeypatch, lambda disc: True)
+    with pytest.raises(eigen.SolverError, match="eigen minimization did not converge"):
+        eigen.principal_eigenvalue(_p3_problem(), restarts=2)
+
+
+@pytest.mark.parametrize("side", ("left", "right"))
+def test_nan_nodal_residual_is_numeric_failure(monkeypatch, side):
+    # max(1e-9, nan) is 1e-9: a NaN in either half must not vanish in the max
+    ep = _p3_problem()
+    principal = eigen.principal_eigenvalue(ep, restarts=2)
+    _nan_residual_polish(monkeypatch, lambda disc: (disc.x[0] == 0.0) == (side == "left"))
+    with pytest.raises(eigen.SolverError, match="nodal-domain eigen solve did not converge"):
+        eigen.second_eigenvalue_and_gap(ep, restarts=2, principal=principal)

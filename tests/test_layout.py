@@ -82,21 +82,22 @@ def test_only_composite_checks_use_the_bare_record():
     ]
 
 
-def test_cli_import_loads_no_scipy_optimize_or_interpolate():
-    # importing either package costs about 0.3 s of every process start;
-    # scalar.py holds the ports the package uses instead
+def _loaded_by_cli_import(prefixes):
+    """The modules named by ``prefixes`` that ``import finslerhardy.cli`` loads
+    in a fresh process."""
     code = ("import sys, finslerhardy.cli; print(' '.join(m for m in sys.modules "
-            "if m.startswith(('scipy.optimize', 'scipy.interpolate'))))")
+            f"if m.startswith({tuple(prefixes)!r})))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == []
+    return proc.stdout.split()
 
 
-def test_src_imports_no_scipy_optimize_or_interpolate():
-    # a lazy import inside a function would put the start-up cost back
+def _src_imports(prefixes):
+    """Every import in src, at module level or inside a function, of a module
+    named by ``prefixes``."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -107,5 +108,28 @@ def test_src_imports_no_scipy_optimize_or_interpolate():
             else:
                 continue
             found += [f"{path.name}:{node.lineno} {name}" for name in names
-                      if name.startswith(("scipy.optimize", "scipy.interpolate"))]
-    assert found == []
+                      if name.startswith(tuple(prefixes))]
+    return found
+
+
+def test_cli_import_loads_no_scipy_optimize_or_interpolate():
+    # importing either package costs about 0.3 s of every process start;
+    # scalar.py holds the ports the package uses instead
+    assert _loaded_by_cli_import(("scipy.optimize", "scipy.interpolate")) == []
+
+
+def test_src_imports_no_scipy_optimize_or_interpolate():
+    # a lazy import inside a function would put the start-up cost back
+    assert _src_imports(("scipy.optimize", "scipy.interpolate")) == []
+
+
+def test_cli_import_loads_no_scipy_linalg():
+    # scipy.linalg and the numpy packages its array-API layer pulls in cost
+    # about 0.25 s of every process start; lapack.py loads scipy's LAPACK
+    # extension without them
+    assert _loaded_by_cli_import(("scipy.linalg", "numpy.f2py", "numpy.testing")) == []
+
+
+def test_src_imports_no_scipy_linalg():
+    # not even lazily: a solve would then pay the start-up cost instead
+    assert _src_imports(("scipy.linalg",)) == []
