@@ -24,6 +24,7 @@ import os
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -327,11 +328,9 @@ def check_flux(cfg):
 
 
 def ground_state_residual(hw, dom, n_tests, seed, **grid):
-    """Weak residual of the ground-state equation Q'_{V-W}[v] = 0 on dom."""
-
-    def V(x):
-        return hw.potential(x) - hw.weight(x)
-
+    """Weak residual of the ground-state equation Q'_{V-W}[v] = 0 on dom, with
+    v, v' and V - W as profiles of the source's radial coordinate."""
+    V = SimpleNamespace(radial=(hw.source.radial[0], hw.ground_state_terms))
     return fields.weak_residual(hw.fam, hw.ground_state, dom, V=V, n_tests=n_tests,
                                 seed=seed, **grid)
 

@@ -320,7 +320,8 @@ def _disc_for(ep):
 
 def _restarts(disc, seed, restarts):
     """(v, lambda, residual) of each restart on disc: the first mode, then
-    smoothed random starts, each minimized and Newton-polished."""
+    smoothed random starts, each minimized and Newton-polished.  Restarts
+    that end on a NaN lambda are dropped; ``SolverError`` if all do."""
     rng = Generator(Philox(key=np.uint64(seed)))
     a, b = disc.x[0], disc.x[-1]
     xs = disc.x[1 if disc.left_dirichlet else 0:-1]
@@ -334,6 +335,9 @@ def _restarts(disc, seed, restarts):
             v0 = np.convolve(v0, np.ones(9) / 9.0, mode="same") + 0.05
         v, lam = _pg_minimize(disc, v0)
         runs.append(_newton_polish(disc, v, lam))
+    runs = [run for run in runs if not math.isnan(run[1])]
+    if not runs:
+        raise SolverError(f"every one of {restarts} eigen restarts ended on a NaN")
     return runs
 
 

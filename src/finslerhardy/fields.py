@@ -179,8 +179,8 @@ class ComposedField(ScalarField):
     """f(inner field) with the chain rule; f given with its derivative."""
 
     def __init__(self, f, fprime, inner, kind="composed"):
-        self._f = f
-        self._fp = fprime
+        self.f = f
+        self.fprime = fprime
         self.inner = inner
         self.kind = kind
         self.radial_bound = inner.radial_bound
@@ -191,10 +191,10 @@ class ComposedField(ScalarField):
                            lambda r: fprime(prof(r)) * dprof(r))
 
     def __call__(self, x):
-        return self._f(self.inner(x))
+        return self.f(self.inner(x))
 
     def grad(self, x):
-        return self._fp(self.inner(x))[..., None] * self.inner.grad(x)
+        return self.fprime(self.inner(x))[..., None] * self.inner.grad(x)
 
     def radial_inverse(self, t):
         raise NotImplementedError("invert through the inner field instead")
@@ -379,7 +379,8 @@ def weak_residual(fam, field, dom, V=None, n_tests=100, seed=0,
                   n_rho=16, n_ang=24, layout="shell"):
     """Max over random bumps phi of |int a(x, grad u).grad phi + V u^(p-1) phi| / ||phi||_W1p.
 
-    ``V`` may be ``None`` (zero), a callable on points, or a field.  A small
+    ``V`` may be ``None`` (zero), a callable on points, or carry ``radial =
+    (gauge, terms)`` in the field's gauge, ``terms(rho) = (u, u', V)``.  A small
     residual over a rich bump family is the operational signature that
     ``u`` solves ``-div a(x, grad u) + V u^(p-1) = 0`` weakly.
 
@@ -392,13 +393,14 @@ def weak_residual(fam, field, dom, V=None, n_tests=100, seed=0,
     per-ray scalars: u = g(rho), a(grad u) = sign(g') |g'|^(p-1) a(grad
     rho(Theta)) (a is (p-1)-homogeneous), and phi, a.grad phi and |grad phi|
     from the ray's chord through the bump ball (:meth:`_Rays.bump_terms`);
-    points are formed only for ``V``.  Weighted families, whose a depends on
-    x, other fields and the ball layout take a and grad phi at every node.
+    points are formed only for a ``V`` on points.  Weighted families, whose a
+    depends on x, other fields and the ball layout take a and grad phi at every node.
     """
     p, n = fam.p, dom.n
     bumps = random_bumps(dom, n_tests, seed)
     C, radius, amp = map(np.array, zip(*((b.center, b.rho, b.amplitude) for b in bumps)))
     radial = layout == "shell" and field.radial is not None
+    terms = getattr(V, "radial", None)
     if layout == "shell":
         rays = _shell_patches(field.radial[0] if radial else None, bumps, n,
                               n_rho=n_rho, n_ang=n_ang)
@@ -406,15 +408,20 @@ def weak_residual(fam, field, dom, V=None, n_tests=100, seed=0,
         _, profile, dprofile = field.radial
         if rays.rho.max() >= field.radial_bound:
             raise DomainError(f"point outside {{rho < {field.radial_bound:g}}}")
-        dg = dprofile(rays.rho)
+        if terms is None:
+            dg = dprofile(rays.rho)
+            u, pot = (None, None) if V is None else (profile(rays.rho), V(rays.points()))
+        elif terms[0] is field.radial[0]:
+            u, dg, pot = terms[1](rays.rho)
+        else:
+            raise ValueError("a radial V must be radial in the field's gauge")
     if radial and fam.x_independent:
         a_ray, _ = norms.operator_a(fam, None, rays.grad_rho)
         phi, fac, dist = rays.bump_terms(radius, amp)
         a_th, a_c = (np.einsum("ij,ij->i", a_ray, v)[:, None] for v in (rays.theta, C[rays.bump]))
         vals = np.sign(dg) * np.abs(dg) ** (p - 1.0) * fac * (rays.rho * a_th - a_c)
         if V is not None:
-            vals = vals + (np.asarray(V(rays.points()), dtype=float).reshape(phi.shape)
-                           * profile(rays.rho) ** (p - 1.0) * phi)
+            vals = vals + np.reshape(pot, phi.shape) * u ** (p - 1.0) * phi
         dens = np.abs(phi) ** p + (np.abs(fac) * dist) ** p
         starts = np.searchsorted(rays.bump, np.arange(len(bumps)))
         num, den = (np.add.reduceat(np.einsum("ij,ij->i", rays.w, f), starts)
@@ -433,8 +440,10 @@ def weak_residual(fam, field, dom, V=None, n_tests=100, seed=0,
     phi, gphi = _bump_terms(nodes - C[owner], radius[owner], amp[owner])
     vals = np.einsum("ij,ij->i", a, gphi)
     if V is not None:
-        uvals = np.asarray(profile(rays.rho).ravel() if radial else field(nodes), dtype=float)
-        vals = vals + np.asarray(V(nodes), dtype=float) * uvals ** (p - 1.0) * phi
+        if not radial:
+            u, pot = field(nodes), (V(nodes) if terms is None else
+                                    terms[1](quadrature.radius(terms[0], nodes))[2])
+        vals = vals + np.ravel(pot) * np.ravel(u) ** (p - 1.0) * phi
     dens = np.abs(phi) ** p + np.linalg.norm(gphi, axis=-1) ** p
     cuts = np.flatnonzero(np.diff(owner)) + 1
     return max(abs(float(np.dot(wb, vb))) / float(np.dot(wb, db)) ** (1.0 / p)

@@ -253,8 +253,16 @@ def _linear_warm_start(prob, mesh):
         F, bands = _assemble(prob, mesh, u, 2.0)
         if np.linalg.norm(F) < 1e-14 * (1.0 + np.linalg.norm(u)):
             break
-        u = u - tridiagonal_solve(*bands, F)
+        u = u - _newton_step(bands, F)
     return u
+
+
+def _newton_step(bands, F):
+    """The Newton step; a singular Jacobian is a numeric failure, not bad input."""
+    try:
+        return tridiagonal_solve(*bands, F)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"Green Newton solve failed: {exc}") from exc
 
 
 def solve_green(prob, max_iter=200, tol=3e-10, accept=5e-8):
@@ -284,7 +292,7 @@ def solve_green(prob, max_iter=200, tol=3e-10, accept=5e-8):
             last_res = min(last_res, res)
             if res < p_tol or (res < accept and stalled >= 3):
                 break
-            step = tridiagonal_solve(*bands, F)
+            step = _newton_step(bands, F)
             lam = 1.0
             for _ in range(40):
                 trial = u - lam * step
@@ -296,11 +304,7 @@ def solve_green(prob, max_iter=200, tol=3e-10, accept=5e-8):
             total_iters += 1
         else:
             raise SolverError(f"Newton stalled at p = {p_now}", residual=last_res)
-    if prob.boundary == "decay":
-        uN = (r[-1] / r[-2]) ** prob.decay_exponent * u[-1]
-    else:
-        uN = 0.0
-    u_full = np.concatenate([u, [uN]])
+    u_full = np.concatenate([u, [mesh.cN * u[-1]]])
     if np.any(u_full[:-1] <= 0.0):
         raise SolverError("solution lost positivity")
     F = _assemble(prob, mesh, u, prob.p, jac=False)[0]
@@ -391,8 +395,7 @@ def farfield_exponent(gp, window=(4.0, 0.125)):
     ends on a NaN or on its evaluation cap raises ``SolverError``.
     """
     prob = gp.problem
-    lo = window[0] * prob.phi.r_b
-    hi = window[1] * prob.R_out
+    lo, hi = window[0] * prob.phi.r_b, window[1] * prob.R_out
     if not lo < hi:
         raise ValueError("far-field window is empty; increase R_out")
     mask = (gp.r >= lo) & (gp.r <= hi)
@@ -405,10 +408,13 @@ def farfield_exponent(gp, window=(4.0, 0.125)):
 
     beta_grid = np.linspace(-4.0, -1e-3, 160) if prob.p < prob.n else \
         np.linspace(-4.0, 4.0, 320)
-    vals = [resid(b)[0] for b in beta_grid]
-    i = int(np.argmin(vals))
-    lo_b = beta_grid[max(0, i - 1)]
-    hi_b = beta_grid[min(len(beta_grid) - 1, i + 1)]
-    beta = fminbound(lambda b: resid(b)[0], lo_b, hi_b, xtol=1e-10)
+    # every grid beta at once by the centred closed form of the two-column fit
+    xc = rr ** beta_grid[:, None]
+    xc -= xc.mean(axis=1, keepdims=True)
+    yc = uu - uu.mean()
+    fit = yc - (xc @ yc / np.einsum("ij,ij->i", xc, xc))[:, None] * xc
+    i = int(np.argmin(np.einsum("ij,ij->i", fit, fit)))
+    beta = fminbound(lambda b: resid(b)[0], beta_grid[max(0, i - 1)],
+                     beta_grid[min(len(beta_grid) - 1, i + 1)], xtol=1e-10)
     _, coef = resid(beta)
     return beta, float(coef[0]), float(coef[1])

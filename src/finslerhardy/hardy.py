@@ -129,11 +129,10 @@ class HardyWeight:
     def dv(self, rho):
         return self.ground_state.radial[2](np.asarray(rho, dtype=float))
 
-    def weight_profile(self, rho):
+    def _weight(self, g, dg, rho):
+        """W at radii rho from the source profile g and its slope dg there."""
         p = self.p
-        c1 = ((p - 1.0) / p) ** p
-        g, dg = self.g(rho), self.dg(rho)
-        w0 = c1 * np.abs(dg) ** p / g ** p
+        w0 = ((p - 1.0) / p) ** p * np.abs(dg) ** p / g ** p
         if self.branch == "standard":
             return w0
         if self.branch == "sigma_capped":
@@ -143,16 +142,19 @@ class HardyWeight:
         c2 = ((p - 1.0) / p) ** (p - 1.0)
         return w0 + c2 * g ** (1.0 - p) * self.phi_profile(rho)
 
-    # -- point evaluators ---------------------------------------------------
+    def weight_profile(self, rho):
+        return self._weight(self.g(rho), self.dg(rho), rho)
+
+    def ground_state_terms(self, rho):
+        """(v, v', V - W) at radii rho from one evaluation of g, g' (and V, phi)."""
+        g, dg = self.g(rho), self.dg(rho)
+        W = self._weight(g, dg, rho)
+        gs = self.ground_state
+        return gs.f(g), gs.fprime(g) * dg, -W if self.V_profile is None else self.V_profile(rho) - W
 
     def weight(self, x):
         """W at points x (nonnegative by construction)."""
         return self.weight_profile(quadrature.radius(self.source.radial[0], x))
-
-    def potential(self, x):
-        if self.V_profile is None:
-            return np.zeros(np.asarray(x, dtype=float).shape[:-1])
-        return self.V_profile(quadrature.radius(self.source.radial[0], x))
 
     def profile_range(self, profile):
         """(min, max) of a radial profile (``g`` or ``v``) over the usable bracket."""

@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,6 +164,18 @@ def test_criterion_12_shooting_oracle_cross_check():
 
 def test_criterion_13_green_weight(battery):
     _crit(battery, "13 nonzero-potential weight", CATALOG["hardy.green_weight"])
+
+
+def test_green_weight_group_forms_no_point_array():
+    # the ground-state residual takes V - W on the rays' rho; a (nodes x n) point
+    # array of its 207,360 quick-grid nodes would lift this peak to about 33 MB
+    tracemalloc.start()
+    try:
+        acceptance.check_green_weight(acceptance.SuiteConfig(quick=True))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 26e6
 
 
 def test_criterion_14_eigen(battery):

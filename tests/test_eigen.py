@@ -458,3 +458,35 @@ def test_nan_nodal_residual_is_numeric_failure(monkeypatch, side):
     _nan_residual_polish(monkeypatch, lambda disc: (disc.x[0] == 0.0) == (side == "left"))
     with pytest.raises(eigen.SolverError, match="nodal-domain eigen solve did not converge"):
         eigen.second_eigenvalue_and_gap(ep, restarts=2, principal=principal)
+
+
+@pytest.mark.parametrize("nan_at", [0, 3])
+def test_a_nan_restart_is_never_chosen(monkeypatch, nan_at):
+    # min() keeps a NaN lambda that comes first (x < nan is False); the first
+    # and then the last of 4 restarts end on NaN
+    ep = eigen.EigenProblem(p=3.0, N=128)
+    sub = eigen._principal_on(0.0, 0.5, ep, restarts=4)[3]
+    expect = [min(run[1] for j, run in enumerate(eigen._restarts(disc, seed, 4)) if j != nan_at)
+              for disc, seed in ((eigen._disc_for(ep), ep.seed), (sub, ep.seed + 1))]
+    polish, calls = eigen._newton_polish, []
+
+    def poisoned(disc, v, lam):
+        calls.append(None)
+        out = polish(disc, v, lam)
+        return (v, math.nan, math.nan) if (len(calls) - 1) % 4 == nan_at else out
+
+    monkeypatch.setattr(eigen, "_newton_polish", poisoned)
+    pr = eigen.principal_eigenvalue(ep, restarts=4)
+    assert pr.lam == expect[0] and pr.restarts_agreeing == 3
+    del calls[:]
+    _, lam, res, _, fallbacks = eigen._principal_on(0.0, 0.5, ep, restarts=4)
+    assert lam == expect[1] and res <= 1e-7 and fallbacks == 0
+
+
+def test_every_restart_nan_is_a_solver_error(monkeypatch):
+    monkeypatch.setattr(eigen, "_newton_polish", lambda disc, v, lam: (v, math.nan, math.nan))
+    ep = eigen.EigenProblem(p=3.0, N=128)
+    with pytest.raises(eigen.SolverError, match="NaN"):
+        eigen.principal_eigenvalue(ep, restarts=4)
+    with pytest.raises(eigen.SolverError, match="NaN"):
+        eigen._principal_on(0.0, 0.5, ep, restarts=4)

@@ -1,10 +1,11 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from finslerhardy import fields, green, hardy, norms
+from finslerhardy import cli, fields, green, hardy, norms
 from finslerhardy.errors import BranchError
 
 import oracles
@@ -134,7 +135,7 @@ def test_green_weight_hypotheses_and_residual():
     dom = fields.annulus(0.1, 25.0, 3)
 
     def VmW(x):
-        return hw.potential(x) - hw.weight(x)
+        return hw.V_profile(np.linalg.norm(x, axis=-1)) - hw.weight(x)
 
     res = fields.weak_residual(fam, hw.ground_state, dom, V=VmW,
                                n_tests=30, seed=11)
@@ -162,3 +163,51 @@ def test_green_weight_sign_hypothesis_rejects():
     gp = green.solve_green(prob)
     with pytest.raises(BranchError):
         hardy.build_weight_green(norms.euclidean(2.0, 3), gp)
+
+
+def _lstsq_scan_bracket(gp, window=(4.0, 0.125)):
+    """The bracket around the grid beta whose lstsq fit of u ~ A r^beta + B leaves
+    the least residual, one lstsq per beta."""
+    prob = gp.problem
+    mask = (gp.r >= window[0] * prob.phi.r_b) & (gp.r <= window[1] * prob.R_out)
+    rr, uu = gp.r[mask], gp.u[mask]
+    grid = np.linspace(-4.0, -1e-3, 160) if prob.p < prob.n else np.linspace(-4.0, 4.0, 320)
+    vals = []
+    for b in grid:
+        X = np.stack([rr ** b, np.ones_like(rr)], axis=1)
+        coef, *_ = np.linalg.lstsq(X, uu, rcond=None)
+        vals.append(np.linalg.norm(X @ coef - uu))
+    i = int(np.argmin(vals))
+    return grid[max(0, i - 1)], grid[min(len(grid) - 1, i + 1)]
+
+
+@pytest.mark.parametrize("p,R,cells", [(2.0, 100.0, 2048), (1.5, 50.0, 2048), (2.5, 100.0, 2048),
+                                       (2.0, 100.0, 512), (1.5, 50.0, 512), (2.5, 100.0, 512),
+                                       (4.0, 100.0, 512)])
+def test_batched_farfield_scan_picks_the_lstsq_index(monkeypatch, p, R, cells):
+    # the suite's three potentials at full and quick grids, and one p > n problem
+    # whose scan runs over the 320-point grid
+    gp = green.solve_green(green.RadialProblem(
+        p=p, n=3, phi=green.BumpDensity(0.5, 1.0, 1.0, 3), R_out=R, n_cells=cells))
+    brackets, minimize = [], green.fminbound
+
+    def seen(func, x1, x2, xtol):
+        brackets.append((x1, x2))
+        return minimize(func, x1, x2, xtol=xtol)
+
+    monkeypatch.setattr(green, "fminbound", seen)
+    green.farfield_exponent(gp)
+    assert brackets == [_lstsq_scan_bracket(gp)]
+
+
+def test_singular_green_jacobian_is_a_numeric_failure(monkeypatch, capsys):
+    assemble = green._assemble
+
+    def singular(prob, mesh, u_in, p, jac=True):
+        F, bands = assemble(prob, mesh, u_in, p, jac)
+        return F, None if bands is None else tuple(np.zeros_like(b) for b in bands)
+
+    monkeypatch.setattr(green, "_assemble", singular)
+    example = str(Path(__file__).resolve().parents[1] / "scripts" / "green_problem_example.json")
+    assert cli.main(["green", "--problem", example]) == 3
+    assert "numeric failure" in capsys.readouterr().err

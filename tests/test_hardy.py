@@ -1,10 +1,11 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from finslerhardy import bregman, fields, hardy, norms, quadrature
+from finslerhardy import acceptance, bregman, fields, green, hardy, norms, quadrature
 from finslerhardy.errors import BranchError, RangeError
 
 import oracles
@@ -181,6 +182,88 @@ def test_ground_state_weak_residual():
     res = fields.weak_residual(fam, hw.ground_state, dom, V=negW,
                                n_tests=30, seed=5)
     assert res <= 1e-5
+
+
+def _green_weight(cells=1024):
+    prob = green.RadialProblem(p=2.0, n=3, phi=green.BumpDensity(0.5, 1.0, 1.0, 3),
+                               V=green.bump_potential(0.5, 1.5, 0.05), R_out=200.0,
+                               n_cells=cells)
+    return hardy.build_weight_green(norms.euclidean(2.0, 3), green.solve_green(prob))
+
+
+def _point_residual(hw, dom, n_tests, seed):
+    """The ground-state residual with V - W evaluated at points x."""
+    gauge = hw.source.radial[0]
+
+    def V(x):
+        pot = 0.0 if hw.V_profile is None else hw.V_profile(quadrature.radius(gauge, x))
+        return pot - hw.weight(x)
+
+    return fields.weak_residual(hw.fam, hw.ground_state, dom, V=V, n_tests=n_tests,
+                                seed=seed)
+
+
+@pytest.mark.parametrize("case", ["euclidean", "mix", "capped", "green"])
+def test_ground_state_residual_on_rho_matches_the_point_potential(case):
+    # V - W as a profile of the rays' rho against V - W at the points rho * Theta:
+    # the two differ by the rounding of rho against |rho Theta| or H0(rho Theta).
+    # The synthetic capped source is not p-harmonic, so only its two paths agree.
+    hw, dom = {
+        "euclidean": lambda: (standard_weight(2.0, 3), fields.annulus(0.1, 10.0, 3)),
+        "mix": lambda: (standard_weight(1.5, 2, norms.mixed(4, A2, 1.5)),
+                        fields.annulus(0.1, 10.0, 2)),
+        "capped": lambda: (capped_weight(), fields.annulus(0.5, 8.0, 2)),
+        "green": lambda: (_green_weight(), fields.annulus(0.1, 25.0, 3)),
+    }[case]()
+    on_rho = acceptance.ground_state_residual(hw, dom, 12, 5)
+    at_points = _point_residual(hw, dom, 12, 5)
+    assert 0.0 < on_rho < (1.0 if case == "capped" else 1e-4)
+    assert abs(on_rho / at_points - 1.0) <= 1e-12
+
+
+def test_ground_state_residual_on_rho_forms_no_points(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("point array formed")
+
+    calls = {"profile": [], "dprofile": []}
+    for name, calls_of in calls.items():
+        def counted(self, r, _f=getattr(green.GreenPotential, name), _c=calls_of):
+            _c.append(np.shape(r))
+            return _f(self, r)
+        monkeypatch.setattr(green.GreenPotential, name, counted)
+    hw = _green_weight(512)
+    dom = fields.annulus(0.1, 25.0, 3)
+    shape = fields._shell_patches(None, fields.random_bumps(dom, 6, 3), 3).rho.shape
+    for calls_of in calls.values():
+        del calls_of[:]
+    monkeypatch.setattr(fields._Rays, "points", forbidden)
+    monkeypatch.setattr(quadrature, "radius", forbidden)
+    assert acceptance.ground_state_residual(hw, dom, 6, 3) < 1e-4
+    assert calls == {"profile": [shape], "dprofile": [shape]}
+    # a mixed gauge solves its dual once, for the shell geometry's directions
+    rows = []
+    solve = norms.dual_newton
+
+    def counted_newton(fam, Y, *args, **kwargs):
+        rows.append(len(Y))
+        return solve(fam, Y, *args, **kwargs)
+
+    monkeypatch.setattr(norms, "dual_newton", counted_newton)
+    hw = standard_weight(1.5, 2, norms.mixed(4, A2, 1.5))
+    dom = fields.annulus(0.1, 10.0, 2)
+    fields._shell_patches(hw.fam, fields.random_bumps(dom, 5, 3), 2)
+    geometry_rows = rows[:]
+    del rows[:]
+    assert acceptance.ground_state_residual(hw, dom, 5, 3) < 1e-4
+    assert rows == geometry_rows and len(rows) == 1
+
+
+def test_radial_potential_must_share_the_field_gauge():
+    hw = standard_weight(3.0, 2, norms.lp(4, 3.0, 2))
+    V = SimpleNamespace(radial=(None, hw.ground_state_terms))
+    with pytest.raises(ValueError, match="gauge"):
+        fields.weak_residual(hw.fam, hw.ground_state, fields.annulus(0.1, 10.0, 2), V=V,
+                             n_tests=3, seed=1)
 
 
 # -- null sequences -----------------------------------------------------------
