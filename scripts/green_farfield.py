@@ -30,7 +30,8 @@ def main():
     beta, A, B = green.farfield_exponent(gp)
     fb = green.flux_bound_check(gp)
     expect = (args.p - args.n) / (args.p - 1.0)
-    print(f"residual {gp.residual:.2e} after {gp.newton_iters} Newton steps")
+    print(f"residual {gp.residual:.2e} after {gp.newton_iters} Newton steps "
+          f"(exit {gp.newton.exit})")
     print(f"far field: u ~ {A:.6g} r^{beta:.6f} + {B:.2e}   "
           f"(decay exponent (p-n)/(p-1) = {expect:.6f})")
     print(f"flux bounds: C0={fb['C0']:.6g}  M_phi={fb['M_phi']:.6g}  "

@@ -25,12 +25,13 @@ into the principal mode's basin: it hands over to Newton after a fixed
 budget of ``DESCENT_STEPS`` = 40 steps (or earlier, at a stationary
 point), and Newton finishes from there in a few steps, as in
 descent-then-Newton solvers for the p-Laplacian (Biezuner, Ercole and
-Martins 2009).  Newton stops when the weak residual and the normalization
-defect are both below its tolerance, or after an update whose line-search
-step fell below 2**-20: the residual has then reached its round-off floor,
-and further steps do not change the result.  A hand-over outside the basin
-is not hidden: the solvers raise ``SolverError`` when Newton's weak
-residual ends above 1e-7 or is NaN.
+Martins 2009).  Newton (``newton.damped_newton``) stops when the weak
+residual and the normalization defect are both below its tolerance, or at
+their round-off floor: there no line-search trial decreases the residual,
+so a search tries at most 20 steps (2 once the residual is below 100 times
+the tolerance), and when all fail Newton stops without a step.  A hand-over
+outside the basin is not hidden: the solvers raise ``SolverError`` when
+Newton's weak residual ends above 1e-7 or is NaN.
 The second eigenvalue is located by equalizing the two nodal-domain
 principal eigenvalues over the interior zero position (the second
 eigenfunction has exactly one interior zero), which is derivative-free and
@@ -56,6 +57,7 @@ from numpy.random import Generator, Philox
 from .errors import SolverError
 from .green import _psi
 from .lapack import band_cholesky, band_cholesky_solve, tridiagonal_solve
+from .newton import NewtonStats, damped_newton
 from .scalar import brentq
 
 
@@ -97,6 +99,7 @@ class EigenPair:
     problem: EigenProblem
     restarts_agreeing: int = 0
     rayleigh: float = 0.0
+    newton: NewtonStats | None = None     # the chosen restart's polish
 
 
 class _Disc:
@@ -172,13 +175,15 @@ class _Disc:
         return r
 
     def weak_residual(self, v, lam):
-        """Nodal weak residual and its scaled strong-form norm."""
+        """Nodal weak residual r, its norm, that norm scaled to the strong
+        form, and psi(v)."""
         psi_v = _psi(v, self.p)
         r = self._residual(v, lam, psi_v)
         scale = abs(lam) + self.Vmax + 1.0
         # relative weak-residual norm: the equation scale is the mass term
         eq_scale = float(np.linalg.norm(self.mass * psi_v)) + 1e-300
-        return r, float(np.linalg.norm(r)) / (scale * eq_scale)
+        rn = float(np.linalg.norm(r))
+        return r, rn, rn / (scale * eq_scale), psi_v
 
     def gradient(self, v, lam):
         """p times the weak residual: the gradient of R at ||v||_p = 1, lam = R[v]."""
@@ -268,44 +273,40 @@ def _pg_minimize(disc, v, gtol=1e-11):
 def _newton_polish(disc, v, lam, max_iter=60, tol=1e-13):
     """Bordered Newton on the EL system with the normalization constraint.
 
-    Stops when the weak residual and the normalization defect are below
-    ``tol``, or after an update whose backtracking step fell below 2**-20
-    (the residual is at its round-off floor); returns (v, lam, residual).
+    Runs ``newton.damped_newton`` on x = (v, lambda).  Its tolerance test is
+    on the relative weak residual and the normalization defect together, its
+    Armijo test on the unscaled residual norm.  It ends on ``tol``, or at the
+    round-off floor: a line search there tries at most 20 steps (2 below
+    100 tol) and, when all fail, ends the solve without a step, where 30
+    halvings used to apply a step of 2**-30 that changed nothing.  Returns
+    (v, lambda, residual, stats).
     """
     p = disc.p
-    for _ in range(max_iter):
-        r, rnorm = disc.weak_residual(v, lam)
-        gres = float(np.add.reduce(disc.mass * np.abs(v) ** p)) - 1.0
-        if rnorm < tol and abs(gres) < tol:
-            break
-        bands = disc.jacobian_bands(v, lam)
-        psi_v = _psi(v, p)
+
+    def evaluate(x):
+        r, rn, rnorm, psi_v = disc.weak_residual(x[:-1], x[-1])
+        gres = float(np.add.reduce(disc.mass * np.abs(x[:-1]) ** p)) - 1.0
+        return max(rnorm, abs(gres)), rn, (r, rnorm, gres, psi_v)
+
+    def direction(x, state):
+        r, _, gres, psi_v = state
         b = -psi_v * disc.mass          # d r / d lambda
         c = p * psi_v * disc.mass       # d g / d v
         try:
             # both right-hand sides in one solve; columns of a Fortran array
-            z1, z2 = tridiagonal_solve(*bands, np.array([r, b]).T).T
+            z1, z2 = tridiagonal_solve(*disc.jacobian_bands(x[:-1], x[-1]),
+                                       np.array([r, b]).T).T
         except np.linalg.LinAlgError:
-            break
+            return None
         denom = c @ z2
         if denom == 0.0:
-            break
+            return None
         dlam = (c @ z1 - gres) / denom
-        dvv = z1 - dlam * z2
-        step = 1.0
-        r0 = np.linalg.norm(r)
-        for _ in range(30):
-            vt = v - step * dvv
-            rt_norm = np.linalg.norm(disc._residual(vt, lam - step * dlam, _psi(vt, p)))
-            if rt_norm < r0 * (1.0 - 1e-4 * step) or rt_norm < 1e-14:
-                break
-            step *= 0.5
-        v = v - step * dvv
-        lam = lam - step * dlam
-        if step < 2.0 ** -20:
-            break
-    r, rnorm = disc.weak_residual(v, lam)
-    return v, lam, rnorm
+        return np.append(z1 - dlam * z2, dlam)
+
+    x, _, (_, rnorm, _, _), stats = damped_newton(evaluate, direction, np.append(v, lam),
+                                                  tol, max_iter)
+    return x[:-1], float(x[-1]), rnorm, stats
 
 
 def _count_sign_changes(v):
@@ -319,7 +320,7 @@ def _disc_for(ep):
 
 
 def _restarts(disc, seed, restarts):
-    """(v, lambda, residual) of each restart on disc: the first mode, then
+    """(v, lambda, residual, stats) of each restart on disc: the first mode, then
     smoothed random starts, each minimized and Newton-polished.  Restarts
     that end on a NaN lambda are dropped; ``SolverError`` if all do."""
     rng = Generator(Philox(key=np.uint64(seed)))
@@ -350,7 +351,7 @@ def principal_eigenvalue(ep, restarts=32, agree_tol=1e-6):
     """
     disc = _disc_for(ep)
     runs = _restarts(disc, ep.seed, restarts)
-    v, lam, rnorm = min(runs, key=lambda run: run[1])
+    v, lam, rnorm, newton = min(runs, key=lambda run: run[1])
     if np.sum(v) < 0.0:
         v = -v
     lams = np.array([run[1] for run in runs])
@@ -360,7 +361,7 @@ def principal_eigenvalue(ep, restarts=32, agree_tol=1e-6):
         raise SolverError("eigen minimization did not converge", residual=rnorm)
     return EigenPair(lam=float(lam), v=v, residual=rnorm,
                      sign_changes=_count_sign_changes(v), problem=ep,
-                     restarts_agreeing=agree, rayleigh=float(ray))
+                     restarts_agreeing=agree, rayleigh=float(ray), newton=newton)
 
 
 def _profile(x, v, left_dirichlet):
@@ -390,10 +391,10 @@ def _principal_on(a, b, ep, n_min=64, restarts=4, start=None):
     if start is not None:
         xs = x[1 if left_dir else 0:-1]
         v0 = disc.normalize(np.interp((xs - a) / (b - a), *start))
-        v, lam, rnorm = _newton_polish(disc, v0, disc.rayleigh(v0))
+        v, lam, rnorm, _ = _newton_polish(disc, v0, disc.rayleigh(v0))
         if rnorm <= 1e-7 and np.all(v > 0.0):
             return v, lam, rnorm, disc, 0
-    v, lam, rnorm = min(_restarts(disc, ep.seed + 1, restarts), key=lambda run: run[1])
+    v, lam, rnorm, _ = min(_restarts(disc, ep.seed + 1, restarts), key=lambda run: run[1])
     return v, lam, rnorm, disc, int(start is not None)
 
 

@@ -22,8 +22,9 @@ class RangeError(ValueError):
 
 
 class SolverError(RuntimeError):
-    """Nonlinear solver failed to converge.  Carries the last residual."""
+    """Nonlinear solver failed to converge.  Carries the last residual and,
+    from a Newton solve, its exit reason (``newton.NewtonStats.exit``)."""
 
-    def __init__(self, message, residual=None):
-        self.residual = residual
+    def __init__(self, message, residual=None, reason=None):
+        self.residual, self.reason = residual, reason
         super().__init__(message if residual is None else f"{message} (last residual {residual:.3e})")

@@ -21,7 +21,6 @@ s u solves with s^(p-1) phi, exactly.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field as dfield
 from types import SimpleNamespace
 
@@ -30,6 +29,7 @@ import numpy as np
 from . import fields, quadrature
 from .errors import SolverError
 from .lapack import tridiagonal_solve
+from .newton import NewtonStats, damped_newton, solver_error
 from .scalar import Pchip, brentq, fminbound
 
 EPS_REG = 1e-10
@@ -134,13 +134,17 @@ class GreenPotential:
     u: np.ndarray
     residual: float
     problem: RadialProblem
-    newton_iters: int
+    newton: NewtonStats   # summed over the continuation; the last stage's exit
     _interp: object = dfield(default=None, repr=False)
     _dinterp: object = dfield(default=None, repr=False)
 
     def __post_init__(self):
         self._interp = Pchip(self.r, self.u)
         self._dinterp = self._interp.derivative()
+
+    @property
+    def newton_iters(self):
+        return self.newton.iterations
 
     def profile(self, r):
         r = np.clip(np.asarray(r, dtype=float), self.r[0], self.r[-1])
@@ -268,10 +272,13 @@ def _newton_step(bands, F):
 def solve_green(prob, max_iter=200, tol=3e-10, accept=5e-8):
     """Damped-Newton solve with exponent continuation from the p = 2 start.
 
-    Raises :class:`SolverError` with the last residual on non-convergence
-    (stagnation above ``accept``).  The returned residual is the scaled
-    discrete norm of the final Newton residual, and the profile is the
-    positive FEM solution with PCHIP interpolation.
+    Each stage is one ``newton.damped_newton`` solve, which may end at the
+    round-off floor (its line searches capped, where 40 halvings ran three
+    times before a stall counter stopped them) or stall below ``accept``;
+    ``maxit``, or a floor above ``accept``, raises :class:`SolverError`.
+    The returned residual is the scaled discrete norm of the final Newton
+    residual, and the profile is the positive FEM solution with PCHIP
+    interpolation.
     """
     mesh = _mesh(prob)
     r = mesh.r
@@ -280,36 +287,26 @@ def solve_green(prob, max_iter=200, tol=3e-10, accept=5e-8):
     scale = float(np.linalg.norm(_assemble(prob, mesh, np.zeros(len(r) - 1), prob.p,
                                            jac=False)[0]))
     p_path = [prob.p] if prob.p == 2.0 else list(np.linspace(2.0, prob.p, 8)[1:])
-    total_iters = 0
+    iters = backtracks = 0
     for p_now in p_path:
-        p_tol = tol if p_now == prob.p else 1e-8
-        last_res = math.inf
-        stalled = 0
-        for it in range(max_iter):
+        def evaluate(u):
+            norm = float(np.linalg.norm(_assemble(prob, mesh, u, p_now, jac=False)[0]))
+            return norm / scale, norm, None
+
+        def direction(u, _):
             F, bands = _assemble(prob, mesh, u, p_now)
-            res = float(np.linalg.norm(F)) / scale
-            stalled = stalled + 1 if res > 0.5 * last_res else 0
-            last_res = min(last_res, res)
-            if res < p_tol or (res < accept and stalled >= 3):
-                break
-            step = _newton_step(bands, F)
-            lam = 1.0
-            for _ in range(40):
-                trial = u - lam * step
-                Ft = _assemble(prob, mesh, trial, p_now, jac=False)[0]
-                if np.linalg.norm(Ft) < np.linalg.norm(F) * (1.0 - 1e-4 * lam):
-                    break
-                lam *= 0.5
-            u = u - lam * step
-            total_iters += 1
-        else:
-            raise SolverError(f"Newton stalled at p = {p_now}", residual=last_res)
+            return _newton_step(bands, F)
+
+        u, res, _, stats = damped_newton(evaluate, direction, u, tol if p_now == prob.p
+                                         else 1e-8, max_iter, accept=accept)
+        iters, backtracks = iters + stats.iterations, backtracks + stats.backtracks
+        if stats.exit == "maxit" or (stats.exit == "floor" and not res < accept):
+            raise solver_error(f"Green Newton at p = {p_now}", stats, res)
     u_full = np.concatenate([u, [mesh.cN * u[-1]]])
     if np.any(u_full[:-1] <= 0.0):
         raise SolverError("solution lost positivity")
-    F = _assemble(prob, mesh, u, prob.p, jac=False)[0]
-    return GreenPotential(r=r, u=u_full, residual=float(np.linalg.norm(F)) / scale,
-                          problem=prob, newton_iters=total_iters)
+    return GreenPotential(r=r, u=u_full, residual=res, problem=prob,
+                          newton=NewtonStats(iters, backtracks, stats.exit))
 
 
 # ---------------------------------------------------------------------------

@@ -126,9 +126,6 @@ class HardyWeight:
     def v(self, rho):
         return self.ground_state.radial[1](np.asarray(rho, dtype=float))
 
-    def dv(self, rho):
-        return self.ground_state.radial[2](np.asarray(rho, dtype=float))
-
     def _weight(self, g, dg, rho):
         """W at radii rho from the source profile g and its slope dg there."""
         p = self.p
@@ -145,12 +142,18 @@ class HardyWeight:
     def weight_profile(self, rho):
         return self._weight(self.g(rho), self.dg(rho), rho)
 
-    def ground_state_terms(self, rho):
-        """(v, v', V - W) at radii rho from one evaluation of g, g' (and V, phi)."""
+    def profile_terms(self, rho):
+        """(v, v', W, V - W) at radii rho from one evaluation of g, g' (and V, phi)."""
         g, dg = self.g(rho), self.dg(rho)
         W = self._weight(g, dg, rho)
         gs = self.ground_state
-        return gs.f(g), gs.fprime(g) * dg, -W if self.V_profile is None else self.V_profile(rho) - W
+        return (gs.f(g), gs.fprime(g) * dg, W,
+                -W if self.V_profile is None else self.V_profile(rho) - W)
+
+    def ground_state_terms(self, rho):
+        """(v, v', V - W) at radii rho: the terms of the ground-state residual."""
+        v, dv, _, pot = self.profile_terms(rho)
+        return v, dv, pot
 
     def weight(self, x):
         """W at points x (nonnegative by construction)."""
@@ -313,19 +316,17 @@ def _level_radii(hw, levels, vmin, vmax):
 
 
 def _cutoff_terms(hw, rho, k, scale, one_sided):
-    """Integrands of u = v phi_k(v scale) at radii rho.
+    """Integrands of u = v phi_k(v scale) at radii rho, from one g, g' pass.
 
     Returns the energy |u'|^p + (V - W) u^p, the weight mass W u^p, and
     u, v, v', phi and the cutoff slope t phi'(t) at t = v scale.
     """
-    p, V = hw.p, hw.V_profile
-    v, dv = hw.v(rho), hw.dv(rho)
+    p = hw.p
+    v, dv, W, pot = hw.profile_terms(rho)
     ph = cutoff(v * scale, k, one_sided)
     slope = cutoff_slope(v * scale, k, one_sided)
     u = v * ph
     du = dv * (ph + slope)
-    W = hw.weight_profile(rho)
-    pot = -W if V is None else (V(rho) - W)
     return np.abs(du) ** p + pot * u ** p, W * u ** p, u, v, dv, ph, slope
 
 

@@ -42,7 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .errors import ConstructionError, DomainError, SolverError, UnsupportedKindError
+from .errors import ConstructionError, DomainError, UnsupportedKindError
+from .newton import NewtonStats, solver_error
 
 KINDS = ("euclidean", "lp", "quadratic", "mixed", "weighted")
 
@@ -329,7 +330,7 @@ def dual(fam, y, start=None):
     y = _dual_input(fam, y, nonzero=True)
     if fam.has_closed_dual:
         return _closed_dual_norm(fam, y), _closed_grad_dual(fam, y)
-    h0, g0 = dual_newton(fam, y.reshape(-1, fam.n), start=start)
+    h0, g0, _ = dual_newton(fam, y.reshape(-1, fam.n), start=start)
     return h0.reshape(y.shape[:-1])[()], g0.reshape(y.shape)
 
 
@@ -409,12 +410,14 @@ def _m_and_jac(fam, xi, jac=True):
 def dual_newton(fam, Y, tol=1e-13, maxit=60, start=None):
     """Batched dual norm and gradient via Newton on m(xi) = y.
 
-    Returns ``(H0, gradH0)`` for rows of ``Y``, starting from ``start`` (such as
-    grad H0 at nearby points) or the directions of ``Y``.  A row leaves the
+    Returns ``(H0, gradH0, stats)`` for rows of ``Y``, starting from ``start``
+    (such as grad H0 at nearby points) or the directions of ``Y``; ``stats``
+    (a ``newton.NewtonStats``) counts the batched Jacobian steps and the
+    line-search trials beyond the first of each step.  A row leaves the
     batch as soon as an evaluation finds it below ``tol``, keeping that
-    evaluation's H; a Levenberg term guards (near-)singular Jacobians.  Raises
-    :class:`SolverError`, with the worst relative residual, if a row is above
-    ``tol`` after ``maxit`` steps.
+    evaluation's H; a Levenberg term guards (near-)singular Jacobians.
+    Raises :class:`SolverError`, with the worst relative residual and exit
+    ``maxit``, if a row is above ``tol`` after ``maxit`` steps.
     """
     if fam.kind != "mixed":
         raise UnsupportedKindError(f"the Newton dual is for the mixed kind, not {fam.kind}")
@@ -429,6 +432,7 @@ def dual_newton(fam, Y, tol=1e-13, maxit=60, start=None):
     xi = xi * scale[..., None]
     h = np.empty(Y.shape[0])
     rows = np.arange(Y.shape[0])  # the rows not yet seen below tol
+    backtracks = 0
     for it in range(maxit + 1):
         hr, m, J = _m_and_jac(fam, xi[rows], jac=it < maxit)
         res = m - Y[rows]
@@ -438,8 +442,9 @@ def dual_newton(fam, Y, tol=1e-13, maxit=60, start=None):
         if np.all(done):
             break
         if it == maxit:
-            raise SolverError(f"dual Newton: {np.sum(~done)} rows above tol {tol:g} after "
-                              f"{maxit} steps", residual=float(np.max(rn[~done])))
+            raise solver_error(f"dual Newton, {np.sum(~done)} rows above tol {tol:g}",
+                               NewtonStats(it, backtracks, "maxit"),
+                               float(np.max(rn[~done])))
         rows, res, rn, J = rows[~done], res[~done], rn[~done], J[~done]
         # Levenberg guard for (near-)singular Jacobians
         mu = 1e-14 * np.trace(J, axis1=-2, axis2=-1)[..., None, None]
@@ -448,7 +453,7 @@ def dual_newton(fam, Y, tol=1e-13, maxit=60, start=None):
         lam = np.ones(rows.size)
         ht, rt = np.empty(rows.size), np.empty(rows.size)
         trying = np.arange(rows.size)
-        for _ in range(30):
+        for halvings in range(30):
             r = rows[trying]
             trial = xi[r] - lam[trying, None] * step[trying]
             ht[trying], mt, _ = _m_and_jac(fam, trial, jac=False)
@@ -458,6 +463,7 @@ def dual_newton(fam, Y, tol=1e-13, maxit=60, start=None):
                 break
             trying = trying[bad]
             lam[trying] *= 0.5
+        backtracks += halvings
         xi[rows] = xi[rows] - lam[..., None] * step
         # rows whose accepted trial is below tol are done; a row still bad after
         # 30 halvings has rt > rn > tol and is evaluated again
@@ -465,8 +471,8 @@ def dual_newton(fam, Y, tol=1e-13, maxit=60, start=None):
         h[rows[done]] = ht[done]
         rows = rows[~done]
         if rows.size == 0:
-            break
-    return h, xi / h[..., None]
+            return h, xi / h[..., None], NewtonStats(it + 1, backtracks, "tol")
+    return h, xi / h[..., None], NewtonStats(it, backtracks, "tol")
 
 
 def bidual_norm(fam, xi_samples, n_dirs=2048, iters=80, seed=0):

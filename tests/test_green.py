@@ -200,6 +200,26 @@ def test_batched_farfield_scan_picks_the_lstsq_index(monkeypatch, p, R, cells):
     assert brackets == [_lstsq_scan_bracket(gp)]
 
 
+def test_green_solve_stops_at_the_residual_floor(monkeypatch):
+    # counts the residual-only assemblies (load scale and line-search trials)
+    # on the --quick suite's p = 1.5 problem: 49 here, where three line
+    # searches of 40 halvings at the round-off floor took 120 of 161
+    calls = []
+    assemble = green._assemble
+
+    def counted(prob, mesh, u, p, jac=True):
+        calls.append(jac)
+        return assemble(prob, mesh, u, p, jac=jac)
+
+    monkeypatch.setattr(green, "_assemble", counted)
+    gp = green.solve_green(green.RadialProblem(p=1.5, n=3,
+                                               phi=green.BumpDensity(0.5, 1.0, 1.0, 3),
+                                               R_out=50.0, n_cells=512))
+    assert gp.residual < 5e-8 and gp.newton.exit in ("tol", "floor", "stall")
+    assert gp.newton_iters == gp.newton.iterations
+    assert 0 < calls.count(False) <= 60
+
+
 def test_singular_green_jacobian_is_a_numeric_failure(monkeypatch, capsys):
     assemble = green._assemble
 

@@ -191,6 +191,27 @@ def _green_weight(cells=1024):
     return hardy.build_weight_green(norms.euclidean(2.0, 3), green.solve_green(prob))
 
 
+def test_cutoff_terms_take_one_profile_pass(monkeypatch):
+    # g and g' once per call, with the bits of v, v' and W taken one by one
+    calls = {"profile": 0, "dprofile": 0}
+    for name in calls:
+        def counted(self, r, _f=getattr(green.GreenPotential, name), _name=name):
+            calls[_name] += 1
+            return _f(self, r)
+        monkeypatch.setattr(green.GreenPotential, name, counted)
+    hw = _green_weight(512)
+    rho = np.geomspace(2.0, 20.0, 64)
+    for name in calls:
+        calls[name] = 0
+    e, m, u, v, dv, ph, slope = hardy._cutoff_terms(hw, rho, 16, 1.0, False)
+    assert calls == {"profile": 1, "dprofile": 1}
+    W = hw.weight_profile(rho)
+    assert np.array_equal(v, hw.v(rho))
+    assert np.array_equal(dv, hw.ground_state.radial[2](rho))
+    assert np.array_equal(m, W * u ** hw.p)
+    assert np.array_equal(e, np.abs(dv * (ph + slope)) ** hw.p + (hw.V_profile(rho) - W) * u ** hw.p)
+
+
 def _point_residual(hw, dom, n_tests, seed):
     """The ground-state residual with V - W evaluated at points x."""
     gauge = hw.source.radial[0]

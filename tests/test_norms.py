@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from finslerhardy import norms
 from finslerhardy.errors import ConstructionError, DomainError, SolverError, UnsupportedKindError
+from finslerhardy.newton import NewtonStats
 
 import oracles
 
@@ -176,7 +177,7 @@ def test_dual_rejects_weighted():
 def test_dual_newton_identities():
     for fam in [norms.mixed(4, A2, 3.0), MIX3]:
         Y = norms.sample_vectors(fam.n, 3000, 11, stream=4)
-        h0, g = norms.dual_newton(fam, Y)
+        h0, g, _ = norms.dual_newton(fam, Y)
         assert np.abs(norms.norm_eval(fam, None, g) - 1.0).max() < 1e-12
         euler = np.einsum("ij,ij->i", Y, g) / h0
         assert np.abs(euler - 1.0).max() < 1e-12
@@ -200,7 +201,7 @@ def test_dual_newton_values_are_pinned_bit_for_bit():
              "ce66ab36a9cdc165b670d35c3e11d74e5f5460fcb7f955c02bc9787a82ee234c"),
             (MIX3, "640ec6677c12a61d1e81e6aa4cd6078705f0951376468b8515c17689530099f6")]
     for fam, digest in pins:
-        h, g = norms.dual_newton(fam, norms.sample_vectors(fam.n, 512, 7))
+        h, g, _ = norms.dual_newton(fam, norms.sample_vectors(fam.n, 512, 7))
         assert hashlib.sha256(h.tobytes() + g.tobytes()).hexdigest() == digest
 
 
@@ -213,8 +214,10 @@ def test_dual_newton_takes_each_jacobian_once(monkeypatch):
         return evaluate(fam, xi, jac)
 
     monkeypatch.setattr(norms, "_m_and_jac", counted)
-    norms.dual_newton(MIX3, norms.sample_vectors(3, 4096, 7))
+    _, _, stats = norms.dual_newton(MIX3, norms.sample_vectors(3, 4096, 7))
     newton = [rows for rows, jac in calls if jac]
+    # its stats count the Jacobian steps and the trials beyond each step's first
+    assert stats == NewtonStats(len(newton), len(calls) - 1 - 2 * len(newton), "tol")
     # the start and every line-search trial ask for m alone: each Jacobian is
     # one of the 6 Newton steps, and the next call is its first trial
     assert not calls[0][1] and not calls[-1][1]
@@ -242,9 +245,9 @@ def test_dual_newton_warm_start_matches_the_cold_solve(monkeypatch):
         Y = norms.sample_vectors(fam.n, 512, 7, stream=5)
         near = Y + 1e-3 * np.linalg.norm(Y, axis=-1, keepdims=True) * norms.sample_vectors(
             fam.n, 512, 8, decades=0, stream=5)
-        _, g_near = norms.dual_newton(fam, near)
+        _, g_near, _ = norms.dual_newton(fam, near)
         del calls[:]
-        h_cold, g_cold = norms.dual_newton(fam, Y)
+        h_cold, g_cold, _ = norms.dual_newton(fam, Y)
         cold = len(calls)
         del calls[:]
         h_warm, g_warm = norms.dual(fam, Y, start=g_near)
@@ -261,6 +264,7 @@ def test_dual_newton_raises_on_unconverged_rows():
     with pytest.raises(SolverError) as err:
         norms.dual_newton(norms.mixed(4, A2, 3.0), Y, maxit=1)
     assert err.value.residual > 1e-13
+    assert err.value.reason == "maxit" and "Newton exit maxit after 1 steps" in str(err.value)
 
 
 def test_dual_is_bitwise_its_projections():

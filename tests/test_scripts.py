@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -66,4 +67,5 @@ def test_green_farfield_script_reports_the_decay(tmp_path):
     proc = _run_script("green_farfield.py", "--cells", "256", "--csv", str(out))
     assert proc.returncode == 0, proc.stderr
     assert "decay exponent (p-n)/(p-1) = -1.000000" in proc.stdout
+    assert re.search(r"after \d+ Newton steps \(exit (tol|floor|stall)\)", proc.stdout)
     assert out.read_text().splitlines()[0] == "r,u,du"
