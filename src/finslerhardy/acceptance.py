@@ -191,7 +191,7 @@ def dual_calculus(fam, m, seed, tol, n_dirs):
     y = norms.sample_vectors(fam.n, m, seed + 21, stream=6)
     err = float(np.abs(norms.norm_eval(fam, None, norms.grad_dual(fam, y)) - 1.0).max())
     xi = norms.sample_vectors(fam.n, m, seed + 22, stream=7)
-    bid = norms.bidual_norm(fam, xi, seed=seed + 23, n_dirs=n_dirs)
+    bid, _ = norms.bidual_norm(fam, xi, seed=seed + 23, n_dirs=n_dirs)
     berr = float(np.abs(bid / norms.norm_eval(fam, None, xi) - 1.0).max())
     return [within("dual_identity", err, 0.0, tol(tol_grad)),
             within("biduality", berr, 0.0, tol(tol_bid))]

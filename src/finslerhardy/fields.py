@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -165,8 +166,8 @@ class RadialProfileField(ScalarField):
         return self._profile(quadrature.radius(None, x))
 
     def grad(self, x):
-        rho = quadrature.radius(None, x)
-        return self._dprofile(rho)[..., None] * quadrature.radius_grad(None, x)
+        rho, grad_rho = quadrature.radius_and_grad(None, x)
+        return self._dprofile(rho)[..., None] * grad_rho
 
     def radial_inverse(self, t):
         t = float(t)
@@ -263,16 +264,22 @@ def _bump_terms(d, rho, amp):
     return phi, (-phi / omu ** 2 * (2.0 / rho ** 2))[..., None] * d
 
 
-def _ball_scheme(center, rho, n, n_panels, n_ang, order=2):
-    """Local polar quadrature on B_rho(center), composite Gauss in radius."""
-    gx, gw = quadrature._gauss(order)
+def _ball_directions(n, n_ang):
+    """The angular rule of :func:`_ball_scheme`."""
+    return (quadrature.circle_rule(n_ang) if n == 2
+            else quadrature.sphere_rule(max(4, n_ang // 2)))
+
+
+def _ball_scheme(center, rho, n_panels, omega, wo):
+    """Local polar quadrature on B_rho(center): composite 2-point Gauss in radius
+    times the angular rule (omega, wo), 2 n_panels len(wo) nodes."""
+    gx, gw = quadrature._gauss(2)
     edges = np.linspace(0.0, rho, n_panels + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     r = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
     wr = (half[:, None] * gw[None, :]).ravel()
-    omega, wo = (quadrature.circle_rule(n_ang) if n == 2
-                 else quadrature.sphere_rule(max(4, n_ang // 2)))
+    n = omega.shape[1]
     nodes = center[None, :] + (r[:, None, None] * omega[None, :, :]).reshape(-1, n)
     w = (wr[:, None] * r[:, None] ** (n - 1) * wo[None, :]).ravel()
     return nodes, w
@@ -303,10 +310,30 @@ def _gauss_panels(edges):
             (half[..., None] * gw).reshape(len(edges), -1))
 
 
-class _Rays(namedtuple("_Rays", "bump theta grad_rho tt lo hi rho w")):
+class _Rays(namedtuple("_Rays", "bump theta grad_rho tt lo hi wo n_rho")):
     """The kept rays rho * Theta of :func:`_shell_patches`, flat and in bump order:
-    owning bump, Theta, grad rho(Theta), Theta.Theta, chord ends lo < hi, and the
-    Gauss nodes rho with their weights (one row per ray)."""
+    owning bump, Theta, grad rho(Theta), Theta.Theta, chord ends lo < hi, angular
+    weight, and the number of Gauss panels on each chord.  The Gauss nodes rho and
+    their weights w (one row per ray) are formed on first use, so a block of rays
+    (:meth:`rows`) forms only its own."""
+
+    def rows(self, start, stop):
+        """The rays start:stop."""
+        return _Rays(*(a[start:stop] for a in self[:-1]), self.n_rho)
+
+    @cached_property
+    def _panels(self):
+        frac = np.linspace(0.0, 1.0, self.n_rho + 1)
+        rho, wr = _gauss_panels(self.lo[:, None] + (self.hi - self.lo)[:, None] * frac[None, :])
+        return rho, wr * rho ** (self.theta.shape[1] - 1) * self.wo[:, None]
+
+    @property
+    def rho(self):
+        return self._panels[0]
+
+    @property
+    def w(self):
+        return self._panels[1]
 
     def points(self):
         """The nodes rho * Theta, one row per node."""
@@ -367,12 +394,25 @@ def _shell_patches(gauge, bumps, n, n_rho=16, n_ang=24):
     keep = disc > 0.0
     bump, theta, grad_rho, tt, tc, disc = (
         a[keep] for a in (bump, theta, grad_rho, tt, tc, disc))
-    wo = (w.ravel() * J)[keep]
     sq = np.sqrt(disc)
-    lo, hi = (tc - sq) / tt, (tc + sq) / tt
-    frac = np.linspace(0.0, 1.0, n_rho + 1)
-    rho, wr = _gauss_panels(lo[:, None] + (hi - lo)[:, None] * frac[None, :])
-    return _Rays(bump, theta, grad_rho, tt, lo, hi, rho, wr * rho ** (n - 1) * wo[:, None])
+    return _Rays(bump, theta, grad_rho, tt, (tc - sq) / tt, (tc + sq) / tt,
+                 (w.ravel() * J)[keep], n_rho)
+
+
+#: the most quadrature nodes that :func:`weak_residual` evaluates at once
+BLOCK_NODES = 2 ** 15
+
+
+def _blocks(sizes):
+    """Ranges [i, j) of consecutive bumps, given each bump's node count: at most
+    ``BLOCK_NODES`` nodes in all, or one bump with more."""
+    i, total = 0, 0
+    for j, size in enumerate(sizes):
+        if total and total + size > BLOCK_NODES:
+            yield i, j
+            i, total = j, 0
+        total += size
+    yield i, len(sizes)
 
 
 def weak_residual(fam, field, dom, V=None, n_tests=100, seed=0,
@@ -394,60 +434,83 @@ def weak_residual(fam, field, dom, V=None, n_tests=100, seed=0,
     rho(Theta)) (a is (p-1)-homogeneous), and phi, a.grad phi and |grad phi|
     from the ray's chord through the bump ball (:meth:`_Rays.bump_terms`);
     points are formed only for a ``V`` on points.  Weighted families, whose a
-    depends on x, other fields and the ball layout take a and grad phi at every node.
+    depends on x, other fields and the ball layout take a and grad phi at every
+    node; on the ball, a radial field takes rho and grad rho from one norm (or
+    :func:`norms.dual`) pass and u, u' (and V) as profiles of rho.
+
+    The nodes are taken in blocks of whole bumps, at most ``BLOCK_NODES`` nodes
+    each (a bump with more is a block of its own), so memory stays bounded
+    whatever the bump count.  Each bump's integrals are summed over that bump
+    alone, so the result does not depend on the blocking.
     """
     p, n = fam.p, dom.n
     bumps = random_bumps(dom, n_tests, seed)
     C, radius, amp = map(np.array, zip(*((b.center, b.rho, b.amplitude) for b in bumps)))
-    radial = layout == "shell" and field.radial is not None
+    radial = field.radial is not None
+    gauge = field.radial[0] if radial else None
     terms = getattr(V, "radial", None)
+    if radial and terms is not None and terms[0] is not gauge:
+        raise ValueError("a radial V must be radial in the field's gauge")
     if layout == "shell":
-        rays = _shell_patches(field.radial[0] if radial else None, bumps, n,
-                              n_rho=n_rho, n_ang=n_ang)
-    if radial:
-        _, profile, dprofile = field.radial
-        if rays.rho.max() >= field.radial_bound:
-            raise DomainError(f"point outside {{rho < {field.radial_bound:g}}}")
-        if terms is None:
-            dg = dprofile(rays.rho)
-            u, pot = (None, None) if V is None else (profile(rays.rho), V(rays.points()))
-        elif terms[0] is field.radial[0]:
-            u, dg, pot = terms[1](rays.rho)
-        else:
-            raise ValueError("a radial V must be radial in the field's gauge")
-    if radial and fam.x_independent:
-        a_ray, _ = norms.operator_a(fam, None, rays.grad_rho)
-        phi, fac, dist = rays.bump_terms(radius, amp)
-        a_th, a_c = (np.einsum("ij,ij->i", a_ray, v)[:, None] for v in (rays.theta, C[rays.bump]))
-        vals = np.sign(dg) * np.abs(dg) ** (p - 1.0) * fac * (rays.rho * a_th - a_c)
-        if V is not None:
-            vals = vals + np.reshape(pot, phi.shape) * u ** (p - 1.0) * phi
-        dens = np.abs(phi) ** p + (np.abs(fac) * dist) ** p
-        starts = np.searchsorted(rays.bump, np.arange(len(bumps)))
-        num, den = (np.add.reduceat(np.einsum("ij,ij->i", rays.w, f), starts)
-                    for f in (vals, dens))
-        return float(np.max(np.abs(num) / den ** (1.0 / p)))
-    if layout == "shell":
-        nodes, w = rays.points(), rays.w.ravel()
-        owner = np.repeat(rays.bump, rays.rho.shape[1])
+        rays = _shell_patches(gauge, bumps, n, n_rho=n_rho, n_ang=n_ang)
+        first = np.searchsorted(rays.bump, np.arange(len(bumps) + 1))
+        sizes = np.diff(first) * (3 * n_rho)   # 3-point Gauss panels on each ray
     else:
-        schemes = [_ball_scheme(b.center, b.rho, n, n_rho, n_ang) for b in bumps]
-        nodes, w = (np.concatenate(a) for a in zip(*schemes))
-        owner = np.repeat(np.arange(len(bumps)), [len(s[1]) for s in schemes])
-    gu = ((dg[..., None] * rays.grad_rho[:, None, :]).reshape(-1, n) if radial
-          else np.asarray(field.grad(nodes), dtype=float))
-    a, _ = norms.operator_a(fam, nodes, gu)
-    phi, gphi = _bump_terms(nodes - C[owner], radius[owner], amp[owner])
-    vals = np.einsum("ij,ij->i", a, gphi)
-    if V is not None:
-        if not radial:
-            u, pot = field(nodes), (V(nodes) if terms is None else
-                                    terms[1](quadrature.radius(terms[0], nodes))[2])
-        vals = vals + np.ravel(pot) * np.ravel(u) ** (p - 1.0) * phi
-    dens = np.abs(phi) ** p + np.linalg.norm(gphi, axis=-1) ** p
-    cuts = np.flatnonzero(np.diff(owner)) + 1
-    return max(abs(float(np.dot(wb, vb))) / float(np.dot(wb, db)) ** (1.0 / p)
-               for wb, vb, db in zip(*(np.split(f, cuts) for f in (w, vals, dens))))
+        omega, wo = _ball_directions(n, n_ang)
+        sizes = np.full(len(bumps), 2 * n_rho * len(wo))   # 2-point Gauss panels
+    per_ray = layout == "shell" and radial and fam.x_independent
+    if per_ray:
+        a_ray, _ = norms.operator_a(fam, None, rays.grad_rho)
+        a_th, a_c = (np.einsum("ij,ij->i", a_ray, v)[:, None] for v in (rays.theta, C[rays.bump]))
+
+    def block_ratios(i, j):
+        """The residual ratio of each bump i:j; its arrays die on return."""
+        if layout == "shell":
+            block = rays.rows(first[i], first[j])
+            rho, w, grad_rho = block.rho, block.w, block.grad_rho[:, None, :]
+            if not per_ray or (V is not None and terms is None):
+                nodes = block.points()
+        else:
+            schemes = [_ball_scheme(b.center, b.rho, n_rho, omega, wo) for b in bumps[i:j]]
+            nodes, w = (np.concatenate(a) for a in zip(*schemes))
+            if radial:
+                rho, grad_rho = quadrature.radius_and_grad(gauge, nodes)
+        if radial:
+            if rho.max() >= field.radial_bound:
+                raise DomainError(f"point outside {{rho < {field.radial_bound:g}}}")
+            if terms is not None:
+                u, dg, pot = terms[1](rho)
+            else:
+                dg = field.radial[2](rho)
+                if V is not None:
+                    u, pot = field.radial[1](rho), V(nodes)
+        if per_ray:
+            phi, fac, dist = block.bump_terms(radius, amp)
+            ray = slice(first[i], first[j])
+            vals = np.sign(dg) * np.abs(dg) ** (p - 1.0) * fac * (rho * a_th[ray] - a_c[ray])
+            if V is not None:
+                vals = vals + np.reshape(pot, phi.shape) * u ** (p - 1.0) * phi
+            dens = np.abs(phi) ** p + (np.abs(fac) * dist) ** p
+            num, den = (np.add.reduceat(np.einsum("ij,ij->i", w, f), first[i:j] - first[i])
+                        for f in (vals, dens))
+            return np.abs(num) / den ** (1.0 / p)
+        owner = (np.repeat(block.bump, rho.shape[1]) if layout == "shell"
+                 else np.repeat(np.arange(i, j), sizes[i:j]))
+        a, _ = norms.operator_a(fam, nodes, (dg[..., None] * grad_rho).reshape(-1, n)
+                                if radial else field.grad(nodes))
+        phi, gphi = _bump_terms(nodes - C[owner], radius[owner], amp[owner])
+        vals = np.einsum("ij,ij->i", a, gphi)
+        if V is not None:
+            if not radial:
+                u, pot = field(nodes), (V(nodes) if terms is None else
+                                        terms[1](quadrature.radius(terms[0], nodes))[2])
+            vals = vals + np.ravel(pot) * np.ravel(u) ** (p - 1.0) * phi
+        dens = np.abs(phi) ** p + np.linalg.norm(gphi, axis=-1) ** p
+        cuts = np.flatnonzero(np.diff(owner)) + 1
+        return [abs(float(np.dot(wb, vb))) / float(np.dot(wb, db)) ** (1.0 / p)
+                for wb, vb, db in zip(*(np.split(f, cuts) for f in (w.ravel(), vals, dens)))]
+
+    return float(np.max(np.concatenate([block_ratios(i, j) for i, j in _blocks(sizes)])))
 
 
 # ---------------------------------------------------------------------------

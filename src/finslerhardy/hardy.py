@@ -186,10 +186,13 @@ class HardyWeight:
         For the green branch the level sits below the density support
         (where the flux is the constant total flux) and above the outer
         truncation value; otherwise at the middle of the radial bracket.
+        A euclidean family with a profile of |x| has |G'|^(p-1) constant on
+        the round level sphere, so its flux is the closed form
+        angular * rho^(n-1) |G'(rho)|^(p-1), as in :func:`green.level_flux`;
+        every other source takes the level-set quadrature.
         """
         if self._flux is None:
             lo, hi = self.source_bracket
-            dom = fields.annulus(lo * 0.999, hi * 1.001, self.n)
             if self.branch == "green_based":
                 gmin, _ = self.profile_range(self.g)
                 m_phi = float(np.min(self.g(
@@ -198,7 +201,13 @@ class HardyWeight:
             else:
                 rho_mid = math.sqrt(lo * hi)
                 level = float(self.g(np.asarray([rho_mid]))[0])
-            self._flux = fields.level_set_flux(self.fam, self.source, dom, level)
+            if self.fam.kind == "euclidean" and self.source.radial[0] is None:
+                rho = float(self.source.radial_inverse(level))
+                self._flux = (self.angular * rho ** (self.n - 1)
+                              * abs(float(self.dg(rho))) ** (self.p - 1.0))
+            else:
+                dom = fields.annulus(lo * 0.999, hi * 1.001, self.n)
+                self._flux = fields.level_set_flux(self.fam, self.source, dom, level)
         return self._flux
 
 

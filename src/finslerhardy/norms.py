@@ -271,15 +271,15 @@ def operator_a(fam, x, xi):
     """
     xi = np.asarray(xi, dtype=float)
     hp_ = norm_eval(fam, x, xi)
+    if x is not None:
+        x = np.broadcast_to(np.asarray(x, dtype=float), xi.shape)
     nz = np.linalg.norm(xi, axis=-1) > 0.0
+    if np.all(nz):   # no row to mask: no copies of xi and x
+        return hp_[..., None] ** (fam.p - 1.0) * grad_H(fam, x, xi), hp_ ** fam.p
     a = np.zeros_like(xi)
     if np.any(nz):
-        sub = xi[nz] if xi.ndim > 1 else xi
-        sub_x = None
-        if x is not None:
-            x_arr = np.broadcast_to(np.asarray(x, dtype=float), xi.shape)
-            sub_x = x_arr[nz] if xi.ndim > 1 else x_arr
-        a[nz] = hp_[nz][..., None] ** (fam.p - 1.0) * grad_H(fam, sub_x, sub)
+        a[nz] = hp_[nz][..., None] ** (fam.p - 1.0) * grad_H(
+            fam, None if x is None else x[nz], xi[nz])
     return a, hp_ ** fam.p
 
 
@@ -475,16 +475,33 @@ def dual_newton(fam, Y, tol=1e-13, maxit=60, start=None):
     return h, xi / h[..., None], NewtonStats(it, backtracks, "tol")
 
 
+@dataclass(frozen=True)
+class BidualStats:
+    """Ascent steps taken by :func:`bidual_norm` and the rows still short of
+    stationarity when it stopped (0 unless ``iters`` ran out)."""
+
+    iterations: int
+    active: int
+
+
 def bidual_norm(fam, xi_samples, n_dirs=2048, iters=80, seed=0):
     """Numeric bidual sup_y xi . y / H0(y) for each row of ``xi_samples``.
 
     Independent of the primal evaluator: it only calls the dual norm.  Used
     to certify the round trip ``H00 = H``.  Shared candidate directions are
     scored for all samples at once, then each sample is polished by
-    projected gradient ascent (the gradient needs grad H0, available for
-    every x-independent kind).  Each step takes one :func:`dual` call, which
-    gives the trial's H0 and the grad H0 kept for the next step; a Newton
-    dual starts there from the last accepted grad H0, next to the trial.
+    projected gradient ascent on {H0 = 1} with Barzilai-Borwein steps
+    (Barzilai and Borwein, IMA J. Numer. Anal. 8, 1988): a trial is kept
+    only if it raises xi . y, and a rejected trial halves the row's step.
+    A row retires once its gradient |xi - (xi . y) grad H0(y)| is below
+    3e-8 |xi| (stationary: xi . y is then exact to rounding), or once its
+    step no longer moves y: at the floor the first-order gain step |grad|^2
+    is below the rounding of xi . y, and only rounding, or a Newton dual's
+    noise, could make a trial look better.  Each step takes one
+    :func:`dual` call over the active rows, which gives the trial's H0 and
+    the grad H0 kept for the next step; a Newton dual starts there from the
+    last accepted grad H0, next to the trial.  Returns ``(values,
+    BidualStats)``.
     """
     xi_samples = np.atleast_2d(np.asarray(xi_samples, dtype=float))
     rng = Generator(Philox(key=seed))
@@ -496,20 +513,31 @@ def bidual_norm(fam, xi_samples, n_dirs=2048, iters=80, seed=0):
     y = dirs[best] / h0[best, None]
     g0 = g[best]   # grad H0 is 0-homogeneous: its value at y, kept with y
     val = np.einsum("ij,ij->i", xi_samples, y)
-    step = 1.0 / np.maximum(np.linalg.norm(xi_samples, axis=-1), 1e-300)
-    step = np.full(len(y), 1.0) * step
-    for _ in range(iters):
-        grad = xi_samples - val[:, None] * g0   # gradient of xi.y on {H0 = 1}
-        trial = y + step[:, None] * grad
-        ht, gt = dual(fam, trial, start=g0)
+    size = np.linalg.norm(xi_samples, axis=-1)
+    step = 1.0 / np.maximum(size, 1e-300)
+    grad = xi_samples - val[:, None] * g0   # gradient of xi.y on {H0 = 1}
+    rows = np.flatnonzero(np.linalg.norm(grad, axis=-1) > 3e-8 * size)
+    it = 0
+    while rows.size and it < iters:
+        it += 1
+        trial = y[rows] + step[rows, None] * grad[rows]
+        ht, gt = dual(fam, trial, start=g0[rows])
         trial /= ht[..., None]
-        tval = np.einsum("ij,ij->i", xi_samples, trial)
-        better = tval > val
-        y[better] = trial[better]
-        g0[better] = gt[better]
-        val[better] = tval[better]
-        step[~better] *= 0.5
-    return val
+        tval = np.einsum("ij,ij->i", xi_samples[rows], trial)
+        better = tval > val[rows]
+        kept = rows[better]
+        tgrad = xi_samples[kept] - tval[better, None] * gt[better]
+        # Barzilai-Borwein: |s|^2 / |s . (grad change)| for the next step
+        s, d = trial[better] - y[kept], tgrad - grad[kept]
+        sd = np.abs(np.einsum("ij,ij->i", s, d))
+        bb = sd > 0.0
+        step[kept[bb]] = np.einsum("ij,ij->i", s[bb], s[bb]) / sd[bb]
+        y[kept], g0[kept], val[kept], grad[kept] = trial[better], gt[better], tval[better], tgrad
+        step[rows[~better]] *= 0.5
+        gnorm = np.linalg.norm(grad[rows], axis=-1)
+        rows = rows[(gnorm > 3e-8 * size[rows])
+                    & (step[rows] * gnorm ** 2 > np.finfo(float).eps * np.abs(val[rows]))]
+    return val, BidualStats(it, rows.size)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ x trapezoid(phi) rule for n = 3.
 The radial gauge is one value: ``None`` (the coordinate is |x| and shells
 are round spheres) or an x-independent family (the coordinate is its dual
 norm H0 and shells are H0-spheres).  Only this module tells the two apart,
-through :func:`_round`; :func:`radius`, :func:`radius_grad` and
+through :func:`_round`; :func:`radius`, :func:`radius_and_grad` and
 :func:`shell_geometry` answer for either.  On H0-shells
 :func:`_dual_shell_geometry` maps directions to
 ``Theta(omega) = omega / H0(omega)`` with the exact angular Jacobian
@@ -139,12 +139,14 @@ def radius(gauge, x):
     return norms.dual_norm(gauge, x)
 
 
-def radius_grad(gauge, x):
-    """The gradient of :func:`radius` at points x."""
+def radius_and_grad(gauge, x):
+    """The radial coordinate of points x and its gradient, from one norm or
+    :func:`norms.dual` pass."""
     x = np.asarray(x, dtype=float)
     if _round(gauge):
-        return x / np.linalg.norm(x, axis=-1, keepdims=True)
-    return norms.grad_dual(gauge, x)
+        r = np.linalg.norm(x, axis=-1)
+        return r, x / r[..., None]
+    return norms.dual(gauge, x)
 
 
 def shell_geometry(gauge, omega):

@@ -1,7 +1,9 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
 from finslerhardy import acceptance, fields, norms, quadrature
 from finslerhardy.errors import BranchError, DomainError
@@ -130,8 +132,11 @@ def test_bidual_takes_one_solve_per_step(newton_calls):
     xi = norms.sample_vectors(2, 20, 5, stream=7)
     for k in (0, 1, 6):
         del newton_calls[:]
-        val = norms.bidual_norm(fam, xi, n_dirs=256, iters=k)
-        assert len(newton_calls) == k + 1
+        val, stats = norms.bidual_norm(fam, xi, n_dirs=256, iters=k)
+        assert stats.iterations == k and len(newton_calls) == k + 1
+        # each step solves only the rows not yet retired
+        assert newton_calls[0] == 256 and newton_calls[1:] == sorted(newton_calls[1:],
+                                                                      reverse=True)
         # every candidate y gives xi.y / H0(y) <= H(xi)
         assert np.all(val <= norms.norm_eval(fam, None, xi) * (1.0 + 1e-12))
 
@@ -258,6 +263,95 @@ def test_weighted_family_keeps_the_per_node_flux_map(operator_rows):
                                       n_ang=12)
         assert operator_rows == [nodes, nodes]
         assert (plain.hex(), with_v.hex()) == pins[base.kind]
+
+
+def _radial_potential(hw):
+    return SimpleNamespace(radial=(hw.source.radial[0], hw.ground_state_terms))
+
+
+def _block_case(case):
+    """(fam, field, domain, V, grid) of one path through the weak residual."""
+    d2, d3 = fields.annulus(0.1, 10.0, 2), fields.annulus(0.1, 10.0, 3)
+    euc, mix, lp4 = norms.euclidean(1.5, 3), norms.mixed(4, A2, 3.0), norms.lp(4, 3.0, 2)
+    gs = acceptance._standard_weight(euc, bracket=(1e-8, 1e8))
+    ball = acceptance._standard_weight(lp4, bracket=(1e-8, 1e8))
+    bad = fields.FuncField(lambda x: np.linalg.norm(x, axis=-1),
+                           grad=lambda x: x / np.linalg.norm(x, axis=-1, keepdims=True))
+    return {
+        "per_ray_euclidean": lambda: (euc, fields.DualPowerField(euc), d3, None, {}),
+        "per_ray_mix": lambda: (mix, fields.DualPowerField(mix), d2, None, {}),
+        "per_ray_radial_V": lambda: (euc, gs.ground_state, d3, _radial_potential(gs), {}),
+        "per_ray_point_V": lambda: (mix, fields.power_of(fields.DualPowerField(mix), 2.0 / 3.0),
+                                    d2, lambda x: -np.ones(len(x)), {}),
+        "per_node_shell": lambda: (norms.euclidean(2.0, 3), bad, d3, None, {}),
+        "ball": lambda: (lp4, ball.ground_state, d2, _radial_potential(ball),
+                         {"layout": "ball", "n_rho": 6}),
+        "weighted": lambda: (norms.weighted(0.5, lp4), fields.power_of(
+            fields.DualPowerField(lp4), 2.0 / 3.0), d2, lambda x: -np.ones(len(x)), {}),
+    }[case]()
+
+
+@pytest.mark.parametrize("case", ["per_ray_euclidean", "per_ray_mix", "per_ray_radial_V",
+                                  "per_ray_point_V", "per_node_shell", "ball", "weighted"])
+def test_blocking_changes_no_bits(case, monkeypatch):
+    # each bump's integrals are summed over that bump alone, in the same order, so
+    # the residual is the same to the bit in one block, in one block per bump and
+    # in blocks of a few bumps
+    fam, field, dom, V, grid = _block_case(case)
+    ranges = []
+    blocks = fields._blocks
+
+    def recorded(sizes):
+        ranges.append((list(sizes), list(blocks(sizes))))
+        return ranges[-1][1]
+
+    monkeypatch.setattr(fields, "_blocks", recorded)
+
+    def residual(budget):
+        monkeypatch.setattr(fields, "BLOCK_NODES", budget)
+        return fields.weak_residual(fam, field, dom, V=V, n_tests=7, seed=3, n_ang=12,
+                                    **grid).hex()
+
+    whole = residual(2 ** 40)
+    sizes = ranges[-1][0]
+    assert ranges[-1][1] == [(0, 7)]
+    assert residual(min(sizes) // 2) == whole
+    assert ranges[-1][1] == [(i, i + 1) for i in range(7)]
+    assert residual(int(2.5 * max(sizes))) == whole
+    assert 1 < len(ranges[-1][1]) < 7
+
+
+def test_blocks_take_whole_bumps_under_the_budget(monkeypatch):
+    monkeypatch.setattr(fields, "BLOCK_NODES", 100)
+    assert list(fields._blocks([40, 50, 20, 150, 10, 100, 1])) == [
+        (0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)]
+    assert list(fields._blocks([30, 30, 40])) == [(0, 3)]
+
+
+def test_ufuncs_do_not_depend_on_block_length():
+    # a block's elementwise terms must equal the same rows of one whole block:
+    # vector loops take a block's tail (and an unaligned start) on other code
+    # paths than its body, so every ufunc of the residual is checked on slices
+    # of every length up to a few vector widths, at every offset
+    x = Generator(Philox(key=3)).uniform(0.05, 20.0, 67)
+    funcs = [np.exp, np.sqrt, np.log, np.abs, np.sign, lambda a: a ** 0.5,
+             lambda a: a ** 1.5, lambda a: a ** -0.75, lambda a: a ** 2.0,
+             lambda a: 1.0 / a, lambda a: np.exp(1.0 - 1.0 / a)]
+    for f in funcs:
+        whole = f(x)
+        for start in range(9):
+            for stop in range(start + 1, len(x) + 1, 3):
+                assert np.array_equal(f(x[start:stop]), whole[start:stop])
+                assert np.array_equal(f(x[start:stop].copy()), whole[start:stop])
+    rows = Generator(Philox(key=4)).uniform(-1.0, 1.0, (67, 3))
+    whole = np.einsum("ij,ij->i", rows, rows[::-1])
+    norm = np.linalg.norm(rows, axis=-1)
+    for start in range(9):
+        for stop in range(start + 1, len(rows) + 1, 5):
+            part = rows[start:stop]
+            assert np.array_equal(np.einsum("ij,ij->i", part, rows[::-1][start:stop]),
+                                  whole[start:stop])
+            assert np.array_equal(np.linalg.norm(part, axis=-1), norm[start:stop])
 
 
 def test_weak_residual_classical_and_control():

@@ -254,13 +254,17 @@ def test_ground_state_residual_on_rho_forms_no_points(monkeypatch):
         monkeypatch.setattr(green.GreenPotential, name, counted)
     hw = _green_weight(512)
     dom = fields.annulus(0.1, 25.0, 3)
-    shape = fields._shell_patches(None, fields.random_bumps(dom, 6, 3), 3).rho.shape
+    rays = fields._shell_patches(None, fields.random_bumps(dom, 6, 3), 3)
+    # one call of each per block of whole bumps, over that block's rays
+    per_bump, width = np.bincount(rays.bump), rays.rho.shape[1]
+    shapes = [(int(per_bump[i:j].sum()), width) for i, j in fields._blocks(per_bump * width)]
+    assert len(shapes) > 1
     for calls_of in calls.values():
         del calls_of[:]
     monkeypatch.setattr(fields._Rays, "points", forbidden)
     monkeypatch.setattr(quadrature, "radius", forbidden)
     assert acceptance.ground_state_residual(hw, dom, 6, 3) < 1e-4
-    assert calls == {"profile": [shape], "dprofile": [shape]}
+    assert calls == {"profile": shapes, "dprofile": shapes}
     # a mixed gauge solves its dual once, for the shell geometry's directions
     rows = []
     solve = norms.dual_newton
@@ -272,11 +276,66 @@ def test_ground_state_residual_on_rho_forms_no_points(monkeypatch):
     monkeypatch.setattr(norms, "dual_newton", counted_newton)
     hw = standard_weight(1.5, 2, norms.mixed(4, A2, 1.5))
     dom = fields.annulus(0.1, 10.0, 2)
+    del rows[:]   # the weight's angular measure solves once unless it is cached
     fields._shell_patches(hw.fam, fields.random_bumps(dom, 5, 3), 2)
     geometry_rows = rows[:]
     del rows[:]
     assert acceptance.ground_state_residual(hw, dom, 5, 3) < 1e-4
     assert rows == geometry_rows and len(rows) == 1
+
+
+def test_ball_layout_takes_rho_from_one_dual_pass_per_block(monkeypatch):
+    # the fine hardy.ground_state_residual.lp4 call (30 bumps, 69,120 nodes): rho and
+    # grad rho from one norms.dual call per block, u, u' and V - W as profiles of
+    # rho, and no dual_norm or grad_dual call (the per-point path made three
+    # dual_norm calls and one dual call, each over every node)
+    hw = standard_weight(3.0, 2, norms.lp(4, 3.0, 2))
+    calls = []
+    for name in ("dual", "dual_norm", "grad_dual"):
+        def counted(fam, y, *args, _f=getattr(norms, name), _name=name, **kwargs):
+            calls.append((_name, len(y)))
+            return _f(fam, y, *args, **kwargs)
+        monkeypatch.setattr(norms, name, counted)
+    ranges = []
+    blocks = fields._blocks
+
+    def recorded(sizes):
+        ranges.extend((i, j, int(sum(sizes[i:j]))) for i, j in blocks(sizes))
+        return [(i, j) for i, j, _ in ranges]
+
+    monkeypatch.setattr(fields, "_blocks", recorded)
+    res = acceptance.ground_state_residual(hw, fields.annulus(0.1, 10.0, 2), 30, 68,
+                                           layout="ball", n_rho=24, n_ang=48)
+    assert res < 1e-5
+    assert calls == [("dual", nodes) for _, _, nodes in ranges]
+    assert len(ranges) > 1 and sum(nodes for _, _, nodes in ranges) == 69120
+    assert max(nodes for _, _, nodes in ranges) <= fields.BLOCK_NODES
+
+
+def test_flux_constant_of_a_profile_of_x_is_the_closed_form(monkeypatch):
+    # a euclidean family with a profile of |x| has |G'|^(p-1) constant on the round
+    # level sphere: angular rho^(n-1) |G'(rho)|^(p-1), no level-set quadrature (the
+    # Green weight's took 18,432 directions), equal to that quadrature to rounding
+    calls = []
+    quadrature_flux = fields.level_set_flux
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return quadrature_flux(*args, **kwargs)
+
+    monkeypatch.setattr(fields, "level_set_flux", counted)
+    hw = _green_weight(512)
+    cf = hw.flux_constant()
+    assert calls == []
+    gmin, _ = hw.profile_range(hw.g)
+    phi = hw.phi_profile
+    level = math.sqrt(3.0 * gmin * float(np.min(hw.g(np.geomspace(phi.r_a, phi.r_b, 128)))))
+    lo, hi = hw.source_bracket
+    ref = quadrature_flux(hw.fam, hw.source, fields.annulus(lo * 0.999, hi * 1.001, 3), level)
+    assert cf == pytest.approx(ref, rel=1e-13)
+    # every other source keeps the quadrature
+    standard_weight(3.0, 2, norms.lp(4, 3.0, 2)).flux_constant()
+    assert len(calls) == 1
 
 
 def test_radial_potential_must_share_the_field_gauge():

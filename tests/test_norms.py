@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from finslerhardy import norms
+from finslerhardy import acceptance, norms
 from finslerhardy.errors import ConstructionError, DomainError, SolverError, UnsupportedKindError
 from finslerhardy.newton import NewtonStats
 
@@ -317,9 +317,25 @@ def test_biduality_round_trip():
     for fam, tol in [(norms.lp(4, 2.0, 2), 1e-6), (norms.quadratic(A2, 2.0), 1e-6),
                      (norms.mixed(4, A2, 2.0), 1e-4)]:
         xi = norms.sample_vectors(2, 300, 17, stream=5)
-        bid = norms.bidual_norm(fam, xi, seed=19)
+        bid, _ = norms.bidual_norm(fam, xi, seed=19)
         H = norms.norm_eval(fam, None, xi)
         assert np.abs(bid / H - 1.0).max() < tol
+
+
+@pytest.mark.parametrize("label", sorted(acceptance.DUAL_KINDS))
+def test_bidual_ascent_converges_and_says_so(label):
+    # Barzilai-Borwein steps retire every row, at stationarity or at the rounding
+    # floor, well before the 80-step cap at the full-grid sample size, with H00 = H
+    # to rounding (fixed steps that only halve left lp4 at 4.4e-9 after all 80)
+    p, n = acceptance.DUAL_KINDS[label]
+    fam = acceptance._family(label, p, n)
+    xi = norms.sample_vectors(n, 1000, 29, stream=7)
+    val, stats = norms.bidual_norm(fam, xi, seed=30)
+    assert stats.active == 0 and stats.iterations < 40
+    assert np.abs(val / norms.norm_eval(fam, None, xi) - 1.0).max() <= 1e-14
+    # cut short, the ascent counts the rows still short of stationarity
+    _, capped = norms.bidual_norm(fam, xi, seed=30, iters=2)
+    assert capped == norms.BidualStats(2, capped.active) and capped.active > 0
 
 
 def test_equivalence_report():
