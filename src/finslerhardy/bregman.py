@@ -88,14 +88,8 @@ def bregman_distance(fam, x, xi, eta):
     xi = np.asarray(xi, dtype=float)
     eta = np.asarray(eta, dtype=float)
     if fam.kind in ("euclidean", "quadratic"):
-        if fam.kind == "euclidean":
-            v = np.linalg.norm(xi, axis=-1)
-            e = np.linalg.norm(eta, axis=-1)
-            b = np.einsum("...i,...i->...", xi, eta)
-        else:
-            v = norms.norm_eval(fam, None, xi)
-            e = norms.norm_eval(fam, None, eta)
-            b = np.einsum("...i,...i->...", xi @ fam.A, eta)
+        v, e = norms.norm_eval(fam, None, xi), norms.norm_eval(fam, None, eta)
+        b = np.einsum("...i,...i->...", xi if fam.kind == "euclidean" else xi @ fam.A, eta)
         return _bregman_inner_product_kind(fam.p, np.atleast_1d(v), np.atleast_1d(b),
                                            np.atleast_1d(e)).reshape(np.shape(v))
     a, hp = norms.operator_a(fam, x, xi)

@@ -13,7 +13,7 @@ flux quadrature for the coarea constant.
 Every field evaluates on point arrays of shape (m, n) and exposes an
 analytic gradient.  Radial fields carry their gauge (see
 :mod:`quadrature`): ``None`` for profiles of |x|, or the family whose dual
-norm H0 is their radial coordinate.
+norm H0 is their radial coordinate; they evaluate through their profile.
 """
 
 from __future__ import annotations
@@ -63,18 +63,27 @@ class ScalarField:
     Radial fields carry ``radial = (gauge, value, dvalue)``, the profile of
     the gauge's radial coordinate and its derivative, plus
     ``radial_inverse(t)`` when the profile is invertible.  The field is
-    defined where the radial coordinate is below ``radial_bound``.
+    defined where the radial coordinate is below ``radial_bound``.  A radial
+    field's value and gradient at points are its profiles at rho(x), times
+    grad rho(x) for the gradient; other fields override both.
     """
 
     kind = "generic"
     radial = None
     radial_bound = math.inf
 
+    def _inside(self, rho):
+        """rho, refused where it reaches ``radial_bound``."""
+        if np.any(rho >= self.radial_bound):
+            raise DomainError(f"point outside {{rho < {self.radial_bound:g}}}")
+        return rho
+
     def __call__(self, x):
-        raise NotImplementedError
+        return self.radial[1](self._inside(quadrature.radius(self.radial[0], x)))
 
     def grad(self, x):
-        raise NotImplementedError
+        rho, grad_rho = quadrature.radius_and_grad(self.radial[0], x)
+        return self.radial[2](self._inside(rho))[..., None] * grad_rho
 
     def radial_inverse(self, t):
         raise NotImplementedError
@@ -109,13 +118,6 @@ class DualPowerField(ScalarField):
         self.radial = (fam, lambda r: r ** self.a,
                        lambda r: self.a * r ** (self.a - 1.0))
 
-    def __call__(self, x):
-        return norms.dual_norm(self.fam, x) ** self.a
-
-    def grad(self, x):
-        h0, g0 = norms.dual(self.fam, x)
-        return self.a * h0[..., None] ** (self.a - 1.0) * g0
-
     def radial_inverse(self, t):
         return np.asarray(t, dtype=float) ** (1.0 / self.a)
 
@@ -136,18 +138,6 @@ class LogDualField(ScalarField):
         self.R = self.radial_bound = float(R)
         self.radial = (fam, lambda r: np.log(self.R / r), lambda r: -1.0 / r)
 
-    def __call__(self, x):
-        h0 = norms.dual_norm(self.fam, x)
-        if np.any(h0 >= self.R):
-            raise DomainError("point outside {H0 < R}")
-        return np.log(self.R / h0)
-
-    def grad(self, x):
-        h0, g0 = norms.dual(self.fam, x)
-        if np.any(h0 >= self.R):
-            raise DomainError("point outside {H0 < R}")
-        return -g0 / h0[..., None]
-
     def radial_inverse(self, t):
         return self.R * np.exp(-np.asarray(t, dtype=float))
 
@@ -156,23 +146,14 @@ class RadialProfileField(ScalarField):
     """Field defined by a 1D profile of |x|."""
 
     def __init__(self, profile, dprofile, kind="radial", bracket=None):
-        self._profile = profile
-        self._dprofile = dprofile
         self.kind = kind
         self.radial = (None, profile, dprofile)
         self._bracket = bracket  # (r_lo, r_hi) for inversion
 
-    def __call__(self, x):
-        return self._profile(quadrature.radius(None, x))
-
-    def grad(self, x):
-        rho, grad_rho = quadrature.radius_and_grad(None, x)
-        return self._dprofile(rho)[..., None] * grad_rho
-
     def radial_inverse(self, t):
         t = float(t)
         lo, hi = self._bracket
-        return brentq(lambda r: self._profile(np.asarray([r]))[0] - t, lo, hi,
+        return brentq(lambda r: self.radial[1](np.asarray([r]))[0] - t, lo, hi,
                       xtol=1e-14 * hi, rtol=8.9e-16)
 
 
@@ -435,8 +416,8 @@ def weak_residual(fam, field, dom, V=None, n_tests=100, seed=0,
     from the ray's chord through the bump ball (:meth:`_Rays.bump_terms`);
     points are formed only for a ``V`` on points.  Weighted families, whose a
     depends on x, other fields and the ball layout take a and grad phi at every
-    node; on the ball, a radial field takes rho and grad rho from one norm (or
-    :func:`norms.dual`) pass and u, u' (and V) as profiles of rho.
+    node; on the ball, a radial field takes rho and grad rho from one
+    :func:`quadrature.radius_and_grad` call and u, u' (and V) as profiles of rho.
 
     The nodes are taken in blocks of whole bumps, at most ``BLOCK_NODES`` nodes
     each (a bump with more is a block of its own), so memory stays bounded
@@ -476,8 +457,7 @@ def weak_residual(fam, field, dom, V=None, n_tests=100, seed=0,
             if radial:
                 rho, grad_rho = quadrature.radius_and_grad(gauge, nodes)
         if radial:
-            if rho.max() >= field.radial_bound:
-                raise DomainError(f"point outside {{rho < {field.radial_bound:g}}}")
+            field._inside(rho)
             if terms is not None:
                 u, dg, pot = terms[1](rho)
             else:

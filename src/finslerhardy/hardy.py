@@ -345,7 +345,8 @@ def _weight_mass_between(hw, t1, t2):
     r2 = hw.source.radial_inverse(t2)
 
     def f(rho):
-        return hw.weight_profile(rho) * hw.v(rho) ** hw.p
+        v, _, W, _ = hw.profile_terms(rho)
+        return W * v ** hw.p
 
     return _radial_integral(hw, f, min(r1, r2), max(r1, r2))
 

@@ -20,11 +20,17 @@ From ``H`` we derive the flux map ``a(x, xi) = grad_xi (H(x, xi)^p / p)
   ``xi != eta``,
 
 and the dual norm ``H0(y) = sup_{xi != 0} y . xi / H(xi)`` (x-independent
-kinds only) with its gradient.  :func:`dual` returns both from one call:
-closed forms for euclidean, lp and quadratic, one batched Newton solve
-(:func:`dual_newton`) for the mixed kind.  :func:`dual_norm` and
-:func:`grad_dual` are its two projections.  The key calculus identities are
+kinds only) with its gradient.  The key calculus identities are
 ``H(grad H0(y)) = 1`` and ``y . grad H0(y) = H0(y)``.
+
+One evaluator gives H and grad H of an x-independent kind from one pass
+over each block (the lp scaling, ``xi @ A`` and their mixed combination);
+the weighted kind is its base's times ``|x|^(delta/p)``.  :func:`norm_eval`,
+:func:`grad_H` and :func:`operator_a` are each one call to it.
+:func:`dual` returns H0 and grad H0 from one call: the same evaluator at
+``s' = s/(s-1)`` and ``A^-1`` for euclidean, lp and quadratic, one batched
+Newton solve (:func:`dual_newton`) for the mixed kind.  :func:`dual_norm`
+and :func:`grad_dual` are its two projections.
 
 All evaluators are vectorized: ``xi`` may be an array of shape ``(..., n)``
 and results broadcast over the leading axes.  Everything is pure and
@@ -168,8 +174,10 @@ def parse_family(spec, p, n):
     if spec.startswith("quad:"):
         return NormFamily("quadratic", float(p), int(n), A=json.loads(spec[5:]))
     if spec.startswith("mix:"):
-        body = spec[4:]
-        parts = dict(kv.split("=", 1) for kv in body.split(";"))
+        items = [kv.split("=", 1) for kv in spec[4:].split(";")]
+        parts = dict(kv for kv in items if len(kv) == 2)
+        if len(parts) != len(items) or sorted(parts) != ["A", "s"]:
+            raise ConstructionError(f"bad mix spec {spec!r}: need exactly s=<f>;A=<matrix>")
         return NormFamily("mixed", float(p), int(n), s=float(parts["s"]),
                           A=json.loads(parts["A"]))
     if spec.startswith("weighted:"):
@@ -186,28 +194,16 @@ def parse_family(spec, p, n):
 # ---------------------------------------------------------------------------
 
 
-def _lp_scaled(xi, s):
-    # z = xi / max_i |xi_i| (1 at xi = 0) so |z_i|^s cannot overflow; keeps the
-    # reduced axis of m = max_i |xi_i| and S = sum_i |z_i|^s
+def _lp_scaled(xi, s, grad=True):
+    """``(|xi|_s, grad |xi|_s)`` over rows of xi, keeping the reduced axis; the
+    gradient is None unless ``grad``."""
+    # z = xi / max_i |xi_i| (1 at xi = 0) so |z_i|^s cannot overflow
     m = np.max(np.abs(xi), axis=-1, keepdims=True)
     safe = np.where(m > 0.0, m, 1.0)
     z = xi / safe
-    return m, safe, z, np.sum(np.abs(z) ** s, axis=-1, keepdims=True)
-
-
-def _lp_norm(xi, s):
-    m, safe, _, S = _lp_scaled(xi, s)
-    return np.where(m > 0.0, safe * S ** (1.0 / s), 0.0)[..., 0]
-
-
-def _lp_grad(xi, s):
-    _, _, z, S = _lp_scaled(xi, s)
-    return np.sign(z) * np.abs(z) ** (s - 1.0) * S ** (1.0 / s - 1.0)
-
-
-def _quad_norm(xi, A):
-    w = xi @ A
-    return np.sqrt(np.einsum("...i,...i->...", xi, w))
+    S = np.sum(np.abs(z) ** s, axis=-1, keepdims=True)
+    return (np.where(m > 0.0, safe * S ** (1.0 / s), 0.0),
+            np.sign(z) * np.abs(z) ** (s - 1.0) * S ** (1.0 / s - 1.0) if grad else None)
 
 
 def _mixed_value(hs, ha, p):
@@ -217,24 +213,47 @@ def _mixed_value(hs, ha, p):
     return np.where(m > 0.0, val, 0.0)
 
 
-def norm_eval(fam, x, xi):
-    """H(x, xi).  ``x`` is only consulted by the weighted kind (and must be != 0 there)."""
-    xi = np.asarray(xi, dtype=float)
-    if fam.kind == "euclidean":
-        return np.linalg.norm(xi, axis=-1)
-    if fam.kind == "lp":
-        return _lp_norm(xi, fam.s)
-    if fam.kind == "quadratic":
-        return _quad_norm(xi, fam.A)
-    if fam.kind == "mixed":
-        return _mixed_value(_lp_norm(xi, fam.s), _quad_norm(xi, fam.A), fam.p)
-    # weighted
+def _norm_and_grad(kind, xi, s, A, p, grad=True):
+    """``(H, grad H)`` of an x-independent kind over rows of xi, each block taken
+    once: the lp scaling, ``xi @ A`` and their mixed combination.  ``grad H`` is
+    None unless ``grad``.  The closed duals are this with s' = s/(s-1) and A^-1."""
+    if kind == "euclidean":
+        h = np.linalg.norm(xi, axis=-1)
+        return h, (xi / h[..., None] if grad else None)
+    if kind in ("lp", "mixed"):
+        hs, gs = _lp_scaled(xi, s, grad)
+        if kind == "lp":
+            return hs[..., 0], gs
+    w = xi @ A
+    ha = np.sqrt(np.einsum("...i,...i->...", xi, w))
+    ga = w / ha[..., None] if grad else None
+    if kind == "quadratic":
+        return ha, ga
+    ha = ha[..., None]
+    h = _mixed_value(hs, ha, p)
+    if not grad:
+        return h[..., 0], None
+    return h[..., 0], (hs ** (p - 1.0) * gs + ha ** (p - 1.0) * ga) * h ** (1.0 - p)
+
+
+def _family_norm_and_grad(fam, x, xi, grad=True):
+    """``(H(x, xi), grad_xi H)`` of any family: the weighted kind is its base's
+    times |x|^(delta/p), and needs x != 0."""
+    if fam.x_independent:
+        return _norm_and_grad(fam.kind, xi, fam.s, fam.A, fam.p, grad)
     if x is None:
         raise DomainError("weighted families need the spatial point x")
     r = np.linalg.norm(np.asarray(x, dtype=float), axis=-1)
     if np.any(r == 0.0):
         raise DomainError("weighted family is singular at x = 0")
-    return r ** (fam.delta / fam.p) * norm_eval(fam.base, None, xi)
+    scale = r ** (fam.delta / fam.p)
+    h, g = _family_norm_and_grad(fam.base, None, xi, grad)
+    return scale * h, (scale[..., None] * g if grad else None)
+
+
+def norm_eval(fam, x, xi):
+    """H(x, xi).  ``x`` is only consulted by the weighted kind (and must be != 0 there)."""
+    return _family_norm_and_grad(fam, x, np.asarray(xi, dtype=float), grad=False)[0]
 
 
 def grad_H(fam, x, xi):
@@ -242,54 +261,26 @@ def grad_H(fam, x, xi):
     xi = np.asarray(xi, dtype=float)
     if np.any(np.linalg.norm(xi, axis=-1) == 0.0):
         raise DomainError("H is not differentiable at xi = 0")
-    if fam.kind == "euclidean":
-        return xi / np.linalg.norm(xi, axis=-1, keepdims=True)
-    if fam.kind == "lp":
-        return _lp_grad(xi, fam.s)
-    if fam.kind == "quadratic":
-        w = xi @ fam.A
-        return w / _quad_norm(xi, fam.A)[..., None]
-    if fam.kind == "mixed":
-        hs = _lp_norm(xi, fam.s)[..., None]
-        ha = _quad_norm(xi, fam.A)[..., None]
-        h = _mixed_value(hs, ha, fam.p)
-        gs = _lp_grad(xi, fam.s)
-        ga = (xi @ fam.A) / ha
-        return (hs ** (fam.p - 1.0) * gs + ha ** (fam.p - 1.0) * ga) * h ** (1.0 - fam.p)
-    # weighted
-    if x is None:
-        raise DomainError("weighted families need the spatial point x")
-    r = np.linalg.norm(np.asarray(x, dtype=float), axis=-1)
-    return r[..., None] ** (fam.delta / fam.p) * grad_H(fam.base, None, xi)
+    return _family_norm_and_grad(fam, x, xi)[1]
 
 
 def operator_a(fam, x, xi):
-    """The flux map a(x, xi) = H^(p-1) grad H and the value H^p.
+    """The flux map a(x, xi) = H^(p-1) grad H and the value H^p, from one pass.
 
     Returns a pair ``(a, hp)`` with ``a`` of shape ``(..., n)`` and ``hp``
     of shape ``(...,)``; ``a(x, 0) = 0`` by continuity.
     """
     xi = np.asarray(xi, dtype=float)
-    hp_ = norm_eval(fam, x, xi)
-    if x is not None:
-        x = np.broadcast_to(np.asarray(x, dtype=float), xi.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):   # grad H is 0/0 at xi = 0
+        h, g = _family_norm_and_grad(fam, x, xi)
+        a = h[..., None] ** (fam.p - 1.0) * g
     nz = np.linalg.norm(xi, axis=-1) > 0.0
-    if np.all(nz):   # no row to mask: no copies of xi and x
-        return hp_[..., None] ** (fam.p - 1.0) * grad_H(fam, x, xi), hp_ ** fam.p
-    a = np.zeros_like(xi)
-    if np.any(nz):
-        a[nz] = hp_[nz][..., None] ** (fam.p - 1.0) * grad_H(
-            fam, None if x is None else x[nz], xi[nz])
-    return a, hp_ ** fam.p
+    return (a if np.all(nz) else np.where(nz[..., None], a, 0.0)), h ** fam.p
 
 
 # ---------------------------------------------------------------------------
 # dual norm
 # ---------------------------------------------------------------------------
-
-
-def _dual_lp_exponent(s):
-    return s / (s - 1.0)
 
 
 def _dual_input(fam, y, nonzero):
@@ -301,21 +292,11 @@ def _dual_input(fam, y, nonzero):
     return y
 
 
-def _closed_dual_norm(fam, y):
-    if fam.kind == "euclidean":
-        return np.linalg.norm(y, axis=-1)
-    if fam.kind == "lp":
-        return _lp_norm(y, _dual_lp_exponent(fam.s))
-    return _quad_norm(y, fam.A_inv)
-
-
-def _closed_grad_dual(fam, y):
-    if fam.kind == "euclidean":
-        return y / np.linalg.norm(y, axis=-1, keepdims=True)
-    if fam.kind == "lp":
-        return _lp_grad(y, _dual_lp_exponent(fam.s))
-    w = y @ fam.A_inv
-    return w / _quad_norm(y, fam.A_inv)[..., None]
+def _closed_dual(fam, y, grad=True):
+    """``(H0, grad H0)`` of a kind with a closed-form dual: the primal evaluator
+    at s' = s/(s-1) and A^-1."""
+    s = None if fam.s is None else fam.s / (fam.s - 1.0)
+    return _norm_and_grad(fam.kind, y, s, fam.A_inv, fam.p, grad)
 
 
 def dual(fam, y, start=None):
@@ -329,7 +310,7 @@ def dual(fam, y, start=None):
     """
     y = _dual_input(fam, y, nonzero=True)
     if fam.has_closed_dual:
-        return _closed_dual_norm(fam, y), _closed_grad_dual(fam, y)
+        return _closed_dual(fam, y)
     h0, g0, _ = dual_newton(fam, y.reshape(-1, fam.n), start=start)
     return h0.reshape(y.shape[:-1])[()], g0.reshape(y.shape)
 
@@ -341,7 +322,7 @@ def dual_norm(fam, y):
     """
     y = _dual_input(fam, y, nonzero=False)
     if fam.has_closed_dual:
-        return _closed_dual_norm(fam, y)
+        return _closed_dual(fam, y, grad=False)[0]
     nonzero = np.linalg.norm(y, axis=-1) > 0.0
     if np.all(nonzero):
         return dual(fam, y)[0]
@@ -353,9 +334,6 @@ def dual_norm(fam, y):
 
 def grad_dual(fam, y):
     """grad H0(y); satisfies H(grad H0(y)) = 1 and y . grad H0(y) = H0(y)."""
-    y = _dual_input(fam, y, nonzero=True)
-    if fam.has_closed_dual:
-        return _closed_grad_dual(fam, y)
     return dual(fam, y)[1]
 
 
@@ -374,9 +352,7 @@ def _m_and_jac(fam, xi, jac=True):
     (None unless ``jac``), each block computed once; H is bit-for-bit norm_eval's."""
     p = fam.p
     s = fam.s
-    mx, safe, z, Sz = _lp_scaled(xi, s)
-    hs = np.where(mx > 0.0, safe * Sz ** (1.0 / s), 0.0)
-    gs = np.sign(z) * np.abs(z) ** (s - 1.0) * Sz ** (1.0 / s - 1.0)
+    hs, gs = _lp_scaled(xi, s)
     Axi = xi @ fam.A
     ha = np.sqrt(np.einsum("...i,...i->...", xi, Axi))[..., None]
     ga = Axi / ha

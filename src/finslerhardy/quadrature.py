@@ -27,6 +27,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from . import norms
+from .errors import DomainError
 
 _GAUSS_CACHE: dict = {}
 
@@ -141,10 +142,12 @@ def radius(gauge, x):
 
 def radius_and_grad(gauge, x):
     """The radial coordinate of points x and its gradient, from one norm or
-    :func:`norms.dual` pass."""
+    :func:`norms.dual` pass; either gauge refuses x = 0."""
     x = np.asarray(x, dtype=float)
     if _round(gauge):
         r = np.linalg.norm(x, axis=-1)
+        if np.any(r == 0.0):
+            raise DomainError("|x| is not differentiable at 0")
         return r, x / r[..., None]
     return norms.dual(gauge, x)
 

@@ -318,3 +318,99 @@ def energy(scheme, fam, phi, V=None, margin=0.0):
     if not np.isfinite(total):
         raise ValueError(f"energy is {total!r}")
     return EnergyBreakdown(dirichlet=dirichlet, potential=pot, total=total)
+
+
+# -- two-pass norm formulas ---------------------------------------------------
+#
+# The per-quantity closed forms that norms.py evaluated before it took H and
+# grad H from one pass: each of H, grad H, the flux map and the closed duals
+# recomputes its own blocks.  The one-pass evaluator must match them bit for bit.
+
+
+def _two_pass_lp_scaled(xi, s):
+    m = np.max(np.abs(xi), axis=-1, keepdims=True)
+    safe = np.where(m > 0.0, m, 1.0)
+    z = xi / safe
+    return m, safe, z, np.sum(np.abs(z) ** s, axis=-1, keepdims=True)
+
+
+def _two_pass_lp_norm(xi, s):
+    m, safe, _, S = _two_pass_lp_scaled(xi, s)
+    return np.where(m > 0.0, safe * S ** (1.0 / s), 0.0)[..., 0]
+
+
+def _two_pass_lp_grad(xi, s):
+    _, _, z, S = _two_pass_lp_scaled(xi, s)
+    return np.sign(z) * np.abs(z) ** (s - 1.0) * S ** (1.0 / s - 1.0)
+
+
+def _two_pass_quad_norm(xi, A):
+    return np.sqrt(np.einsum("...i,...i->...", xi, xi @ A))
+
+
+def _two_pass_mixed_value(hs, ha, p):
+    m = np.maximum(hs, ha)
+    safe = np.where(m > 0.0, m, 1.0)
+    val = safe * ((hs / safe) ** p + (ha / safe) ** p) ** (1.0 / p)
+    return np.where(m > 0.0, val, 0.0)
+
+
+def two_pass_norm(fam, x, xi):
+    """H(x, xi), kind by kind."""
+    xi = np.asarray(xi, dtype=float)
+    if fam.kind == "euclidean":
+        return np.linalg.norm(xi, axis=-1)
+    if fam.kind == "lp":
+        return _two_pass_lp_norm(xi, fam.s)
+    if fam.kind == "quadratic":
+        return _two_pass_quad_norm(xi, fam.A)
+    if fam.kind == "mixed":
+        return _two_pass_mixed_value(_two_pass_lp_norm(xi, fam.s),
+                                     _two_pass_quad_norm(xi, fam.A), fam.p)
+    r = np.linalg.norm(np.asarray(x, dtype=float), axis=-1)
+    return r ** (fam.delta / fam.p) * two_pass_norm(fam.base, None, xi)
+
+
+def two_pass_grad(fam, x, xi):
+    """grad_xi H(x, xi) for xi != 0, recomputing H's blocks."""
+    xi = np.asarray(xi, dtype=float)
+    if fam.kind == "euclidean":
+        return xi / np.linalg.norm(xi, axis=-1, keepdims=True)
+    if fam.kind == "lp":
+        return _two_pass_lp_grad(xi, fam.s)
+    if fam.kind == "quadratic":
+        return (xi @ fam.A) / _two_pass_quad_norm(xi, fam.A)[..., None]
+    if fam.kind == "mixed":
+        hs = _two_pass_lp_norm(xi, fam.s)[..., None]
+        ha = _two_pass_quad_norm(xi, fam.A)[..., None]
+        h = _two_pass_mixed_value(hs, ha, fam.p)
+        gs = _two_pass_lp_grad(xi, fam.s)
+        ga = (xi @ fam.A) / ha
+        return (hs ** (fam.p - 1.0) * gs + ha ** (fam.p - 1.0) * ga) * h ** (1.0 - fam.p)
+    r = np.linalg.norm(np.asarray(x, dtype=float), axis=-1)
+    return r[..., None] ** (fam.delta / fam.p) * two_pass_grad(fam.base, None, xi)
+
+
+def two_pass_operator_a(fam, x, xi):
+    """(a, H^p): H over every row, then grad H over the nonzero rows."""
+    xi = np.asarray(xi, dtype=float)
+    h = two_pass_norm(fam, x, xi)
+    if x is not None:
+        x = np.broadcast_to(np.asarray(x, dtype=float), xi.shape)
+    nz = np.linalg.norm(xi, axis=-1) > 0.0
+    a = np.zeros_like(xi)
+    a[nz] = h[nz][..., None] ** (fam.p - 1.0) * two_pass_grad(
+        fam, None if x is None else x[nz], xi[nz])
+    return a, h ** fam.p
+
+
+def two_pass_dual(fam, y):
+    """(H0, grad H0) of the euclidean, lp and quadratic kinds, one formula each."""
+    y = np.asarray(y, dtype=float)
+    if fam.kind == "euclidean":
+        return np.linalg.norm(y, axis=-1), y / np.linalg.norm(y, axis=-1, keepdims=True)
+    if fam.kind == "lp":
+        s = fam.s / (fam.s - 1.0)
+        return _two_pass_lp_norm(y, s), _two_pass_lp_grad(y, s)
+    return (_two_pass_quad_norm(y, fam.A_inv),
+            (y @ fam.A_inv) / _two_pass_quad_norm(y, fam.A_inv)[..., None])

@@ -25,6 +25,15 @@ def test_usage_error_exit_code():
     assert run_main(["build-weight", "--grid", "64,16"]) == 2
 
 
+@pytest.mark.parametrize("family", [
+    "mix:s=4", "mix:A=[[1,0],[0,1]]", "weighted:delta=1;base=mix:s=4",
+    "mix:s=4;A=[[1,0],[0,1]];x=1", "mix:s=4;s=5;A=[[1,0],[0,1]]", "mix:s=4;A=[[1,0],[0,1]];x"])
+def test_malformed_mix_spec_is_configuration_error(family, capsys):
+    # a mix spec takes exactly the keys s and A: none missing, none extra
+    assert run_main(["verify-norms", "--family", family, "--p", "3", "--n", "2"]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_verify_norms_report(tmp_path):
     out = tmp_path / "report.json"
     code = run_main(["verify-norms", "--family", "lp:s=4", "--p", "3", "--n", "2",

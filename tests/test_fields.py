@@ -37,6 +37,17 @@ def test_log_dual_field():
         fields.LogDualField(norms.euclidean(3.0, 2), R=1.0)
 
 
+def test_radial_field_gradients_refuse_the_puncture():
+    # grad rho is undefined at x = 0 in either gauge: |x| and H0 alike
+    zero = np.array([[1.0, 2.0], [0.0, 0.0]])
+    for field in (fields.DualPowerField(norms.euclidean(3.0, 2)),
+                  fields.DualPowerField(norms.lp(4, 3.0, 2)),
+                  fields.LogDualField(norms.mixed(4, A2, 2.0), R=10.0),
+                  fields.synthetic_capped_profile(2.0, 10.0)):
+        with pytest.raises(DomainError):
+            field.grad(zero)
+
+
 def test_gradient_identity_H_of_gradH0():
     # H(grad H0(x)) = 1 at sampled points for closed-form and numeric kinds
     for fam, tol in [(norms.lp(4, 3.0, 2), 1e-10), (norms.mixed(4, A2, 3.0), 1e-10)]:

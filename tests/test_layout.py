@@ -133,3 +133,34 @@ def test_cli_import_loads_no_scipy_linalg():
 def test_src_imports_no_scipy_linalg():
     # not even lazily: a solve would then pay the start-up cost instead
     assert _src_imports(("scipy.linalg",)) == []
+
+
+def _callers(path, name):
+    """The top-level functions and methods of ``path`` whose bodies call ``name``,
+    bare or as an attribute (``norms.<name>``)."""
+    tree = ast.parse(path.read_text())
+    defs = [(f"{cls.name}.{fn.name}", fn) for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for fn in cls.body if isinstance(fn, ast.FunctionDef)]
+    defs += [(fn.name, fn) for fn in tree.body if isinstance(fn, ast.FunctionDef)]
+    return sorted(label for label, fn in defs for c in ast.walk(fn) if isinstance(c, ast.Call)
+                  and name in (getattr(c.func, "id", None), getattr(c.func, "attr", None)))
+
+
+def test_one_pass_takes_the_lp_blocks():
+    # H and grad H of every kind come from one evaluator; the mixed dual's
+    # Newton map keeps its own blocks for its Jacobian
+    assert _callers(SRC / "norms.py", "_lp_scaled") == ["_m_and_jac", "_norm_and_grad"]
+
+
+def test_fields_take_the_dual_norm_through_quadrature():
+    # quadrature alone tells the round gauge from an H0 gauge
+    for name in ("dual", "dual_norm", "grad_dual"):
+        assert _callers(SRC / "fields.py", name) == [], name
+
+
+def test_radial_fields_evaluate_through_their_profile():
+    tree = ast.parse((SRC / "fields.py").read_text())
+    methods = {cls.name: {fn.name for fn in cls.body if isinstance(fn, ast.FunctionDef)}
+               for cls in tree.body if isinstance(cls, ast.ClassDef)}
+    for cls in ("DualPowerField", "LogDualField", "RadialProfileField"):
+        assert not methods[cls] & {"__call__", "grad"}, cls

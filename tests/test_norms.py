@@ -157,6 +157,70 @@ def test_grad_matches_finite_differences():
         assert rel.max() < 1e-5
 
 
+def _hex(a):
+    return [float.hex(float(v)) for v in np.ravel(a)]
+
+
+def _oracle_families(n):
+    """Every kind at dimension n, weighted over two bases."""
+    if n == 2:
+        A, mix = A2_FULL, norms.mixed(4, A2, 1.5)
+    else:
+        A, mix = np.array([[4.0, 1.0, 0.0], [1.0, 9.0, 0.5], [0.0, 0.5, 1.0]]), MIX3
+    fams = [norms.euclidean(2.5, n), norms.lp(4, 3.0, n), norms.lp(6, 1.5, n),
+            norms.quadratic(A, mix.p), mix]
+    return fams + [norms.weighted(1.2, fams[1]), norms.weighted(0.7, mix)]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_one_pass_evaluator_matches_the_two_pass_formulas_bit_for_bit(n):
+    # H, grad H, the flux map, H^p and the closed duals from one pass over
+    # each block carry the bits of the per-quantity formulas
+    xi = norms.sample_vectors(n, 300, 13, stream=4)
+    x = norms.sample_vectors(n, 300, 14, decades=1, stream=5)
+    with_zeros = xi.copy()
+    with_zeros[[0, 17, 299]] = 0.0
+    for fam in _oracle_families(n):
+        at = None if fam.x_independent else x
+        assert _hex(norms.norm_eval(fam, at, xi)) == _hex(oracles.two_pass_norm(fam, at, xi))
+        assert _hex(norms.grad_H(fam, at, xi)) == _hex(oracles.two_pass_grad(fam, at, xi))
+        for rows in (xi, with_zeros, xi[5]):
+            point = None if at is None else at[:len(rows)] if rows.ndim == 2 else at[5]
+            a, hp = norms.operator_a(fam, point, rows)
+            a_ref, hp_ref = oracles.two_pass_operator_a(fam, point, rows)
+            assert _hex(a) == _hex(a_ref) and _hex(hp) == _hex(hp_ref)
+        if fam.has_closed_dual:
+            h0, g0 = oracles.two_pass_dual(fam, xi)
+            assert _hex(norms.dual_norm(fam, xi)) == _hex(h0)
+            assert _hex(norms.grad_dual(fam, xi)) == _hex(g0)
+            assert [_hex(v) for v in norms.dual(fam, xi)] == [_hex(h0), _hex(g0)]
+
+
+@pytest.fixture
+def lp_passes(monkeypatch):
+    """Counts the norms._lp_scaled passes."""
+    calls = []
+    scaled = norms._lp_scaled
+
+    def counted(xi, s, grad=True):
+        calls.append(len(xi))
+        return scaled(xi, s, grad)
+
+    monkeypatch.setattr(norms, "_lp_scaled", counted)
+    return calls
+
+
+def test_flux_map_and_dual_take_one_lp_pass(lp_passes):
+    xi = norms.sample_vectors(2, 50, 3, stream=1)
+    for fam, call in [(norms.lp(4, 3.0, 2), norms.operator_a),
+                      (norms.mixed(4, A2, 1.5), norms.operator_a),
+                      (norms.weighted(1.2, norms.lp(4, 3.0, 2)), norms.operator_a),
+                      (norms.lp(4, 3.0, 2), lambda fam, x, y: norms.dual(fam, y))]:
+        del lp_passes[:]
+        call(fam, xi, xi)
+        assert lp_passes == [50]
+
+
 # -- duals -------------------------------------------------------------------
 
 
