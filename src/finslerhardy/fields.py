@@ -254,12 +254,7 @@ def _ball_directions(n, n_ang):
 def _ball_scheme(center, rho, n_panels, omega, wo):
     """Local polar quadrature on B_rho(center): composite 2-point Gauss in radius
     times the angular rule (omega, wo), 2 n_panels len(wo) nodes."""
-    gx, gw = quadrature._gauss(2)
-    edges = np.linspace(0.0, rho, n_panels + 1)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    r = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
-    wr = (half[:, None] * gw[None, :]).ravel()
+    r, wr = quadrature.gauss_panels(np.linspace(0.0, rho, n_panels + 1), 2)
     n = omega.shape[1]
     nodes = center[None, :] + (r[:, None, None] * omega[None, :, :]).reshape(-1, n)
     w = (wr[:, None] * r[:, None] ** (n - 1) * wo[None, :]).ravel()
@@ -283,14 +278,6 @@ def random_bumps(dom, n_tests, seed, margin=0.05, rho_frac=(0.25, 0.75)):
     return bumps
 
 
-def _gauss_panels(edges):
-    """3-point Gauss nodes and weights over the panels of each row of edges."""
-    gx, gw = quadrature._gauss(3)
-    mid, half = 0.5 * (edges[:, 1:] + edges[:, :-1]), 0.5 * (edges[:, 1:] - edges[:, :-1])
-    return ((mid[..., None] + half[..., None] * gx).reshape(len(edges), -1),
-            (half[..., None] * gw).reshape(len(edges), -1))
-
-
 class _Rays(namedtuple("_Rays", "bump theta grad_rho tt lo hi wo n_rho")):
     """The kept rays rho * Theta of :func:`_shell_patches`, flat and in bump order:
     owning bump, Theta, grad rho(Theta), Theta.Theta, chord ends lo < hi, angular
@@ -305,7 +292,8 @@ class _Rays(namedtuple("_Rays", "bump theta grad_rho tt lo hi wo n_rho")):
     @cached_property
     def _panels(self):
         frac = np.linspace(0.0, 1.0, self.n_rho + 1)
-        rho, wr = _gauss_panels(self.lo[:, None] + (self.hi - self.lo)[:, None] * frac[None, :])
+        rho, wr = quadrature.gauss_panels(
+            self.lo[:, None] + (self.hi - self.lo)[:, None] * frac[None, :], 3)
         return rho, wr * rho ** (self.theta.shape[1] - 1) * self.wo[:, None]
 
     @property
@@ -348,16 +336,16 @@ def _shell_patches(gauge, bumps, n, n_rho=16, n_ang=24):
     gamma = np.array([math.asin(min(0.999999, r / c)) for r, c in zip(radius, rc)])
     if n == 2:
         phi_c = np.array([math.atan2(d[1], d[0]) for d in cdir])
-        ang, w = _gauss_panels(np.linspace(phi_c - gamma, phi_c + gamma,
-                                           max(2, n_ang // 3) + 1, axis=-1))
+        ang, w = quadrature.gauss_panels(np.linspace(phi_c - gamma, phi_c + gamma,
+                                                     max(2, n_ang // 3) + 1, axis=-1), 3)
         omega = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
     else:  # n == 3: polar caps in local coordinates
         ref = np.where(np.abs(cdir[:, 2:]) < 0.9, [[0.0, 0.0, 1.0]], [[1.0, 0.0, 0.0]])
         t1 = np.cross(ref, cdir)
         t1 /= np.sqrt(np.matmul(t1[:, None, :], t1[:, :, None]))[:, 0]
         t2 = np.cross(cdir, t1)
-        mu, wmu = _gauss_panels(np.linspace(np.cos(gamma), 1.0, max(2, n_ang // 4) + 1,
-                                            axis=-1))
+        mu, wmu = quadrature.gauss_panels(np.linspace(np.cos(gamma), 1.0,
+                                                      max(2, n_ang // 4) + 1, axis=-1), 3)
         n_b = max(8, n_ang // 2)
         beta = 2.0 * math.pi * np.arange(n_b) / n_b
         st = np.sqrt(np.maximum(0.0, 1.0 - mu ** 2))[..., None]

@@ -30,7 +30,7 @@ from . import fields, quadrature
 from .errors import SolverError
 from .lapack import tridiagonal_solve
 from .newton import NewtonStats, damped_newton, solver_error
-from .scalar import Pchip, brentq, fminbound
+from .scalar import Pchip, brentq
 
 EPS_REG = 1e-10
 
@@ -180,15 +180,12 @@ def _mesh(prob):
         if 0 < i < len(r) - 1:
             r[i] = a
     n = prob.n
-    gx, gw = quadrature._gauss(2)
     h = np.diff(r)
-    mid = 0.5 * (r[1:] + r[:-1])
-    half = 0.5 * (r[1:] - r[:-1])
-    rg = mid[:, None] + half[:, None] * gx[None, :]
+    rg, wg = (a.reshape(-1, 2) for a in quadrature.gauss_panels(r, 2))
     return SimpleNamespace(
         r=r, h=h, me=(r[1:] ** n - r[:-1] ** n) / n,
         cN=(r[-1] / r[-2]) ** prob.decay_exponent if prob.boundary == "decay" else 0.0,
-        wg=half[:, None] * gw[None, :] * rg ** (n - 1), lam=(rg - r[:-1, None]) / h[:, None],
+        wg=wg * rg ** (n - 1), lam=(rg - r[:-1, None]) / h[:, None],
         phi_g=prob.phi(rg), V_g=prob.V(rg) if prob.V is not None else np.zeros_like(rg))
 
 
@@ -388,8 +385,15 @@ def farfield_exponent(gp, window=(4.0, 0.125)):
     """Fit u ~ A r^beta + B on [window[0]*r_b, window[1]*R_out]; returns (beta, A, B).
 
     The constant B absorbs any Dirichlet truncation offset; with the decay
-    boundary condition B is at the noise level.  A minimum over beta that
-    ends on a NaN or on its evaluation cap raises ``SolverError``.
+    boundary condition B is at the noise level.  A and B enter linearly
+    (variable projection, Golub and Pereyra 1973): with x = r^beta and y = u
+    centred, the best beta maximises c^2 for the correlation c = (x.y)/|x|.
+    A grid scan brackets it and ``brentq`` finds the root of c', whose sign
+    is that of (x'.y)(x.x) - (x.y)(x.x') for x' = centred r^beta log r.
+    Where c' keeps one sign on the bracket, the scan's grid beta is
+    returned: the best beta is at a grid end, or p = n, where the far field
+    is logarithmic and c jumps at beta = 0, where x vanishes.  A NaN or
+    infinite residual in the scan raises ``SolverError``.
     """
     prob = gp.problem
     lo, hi = window[0] * prob.phi.r_b, window[1] * prob.R_out
@@ -397,21 +401,30 @@ def farfield_exponent(gp, window=(4.0, 0.125)):
         raise ValueError("far-field window is empty; increase R_out")
     mask = (gp.r >= lo) & (gp.r <= hi)
     rr, uu = gp.r[mask], gp.u[mask]
-
-    def resid(beta):
-        X = np.stack([rr ** beta, np.ones_like(rr)], axis=1)
-        coef, *_ = np.linalg.lstsq(X, uu, rcond=None)
-        return float(np.linalg.norm(X @ coef - uu)), coef
+    log_r, yc = np.log(rr), uu - uu.mean()
 
     beta_grid = np.linspace(-4.0, -1e-3, 160) if prob.p < prob.n else \
         np.linspace(-4.0, 4.0, 320)
     # every grid beta at once by the centred closed form of the two-column fit
     xc = rr ** beta_grid[:, None]
     xc -= xc.mean(axis=1, keepdims=True)
-    yc = uu - uu.mean()
     fit = yc - (xc @ yc / np.einsum("ij,ij->i", xc, xc))[:, None] * xc
-    i = int(np.argmin(np.einsum("ij,ij->i", fit, fit)))
-    beta = fminbound(lambda b: resid(b)[0], beta_grid[max(0, i - 1)],
-                     beta_grid[min(len(beta_grid) - 1, i + 1)], xtol=1e-10)
-    _, coef = resid(beta)
+    residuals = np.einsum("ij,ij->i", fit, fit)
+    if not np.all(np.isfinite(residuals)):
+        raise SolverError("far-field fit: a residual over the beta grid is NaN or infinite")
+    i = int(np.argmin(residuals))
+    bracket = beta_grid[max(0, i - 1)], beta_grid[min(len(beta_grid) - 1, i + 1)]
+
+    def dcorr(beta):
+        x = rr ** beta
+        dx = x * log_r
+        x, dx = x - x.mean(), dx - dx.mean()
+        return (dx @ yc) * (x @ x) - (x @ yc) * (x @ dx)
+
+    if np.sign(dcorr(bracket[0])) * np.sign(dcorr(bracket[1])) > 0:
+        beta = float(beta_grid[i])
+    else:
+        beta = brentq(dcorr, *bracket, xtol=1e-14)
+    X = np.stack([rr ** beta, np.ones_like(rr)], axis=1)
+    coef, *_ = np.linalg.lstsq(X, uu, rcond=None)
     return beta, float(coef[0]), float(coef[1])

@@ -21,6 +21,7 @@ n * vol of the H0 unit ball).
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -29,14 +30,22 @@ from numpy.polynomial.legendre import leggauss
 from . import norms
 from .errors import DomainError
 
-_GAUSS_CACHE: dict = {}
+_gauss = functools.cache(leggauss)
 
 
-def _gauss(order):
-    if order not in _GAUSS_CACHE:
-        x, w = leggauss(order)
-        _GAUSS_CACHE[order] = (x, w)
-    return _GAUSS_CACHE[order]
+def gauss_panels(edges, order):
+    """Composite Gauss-Legendre rule of the given order on the panels between
+    consecutive entries of the last axis of ``edges``.
+
+    Returns ``(x, w)``: the nodes and weights of each row, panel by panel,
+    with shape ``edges.shape[:-1] + (order * n_panels,)``.
+    """
+    gx, gw = _gauss(order)
+    mid = 0.5 * (edges[..., 1:] + edges[..., :-1])
+    half = 0.5 * (edges[..., 1:] - edges[..., :-1])
+    shape = edges.shape[:-1] + (-1,)
+    return ((mid[..., None] + half[..., None] * gx).reshape(shape),
+            (half[..., None] * gw).reshape(shape))
 
 
 def log_radial_rule(r0, r1, n_r, align=(), order=4):
@@ -55,12 +64,7 @@ def log_radial_rule(r0, r1, n_r, align=(), order=4):
         # sorted and deduplicated as np.unique would, which imports numpy.ma
         edges = np.sort(np.concatenate([edges, np.asarray(extra, dtype=float)]))
         edges = edges[np.concatenate([[True], edges[1:] != edges[:-1]])]
-    t_edges = np.log(edges)
-    gx, gw = _gauss(order)
-    mid = 0.5 * (t_edges[1:] + t_edges[:-1])
-    half = 0.5 * (t_edges[1:] - t_edges[:-1])
-    t = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
-    wt = (half[:, None] * gw[None, :]).ravel()
+    t, wt = gauss_panels(np.log(edges), order)
     r = np.exp(t)
     return r, wt * r  # dr = r dt
 

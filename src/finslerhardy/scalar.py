@@ -1,17 +1,16 @@
-"""One-dimensional root, minimum and monotone interpolant, ported from scipy 1.17.1.
+"""One-dimensional root finder and monotone interpolant, ported from scipy 1.17.1.
 
-``brentq`` and ``fminbound`` are Brent's root finder and bounded minimizer
-(R. P. Brent, Algorithms for Minimization without Derivatives, 1973);
-``Pchip`` is the monotone cubic interpolant of Fritsch and Carlson (SIAM J.
-Numer. Anal. 17(2), 1980).  Importing ``scipy.optimize`` and
-``scipy.interpolate`` costs about 0.3 s of every process start, so the three
-are ported here.  Each port performs the same floating-point operations in the
-same order as the scipy routine it follows, so every report stays the same to
-the last bit; ``tests/test_scalar.py`` checks them against scipy with ``==``.
-Where scipy would hand back an unconverged value or raise a generic error
-(a NaN function value, brentq out of iterations, fminbound on its evaluation
-cap), the ports raise ``SolverError``.  Same-signed bracket ends are still a
-``ValueError``, as in scipy.
+``brentq`` is Brent's root finder (R. P. Brent, Algorithms for Minimization
+without Derivatives, 1973); ``Pchip`` is the monotone cubic interpolant of
+Fritsch and Carlson (SIAM J. Numer. Anal. 17(2), 1980).  Importing
+``scipy.optimize`` and ``scipy.interpolate`` costs about 0.3 s of every
+process start, so the two are ported here.  Each port performs the same
+floating-point operations in the same order as the scipy routine it follows,
+so every report stays the same to the last bit; ``tests/test_scalar.py``
+checks them against scipy with ``==``.  Where scipy would hand back an
+unconverged value or raise a generic error (a NaN function value, brentq out
+of iterations), the ports raise ``SolverError``.  Same-signed bracket ends
+are still a ``ValueError``, as in scipy.
 """
 
 from __future__ import annotations
@@ -29,11 +28,6 @@ _BLOCK = 8192       # Pchip queries per pass: the temporaries stay in cache
 
 def _signbit(v):
     return math.copysign(1.0, v) < 0.0
-
-
-def _sign(v):
-    """np.sign(v) + (v == 0) for a number v that is not NaN."""
-    return 1.0 if v >= 0 else -1.0
 
 
 def brentq(f, a, b, xtol=2e-12, rtol=_RTOL, maxiter=100):
@@ -95,86 +89,6 @@ def brentq(f, a, b, xtol=2e-12, rtol=_RTOL, maxiter=100):
         fcur = call(xcur)
     raise SolverError(f"brentq did not converge in {maxiter} iterations (x = {xcur!r})",
                       residual=abs(fcur))
-
-
-def fminbound(func, x1, x2, xtol=1e-5, maxfun=500):
-    """The minimizer of func on [x1, x2] by Brent's bounded method.
-
-    scipy's ``_minimize_scalar_bounded``.  The bounds keep their type, so
-    the arithmetic is the same as scipy's for numpy scalars too.
-    """
-    if not (math.isfinite(x1) and math.isfinite(x2)):
-        raise ValueError("Optimization bounds must be finite scalars.")
-    if x1 > x2:
-        raise ValueError("The lower bound exceeds the upper bound.")
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    a, b = x1, x2
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    x = xf
-    fx = func(x)
-    num = 1
-    fu = math.inf
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xtol / 3.0
-    tol2 = 2.0 * tol1
-    capped = False
-    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
-        golden = True
-        if abs(e) > tol1:                        # try a parabolic fit
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, rat
-            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
-                golden = False
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 * _sign(xm - xf)
-        if golden:
-            e = (a - xf) if xf >= xm else (b - xf)
-            rat = golden_mean * e
-        x = xf + _sign(rat) * max(abs(rat), tol1)
-        fu = func(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xtol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= maxfun:
-            capped = True
-            break
-    if math.isnan(xf) or math.isnan(fx) or math.isnan(fu):
-        raise SolverError("fminbound: the function value is NaN")
-    if capped:
-        raise SolverError(f"fminbound reached its cap of {maxfun} evaluations "
-                          f"(x = {float(xf)!r})")
-    return float(xf)
 
 
 class Pchip:

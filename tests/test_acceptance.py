@@ -366,7 +366,8 @@ ERROR_DECADES = {
         "hardy.null_criticality.euclidean_p2_n3.value",
         "hardy.null_criticality.lp4_p3_n2", "hardy.x_closed_form.p2",
         "eigen.p2_rayleigh_consistency", "eigen.constant_shift",
-        "eigen.convergence_shift", "eigen.convergence_normalization"],
+        "eigen.convergence_shift", "eigen.convergence_normalization",
+        "green.farfield_exponent.p2n3", "green.farfield_exponent.p1.5n3"],
     0: [
         "bregman.stability.lp4.p1.5.c_lower", "bregman.stability.lp4.p2.c_lower",
         "bregman.stability.lp4.p3.c_lower", "hardy.nullseq_energy_slope.p1.5",
@@ -395,8 +396,6 @@ ERROR_DECADES = {
         "eigen.p3_lambda1"],
     -6: [
         "eigen.p2_lambda1"],
-    -7: [
-        "green.farfield_exponent.p2n3", "green.farfield_exponent.p1.5n3"],
     -8: [
         "hardy.nullseq_mass_slope.p1.5", "green.farfield_exponent.p2.5n3"],
     -9: [

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from finslerhardy import cli, fields, green, hardy, norms
-from finslerhardy.errors import BranchError
+from finslerhardy.errors import BranchError, SolverError
 
 import oracles
 
@@ -21,7 +21,7 @@ def test_newtonian_far_field():
     gp = green.solve_green(newtonian_problem())
     assert gp.residual <= 1e-8
     beta, A, B = green.farfield_exponent(gp)
-    assert beta == pytest.approx(-1.0, abs=0.02)
+    assert abs(beta + 1.0) <= 1e-12          # exact to rounding for p = 2, n = 3
     assert A == pytest.approx(1.0 / (4.0 * math.pi), rel=1e-3)
     # pointwise far field m/(4 pi r)
     rr = np.geomspace(3.0, 10.0, 32)
@@ -165,20 +165,34 @@ def test_green_weight_sign_hypothesis_rejects():
         hardy.build_weight_green(norms.euclidean(2.0, 3), gp)
 
 
-def _lstsq_scan_bracket(gp, window=(4.0, 0.125)):
-    """The bracket around the grid beta whose lstsq fit of u ~ A r^beta + B leaves
-    the least residual, one lstsq per beta."""
+EXAMPLE = str(Path(__file__).resolve().parents[1] / "scripts" / "green_problem_example.json")
+
+
+def _window(gp, window=(4.0, 0.125)):
     prob = gp.problem
     mask = (gp.r >= window[0] * prob.phi.r_b) & (gp.r <= window[1] * prob.R_out)
-    rr, uu = gp.r[mask], gp.u[mask]
+    return gp.r[mask], gp.u[mask]
+
+
+def _lstsq_residual(rr, uu, beta):
+    X = np.stack([rr ** beta, np.ones_like(rr)], axis=1)
+    coef, *_ = np.linalg.lstsq(X, uu, rcond=None)
+    return float(np.linalg.norm(X @ coef - uu))
+
+
+def _lstsq_scan(gp):
+    """The grid beta whose lstsq fit of u ~ A r^beta + B leaves the least
+    residual, one lstsq per beta, and the bracket of its two neighbours."""
+    prob = gp.problem
+    rr, uu = _window(gp)
     grid = np.linspace(-4.0, -1e-3, 160) if prob.p < prob.n else np.linspace(-4.0, 4.0, 320)
-    vals = []
-    for b in grid:
-        X = np.stack([rr ** b, np.ones_like(rr)], axis=1)
-        coef, *_ = np.linalg.lstsq(X, uu, rcond=None)
-        vals.append(np.linalg.norm(X @ coef - uu))
-    i = int(np.argmin(vals))
-    return grid[max(0, i - 1)], grid[min(len(grid) - 1, i + 1)]
+    i = int(np.argmin([_lstsq_residual(rr, uu, b) for b in grid]))
+    return grid[i], (grid[max(0, i - 1)], grid[min(len(grid) - 1, i + 1)])
+
+
+def _solve(p, R, cells):
+    return green.solve_green(green.RadialProblem(
+        p=p, n=3, phi=green.BumpDensity(0.5, 1.0, 1.0, 3), R_out=R, n_cells=cells))
 
 
 @pytest.mark.parametrize("p,R,cells", [(2.0, 100.0, 2048), (1.5, 50.0, 2048), (2.5, 100.0, 2048),
@@ -187,17 +201,59 @@ def _lstsq_scan_bracket(gp, window=(4.0, 0.125)):
 def test_batched_farfield_scan_picks_the_lstsq_index(monkeypatch, p, R, cells):
     # the suite's three potentials at full and quick grids, and one p > n problem
     # whose scan runs over the 320-point grid
-    gp = green.solve_green(green.RadialProblem(
-        p=p, n=3, phi=green.BumpDensity(0.5, 1.0, 1.0, 3), R_out=R, n_cells=cells))
-    brackets, minimize = [], green.fminbound
+    gp = _solve(p, R, cells)
+    brackets, solve = [], green.brentq
 
-    def seen(func, x1, x2, xtol):
-        brackets.append((x1, x2))
-        return minimize(func, x1, x2, xtol=xtol)
+    def seen(f, a, b, **kwargs):
+        brackets.append((a, b))
+        return solve(f, a, b, **kwargs)
 
-    monkeypatch.setattr(green, "fminbound", seen)
+    monkeypatch.setattr(green, "brentq", seen)
     green.farfield_exponent(gp)
-    assert brackets == [_lstsq_scan_bracket(gp)]
+    assert brackets == [_lstsq_scan(gp)[1]]
+
+
+@pytest.mark.parametrize("p,R", [(2.0, 100.0), (1.5, 50.0), (2.5, 100.0), (4.0, 100.0)])
+def test_farfield_fit_is_no_worse_than_scipys_bounded_minimum(p, R):
+    from scipy.optimize import minimize_scalar
+
+    gp = _solve(p, R, 512)
+    rr, uu = _window(gp)
+    beta, _, _ = green.farfield_exponent(gp)
+    opt = minimize_scalar(lambda b: _lstsq_residual(rr, uu, b), bounds=_lstsq_scan(gp)[1],
+                          method="bounded", options={"xatol": 1e-10})
+    assert opt.success
+    assert _lstsq_residual(rr, uu, beta) <= _lstsq_residual(rr, uu, opt.x)
+
+
+def test_p_equal_n_farfield_reports_the_scan_grid_beta(tmp_path):
+    # the far field is logarithmic: x = r^beta - mean vanishes at beta = 0, the
+    # fit degenerates there and no interior beta is meaningful
+    problem = tmp_path / "pn.json"
+    problem.write_text(json.dumps({"p": 3.0, "n": 3, "phi": {"r_a": 0.5, "r_b": 1.0},
+                                   "R_out": 100.0, "mesh": 512}))
+    out = tmp_path / "green.json"
+    assert cli.main(["green", "--problem", str(problem), "--out", str(out)]) == 0
+    beta = json.loads(out.read_text())["payload"]["beta"]
+    assert beta == _lstsq_scan(green.solve_green(green.load_problem(str(problem))))[0]
+
+
+def _nan_in_far_field(gp):
+    gp.u[np.searchsorted(gp.r, 8.0)] = np.nan       # inside the fit window [4, 12.5]
+    return gp
+
+
+def test_nan_far_field_is_a_solver_error():
+    gp = _nan_in_far_field(green.solve_green(newtonian_problem(cells=512)))
+    with pytest.raises(SolverError, match="NaN"):
+        green.farfield_exponent(gp)
+
+
+def test_nan_far_field_exits_3(monkeypatch, capsys):
+    solve = green.solve_green
+    monkeypatch.setattr(green, "solve_green", lambda prob: _nan_in_far_field(solve(prob)))
+    assert cli.main(["green", "--problem", EXAMPLE]) == 3
+    assert "NaN" in capsys.readouterr().err
 
 
 def test_green_solve_stops_at_the_residual_floor(monkeypatch):
@@ -228,6 +284,5 @@ def test_singular_green_jacobian_is_a_numeric_failure(monkeypatch, capsys):
         return F, None if bands is None else tuple(np.zeros_like(b) for b in bands)
 
     monkeypatch.setattr(green, "_assemble", singular)
-    example = str(Path(__file__).resolve().parents[1] / "scripts" / "green_problem_example.json")
-    assert cli.main(["green", "--problem", example]) == 3
+    assert cli.main(["green", "--problem", EXAMPLE]) == 3
     assert "numeric failure" in capsys.readouterr().err

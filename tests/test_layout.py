@@ -53,6 +53,13 @@ def test_only_quadrature_maps_dual_shells():
     assert naming == ["quadrature.py"]
 
 
+def test_only_quadrature_takes_gauss_rules():
+    # composite rules come from quadrature.gauss_panels, so a graded rule has
+    # one place to land
+    naming = sorted(p.name for p in SRC.glob("*.py") if "_gauss(" in p.read_text())
+    assert naming == ["quadrature.py"]
+
+
 def test_only_composite_checks_use_the_bare_record():
     # every other record states its bound through a comparison constructor
     # of report.py, which decides the status from the fields it writes

@@ -24,6 +24,18 @@ def test_polar_integrals():
     assert val3 == pytest.approx(4.0 * math.pi * math.log(2.0), rel=1e-10)
 
 
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_gauss_panels_integrate_each_row_at_full_order(order):
+    # one row of edges or a stack of rows, with uneven panels
+    edges = np.array([[0.0, 0.3, 1.0, 1.2], [-1.0, 0.5, 0.75, 2.0]])
+    for e in (edges[0], edges):
+        x, w = quadrature.gauss_panels(e, order)
+        assert x.shape == w.shape == e.shape[:-1] + (order * 3,)
+        deg = 2 * order - 1
+        exact = (e[..., -1] ** (deg + 1) - e[..., 0] ** (deg + 1)) / (deg + 1)
+        assert np.allclose(np.sum(w * x ** deg, axis=-1), exact, rtol=1e-13, atol=1e-14)
+
+
 def test_radial_integral_agrees_with_full():
     ang = quadrature.angular_measure(3)
     val = quadrature.radial_integral(lambda r: r ** -3.0, 1.0, 2.0, 3, ang, n_r=256)
