@@ -115,6 +115,9 @@ GREEN_PS = (1.5, 2.5)
 #: Hardy ratios lie in [1 - RATIO_FLOOR, 1 + RATIO_TAIL], and the weight-mass
 #: slope is within NULL_SLOPE_TOL (relative) of ((p-1)/p)^p c_flux
 RATIO_FLOOR, RATIO_TAIL, NULL_SLOPE_TOL = 1e-3, 0.05, 0.05
+#: criteria 8 and 13 at full tolerance, shared with ``build-weight``: the
+#: ground-state residual bound
+GROUND_STATE_TOL = 1e-5
 
 
 def _sample_x(fam, m, seed):
@@ -337,7 +340,7 @@ def ground_state_residual(hw, dom, n_tests, seed, **grid):
 
 def check_ground_state(cfg):
     out = []
-    tol = cfg.tol(1e-5)
+    tol = cfg.tol(GROUND_STATE_TOL)
     seed = cfg.seed + 61
     hw = _standard_weight(norms.euclidean(2.0, 3), bracket=(1e-8, 1e8))
     r_euc = ground_state_residual(hw, fields.annulus(0.1, 10.0, 3), cfg.bumps(40), seed)
@@ -540,8 +543,8 @@ def check_green_weight(cfg):
                       hyp, "finite and signed", None))
     dom = fields.annulus(prob.phi.r_a / 5.0, prob.R_out / 8.0, 3)
     res = ground_state_residual(hw, dom, cfg.bumps(40), cfg.seed + 81)
-    tol = cfg.tol(1e-5)
-    out.append(within("hardy.green_ground_state_residual", res, 0.0, tol))
+    out.append(within("hardy.green_ground_state_residual", res, 0.0,
+                      cfg.tol(GROUND_STATE_TOL)))
     gmin, _ = hw.profile_range(hw.g)
     T = float(gp.profile(np.asarray([prob.phi.r_a]))[0]) * 0.5
     taus = np.geomspace(gmin * 4.0, T / 4.0, 5)
@@ -584,9 +587,8 @@ def check_eigen(cfg):
     out.append(within_rel("eigen.p3_lambda2", s3["lambda2"], lam23, cfg.tol(1e-2)))
     # constant-shift identity
     pr0 = eigen.principal_eigenvalue(problem(2.0, 1024), restarts=4)
-    prc = eigen.principal_eigenvalue(
-        problem(2.0, 1024, lambda x: np.full_like(np.asarray(x, dtype=float), 2.5)),
-        restarts=4)
+    prc = eigen.principal_eigenvalue(problem(2.0, 1024, eigen.constant_potential(2.5)),
+                                     restarts=4)
     out.append(within("eigen.constant_shift", abs(prc.lam - pr0.lam - 2.5), 0.0, 1e-8))
     # isolation signature: random bounded potentials
     n_pots = 4 if cfg.quick else 20
@@ -597,13 +599,7 @@ def check_eigen(cfg):
     bad = 0
     worst_stab = 0.0
     for _ in range(n_pots):
-        c = rng.uniform(-3.0, 3.0, 4)
-
-        def V(x, c=c):
-            x = np.asarray(x, dtype=float)
-            return sum(ci * np.cos((i + 1) * math.pi * x)
-                       for i, ci in enumerate(c))
-
+        V = eigen.cosine_potential(rng.uniform(-3.0, 3.0, 4), 1.0)
         g1, g2 = (eigen.second_eigenvalue_and_gap(problem(2.0, cells, V), restarts=2,
                                                   xtol=xt_gap) for cells in N_gap)
         stab = abs(g1["gap"] / g2["gap"] - 1.0)

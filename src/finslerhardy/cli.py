@@ -14,6 +14,7 @@ configuration errors, 3 internal numeric failures.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
 from dataclasses import asdict
@@ -84,8 +85,15 @@ def _write(text, out):
         sys.stdout.write(text)
 
 
-def _emit(args, command, config, checks, payload=None):
-    rep = report.build_report(command, config, checks)
+#: the parsed options that say where a report goes or how the run executes;
+#: every other option is the report's config (the thread count is not: reports
+#: must be byte-identical across thread counts)
+_NOT_CONFIG = ("command", "fn", "out", "format", "profile_out", "threads")
+
+
+def _emit(args, checks, payload=None):
+    config = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
+    rep = report.build_report(args.command, config, checks)
     if payload is not None:
         rep["payload"] = payload
     _write(report.render_json(rep) if args.format == "json" else report.render_csv(rep),
@@ -110,9 +118,7 @@ def cmd_verify_norms(args):
     if fam.x_independent:
         checks += acceptance.dual_calculus(fam, min(m, 1000), args.seed, _stated,
                                            n_dirs=2048)
-    return _emit(args, "verify-norms",
-                 {"family": args.family, "p": args.p, "n": args.n,
-                  "samples": m, "seed": args.seed}, checks)
+    return _emit(args, checks)
 
 
 def cmd_verify_bregman(args):
@@ -125,7 +131,7 @@ def cmd_verify_bregman(args):
         record("c_upper_finite", bool(np.isfinite(est.c_upper)), est.c_upper,
                "finite", None),
     ]
-    return _emit(args, "verify-bregman", asdict(est), checks, payload=asdict(est))
+    return _emit(args, checks, payload=asdict(est))
 
 
 def cmd_verify_harmonic(args):
@@ -137,10 +143,7 @@ def cmd_verify_harmonic(args):
                                seed=args.seed, n_rho=max(8, n_r // 16),
                                n_ang=n_ang)
     checks = [within("weak_residual", res, 0.0, args.tol)]
-    return _emit(args, "verify-harmonic",
-                 {"family": args.family, "p": args.p, "n": args.n,
-                  "field": args.field, "tests": args.tests, "seed": args.seed},
-                 checks)
+    return _emit(args, checks)
 
 
 def _build_hw(args):
@@ -187,11 +190,8 @@ def cmd_build_weight(args):
         checks.append(acceptance.classical_reduction(hw, x, _stated))
     res = acceptance.ground_state_residual(
         hw, fields.annulus(args.rmin, args.rmax, args.n), args.tests, args.seed)
-    checks.append(within("ground_state_residual", res, 0.0, 1e-5))
-    return _emit(args, "build-weight",
-                 {"family": args.family, "p": args.p, "n": args.n,
-                  "field": args.field, "sigma": args.sigma, "seed": args.seed},
-                 checks,
+    checks.append(within("ground_state_residual", res, 0.0, acceptance.GROUND_STATE_TOL))
+    return _emit(args, checks,
                  payload={"branch": hw.branch, "p": args.p, "n": args.n,
                           "family": hw.fam.label(), "c_p": hw.c_p,
                           "residual": res, "flux_cv": _flux_cv(hw),
@@ -222,10 +222,7 @@ def cmd_null_seq(args):
         "flux_cv": _flux_cv(hw),
         "rows": rows, "truncated": ns.truncated,
     }
-    return _emit(args, "null-seq",
-                 {"family": args.family, "p": args.p, "n": args.n,
-                  "kmax": args.kmax, "seed": args.seed}, checks,
-                 payload=payload)
+    return _emit(args, checks, payload=payload)
 
 
 def cmd_verify_optimality(args):
@@ -237,10 +234,7 @@ def cmd_verify_optimality(args):
     checks = [acceptance.optimality_infima("infima_near_one", probe["infima"], _stated),
               within_rel("null_criticality_slope", nc["slope"], nc["expected_slope"],
                          acceptance.NULL_SLOPE_TOL)]
-    return _emit(args, "verify-optimality",
-                 {"family": args.family, "p": args.p, "n": args.n,
-                  "eps": args.eps, "kmax": args.kmax, "seed": args.seed},
-                 checks, payload=probe["table"])
+    return _emit(args, checks, payload=probe["table"])
 
 
 def cmd_green(args):
@@ -253,13 +247,12 @@ def cmd_green(args):
                             args.profile_out)
     beta, A, B = green.farfield_exponent(gp)
     fb = green.flux_bound_check(gp)
-    expect = (prob.p - prob.n) / (prob.p - 1.0) if prob.p < prob.n else None
+    expect = prob.decay_exponent if prob.p < prob.n else None
     checks = [within("residual", gp.residual, 0.0, 1e-8),
               within("flux_identity", fb["worst_identity_rel_err"], 0.0, 0.01)]
     if expect is not None:
         checks.append(within("farfield_exponent", beta, expect, 0.02))
-    return _emit(args, "green", {"problem": args.problem, "seed": args.seed},
-                 checks,
+    return _emit(args, checks,
                  payload={"C0": fb["C0"], "M_phi": fb["M_phi"],
                           "beta": beta, "amplitude": A, "offset": B})
 
@@ -268,20 +261,10 @@ def cmd_eigen(args):
     V = None
     if args.potential and args.potential != "none":
         if args.potential.startswith("const:"):
-            c = float(args.potential[len("const:"):])
-
-            def V(x, c=c):
-                return np.full_like(np.asarray(x, dtype=float), c)
+            V = eigen.constant_potential(float(args.potential[len("const:"):]))
         else:
-            import json as _json
-
             with open(args.potential) as fh:
-                coefs = _json.load(fh)["cosine_coefficients"]
-
-            def V(x, coefs=coefs):
-                x = np.asarray(x, dtype=float)
-                return sum(c * np.cos((i + 1) * math.pi * x / args.L)
-                           for i, c in enumerate(coefs))
+                V = eigen.cosine_potential(json.load(fh)["cosine_coefficients"], args.L)
 
     ep = eigen.EigenProblem(p=args.p, L=args.L, V=V, N=args.N, seed=args.seed,
                             geometry=args.geometry, n=args.n)
@@ -294,11 +277,7 @@ def cmd_eigen(args):
         equals("principal_positive", pr.sign_changes, 0),
         bound("gap_positive", gap, ">", 0),
     ]
-    return _emit(args, "eigen",
-                 {"p": args.p, "L": args.L, "potential": args.potential,
-                  "N": args.N, "seed": args.seed, "geometry": args.geometry,
-                  "n": args.n},
-                 checks,
+    return _emit(args, checks,
                  payload={"lambda1": pr.lam, "lambda2": s2["lambda2"],
                           "gap": gap,
                           "residuals": {"principal": pr.residual,
@@ -309,12 +288,7 @@ def cmd_eigen(args):
 def cmd_suite(args):
     cfg = acceptance.SuiteConfig(seed=args.seed, quick=args.quick,
                                  threads=args.threads)
-    checks = acceptance.run_battery(cfg, only=args.only)
-    # the thread count is an execution detail, not part of the configuration:
-    # reports must be byte-identical across thread counts
-    return _emit(args, "suite",
-                 {"seed": args.seed, "quick": args.quick, "only": args.only},
-                 checks)
+    return _emit(args, acceptance.run_battery(cfg, only=args.only))
 
 
 # ---------------------------------------------------------------------------

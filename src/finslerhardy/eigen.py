@@ -66,6 +66,23 @@ def p_sine_constant(p):
     return 2.0 * math.pi / (p * math.sin(math.pi / p))
 
 
+def cosine_potential(coefs, L):
+    """V(x) = sum_i c_i cos((i + 1) pi x / L)."""
+    def V(x):
+        x = np.asarray(x, dtype=float)
+        return sum(c * np.cos((i + 1) * math.pi * x / L) for i, c in enumerate(coefs))
+
+    return V
+
+
+def constant_potential(c):
+    """V(x) = c."""
+    def V(x):
+        return np.full_like(np.asarray(x, dtype=float), c)
+
+    return V
+
+
 @dataclass
 class EigenProblem:
     p: float
@@ -235,11 +252,11 @@ class _Disc:
 DESCENT_STEPS = 40
 
 
-def _pg_minimize(disc, v, gtol=1e-11):
+def _pg_minimize(disc, v):
     """Preconditioned projected gradient with Armijo backtracking.
 
     Runs at most ``DESCENT_STEPS`` (40) steps, stopping early at a stationary
-    point (preconditioned gradient norm below ``gtol``) or when the line
+    point (preconditioned gradient norm below 1e-11) or when the line
     search finds no decrease.  Its result is a start for ``_newton_polish``,
     not an eigenpair: Newton's residual gate is what accepts or rejects it.
     """
@@ -253,7 +270,7 @@ def _pg_minimize(disc, v, gtol=1e-11):
         if not math.isfinite(gn):
             raise SolverError("preconditioned gradient norm is not finite",
                               residual=gn)
-        if gn < gtol:
+        if gn < 1e-11:
             break
         improved = False
         for _ in range(30):
@@ -270,16 +287,16 @@ def _pg_minimize(disc, v, gtol=1e-11):
     return v, lam
 
 
-def _newton_polish(disc, v, lam, max_iter=60, tol=1e-13):
+def _newton_polish(disc, v, lam):
     """Bordered Newton on the EL system with the normalization constraint.
 
-    Runs ``newton.damped_newton`` on x = (v, lambda).  Its tolerance test is
-    on the relative weak residual and the normalization defect together, its
-    Armijo test on the unscaled residual norm.  It ends on ``tol``, or at the
-    round-off floor: a line search there tries at most 20 steps (2 below
-    100 tol) and, when all fail, ends the solve without a step, where 30
-    halvings used to apply a step of 2**-30 that changed nothing.  Returns
-    (v, lambda, residual, stats).
+    Runs ``newton.damped_newton`` on x = (v, lambda), for at most 60 steps.
+    Its tolerance test (1e-13) is on the relative weak residual and the
+    normalization defect together, its Armijo test on the unscaled residual
+    norm.  It ends at the tolerance, or at the round-off floor: a line
+    search there tries at most 20 steps (2 below 1e-11) and, when all fail,
+    ends the solve without a step, where 30 halvings used to apply a step of
+    2**-30 that changed nothing.  Returns (v, lambda, residual, stats).
     """
     p = disc.p
 
@@ -305,7 +322,7 @@ def _newton_polish(disc, v, lam, max_iter=60, tol=1e-13):
         return np.append(z1 - dlam * z2, dlam)
 
     x, _, (_, rnorm, _, _), stats = damped_newton(evaluate, direction, np.append(v, lam),
-                                                  tol, max_iter)
+                                                  1e-13, 60)
     return x[:-1], float(x[-1]), rnorm, stats
 
 
@@ -342,12 +359,12 @@ def _restarts(disc, seed, restarts):
     return runs
 
 
-def principal_eigenvalue(ep, restarts=32, agree_tol=1e-6):
+def principal_eigenvalue(ep, restarts=32):
     """Minimize the Rayleigh quotient; returns the normalized principal pair.
 
     All restarts converge to the same lambda (uniqueness of the principal
     eigenvalue); ``restarts_agreeing`` counts how many landed within
-    ``agree_tol`` of the best.
+    1e-6 (1 + |lambda|) of the best.
     """
     disc = _disc_for(ep)
     runs = _restarts(disc, ep.seed, restarts)
@@ -355,7 +372,7 @@ def principal_eigenvalue(ep, restarts=32, agree_tol=1e-6):
     if np.sum(v) < 0.0:
         v = -v
     lams = np.array([run[1] for run in runs])
-    agree = int(np.sum(np.abs(lams - lam) <= agree_tol * (1.0 + abs(lam))))
+    agree = int(np.sum(np.abs(lams - lam) <= 1e-6 * (1.0 + abs(lam))))
     ray = disc.rayleigh(v)
     if not rnorm <= 1e-7:
         raise SolverError("eigen minimization did not converge", residual=rnorm)
@@ -372,10 +389,11 @@ def _profile(x, v, left_dirichlet):
     return (x - x[0]) / (x[-1] - x[0]), full
 
 
-def _principal_on(a, b, ep, n_min=64, restarts=4, start=None):
+def _principal_on(a, b, ep, restarts, start=None):
     """Principal eigenvalue on the subdomain (a, b) in absolute coordinates.
 
-    Keeps the parent geometry weight; the left end keeps the natural center
+    Takes the parent's mesh width, with at least 64 cells, and keeps the
+    parent geometry weight; the left end keeps the natural center
     condition only when it is the true center of a ball (a = 0).  With a
     ``start`` profile (``_profile``), Newton alone polishes it, mapped
     affinely onto (a, b); the result stands when its residual is at most
@@ -384,7 +402,7 @@ def _principal_on(a, b, ep, n_min=64, restarts=4, start=None):
     cold_fallbacks), the last 1 when a start was tried and rejected.
     """
     frac = (b - a) / ep.L
-    N = max(n_min, int(round(ep.N * frac)))
+    N = max(64, int(round(ep.N * frac)))
     x = np.linspace(a, b, N + 1)
     left_dir = not (ep.geometry == "ball" and a == 0.0)
     disc = _Disc(ep.p, x, ep.V, n_w=ep.weight_dim, left_dirichlet=left_dir)
@@ -452,7 +470,7 @@ def second_eigenvalue_and_gap(ep, restarts=4, xtol=1e-9, principal=None):
             "cold_fallbacks": sum(half[4] for pair in halves.values() for half in pair)}
 
 
-def eigenpair_convergence_probe(ep, k_list=(2, 4, 8, 16, 32), restarts=6):
+def eigenpair_convergence_probe(ep, k_list, restarts):
     """Desk-scale shadow of eigenvalue-set closedness and eigenpair convergence.
 
     Schedule A: V_k = V + 1/k shifts lambda_1 exactly by 1/k (additive

@@ -261,18 +261,19 @@ def _ball_scheme(center, rho, n_panels, omega, wo):
     return nodes, w
 
 
-def random_bumps(dom, n_tests, seed, margin=0.05, rho_frac=(0.25, 0.75)):
-    """Seeded bump family inside the domain, supports clear of puncture and boundary."""
+def random_bumps(dom, n_tests, seed):
+    """Seeded bump family inside the domain, supports clear of puncture and boundary:
+    centres at least 20% inside either radius, and radii a quarter to three
+    quarters of the room left."""
     rng = Generator(Philox(key=np.uint64(seed)))
     lo, hi = dom.r_inner, dom.r_outer
     bumps = []
     for _ in range(n_tests):
-        rc = math.exp(rng.uniform(math.log(lo * (1.0 + 4.0 * margin)),
-                                  math.log(hi * (1.0 - 4.0 * margin))))
+        rc = math.exp(rng.uniform(math.log(lo * 1.2), math.log(hi * 0.8)))
         direction = rng.standard_normal(dom.n)
         direction /= np.linalg.norm(direction)
         gap = min(rc - lo, hi - rc, rc * 0.45)
-        rho = rng.uniform(*rho_frac) * gap
+        rho = rng.uniform(0.25, 0.75) * gap
         amp = math.exp(rng.uniform(math.log(0.5), math.log(2.0)))
         bumps.append(Bump(rc * direction, rho, amp))
     return bumps
@@ -486,17 +487,16 @@ def weak_residual(fam, field, dom, V=None, n_tests=100, seed=0,
 # ---------------------------------------------------------------------------
 
 
-def _unit_shell(field, n, n_ang):
+def _unit_shell(field, n):
     """(weights, Theta, J, grad rho(Theta), |grad rho(Theta)|) on the unit shell
-    of a radial field's gauge, over the n_ang angular rule."""
+    of a radial field's gauge, over the 96-point angular rule (96 x 192 on S^2)."""
     if field.radial is None:
         raise ValueError("level sets are only parametrized for radial fields")
-    omega, wo = (quadrature.circle_rule(n_ang) if n == 2
-                 else quadrature.sphere_rule(n_ang))
+    omega, wo = quadrature.circle_rule(96) if n == 2 else quadrature.sphere_rule(96)
     return (wo, *quadrature.shell_geometry(field.radial[0], omega))
 
 
-def level_set_flux(fam, field, dom, t, n_ang=96, shell=None):
+def level_set_flux(fam, field, dom, t, shell=None):
     """Surface quadrature of H(grad G)^p / |grad G| over the level set {G = t}.
 
     Level sets must be radial shells of the field's gauge (H0-spheres for
@@ -506,7 +506,7 @@ def level_set_flux(fam, field, dom, t, n_ang=96, shell=None):
     the one shell-geometry call, so a Newton-based dual is solved once;
     ``shell`` passes in :func:`_unit_shell`'s geometry when several levels share it.
     """
-    wo, theta, J, grad_rho, grad_len = shell or _unit_shell(field, dom.n, n_ang)
+    wo, theta, J, grad_rho, grad_len = shell or _unit_shell(field, dom.n)
     rho = float(field.radial_inverse(t))
     lo, hi = dom.r_inner, dom.r_outer
     if not (lo * (1.0 - 1e-12) <= rho <= hi * (1.0 + 1e-12)) or rho >= field.radial_bound:
@@ -519,9 +519,9 @@ def level_set_flux(fam, field, dom, t, n_ang=96, shell=None):
     return rho ** (dom.n - 1) * float(np.dot(wo, integrand * grad_len * J))
 
 
-def flux_constancy(fam, field, dom, levels, n_ang=96):
+def flux_constancy(fam, field, dom, levels):
     """Fluxes over the given levels, on one shell geometry, and their coefficient of variation."""
-    shell = _unit_shell(field, dom.n, n_ang)
+    shell = _unit_shell(field, dom.n)
     fluxes = np.array([level_set_flux(fam, field, dom, t, shell=shell) for t in levels])
     cv = float(fluxes.std() / fluxes.mean())
     return fluxes, cv

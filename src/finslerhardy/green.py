@@ -32,8 +32,6 @@ from .lapack import tridiagonal_solve
 from .newton import NewtonStats, damped_newton, solver_error
 from .scalar import Pchip, brentq
 
-EPS_REG = 1e-10
-
 
 def _psi(z, p, eps=0.0):
     """|z|^(p-2) z; the optional eps smooths only the Jacobian path."""
@@ -42,7 +40,7 @@ def _psi(z, p, eps=0.0):
     return z * (z * z + eps * eps) ** ((p - 2.0) / 2.0)
 
 
-def _dpsi(z, p, eps=EPS_REG):
+def _dpsi(z, p, eps):
     return (z * z + eps * eps) ** ((p - 4.0) / 2.0) * ((p - 1.0) * z * z + eps * eps)
 
 
@@ -211,7 +209,7 @@ def _assemble(prob, mesh, u_in, p, jac=True):
     # (the outer one): bias (eps/|u'|)^2 <= 1e-6 everywhere except exact
     # plateaus, where du = 0 solves the regularized and exact systems alike
     du_out = abs(float(du[-1]))
-    eps = 1e-3 * du_out if du_out > 0.0 else EPS_REG
+    eps = 1e-3 * du_out if du_out > 0.0 else 1e-10
     fl = _psi(du, p, eps=eps) * me / h
     # loads: 2-pt Gauss per element, P1 hats
     u_g = u[:-1, None] * (1.0 - lam) + u[1:, None] * lam
@@ -266,13 +264,14 @@ def _newton_step(bands, F):
         raise SolverError(f"Green Newton solve failed: {exc}") from exc
 
 
-def solve_green(prob, max_iter=200, tol=3e-10, accept=5e-8):
+def solve_green(prob):
     """Damped-Newton solve with exponent continuation from the p = 2 start.
 
-    Each stage is one ``newton.damped_newton`` solve, which may end at the
-    round-off floor (its line searches capped, where 40 halvings ran three
-    times before a stall counter stopped them) or stall below ``accept``;
-    ``maxit``, or a floor above ``accept``, raises :class:`SolverError`.
+    Each stage is one ``newton.damped_newton`` solve of at most 200 steps, to
+    a scaled residual of 3e-10 at the target p and 1e-8 on the way there.  It
+    may end at the round-off floor (its line searches capped, where 40
+    halvings ran three times before a stall counter stopped them) or stall
+    below 5e-8; ``maxit``, or a floor above 5e-8, raises :class:`SolverError`.
     The returned residual is the scaled discrete norm of the final Newton
     residual, and the profile is the positive FEM solution with PCHIP
     interpolation.
@@ -284,6 +283,7 @@ def solve_green(prob, max_iter=200, tol=3e-10, accept=5e-8):
     scale = float(np.linalg.norm(_assemble(prob, mesh, np.zeros(len(r) - 1), prob.p,
                                            jac=False)[0]))
     p_path = [prob.p] if prob.p == 2.0 else list(np.linspace(2.0, prob.p, 8)[1:])
+    accept = 5e-8
     iters = backtracks = 0
     for p_now in p_path:
         def evaluate(u):
@@ -294,8 +294,8 @@ def solve_green(prob, max_iter=200, tol=3e-10, accept=5e-8):
             F, bands = _assemble(prob, mesh, u, p_now)
             return _newton_step(bands, F)
 
-        u, res, _, stats = damped_newton(evaluate, direction, u, tol if p_now == prob.p
-                                         else 1e-8, max_iter, accept=accept)
+        u, res, _, stats = damped_newton(evaluate, direction, u, 3e-10 if p_now == prob.p
+                                         else 1e-8, 200, accept=accept)
         iters, backtracks = iters + stats.iterations, backtracks + stats.backtracks
         if stats.exit == "maxit" or (stats.exit == "floor" and not res < accept):
             raise solver_error(f"Green Newton at p = {p_now}", stats, res)
@@ -318,7 +318,7 @@ def level_flux(gp, r_t):
     return ang * r_t ** (prob.n - 1) * abs(float(gp.dprofile(r_t))) ** (prob.p - 1.0)
 
 
-def flux_identity_rhs(gp, r_t, n_r=2048):
+def flux_identity_rhs(gp, r_t):
     """int_{u > t} (phi - c_p V psi(u)) dx over the superlevel ball {r < r_t}."""
     prob = gp.problem
 
@@ -330,19 +330,19 @@ def flux_identity_rhs(gp, r_t, n_r=2048):
 
     return quadrature.radial_integral(source, gp.r[0], r_t, prob.n,
                                       quadrature.angular_measure(prob.n),
-                                      align=(prob.phi.r_a, prob.phi.r_b), n_r=n_r,
+                                      align=(prob.phi.r_a, prob.phi.r_b), n_r=2048,
                                       order=4)
 
 
-def flux_bound_check(gp, n_levels=20, rtol=1e-2):
+def flux_bound_check(gp):
     """Level-flux bounds (C0, M_phi) plus the Gauss-Green flux identity.
 
     ``C0 = max(int (phi + |V| G^(p-1)), 1 / int phi)`` is the computable
-    constant of the two-sided level-flux bounds; the check verifies
-    ``flux(t) <= C0`` for all levels, ``flux(t) >= 1/C0`` for ``t < M_phi``
-    (the largest level whose superlevel set contains supp phi), and the
-    identity ``flux(t) = int_{u>t} (phi - c_p V psi(u))``, all within
-    ``rtol``.
+    constant of the two-sided level-flux bounds; the check verifies, on 20
+    levels, ``flux(t) <= C0`` for all of them, ``flux(t) >= 1/C0`` for
+    ``t < M_phi`` (the largest level whose superlevel set contains supp
+    phi), both within 1e-2 (relative), and reports the error of the identity
+    ``flux(t) = int_{u>t} (phi - c_p V psi(u))``.
     """
     prob = gp.problem
     ang = quadrature.angular_measure(prob.n)
@@ -364,7 +364,7 @@ def flux_bound_check(gp, n_levels=20, rtol=1e-2):
     t_hi = float(gp.profile(np.asarray([prob.phi.r_b]))[0])
     t_lo = float(gp.u[-2]) if prob.boundary == "dirichlet" else float(gp.u[-1])
     t_lo = max(t_lo * 1.5, t_hi * 1e-6)
-    levels = np.geomspace(t_lo * 1.05, t_hi * 0.95, n_levels)
+    levels = np.geomspace(t_lo * 1.05, t_hi * 0.95, 20)
     rows = []
     for t in levels:
         r_t = gp.radius_of_level(float(t))
@@ -372,6 +372,7 @@ def flux_bound_check(gp, n_levels=20, rtol=1e-2):
         rhs = flux_identity_rhs(gp, r_t)
         rows.append({"t": float(t), "flux": fl, "rhs": rhs,
                      "rel_err": abs(fl / rhs - 1.0)})
+    rtol = 1e-2
     upper_ok = all(row["flux"] <= C0 * (1.0 + rtol) for row in rows)
     floor_ok = all(row["flux"] >= (1.0 - rtol) / C0
                    for row in rows if row["t"] < M_phi)
@@ -381,8 +382,8 @@ def flux_bound_check(gp, n_levels=20, rtol=1e-2):
             "worst_identity_rel_err": worst}
 
 
-def farfield_exponent(gp, window=(4.0, 0.125)):
-    """Fit u ~ A r^beta + B on [window[0]*r_b, window[1]*R_out]; returns (beta, A, B).
+def farfield_exponent(gp):
+    """Fit u ~ A r^beta + B on [4 r_b, R_out / 8]; returns (beta, A, B).
 
     The constant B absorbs any Dirichlet truncation offset; with the decay
     boundary condition B is at the noise level.  A and B enter linearly
@@ -396,7 +397,7 @@ def farfield_exponent(gp, window=(4.0, 0.125)):
     infinite residual in the scan raises ``SolverError``.
     """
     prob = gp.problem
-    lo, hi = window[0] * prob.phi.r_b, window[1] * prob.R_out
+    lo, hi = 4.0 * prob.phi.r_b, 0.125 * prob.R_out
     if not lo < hi:
         raise ValueError("far-field window is empty; increase R_out")
     mask = (gp.r >= lo) & (gp.r <= hi)

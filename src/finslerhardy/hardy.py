@@ -224,7 +224,8 @@ def build_weight_zero_potential(fam, G, sigma=0.0, bracket=None):
     """Branch-correct (W, v) from a positive p-harmonic field G.
 
     sigma > 0 selects the capped branch (p > n only; refused for p <= n)
-    and requires 0 < G < sigma, checked on a log grid of 512 radii.
+    and requires 0 < G < sigma, checked on a log grid of 512 radii of the
+    source's ``bracket`` of radii, (1e-8, 1e8) when none is given.
     """
     p, n = fam.p, fam.n
     if sigma < 0.0:
@@ -234,10 +235,7 @@ def build_weight_zero_potential(fam, G, sigma=0.0, bracket=None):
     if G.radial is None:
         raise BranchError("the constructions need a field with radial structure")
     if bracket is None:
-        if hasattr(G, "_bracket") and G._bracket is not None:
-            bracket = G._bracket
-        else:
-            bracket = (1e-8, 1e8)
+        bracket = (1e-8, 1e8)
     rho = np.geomspace(bracket[0] * (1 + 1e-12), bracket[1] * (1 - 1e-12), 512)
     gvals = G.radial[1](rho)
     if np.any(gvals <= 0.0):
@@ -313,10 +311,10 @@ def build_weight_green(fam, green_potential):
 # ---------------------------------------------------------------------------
 
 
-def _radial_integral(hw, fun, lo, hi, align=(), n_r=768, order=6):
+def _radial_integral(hw, fun, lo, hi, align=(), n_r=768):
     """angular * int_lo^hi fun(rho) rho^(n-1) drho with aligned Gauss panels."""
     return quadrature.radial_integral(fun, lo, hi, hw.n, hw.angular, align=align,
-                                      n_r=n_r, order=order)
+                                      n_r=n_r)
 
 
 def _level_radii(hw, levels, vmin, vmax):
@@ -394,7 +392,8 @@ def null_sequence(hw, k_list):
             dropped.append(int(k))
     if not kept:
         raise RangeError(
-            f"ground-state range ({vmin:.3g}, {vmax:.3g}) admits no k >= 2")
+            f"ground-state range ({vmin:.3g}, {vmax:.3g}) admits none of the requested "
+            f"k = {', '.join(str(k) for k in k_list)}")
     p = hw.p
     energies, masses, ratios, xg, xf = [], [], [], [], []
     for k in kept:
@@ -517,7 +516,7 @@ def capped_null_criticality_lower_bound(hw, t_list):
 # ---------------------------------------------------------------------------
 
 
-def optimality_at_infinity_probe(hw, eps_list, k_list=(4, 16, 64, 256, 1024, 4096)):
+def optimality_at_infinity_probe(hw, eps_list, k_list):
     """Hardy ratios over cutoffs supported in the tail {v < eps}.
 
     For each eps the scaled cutoff family chi_k(t) = phi_k(t k^2/eps) lives
@@ -531,7 +530,8 @@ def optimality_at_infinity_probe(hw, eps_list, k_list=(4, 16, 64, 256, 1024, 409
     table = []
     for eps in eps_list:
         if not vmin < eps * 0.999:
-            raise RangeError(f"tail level {eps} below the representable range")
+            raise RangeError(f"tail level {eps} is not above {vmin:.3g}, the floor of "
+                             f"the ground-state range ({vmin:.3g}, {vmax:.3g})")
         for k in k_list:
             scale = k ** 2 / eps
             lo_t = max(vmin * 1.000001, eps / k ** 4)

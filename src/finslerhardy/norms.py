@@ -383,18 +383,20 @@ def _m_and_jac(fam, xi, jac=True):
     return h[..., 0], m, J
 
 
-def dual_newton(fam, Y, tol=1e-13, maxit=60, start=None):
+def dual_newton(fam, Y, maxit=60, start=None):
     """Batched dual norm and gradient via Newton on m(xi) = y.
 
     Returns ``(H0, gradH0, stats)`` for rows of ``Y``, starting from ``start``
     (such as grad H0 at nearby points) or the directions of ``Y``; ``stats``
     (a ``newton.NewtonStats``) counts the batched Jacobian steps and the
     line-search trials beyond the first of each step.  A row leaves the
-    batch as soon as an evaluation finds it below ``tol``, keeping that
-    evaluation's H; a Levenberg term guards (near-)singular Jacobians.
-    Raises :class:`SolverError`, with the worst relative residual and exit
-    ``maxit``, if a row is above ``tol`` after ``maxit`` steps.
+    batch as soon as an evaluation finds its relative residual at or below
+    ``tol`` = 1e-13, keeping that evaluation's H; a Levenberg term guards
+    (near-)singular Jacobians.  Raises :class:`SolverError`, with the worst
+    relative residual and exit ``maxit``, if a row is above ``tol`` after
+    ``maxit`` steps.
     """
+    tol = 1e-13
     if fam.kind != "mixed":
         raise UnsupportedKindError(f"the Newton dual is for the mixed kind, not {fam.kind}")
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
@@ -530,12 +532,12 @@ def sample_vectors(n, count, seed, decades=3, stream=0):
     return d * mag[:, None]
 
 
-def equivalence_report(fam, n_samples=4096, seed=11, x_radius=(0.5, 2.0)):
+def equivalence_report(fam, n_samples=4096, seed=11):
     """Empirical kappa, nu with kappa |xi| <= H(x, xi) <= nu |xi| on sampled directions.
 
     The constants are reported over samples (the underlying local bounds are
-    asserted to exist, not quantified); for the weighted kind, x ranges over
-    the given radius interval.
+    asserted to exist, not quantified); for the weighted kind, |x| ranges
+    over (0.5, 2).
     """
     rng = Generator(Philox(key=np.uint64(seed)))
     d = rng.standard_normal((n_samples, fam.n))
@@ -544,7 +546,7 @@ def equivalence_report(fam, n_samples=4096, seed=11, x_radius=(0.5, 2.0)):
     if not fam.x_independent:
         xd = rng.standard_normal((n_samples, fam.n))
         xd /= np.linalg.norm(xd, axis=-1, keepdims=True)
-        r = np.exp(rng.uniform(np.log(x_radius[0]), np.log(x_radius[1]), n_samples))
+        r = np.exp(rng.uniform(np.log(0.5), np.log(2.0), n_samples))
         x = xd * r[:, None]
     h = norm_eval(fam, x, d)
     return float(h.min()), float(h.max())

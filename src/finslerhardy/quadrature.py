@@ -48,7 +48,7 @@ def gauss_panels(edges, order):
             (half[..., None] * gw).reshape(shape))
 
 
-def log_radial_rule(r0, r1, n_r, align=(), order=4):
+def log_radial_rule(r0, r1, n_r, align, order):
     """Composite Gauss panels in t = log r over [r0, r1].
 
     Returns ``(r, w)`` with ``sum w_i f(r_i) ~ int_r0^r1 f(r) dr``.  Panel

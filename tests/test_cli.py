@@ -169,6 +169,31 @@ def test_null_seq_csv(tmp_path):
     assert int(k) == 16 and float(r) > 1.0
 
 
+def test_null_seq_config_names_every_option_of_the_run(tmp_path):
+    # the config block lists each option but where the report goes and how
+    # it is written, so a Green-source run records its source and k range
+    out = tmp_path / "seq.json"
+    assert run_main(["null-seq", "--field", f"green:{GREEN_EXAMPLE}", "--p", "2",
+                     "--kmin", "2", "--kmax", "4", "--out", str(out)]) in (0, 1)
+    config = json.loads(out.read_text())["config"]
+    assert config == {"family": "euclidean", "p": 2.0, "n": 3, "seed": 7,
+                      "field": f"green:{GREEN_EXAMPLE}", "sigma": 0.0,
+                      "kmin": 2, "kmax": 4}
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["null-seq"], "ground-state range (0.0291, 0.331) admits none of the requested "
+                   "k = 16, 32, 64, 128, 256, 512, 1024, 2048, 4096"),
+    (["verify-optimality"], "tail level 0.01 is not above 0.0291, the floor of the "
+                            "ground-state range (0.0291, 0.331)"),
+], ids=["null-seq", "verify-optimality"])
+def test_green_example_range_failures_state_their_cause(argv, message, capsys):
+    # the example's ground state spans (0.0291, 0.331): --kmin 2 --kmax 4 and
+    # --eps 0.1 run, the defaults do not
+    assert run_main(argv + ["--field", f"green:{GREEN_EXAMPLE}", "--p", "2"]) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
 def test_green_subcommand(tmp_path):
     spec = {"p": 2.0, "n": 3, "phi": {"r_a": 0.5, "r_b": 1.0, "mass": 1.0},
             "R_out": 60.0, "mesh": 1024}

@@ -171,3 +171,65 @@ def test_radial_fields_evaluate_through_their_profile():
                for cls in tree.body if isinstance(cls, ast.ClassDef)}
     for cls in ("DualPowerField", "LogDualField", "RadialProfileField"):
         assert not methods[cls] & {"__call__", "grad"}, cls
+
+
+ROOT = SRC.parents[1]
+
+#: options that only tests set: the seams those tests drive
+TEST_SEAMS = {"norms.dual_newton.maxit", "norms.bidual_norm.iters",
+              "quadrature.unit_ball_volume.n_ang",
+              "hardy.simplified_energy_bound_check.slack", "scalar.brentq.maxiter"}
+
+
+def _options():
+    """{(call name, name offset): [(label, param, position)]} for every parameter
+    with a default of src's module-level functions and class methods.  A call
+    names a function bare or as an attribute, a method by its attribute (one
+    positional slot for self) and ``__init__`` by its class."""
+    options = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defs = [(fn.name, fn.name, fn, 0) for fn in tree.body
+                if isinstance(fn, ast.FunctionDef)]
+        defs += [(f"{cls.name}.{fn.name}", cls.name if fn.name == "__init__" else fn.name,
+                  fn, 1) for cls in tree.body if isinstance(cls, ast.ClassDef)
+                 for fn in cls.body if isinstance(fn, ast.FunctionDef)]
+        for label, called_as, fn, offset in defs:
+            positional = fn.args.posonlyargs + fn.args.args
+            first = len(positional) - len(fn.args.defaults)
+            params = [(a.arg, i) for i, a in enumerate(positional) if i >= first]
+            params += [(a.arg, None) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                       if d is not None]
+            options.setdefault((called_as, offset), []).extend(
+                (f"{path.stem}.{label}", arg, i) for arg, i in params)
+    return options
+
+
+def _options_set(dirs):
+    """The labels ``module.function.param`` of the options that some call in the
+    Python files under ``dirs`` sets, by position or by keyword; a call with
+    ``**kwargs`` sets them all."""
+    options = _options()
+    found = set()
+    for d in dirs:
+        for path in sorted((ROOT / d).rglob("*.py")):
+            for call in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(call, ast.Call):
+                    continue
+                name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+                keywords = {k.arg for k in call.keywords}
+                for offset in (0, 1):
+                    for label, arg, i in options.get((name, offset), ()):
+                        if (None in keywords or arg in keywords
+                                or i is not None and i - offset < len(call.args)):
+                            found.add(f"{label}.{arg}")
+    return found
+
+
+def test_every_option_has_a_caller():
+    # a default that no caller overrides is a constant written as an option:
+    # one more configuration for the tests to cover, none for a user to need
+    every = {f"{label}.{arg}" for params in _options().values() for label, arg, _ in params}
+    assert TEST_SEAMS <= every
+    assert sorted(every - _options_set(("src", "scripts", "perfbench")) - TEST_SEAMS) == []
+    assert sorted(TEST_SEAMS - _options_set(("tests",))) == []
