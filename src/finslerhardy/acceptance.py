@@ -1,14 +1,20 @@
 """The named verification battery behind ``suite`` and the acceptance tests.
 
-Every acceptance criterion maps to one or more named check records; the
-registry fixes the execution order and the record names, so reports are
-byte-stable across runs and thread counts.  ``--quick`` keeps the record
-names, shrinks grids/samples, and multiplies by 5 each tolerance that goes
-through ``SuiteConfig.tol``; twelve records keep a fixed bound (README).  A
+The battery is one table, ``GROUPS``: each check decorated with
+``@group(name, records)`` is one entry, and the groups run and report in the
+order they are defined, so a new group is one new entry.  Record names are
+built from the grid constants and do not depend on the config.  A check returns
+its records unnamed, in the order of its group's names, and the group names
+them.  ``REGISTRY`` and ``CATALOG`` are views of the table.
+
+Reports are byte-stable across runs and thread counts.  ``--quick`` keeps the
+record names, shrinks grids/samples, and multiplies by 5 each tolerance that
+goes through ``SuiteConfig.tol``; twelve records keep a fixed bound (README).  A
 record's status is one comparison of the numbers it reports (a constructor of
 ``report``), except for the composite checks built with the bare ``record``.  The
 norm-calculus, classical-reduction and ground-state checks are defined here
-once and also run by the ``verify-norms`` and ``build-weight`` subcommands.
+once and also run by the ``verify-norms`` and ``build-weight`` subcommands,
+which keep the bare names those checks give their records.
 
 Two groups of checks are expected to fail and are reported as honest
 fails (see the README's known-failures section): the null-sequence *energy* decay slope for p != 2
@@ -89,7 +95,7 @@ def _pn(p, n):
     return f"p{p:g}_n{n}"
 
 
-# The parameter grids the checks loop over; CATALOG derives the record names
+# The parameter grids the checks loop over; each group builds its record names
 # from the same constants.  Family grids map a kind label to its (p, n).
 
 #: criteria 1-2: one family of each kind
@@ -135,14 +141,39 @@ def _standard_weight(fam, bracket=(1e-30, 1e30)):
     return hardy.build_weight_zero_potential(fam, fields.DualPowerField(fam), bracket=bracket)
 
 
-def _named(prefix, label, records):
-    """Suite names ``<prefix>.<check>.<label>`` for records named by check."""
-    return [replace(r, name=f"{prefix}.{r.name}.{label}") for r in records]
+#: the battery's groups, in the order they are defined, run and reported
+GROUPS = []
+
+
+@dataclass
+class Group:
+    """A group: its name, its record names in report order, and its check.
+    Calling it runs the check and names the records; a check that returns
+    another number of records raises, and ``run_battery`` reports that as a
+    crash, one failing ``<group>.error`` record."""
+
+    name: str
+    records: list
+    check: object           # SuiteConfig -> list of unnamed records
+
+    def __call__(self, cfg):
+        recs = self.check(cfg)
+        if len(recs) != len(self.records):
+            raise ValueError(f"check returned {len(recs)} records for the "
+                             f"{len(self.records)} names of its group")
+        return [replace(r, name=name) for r, name in zip(recs, self.records)]
+
+
+def group(name, records):
+    """Register the decorated check as the battery's next group."""
+    def register(check):
+        GROUPS.append(Group(name, records, check))
+        return GROUPS[-1]
+    return register
 
 
 def _norm_group(check, kinds, *args):
-    return [r for label, (p, n) in kinds.items()
-            for r in _named("norms", label, check(_family(label, p, n), *args))]
+    return [r for label, (p, n) in kinds.items() for r in check(_family(label, p, n), *args)]
 
 
 # ---------------------------------------------------------------------------
@@ -200,16 +231,21 @@ def dual_calculus(fam, m, seed, tol, n_dirs):
             within("biduality", berr, 0.0, tol(tol_bid))]
 
 
+@group("norms.operator_identity", [f"norms.operator_identity.{k}" for k in ALL_KINDS])
 def check_operator_identity(cfg):
     return _norm_group(operator_identity, ALL_KINDS, cfg.count(10000), cfg.seed,
                        cfg.tol)
 
 
+@group("norms.homogeneity_monotonicity",
+       [f"norms.{c}.{k}" for k in ALL_KINDS for c in ("homogeneity", "monotonicity")])
 def check_homogeneity_monotonicity(cfg):
     return _norm_group(homogeneity_monotonicity, ALL_KINDS, cfg.count(10000),
                        cfg.seed, cfg.tol)
 
 
+@group("norms.dual_calculus",
+       [f"norms.{c}.{k}" for k in DUAL_KINDS for c in ("dual_identity", "biduality")])
 def check_dual_calculus(cfg):
     return _norm_group(dual_calculus, DUAL_KINDS, cfg.count(1000, floor=100),
                        cfg.seed, cfg.tol, 512 if cfg.quick else 2048)
@@ -220,12 +256,16 @@ def check_dual_calculus(cfg):
 # ---------------------------------------------------------------------------
 
 
+@group("bregman.bounds", ["bregman.exact_p2_euclidean"] + [
+    f"bregman.{c}.{k}.p{p:g}{suffix}" for k in BREGMAN_KINDS for p in BREGMAN_PS
+    for c, suffix in (("envelopes", ""), ("stability", ".c_upper"),
+                      ("stability", ".c_lower"))])
 def check_bregman(cfg):
     out = []
     m = cfg.count(100000, floor=20000)
     est = bregman.verify_bounds(norms.euclidean(2.0, 3), m, seed=cfg.seed + 31)
     # np.maximum, unlike max, keeps a NaN from either envelope
-    out.append(within("bregman.exact_p2_euclidean",
+    out.append(within(None,
                       float(np.maximum(abs(est.c_lower - 1.0), abs(est.c_upper - 1.0))),
                       0.0, cfg.tol(1e-10)))
     for label in BREGMAN_KINDS:
@@ -233,19 +273,17 @@ def check_bregman(cfg):
             fam = _family(label, p, 2)
             e1 = bregman.verify_bounds(fam, m, seed=cfg.seed + 32)
             e2 = bregman.verify_bounds(fam, m, seed=cfg.seed + 1234567)
-            plabel = f"{label}.p{p:g}"
             finite = (e1.c_lower > 0.0 and np.isfinite(e1.c_upper)
                       and e2.c_lower > 0.0 and np.isfinite(e2.c_upper))
             # composite: both envelopes of both seeds positive and finite
-            out.append(record(f"bregman.envelopes.{plabel}", finite,
+            out.append(record(None, finite,
                               {"c_lower": e1.c_lower, "c_upper": e1.c_upper},
                               "positive finite", None,
                               witness={"lower": e1.witness_lower,
                                        "upper": e1.witness_upper}))
             for c in ("c_upper", "c_lower"):
                 dev = abs(getattr(e1, c) / getattr(e2, c) - 1.0)
-                out.append(within(f"bregman.stability.{plabel}.{c}", dev, 0.0,
-                                  cfg.tol(0.10)))
+                out.append(within(None, dev, 0.0, cfg.tol(0.10)))
     return out
 
 
@@ -261,13 +299,15 @@ def classical_reduction(hw, x, tol):
     return within("classical_reduction", err, 0.0, tol(1e-10))
 
 
+@group("hardy.classical_reduction",
+       [f"hardy.classical_reduction.{_pn(p, n)}" for p, n in CLASSICAL_PN])
 def check_classical_reduction(cfg):
     out = []
     for (p, n) in CLASSICAL_PN:
         hw = _standard_weight(norms.euclidean(p, n), bracket=(1e-6, 1e6))
         x = norms.sample_vectors(n, cfg.count(500, floor=100), cfg.seed + 41,
                                  decades=2, stream=8)
-        out += _named("hardy", _pn(p, n), [classical_reduction(hw, x, cfg.tol)])
+        out.append(classical_reduction(hw, x, cfg.tol))
     return out
 
 
@@ -276,6 +316,9 @@ def check_classical_reduction(cfg):
 # ---------------------------------------------------------------------------
 
 
+@group("fields.harmonicity", [
+    f"fields.harmonicity.{k}.{_pn(p, n)}" for p, n in HARMONIC_PN
+    for k in HARMONIC_KINDS] + ["fields.negative_control", "fields.log_dual_gate"])
 def check_harmonicity(cfg):
     out = []
     tol = cfg.tol(1e-5)
@@ -287,18 +330,18 @@ def check_harmonicity(cfg):
             n_ang = 12 if cfg.quick else (16 if label == "mix" and n == 3 else 24)
             r = fields.weak_residual(fam, G, dom, n_tests=cfg.bumps(),
                                      seed=cfg.seed + 51, n_ang=n_ang)
-            out.append(within(f"fields.harmonicity.{label}.{_pn(p, n)}", r, 0.0, tol))
+            out.append(within(None, r, 0.0, tol))
     fam = norms.euclidean(2.0, 3)
     bad = fields.FuncField(lambda x: np.linalg.norm(x, axis=-1),
                            grad=lambda x: x / np.linalg.norm(x, axis=-1, keepdims=True))
     rneg = fields.weak_residual(fam, bad, fields.annulus(0.1, 10.0, 3),
                                 n_tests=10, seed=cfg.seed + 52)
-    out.append(bound("fields.negative_control", rneg, ">", 0.01, 1e-2))
+    out.append(bound(None, rneg, ">", 0.01, 1e-2))
     fam_log = norms.lp(4, 2.0, 2)
     Glog = fields.LogDualField(fam_log, R=50.0)
     rlog = fields.weak_residual(fam_log, Glog, fields.annulus(0.1, 10.0, 2),
                                 n_tests=cfg.bumps(50), seed=cfg.seed + 53)
-    out.append(within("fields.log_dual_gate", rlog, 0.0, tol))
+    out.append(within(None, rlog, 0.0, tol))
     return out
 
 
@@ -307,6 +350,8 @@ def check_harmonicity(cfg):
 # ---------------------------------------------------------------------------
 
 
+@group("fields.flux",
+       ["fields.flux_newtonian"] + [f"fields.flux_constancy.{k}" for k in FLUX_KINDS])
 def check_flux(cfg):
     out = []
     fam = norms.euclidean(2.0, 3)
@@ -314,14 +359,14 @@ def check_flux(cfg):
     dom = fields.annulus(1e-4, 1e4, 3)
     fx = fields.level_set_flux(fam, G, dom, 1.0)
     tol = cfg.tol(0.01)
-    out.append(within_rel("fields.flux_newtonian", fx, 4 * math.pi, tol))
+    out.append(within_rel(None, fx, 4 * math.pi, tol))
     for label, (p, n) in FLUX_KINDS.items():
         fam2 = _family(label, p, n)
         G2 = fields.DualPowerField(fam2)
         dom2 = fields.annulus(1e-5, 1e5, n)
         levels = np.geomspace(0.3, 30.0, 10)
         _, cv = fields.flux_constancy(fam2, G2, dom2, levels)
-        out.append(within(f"fields.flux_constancy.{label}", cv, 0.0, tol))
+        out.append(within(None, cv, 0.0, tol))
     return out
 
 
@@ -338,22 +383,23 @@ def ground_state_residual(hw, dom, n_tests, seed, **grid):
                                 seed=seed, **grid)
 
 
+@group("hardy.ground_state", [
+    f"hardy.ground_state_residual.{c}" for c in ("euclidean", "lp4", "halving")])
 def check_ground_state(cfg):
     out = []
     tol = cfg.tol(GROUND_STATE_TOL)
     seed = cfg.seed + 61
     hw = _standard_weight(norms.euclidean(2.0, 3), bracket=(1e-8, 1e8))
     r_euc = ground_state_residual(hw, fields.annulus(0.1, 10.0, 3), cfg.bumps(40), seed)
-    out.append(within("hardy.ground_state_residual.euclidean", r_euc, 0.0, tol))
+    out.append(within(None, r_euc, 0.0, tol))
     hw = _standard_weight(norms.lp(4, 3.0, 2), bracket=(1e-8, 1e8))
     r_coarse, r_fine = (
         ground_state_residual(hw, fields.annulus(0.1, 10.0, 2), cfg.bumps(30), seed,
                               layout="ball", n_rho=n_rho, n_ang=2 * n_rho)
         for n_rho in (12, 24))
-    out.append(within("hardy.ground_state_residual.lp4", r_coarse, 0.0, tol))
+    out.append(within(None, r_coarse, 0.0, tol))
     # composite: the fine residual against half the coarse one
-    out.append(record("hardy.ground_state_residual.halving",
-                      r_fine <= 0.5 * r_coarse,
+    out.append(record(None, r_fine <= 0.5 * r_coarse,
                       {"coarse": r_coarse, "fine": r_fine}, "fine <= coarse/2", 0.5))
     return out
 
@@ -363,6 +409,9 @@ def check_ground_state(cfg):
 # ---------------------------------------------------------------------------
 
 
+@group("hardy.nullseq", [
+    f"hardy.nullseq_{c}.p{p:g}" for p, _ in NULLSEQ_PN
+    for c in ("energy_slope", "monotone", "bound_slope", "energy_law", "mass_slope")])
 def check_nullseq_decay(cfg):
     out = []
     kexp = cfg.kmax_exp()
@@ -374,47 +423,43 @@ def check_nullseq_decay(cfg):
         x = np.log(np.log(np.array(ns.k_list, dtype=float)))
         slope_q = float(np.polyfit(x, np.log(ns.energies), 1)[0])
         tol = cfg.tol(0.15)
-        out.append(within(f"hardy.nullseq_energy_slope.p{p:g}", slope_q,
-                          -(p - 1.0), tol))
+        out.append(within(None, slope_q, -(p - 1.0), tol))
         mono = all(e1 > e2 for e1, e2 in
                    zip(ns.energies[ns.k0:], ns.energies[ns.k0 + 1:]))
         # composite: every step of the sequence past k0
-        out.append(record(f"hardy.nullseq_monotone.p{p:g}", mono,
-                          {"k0_index": ns.k0}, "strictly decreasing", None))
+        out.append(record(None, mono, {"k0_index": ns.k0}, "strictly decreasing", None))
         slope_x = float(np.polyfit(x, np.log(ns.x_grad), 1)[0])
-        out.append(within(f"hardy.nullseq_bound_slope.p{p:g}", slope_x,
-                          -(p - 1.0), tol))
+        out.append(within(None, slope_x, -(p - 1.0), tol))
         laws = [hardy.transition_energy_law(p, cf, k) for k in ns.k_list]
         lerr = max(abs(e / l - 1.0) for e, l in zip(ns.energies, laws))
-        out.append(within(f"hardy.nullseq_energy_law.p{p:g}", lerr, 0.0,
-                          cfg.tol(1e-3)))
+        out.append(within(None, lerr, 0.0, cfg.tol(1e-3)))
         mslope = float(np.polyfit(np.log(ns.k_list), ns.masses, 1)[0])
         mlaw = hardy.weight_mass_slope_law(p, cf)
-        out.append(within_rel(f"hardy.nullseq_mass_slope.p{p:g}", mslope, mlaw,
-                              cfg.tol(0.05)))
+        out.append(within_rel(None, mslope, mlaw, cfg.tol(0.05)))
     return out
 
 
+@group("hardy.null_criticality", [
+    f"hardy.null_criticality.{kind}_{_pn(p, n)}{suffix}"
+    for kind, p, n, expect in NULL_CRITICAL
+    for suffix in (("", ".value") if expect else ("",))] + [
+    "hardy.null_criticality.capped_lower_bound"])
 def check_null_criticality(cfg):
     out = []
     tol = cfg.tol(NULL_SLOPE_TOL)
     for kind, p, n, expect in NULL_CRITICAL:
-        label = f"{kind}_{_pn(p, n)}"
         hw = _standard_weight(_family(kind, p, n))
         nc = hardy.verify_null_criticality(hw, [1e-1, 1e-2, 1e-3, 1e-4], T=1.0)
-        out.append(within_rel(f"hardy.null_criticality.{label}", nc["slope"],
-                              nc["expected_slope"], tol))
+        out.append(within_rel(None, nc["slope"], nc["expected_slope"], tol))
         if expect is not None:
-            out.append(within_rel(f"hardy.null_criticality.{label}.value",
-                                  nc["slope"], expect, tol))
+            out.append(within_rel(None, nc["slope"], expect, tol))
     hw = hardy.build_weight_zero_potential(
         norms.euclidean(3.0, 2),
         fields.synthetic_capped_profile(2.0, 10.0, a=2.0, b=0.0),
         sigma=2.0, bracket=(1e-2, 10.0 * (1.0 - 1e-10)))
     lb = hardy.capped_null_criticality_lower_bound(hw, [1e-3, 1e-4])
     # composite: lhs >= rhs at each level
-    out.append(record("hardy.null_criticality.capped_lower_bound",
-                      all(r["ok"] for r in lb),
+    out.append(record(None, all(r["ok"] for r in lb),
                       [r["lhs"] / r["rhs"] for r in lb], ">= 1", None))
     return out
 
@@ -432,6 +477,12 @@ def optimality_infima(name, infima, tol):
                   f"in [{_one_minus(low)}, {hi:g}]", None)
 
 
+@group("hardy.best_constant", [
+    f"hardy.ratio_{c}.p{p:g}" for p, _ in BEST_PN for c in ("floor", "tail", "monotone")] + [
+    "hardy.optimality_infima", "hardy.optimality_halflambda",
+    "hardy.optimality_mass_monotonicity"] + [
+    f"hardy.simplified_energy_bound.p{p:g}" for p, _ in BEST_PN] + [
+    "hardy.x_closed_form.p2"])
 def check_best_constant(cfg):
     out = []
     kexp = cfg.kmax_exp()
@@ -443,22 +494,20 @@ def check_best_constant(cfg):
         ns = hardy.null_sequence(hw, ks)
         seqs.append((hw, ns))
         # composite: the floor is stated as 1 - tol, not as a number
-        out.append(record(f"hardy.ratio_floor.p{p:g}",
-                          all(r >= 1.0 - tol_low for r in ns.ratios),
+        out.append(record(None, all(r >= 1.0 - tol_low for r in ns.ratios),
                           min(ns.ratios), f">= {_one_minus(tol_low)}", tol_low))
-        out.append(bound(f"hardy.ratio_tail.p{p:g}", ns.ratios[-1], "<=",
+        out.append(bound(None, ns.ratios[-1], "<=",
                          1.0 + cfg.tol(RATIO_TAIL), cfg.tol(RATIO_TAIL)))
         drops = np.diff(ns.ratios)
         # composite: every step of the ratio sequence
-        out.append(record(f"hardy.ratio_monotone.p{p:g}",
-                          bool(np.all(drops <= 0.05)), float(drops.max()),
+        out.append(record(None, bool(np.all(drops <= 0.05)), float(drops.max()),
                           "non-increasing within 0.05", 0.05))
     hw = _standard_weight(norms.euclidean(2.0, 3))
     probe = hardy.optimality_at_infinity_probe(
         hw, [1e-1, 1e-2], k_list=tuple(2 ** j for j in range(2, kexp + 1, 2)))
-    out.append(optimality_infima("hardy.optimality_infima", probe["infima"], cfg.tol))
+    out.append(optimality_infima(None, probe["infima"], cfg.tol))
     # np.min, unlike min, keeps a NaN energy
-    out.append(bound("hardy.optimality_halflambda",
+    out.append(bound(None,
                      float(np.min([row["halfweight_energy"] for row in probe["table"]])),
                      ">", 0))
     # monotonicity probe: within each tail level, the members capturing more
@@ -474,19 +523,18 @@ def check_best_constant(cfg):
         detail[e] = {"ratios_by_mass": ratios}
         sane = sane and mono
     # composite: ratio order against mass order at each tail level
-    out.append(record("hardy.optimality_mass_monotonicity", sane, detail,
+    out.append(record(None, sane, detail,
                       "ratio decreases with captured weight-mass", None))
     bound_rows = []
     for i, ((p, n), (hw, ns)) in enumerate(zip(BEST_PN, seqs)):
         est = bregman.verify_bounds(norms.euclidean(p, n), cfg.count(20000),
                                     seed=cfg.seed + 71 + i)
         rows = hardy.simplified_energy_bound_check(hw, ns, est.c_upper)
-        out.append(bound(f"hardy.simplified_energy_bound.p{p:g}",
-                         float(np.max([r["energy"] / r["bound"] for r in rows])),
+        out.append(bound(None, float(np.max([r["energy"] / r["bound"] for r in rows])),
                          "<=", 1))
         bound_rows.append(rows)
     xlaw_err = max(r["x_law_rel_err"] for r in bound_rows[0])
-    out.append(within("hardy.x_closed_form.p2", xlaw_err, 0.0, cfg.tol(0.02)))
+    out.append(within(None, xlaw_err, 0.0, cfg.tol(0.02)))
     return out
 
 
@@ -495,6 +543,10 @@ def check_best_constant(cfg):
 # ---------------------------------------------------------------------------
 
 
+@group("green.potentials", [
+    "green.residual.p2", "green.farfield_exponent.p2n3", "green.farfield_amplitude.p2n3",
+    "green.flux_identity.p2n3", "green.flux_bounds.p2n3"] + [
+    f"green.{c}.p{p:g}n3" for p in GREEN_PS for c in ("farfield_exponent", "flux_identity")])
 def check_green(cfg):
     out = []
     cells = cfg.cells(2048)
@@ -502,29 +554,28 @@ def check_green(cfg):
     phi = green.BumpDensity(0.5, 1.0, 1.0, 3)
     gp = green.solve_green(green.RadialProblem(p=2.0, n=3, phi=phi, R_out=100.0,
                                                n_cells=cells))
-    out.append(within("green.residual.p2", gp.residual, 0.0, 1e-8))
+    out.append(within(None, gp.residual, 0.0, 1e-8))
     beta, A, B = green.farfield_exponent(gp)
-    out.append(within("green.farfield_exponent.p2n3", beta, -1.0, tol_b))
-    out.append(within_rel("green.farfield_amplitude.p2n3", A, 1.0 / (4.0 * math.pi),
-                          cfg.tol(0.01)))
+    out.append(within(None, beta, -1.0, tol_b))
+    out.append(within_rel(None, A, 1.0 / (4.0 * math.pi), cfg.tol(0.01)))
     fb = green.flux_bound_check(gp)
-    out.append(within("green.flux_identity.p2n3", fb["worst_identity_rel_err"], 0.0,
-                      cfg.tol(0.01)))
+    out.append(within(None, fb["worst_identity_rel_err"], 0.0, cfg.tol(0.01)))
     # composite: the flux upper bound and the floor
-    out.append(record("green.flux_bounds.p2n3", fb["upper_ok"] and fb["floor_ok"],
+    out.append(record(None, fb["upper_ok"] and fb["floor_ok"],
                       {"C0": fb["C0"], "M_phi": fb["M_phi"]}, "bounds hold", None))
     for p in GREEN_PS:
         gpp = green.solve_green(green.RadialProblem(
             p=p, n=3, phi=phi, R_out=100.0 if p > 2 else 50.0, n_cells=cells))
         bet, _, _ = green.farfield_exponent(gpp)
         expect = (p - 3.0) / (p - 1.0)
-        out.append(within(f"green.farfield_exponent.p{p:g}n3", bet, expect, tol_b))
+        out.append(within(None, bet, expect, tol_b))
         fbp = green.flux_bound_check(gpp)
-        out.append(within(f"green.flux_identity.p{p:g}n3",
-                          fbp["worst_identity_rel_err"], 0.0, cfg.tol(0.01)))
+        out.append(within(None, fbp["worst_identity_rel_err"], 0.0, cfg.tol(0.01)))
     return out
 
 
+@group("hardy.green_weight", [
+    f"hardy.green_{c}" for c in ("hypotheses", "ground_state_residual", "mass_slope")])
 def check_green_weight(cfg):
     out = []
     cells = cfg.cells(4096)
@@ -537,19 +588,17 @@ def check_green_weight(cfg):
     hw = hardy.build_weight_green(fam, gp)
     hyp = hw.hypotheses
     # composite: a finite |V| integral and a nonpositive or negative-mean V
-    out.append(record("hardy.green_hypotheses",
-                      np.isfinite(hyp["abs_potential_integral"])
+    out.append(record(None, np.isfinite(hyp["abs_potential_integral"])
                       and (hyp["V_nonpositive"] or hyp["signed_potential_integral"] < 0),
                       hyp, "finite and signed", None))
     dom = fields.annulus(prob.phi.r_a / 5.0, prob.R_out / 8.0, 3)
     res = ground_state_residual(hw, dom, cfg.bumps(40), cfg.seed + 81)
-    out.append(within("hardy.green_ground_state_residual", res, 0.0,
-                      cfg.tol(GROUND_STATE_TOL)))
+    out.append(within(None, res, 0.0, cfg.tol(GROUND_STATE_TOL)))
     gmin, _ = hw.profile_range(hw.g)
     T = float(gp.profile(np.asarray([prob.phi.r_a]))[0]) * 0.5
     taus = np.geomspace(gmin * 4.0, T / 4.0, 5)
     nc = hardy.verify_null_criticality(hw, taus, T=T)
-    out.append(within_rel("hardy.green_mass_slope", nc["slope"], nc["expected_slope"],
+    out.append(within_rel(None, nc["slope"], nc["expected_slope"],
                           cfg.tol(NULL_SLOPE_TOL)))
     return out
 
@@ -559,6 +608,12 @@ def check_green_weight(cfg):
 # ---------------------------------------------------------------------------
 
 
+@group("eigen.appendix", [
+    "eigen.p2_lambda1", "eigen.p2_positive", "eigen.p2_agreement",
+    "eigen.p2_rayleigh_consistency", "eigen.p2_lambda2", "eigen.p2_gap",
+    "eigen.p3_lambda1", "eigen.p3_lambda2", "eigen.constant_shift",
+    "eigen.gap_random_battery", "eigen.convergence_shift", "eigen.convergence_rate",
+    "eigen.convergence_normalization"])
 def check_eigen(cfg):
     out = []
     N = cfg.cells(4096)
@@ -569,27 +624,26 @@ def check_eigen(cfg):
         return eigen.EigenProblem(p=p, L=1.0, V=V, N=cells, seed=cfg.seed)
 
     pr2 = eigen.principal_eigenvalue(problem(2.0, N), restarts=restarts)
-    out.append(within_rel("eigen.p2_lambda1", pr2.lam, math.pi ** 2, cfg.tol(0.005)))
-    out.append(equals("eigen.p2_positive", pr2.sign_changes, 0))
-    out.append(equals("eigen.p2_agreement", pr2.restarts_agreeing, restarts))
-    out.append(within("eigen.p2_rayleigh_consistency",
-                      abs(pr2.rayleigh / pr2.lam - 1.0), 0.0, 1e-9))
+    out.append(within_rel(None, pr2.lam, math.pi ** 2, cfg.tol(0.005)))
+    out.append(equals(None, pr2.sign_changes, 0))
+    out.append(equals(None, pr2.restarts_agreeing, restarts))
+    out.append(within(None, abs(pr2.rayleigh / pr2.lam - 1.0), 0.0, 1e-9))
     s2 = eigen.second_eigenvalue_and_gap(problem(2.0, max(512, N // 2)), restarts=4,
                                          xtol=xt)
-    out.append(within_rel("eigen.p2_lambda2", s2["lambda2"], 4 * math.pi ** 2, 0.005))
-    out.append(within_rel("eigen.p2_gap", s2["gap"], 3 * math.pi ** 2, 0.005))
+    out.append(within_rel(None, s2["lambda2"], 4 * math.pi ** 2, 0.005))
+    out.append(within_rel(None, s2["gap"], 3 * math.pi ** 2, 0.005))
     pr3 = eigen.principal_eigenvalue(problem(3.0, N), restarts=restarts)
     lam3 = 2.0 * eigen.p_sine_constant(3.0) ** 3
-    out.append(within_rel("eigen.p3_lambda1", pr3.lam, lam3, cfg.tol(1e-3)))
+    out.append(within_rel(None, pr3.lam, lam3, cfg.tol(1e-3)))
     s3 = eigen.second_eigenvalue_and_gap(problem(3.0, max(512, N // 2)), restarts=4,
                                          xtol=xt)
     lam23 = 2.0 * (2.0 * eigen.p_sine_constant(3.0)) ** 3
-    out.append(within_rel("eigen.p3_lambda2", s3["lambda2"], lam23, cfg.tol(1e-2)))
+    out.append(within_rel(None, s3["lambda2"], lam23, cfg.tol(1e-2)))
     # constant-shift identity
     pr0 = eigen.principal_eigenvalue(problem(2.0, 1024), restarts=4)
     prc = eigen.principal_eigenvalue(problem(2.0, 1024, eigen.constant_potential(2.5)),
                                      restarts=4)
-    out.append(within("eigen.constant_shift", abs(prc.lam - pr0.lam - 2.5), 0.0, 1e-8))
+    out.append(within(None, abs(prc.lam - pr0.lam - 2.5), 0.0, 1e-8))
     # isolation signature: random bounded potentials
     n_pots = 4 if cfg.quick else 20
     N_gap = (384, 768) if cfg.quick else (512, 1024)
@@ -607,23 +661,21 @@ def check_eigen(cfg):
         if not (g1["gap"] > 0.0 and stab <= stab_tol):
             bad += 1
     # composite: gap > 0 and mesh stability for each potential
-    out.append(record("eigen.gap_random_battery", bad == 0,
-                      {"violations": bad, "worst_stability": worst_stab},
+    out.append(record(None, bad == 0, {"violations": bad, "worst_stability": worst_stab},
                       "gap > 0, stable under mesh doubling", stab_tol))
     probe = eigen.eigenpair_convergence_probe(
         problem(2.0, 1024, lambda x: 1.5 * np.sin(2 * math.pi * np.asarray(x))),
         k_list=(2, 4, 8) if cfg.quick else (2, 4, 8, 16, 32), restarts=4)
     # np.max, unlike max, keeps a NaN
-    out.append(within("eigen.convergence_shift",
+    out.append(within(None,
                       float(np.max([r["shift_err"] for r in probe["shift"]])), 0.0, 1e-8))
     dists = [r["dist"] for r in probe["relative"]]
     ks = [r["k"] for r in probe["relative"]]
     fit = float(np.polyfit(np.log(ks), np.log(dists), 1)[0])
-    out.append(within("eigen.convergence_rate", fit, -1.0, 0.35))
+    out.append(within(None, fit, -1.0, 0.35))
     # the norm farthest from 1 (np.argmax picks a NaN first)
     nrm = np.array([r["norm"] for r in probe["shift"] + probe["relative"]])
-    out.append(within("eigen.convergence_normalization",
-                      float(nrm[np.argmax(np.abs(nrm - 1.0))]), 1.0, 1e-10))
+    out.append(within(None, float(nrm[np.argmax(np.abs(nrm - 1.0))]), 1.0, 1e-10))
     return out
 
 
@@ -633,6 +685,7 @@ def check_eigen(cfg):
 # ---------------------------------------------------------------------------
 
 
+@group("cli.determinism", ["cli.determinism_probe"])
 def check_determinism(cfg):
     sub = SuiteConfig(seed=cfg.seed, quick=True, threads=1)
     texts = []
@@ -640,82 +693,15 @@ def check_determinism(cfg):
         recs = check_operator_identity(sub) + check_classical_reduction(sub)
         rep = build_report("determinism-probe", {"seed": sub.seed}, recs)
         texts.append(mask_timestamp(render_json(rep)))
-    return [equals("cli.determinism_probe",
-                   "byte-identical" if texts[0] == texts[1] else "mismatch",
+    return [equals(None, "byte-identical" if texts[0] == texts[1] else "mismatch",
                    "byte-identical")]
 
 
-REGISTRY = [
-    ("norms.operator_identity", check_operator_identity),
-    ("norms.homogeneity_monotonicity", check_homogeneity_monotonicity),
-    ("norms.dual_calculus", check_dual_calculus),
-    ("bregman.bounds", check_bregman),
-    ("hardy.classical_reduction", check_classical_reduction),
-    ("fields.harmonicity", check_harmonicity),
-    ("fields.flux", check_flux),
-    ("hardy.ground_state", check_ground_state),
-    ("hardy.nullseq", check_nullseq_decay),
-    ("hardy.null_criticality", check_null_criticality),
-    ("hardy.best_constant", check_best_constant),
-    ("green.potentials", check_green),
-    ("hardy.green_weight", check_green_weight),
-    ("eigen.appendix", check_eigen),
-    ("cli.determinism", check_determinism),
-]
-
-#: record names per group, in report order, from the checks' grids (names are
-#: config independent); lets a --only filter skip whole groups and pins the
-#: report schema.  Names no grid generates are listed as they are.
-CATALOG = {
-    "norms.operator_identity": [f"norms.operator_identity.{k}" for k in ALL_KINDS],
-    "norms.homogeneity_monotonicity": [
-        f"norms.{c}.{k}" for k in ALL_KINDS for c in ("homogeneity", "monotonicity")],
-    "norms.dual_calculus": [
-        f"norms.{c}.{k}" for k in DUAL_KINDS for c in ("dual_identity", "biduality")],
-    "bregman.bounds": ["bregman.exact_p2_euclidean"] + [
-        f"bregman.{c}.{k}.p{p:g}{suffix}" for k in BREGMAN_KINDS for p in BREGMAN_PS
-        for c, suffix in (("envelopes", ""), ("stability", ".c_upper"),
-                          ("stability", ".c_lower"))],
-    "hardy.classical_reduction": [
-        f"hardy.classical_reduction.{_pn(p, n)}" for p, n in CLASSICAL_PN],
-    "fields.harmonicity": [
-        f"fields.harmonicity.{k}.{_pn(p, n)}" for p, n in HARMONIC_PN
-        for k in HARMONIC_KINDS] + ["fields.negative_control", "fields.log_dual_gate"],
-    "fields.flux": ["fields.flux_newtonian"] + [
-        f"fields.flux_constancy.{k}" for k in FLUX_KINDS],
-    "hardy.ground_state": [
-        f"hardy.ground_state_residual.{c}" for c in ("euclidean", "lp4", "halving")],
-    "hardy.nullseq": [
-        f"hardy.nullseq_{c}.p{p:g}" for p, _ in NULLSEQ_PN
-        for c in ("energy_slope", "monotone", "bound_slope", "energy_law", "mass_slope")],
-    "hardy.null_criticality": [
-        f"hardy.null_criticality.{kind}_{_pn(p, n)}{suffix}"
-        for kind, p, n, expect in NULL_CRITICAL
-        for suffix in (("", ".value") if expect else ("",))] + [
-        "hardy.null_criticality.capped_lower_bound"],
-    "hardy.best_constant": [
-        f"hardy.ratio_{c}.p{p:g}" for p, _ in BEST_PN
-        for c in ("floor", "tail", "monotone")] + [
-        "hardy.optimality_infima", "hardy.optimality_halflambda",
-        "hardy.optimality_mass_monotonicity"] + [
-        f"hardy.simplified_energy_bound.p{p:g}" for p, _ in BEST_PN] + [
-        "hardy.x_closed_form.p2"],
-    "green.potentials": [
-        "green.residual.p2", "green.farfield_exponent.p2n3",
-        "green.farfield_amplitude.p2n3", "green.flux_identity.p2n3",
-        "green.flux_bounds.p2n3"] + [
-        f"green.{c}.p{p:g}n3" for p in GREEN_PS
-        for c in ("farfield_exponent", "flux_identity")],
-    "hardy.green_weight": [
-        f"hardy.green_{c}" for c in ("hypotheses", "ground_state_residual", "mass_slope")],
-    "eigen.appendix": [
-        "eigen.p2_lambda1", "eigen.p2_positive", "eigen.p2_agreement",
-        "eigen.p2_rayleigh_consistency", "eigen.p2_lambda2", "eigen.p2_gap",
-        "eigen.p3_lambda1", "eigen.p3_lambda2", "eigen.constant_shift",
-        "eigen.gap_random_battery", "eigen.convergence_shift",
-        "eigen.convergence_rate", "eigen.convergence_normalization"],
-    "cli.determinism": ["cli.determinism_probe"],
-}
+#: (group, run) pairs in report order; run_battery reads it when it is called
+REGISTRY = [(g.name, g) for g in GROUPS]
+#: record names per group, in report order; lets a --only filter skip whole
+#: groups and pins the report schema
+CATALOG = {g.name: g.records for g in GROUPS}
 
 
 def run_battery(cfg, only=None):
@@ -751,7 +737,7 @@ def run_battery(cfg, only=None):
             results = list(pool.map(run_one, groups))
     else:
         results = [run_one(g) for g in groups]
-    records = [r for group in results for r in group]
+    records = [r for recs in results for r in recs]
     if pattern:
         errors = {f"{name}.error" for name, _ in groups}
         records = [r for r in records if r.name in errors or pattern.search(r.name)]

@@ -527,11 +527,13 @@ def optimality_at_infinity_probe(hw, eps_list, k_list):
     """
     p = hw.p
     vmin, vmax = hw.profile_range(hw.v)
+    span = f"the ground-state range ({vmin:.3g}, {vmax:.3g})"
     table = []
     for eps in eps_list:
         if not vmin < eps * 0.999:
-            raise RangeError(f"tail level {eps} is not above {vmin:.3g}, the floor of "
-                             f"the ground-state range ({vmin:.3g}, {vmax:.3g})")
+            raise RangeError(f"tail level {eps} is not above {vmin:.3g}, the floor of {span}")
+        if not eps * 0.9999999 < vmax:
+            raise RangeError(f"tail level {eps} is not below {vmax:.3g}, the top of {span}")
         for k in k_list:
             scale = k ** 2 / eps
             lo_t = max(vmin * 1.000001, eps / k ** 4)

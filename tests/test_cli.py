@@ -186,10 +186,12 @@ def test_null_seq_config_names_every_option_of_the_run(tmp_path):
                    "k = 16, 32, 64, 128, 256, 512, 1024, 2048, 4096"),
     (["verify-optimality"], "tail level 0.01 is not above 0.0291, the floor of the "
                             "ground-state range (0.0291, 0.331)"),
-], ids=["null-seq", "verify-optimality"])
+    (["verify-optimality", "--eps", "0.5"], "tail level 0.5 is not below 0.331, the top "
+                                            "of the ground-state range (0.0291, 0.331)"),
+], ids=["null-seq", "verify-optimality", "verify-optimality-eps-above"])
 def test_green_example_range_failures_state_their_cause(argv, message, capsys):
     # the example's ground state spans (0.0291, 0.331): --kmin 2 --kmax 4 and
-    # --eps 0.1 run, the defaults do not
+    # --eps 0.1 run, the defaults and --eps 0.5 do not
     assert run_main(argv + ["--field", f"green:{GREEN_EXAMPLE}", "--p", "2"]) == 2
     assert capsys.readouterr().err == f"configuration error: {message}\n"
 
@@ -294,6 +296,42 @@ def test_suite_only_keeps_crashed_group(tmp_path, monkeypatch):
     rep = json.loads(out.read_text())
     assert [c["name"] for c in rep["checks"]] == ["norms.dual_calculus.error"]
     assert rep["checks"][0]["status"] == "fail"
+
+
+@pytest.mark.parametrize("miscount", [lambda recs: recs + recs[:1], lambda recs: recs[:-1]],
+                         ids=["one_too_many", "one_too_few"])
+def test_suite_wrong_record_count_is_one_error_record(tmp_path, monkeypatch, miscount):
+    group = acceptance.check_dual_calculus
+    check = group.check
+    monkeypatch.setattr(group, "check", lambda cfg: miscount(check(cfg)))
+    out = tmp_path / "s.json"
+    code = run_main(["suite", "--quick", "--only", r"norms\.dual_identity\.mix",
+                     "--seed", "7", "--out", str(out)])
+    assert code == 1
+    (rec,) = json.loads(out.read_text())["checks"]
+    assert (rec["name"], rec["status"]) == ("norms.dual_calculus.error", "fail")
+    assert rec["measured"] == (f"ValueError: check returned "
+                               f"{len(miscount(group.records))} records for the "
+                               f"{len(group.records)} names of its group")
+
+
+def test_suite_only_skips_unmatched_groups(tmp_path, monkeypatch):
+    ran = []
+
+    def counted(name, fn):
+        def run(cfg):
+            ran.append(name)
+            return fn(cfg)
+        return run
+
+    monkeypatch.setattr(acceptance, "REGISTRY", [
+        (name, counted(name, fn)) for name, fn in acceptance.REGISTRY])
+    out = tmp_path / "s.json"
+    assert run_main(["suite", "--quick", "--only", r"norms\.operator_identity",
+                     "--seed", "7", "--out", str(out)]) == 0
+    assert ran == ["norms.operator_identity"]
+    assert [c["name"] for c in json.loads(out.read_text())["checks"]] == \
+        acceptance.CATALOG["norms.operator_identity"]
 
 
 def test_suite_only_matching_nothing_is_usage_error(tmp_path):

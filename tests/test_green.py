@@ -226,16 +226,19 @@ def test_farfield_fit_is_no_worse_than_scipys_bounded_minimum(p, R):
     assert _lstsq_residual(rr, uu, beta) <= _lstsq_residual(rr, uu, opt.x)
 
 
-def test_p_equal_n_farfield_reports_the_scan_grid_beta(tmp_path):
+def test_p_equal_n_green_payload_omits_the_farfield_fit(tmp_path, monkeypatch):
     # the far field is logarithmic: x = r^beta - mean vanishes at beta = 0, the
-    # fit degenerates there and no interior beta is meaningful
+    # fit degenerates there and would report a point of its scan grid, so the
+    # command neither fits nor reports beta, amplitude or offset
     problem = tmp_path / "pn.json"
     problem.write_text(json.dumps({"p": 3.0, "n": 3, "phi": {"r_a": 0.5, "r_b": 1.0},
                                    "R_out": 100.0, "mesh": 512}))
+    monkeypatch.setattr(green, "farfield_exponent", None)
     out = tmp_path / "green.json"
     assert cli.main(["green", "--problem", str(problem), "--out", str(out)]) == 0
-    beta = json.loads(out.read_text())["payload"]["beta"]
-    assert beta == _lstsq_scan(green.solve_green(green.load_problem(str(problem))))[0]
+    rep = json.loads(out.read_text())
+    assert [c["name"] for c in rep["checks"]] == ["residual", "flux_identity"]
+    assert set(rep["payload"]) == {"C0", "M_phi"}
 
 
 def _nan_in_far_field(gp):

@@ -72,16 +72,16 @@ def test_only_composite_checks_use_the_bare_record():
                           for c in ast.walk(fn) if isinstance(c, ast.Call)
                           and getattr(c.func, "id", None) == "record"]
     assert sorted(calls) == [
-        'acceptance.check_best_constant: "hardy.optimality_mass_monotonicity"',
-        'acceptance.check_best_constant: f"hardy.ratio_floor.p{p:g}"',
-        'acceptance.check_best_constant: f"hardy.ratio_monotone.p{p:g}"',
-        'acceptance.check_bregman: f"bregman.envelopes.{plabel}"',
-        'acceptance.check_eigen: "eigen.gap_random_battery"',
-        'acceptance.check_green: "green.flux_bounds.p2n3"',
-        'acceptance.check_green_weight: "hardy.green_hypotheses"',
-        'acceptance.check_ground_state: "hardy.ground_state_residual.halving"',
-        'acceptance.check_null_criticality: "hardy.null_criticality.capped_lower_bound"',
-        'acceptance.check_nullseq_decay: f"hardy.nullseq_monotone.p{p:g}"',
+        # suite checks leave the name to their group: their composites are
+        # pinned by name in test_acceptance.COMPOSITE
+        *['acceptance.check_best_constant: None'] * 3,
+        'acceptance.check_bregman: None',
+        'acceptance.check_eigen: None',
+        'acceptance.check_green: None',
+        'acceptance.check_green_weight: None',
+        'acceptance.check_ground_state: None',
+        'acceptance.check_null_criticality: None',
+        'acceptance.check_nullseq_decay: None',
         'acceptance.optimality_infima: name',
         'cli.cmd_null_seq: "energies_decreasing"',
         'cli.cmd_verify_bregman: "c_upper_finite"',
