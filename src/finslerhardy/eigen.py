@@ -21,17 +21,23 @@ polished by a bordered Newton solve of the Euler-Lagrange system
 
 under the normalization ||v||_p = 1, with tridiagonal LAPACK ``dgtsv`` solves
 (all three routines from ``lapack.py``).  The descent only brings each restart
-into the principal mode's basin: it hands over to Newton after a fixed
-budget of ``DESCENT_STEPS`` = 40 steps (or earlier, at a stationary
-point), and Newton finishes from there in a few steps, as in
-descent-then-Newton solvers for the p-Laplacian (Biezuner, Ercole and
-Martins 2009).  Newton (``newton.damped_newton``) stops when the weak
-residual and the normalization defect are both below its tolerance, or at
-their round-off floor: there no line-search trial decreases the residual,
-so a search tries at most 20 steps (2 once the residual is below 100 times
-the tolerance), and when all fail Newton stops without a step.  A hand-over
-outside the basin is not hidden: the solvers raise ``SolverError`` when
-Newton's weak residual ends above 1e-7 or is NaN.
+into the principal mode's basin, as in descent-then-Newton solvers for the
+p-Laplacian (Biezuner, Ercole and Martins 2009): it hands over to Newton
+after ``HANDOVER_STEPS`` = 10 steps (or earlier, at a stationary point), and
+Newton finishes from there in a few steps.  The polished pair is accepted
+when its residual is at most 1e-7 and every nodal value is positive (the
+principal eigenfunction is the only one that does not change sign);
+otherwise the descent resumes from where it paused, up to ``DESCENT_STEPS``
+= 40 steps in all, and Newton polishes again.  Newton
+(``newton.damped_newton``) stops when the weak residual and the
+normalization defect are both below its tolerance, or at their round-off
+floor: there no line-search trial decreases the norm of the whole bordered
+residual, so a search tries at most 20 steps (2 once the residual is below
+100 times the tolerance), and when all fail Newton stops without a step; a
+normalization defect left at the floor is removed by scaling v, which moves
+neither lambda nor the relative residual.  A hand-over outside the basin is
+not hidden: the solvers raise ``SolverError`` when Newton's weak residual
+ends above 1e-7 or is NaN.
 The second eigenvalue is located by equalizing the two nodal-domain
 principal eigenvalues over the interior zero position (the second
 eigenfunction has exactly one interior zero), which is derivative-free and
@@ -39,11 +45,10 @@ deflation-free.  Neighbouring zero positions have nearly the same nodal
 eigenfunctions, so each nodal domain is warm-started: the first left and
 right halves from the principal eigenfunction of the whole domain, each
 later half from the last solved half on the same side, mapped affinely onto
-the new subdomain.  Newton alone polishes the warm start, and its result is
-accepted only when its residual is at most 1e-7 and every nodal value is
-positive (the principal eigenfunction is the only one that does not change
-sign); otherwise that half is solved again from cold restarts, and the
-fallback is counted.
+the new subdomain.  Newton alone polishes the warm start, under the same
+gate as a restart's hand-over; a rejected start gets the restarts' 10
+descent steps and a second polish, and only when that fails too is the half
+solved again from cold restarts, and the fallback counted.
 """
 
 from __future__ import annotations
@@ -243,27 +248,31 @@ class _Disc:
         return off, main + dpot + 1e-300, off
 
 
-#: descent steps before the hand-over to ``_newton_polish``.  Once in the
-#: basin, further descent steps only crawl down an ill-conditioned tail that
-#: Newton crosses in a few steps.  Over 18 seeds, N = 128 and 1024, p = 1.5,
-#: 3, 4 on the interval and p = 1.5, 2.5 on the n = 3 ball, every restart
-#: converged from 10 steps on, while 5 steps left p = 1.5 ball restarts
-#: outside the basin (Newton's gate raised); 40 keeps a fourfold margin.
+#: descent steps before the first hand-over to ``_newton_polish``.  Once in
+#: the basin, further descent steps only crawl down an ill-conditioned tail
+#: that Newton crosses in a few steps.  Over 18 seeds, N = 128 and 1024,
+#: p = 1.5, 3, 4 on the interval and p = 1.5, 2.5 on the n = 3 ball, every
+#: restart converged from 10 steps on, while 5 steps left p = 1.5 ball
+#: restarts outside the basin (Newton's gate raised).
+HANDOVER_STEPS = 10
+#: the whole descent budget of a restart.  A first hand-over that
+#: ``_accepted`` rejects resumes its descent up to this many steps and is
+#: polished again: a fourfold margin over ``HANDOVER_STEPS``.
 DESCENT_STEPS = 40
 
 
-def _pg_minimize(disc, v):
+def _pg_minimize(disc, v, lam, tau, steps):
     """Preconditioned projected gradient with Armijo backtracking.
 
-    Runs at most ``DESCENT_STEPS`` (40) steps, stopping early at a stationary
-    point (preconditioned gradient norm below 1e-11) or when the line
-    search finds no decrease.  Its result is a start for ``_newton_polish``,
-    not an eigenpair: Newton's residual gate is what accepts or rejects it.
+    Takes at most ``steps`` steps from the normalized v with lam = R[v] and
+    first trial step tau, stopping early at a stationary point
+    (preconditioned gradient norm below 1e-11) or when the line search finds
+    no decrease.  Returns (v, lambda, tau, stopped); a descent that has not
+    stopped resumes from (v, lambda, tau) exactly as if it had never paused.
+    Its result is a start for ``_newton_polish``, not an eigenpair:
+    ``_accepted`` is what accepts or rejects the polished pair.
     """
-    v = disc.normalize(v)
-    lam = disc.rayleigh(v)
-    tau = 1.0
-    for _ in range(DESCENT_STEPS):
+    for _ in range(steps):
         grad = disc.gradient(v, lam)
         pg = disc.precondition(grad)
         gn = abs(float(grad @ pg)) / (abs(lam) + 1.0)
@@ -271,20 +280,18 @@ def _pg_minimize(disc, v):
             raise SolverError("preconditioned gradient norm is not finite",
                               residual=gn)
         if gn < 1e-11:
-            break
-        improved = False
+            return v, lam, tau, True
         for _ in range(30):
             trial = disc.normalize(v - tau * pg)
             lam_t = disc.rayleigh(trial)
             if lam_t < lam - 1e-4 * tau * gn:
                 v, lam = trial, lam_t
-                improved = True
                 tau = min(tau * 2.0, 1e3)
                 break
             tau *= 0.5
-        if not improved:
-            break
-    return v, lam
+        else:
+            return v, lam, tau, True
+    return v, lam, tau, False
 
 
 def _newton_polish(disc, v, lam):
@@ -292,18 +299,21 @@ def _newton_polish(disc, v, lam):
 
     Runs ``newton.damped_newton`` on x = (v, lambda), for at most 60 steps.
     Its tolerance test (1e-13) is on the relative weak residual and the
-    normalization defect together, its Armijo test on the unscaled residual
-    norm.  It ends at the tolerance, or at the round-off floor: a line
-    search there tries at most 20 steps (2 below 1e-11) and, when all fail,
-    ends the solve without a step, where 30 halvings used to apply a step of
-    2**-30 that changed nothing.  Returns (v, lambda, residual, stats).
+    normalization defect g together; its Armijo merit is the norm of the
+    whole bordered residual (r, g) that the step solves for (a merit of r
+    alone stopped on the floor with g far above the tolerance).  It ends at
+    the tolerance, or at the round-off floor: a line search there tries at
+    most 20 steps (2 below 1e-11) and, when all fail, ends the solve without
+    a step.  A normalization defect still above the
+    tolerance at the exit is removed by scaling v onto ||v||_p = 1, and the
+    residual is evaluated again there.  Returns (v, lambda, residual, stats).
     """
     p = disc.p
 
     def evaluate(x):
         r, rn, rnorm, psi_v = disc.weak_residual(x[:-1], x[-1])
         gres = float(np.add.reduce(disc.mass * np.abs(x[:-1]) ** p)) - 1.0
-        return max(rnorm, abs(gres)), rn, (r, rnorm, gres, psi_v)
+        return max(rnorm, abs(gres)), math.hypot(rn, gres), (r, rnorm, gres, psi_v)
 
     def direction(x, state):
         r, _, gres, psi_v = state
@@ -321,9 +331,16 @@ def _newton_polish(disc, v, lam):
         dlam = (c @ z1 - gres) / denom
         return np.append(z1 - dlam * z2, dlam)
 
-    x, _, (_, rnorm, _, _), stats = damped_newton(evaluate, direction, np.append(v, lam),
-                                                  1e-13, 60)
-    return x[:-1], float(x[-1]), rnorm, stats
+    tol = 1e-13
+    x, _, (_, rnorm, gres, _), stats = damped_newton(evaluate, direction, np.append(v, lam),
+                                                     tol, 60)
+    v, lam = x[:-1], float(x[-1])
+    if not abs(gres) < tol:
+        # at fixed lambda the relative residual is 0-homogeneous in v, so
+        # scaling v onto ||v||_p = 1 removes a defect no step at the floor can
+        v = disc.normalize(v)
+        rnorm = disc.weak_residual(v, lam)[2]
+    return v, lam, rnorm, stats
 
 
 def _count_sign_changes(v):
@@ -336,10 +353,30 @@ def _disc_for(ep):
                  left_dirichlet=(ep.geometry == "interval"))
 
 
+def _accepted(run):
+    """The gate on a polished run (v, lambda, residual, stats): Newton's
+    residual at most 1e-7 (a NaN fails) and every nodal value positive.
+    The principal eigenfunction is the only one that keeps one sign, so a
+    run that passes is the principal pair."""
+    v, _, rnorm, _ = run
+    return rnorm <= 1e-7 and bool(np.all(v > 0.0))
+
+
+def _hand_over(disc, v):
+    """``HANDOVER_STEPS`` descent steps from v, then Newton: the polished run
+    and the descent's state (v, lambda, tau, stopped)."""
+    v = disc.normalize(v)
+    descent = _pg_minimize(disc, v, disc.rayleigh(v), 1.0, HANDOVER_STEPS)
+    return _newton_polish(disc, descent[0], descent[1]), descent
+
+
 def _restarts(disc, seed, restarts):
     """(v, lambda, residual, stats) of each restart on disc: the first mode, then
-    smoothed random starts, each minimized and Newton-polished.  Restarts
-    that end on a NaN lambda are dropped; ``SolverError`` if all do."""
+    smoothed random starts, each minimized and Newton-polished.  A first
+    hand-over that ``_accepted`` rejects resumes its descent up to
+    ``DESCENT_STEPS`` and is polished again, and that run stands; a descent
+    that stopped early has no more steps to give, so its run stands at once.
+    Restarts that end on a NaN lambda are dropped; ``SolverError`` if all do."""
     rng = Generator(Philox(key=np.uint64(seed)))
     a, b = disc.x[0], disc.x[-1]
     xs = disc.x[1 if disc.left_dirichlet else 0:-1]
@@ -351,8 +388,11 @@ def _restarts(disc, seed, restarts):
         else:
             v0 = np.abs(rng.standard_normal(disc.n_unknown))
             v0 = np.convolve(v0, np.ones(9) / 9.0, mode="same") + 0.05
-        v, lam = _pg_minimize(disc, v0)
-        runs.append(_newton_polish(disc, v, lam))
+        run, (v, lam, tau, stopped) = _hand_over(disc, v0)
+        if not (stopped or _accepted(run)):
+            v, lam, _, _ = _pg_minimize(disc, v, lam, tau, DESCENT_STEPS - HANDOVER_STEPS)
+            run = _newton_polish(disc, v, lam)
+        runs.append(run)
     runs = [run for run in runs if not math.isnan(run[1])]
     if not runs:
         raise SolverError(f"every one of {restarts} eigen restarts ended on a NaN")
@@ -396,8 +436,9 @@ def _principal_on(a, b, ep, restarts, start=None):
     parent geometry weight; the left end keeps the natural center
     condition only when it is the true center of a ball (a = 0).  With a
     ``start`` profile (``_profile``), Newton alone polishes it, mapped
-    affinely onto (a, b); the result stands when its residual is at most
-    1e-7 and every nodal value is positive.  Otherwise, or without a start,
+    affinely onto (a, b), and the result stands when ``_accepted`` passes
+    it; when it does not, ``_hand_over`` descends from the same start and
+    polishes again, under the same gate.  Otherwise, or without a start,
     the cold restarts solve it.  Returns (v, lambda, residual, disc,
     cold_fallbacks), the last 1 when a start was tried and rejected.
     """
@@ -409,8 +450,11 @@ def _principal_on(a, b, ep, restarts, start=None):
     if start is not None:
         xs = x[1 if left_dir else 0:-1]
         v0 = disc.normalize(np.interp((xs - a) / (b - a), *start))
-        v, lam, rnorm, _ = _newton_polish(disc, v0, disc.rayleigh(v0))
-        if rnorm <= 1e-7 and np.all(v > 0.0):
+        run = _newton_polish(disc, v0, disc.rayleigh(v0))
+        if not _accepted(run):
+            run = _hand_over(disc, v0)[0]
+        if _accepted(run):
+            v, lam, rnorm, _ = run
             return v, lam, rnorm, disc, 0
     v, lam, rnorm, _ = min(_restarts(disc, ep.seed + 1, restarts), key=lambda run: run[1])
     return v, lam, rnorm, disc, int(start is not None)

@@ -212,33 +212,48 @@ def test_criterion_14_p2_records_match_the_tridiagonal_oracle(battery):
     assert abs(measured["eigen.p2_gap"] / (mu2 - mu1) - 1.0) <= 2e-11
 
 
-def test_gap_battery_matches_the_tridiagonal_oracle(quick_battery):
-    # the quick gap battery's 4 potentials (same generator as check_eigen),
-    # each second solve against the exact eigenvalues of its own discrete
-    # problem.  Measured at seed 7: lambda2 at most 5.9e-7 relative off (the
-    # zero is only located to xtol = 3e-4) and the inner lambda1 1.5e-11;
-    # each bound is under twice that
+def _gap_battery(n_pots, cells, xtol, lam2_tol, lam1_tol):
+    """check_eigen's random-potential gap battery at seed 7 (same generator),
+    each second solve against the exact eigenvalues of its own discrete
+    problem; returns the worst mesh-doubling stability of the solves and of
+    the oracle's gaps."""
     rng = np.random.Generator(np.random.Philox(key=np.uint64(7 + 91)))
-    gaps = []
-    for _ in range(4):
-        c = rng.uniform(-3.0, 3.0, 4)
-
-        def V(x, c=c):
-            x = np.asarray(x, dtype=float)
-            return sum(ci * np.cos((i + 1) * math.pi * x) for i, ci in enumerate(c))
-
-        pair = []
-        for cells in (384, 768):
-            ep = eigen.EigenProblem(p=2.0, L=1.0, V=V, N=cells, seed=7)
-            s2 = eigen.second_eigenvalue_and_gap(ep, restarts=2, xtol=3e-4)
+    gaps, exact = [], []
+    for _ in range(n_pots):
+        V = eigen.cosine_potential(rng.uniform(-3.0, 3.0, 4), 1.0)
+        pair, mus = [], []
+        for N in cells:
+            ep = eigen.EigenProblem(p=2.0, L=1.0, V=V, N=N, seed=7)
+            s2 = eigen.second_eigenvalue_and_gap(ep, restarts=2, xtol=xtol)
             mu1, mu2 = oracles.p2_tridiagonal_eigenvalues(eigen._disc_for(ep), k=2)
-            assert abs(s2["lambda2"] / mu2 - 1.0) <= 1.1e-6
-            assert abs(s2["lambda1"] / mu1 - 1.0) <= 3e-11
+            assert abs(s2["lambda2"] / mu2 - 1.0) <= lam2_tol
+            assert abs(s2["lambda1"] / mu1 - 1.0) <= lam1_tol
             pair.append(s2["gap"])
+            mus.append(mu2 - mu1)
         gaps.append(abs(pair[0] / pair[1] - 1.0))
+        exact.append(abs(mus[0] / mus[1] - 1.0))
+    return max(gaps), max(exact)
+
+
+def test_gap_battery_matches_the_tridiagonal_oracle(quick_battery):
+    # the quick gap battery's 4 potentials.  Measured at seed 7: lambda2 at
+    # most 5.9e-7 relative off (the zero is only located to xtol = 3e-4) and
+    # the inner lambda1 1.5e-11; each bound is under twice that
+    worst, _ = _gap_battery(4, (384, 768), 3e-4, 1.1e-6, 3e-11)
     # the same potentials and solves as the record
     (rec,) = [r for r in quick_battery if r.name == "eigen.gap_random_battery"]
-    assert max(gaps) == rec.measured["worst_stability"]
+    assert worst == rec.measured["worst_stability"]
+
+
+def test_full_gap_battery_matches_the_tridiagonal_oracle(battery):
+    # the full-grid gap battery's 20 potentials.  Measured at seed 7: lambda2
+    # at most 9.1e-8 relative off (xtol = 1e-6), the inner lambda1 4.0e-11,
+    # and the record's worst stability 5.2e-10 from the oracle's; each bound
+    # is under twice that
+    worst, exact = _gap_battery(20, (512, 1024), 1e-6, 1.8e-7, 8e-11)
+    (rec,) = [r for r in battery["eigen.appendix"] if r.name == "eigen.gap_random_battery"]
+    assert worst == rec.measured["worst_stability"]
+    assert abs(worst - exact) <= 1e-9
 
 
 def test_criterion_14_shooting_oracle_cross_check():

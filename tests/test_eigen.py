@@ -148,35 +148,86 @@ def _p3_problem():
     return eigen.EigenProblem(p=3.0, L=1.0, N=128, seed=0)
 
 
-def test_p3_values_are_pinned_bit_for_bit():
-    # the Newton stop rule, the reuse of brentq's nodal-domain solves and
-    # their warm starts exist to save work; none may move a bit of these values
+def _p3_values():
     pr = eigen.principal_eigenvalue(_p3_problem(), restarts=2)
     s2 = eigen.second_eigenvalue_and_gap(_p3_problem(), restarts=2)
-    assert pr.lam.hex() == "0x1.c493c4dc55591p+4"
-    assert s2["lambda2"].hex() == "0x1.c471a88441801p+7"
-    assert s2["gap"].hex() == "0x1.8bdf2fe8b6d4fp+7"
-    assert s2["zero"].hex() == "0x1.ffffffffffd89p-2"
+    return [pr.lam.hex(), s2["lambda2"].hex(), s2["gap"].hex(), s2["zero"].hex()]
+
+
+def test_p3_values_are_pinned_bit_for_bit():
+    # the Newton stop rule, the reuse of brentq's nodal-domain solves, their
+    # warm starts and the early hand-over exist to save work; none may move a
+    # bit of these values
+    assert _p3_values() == ["0x1.c493c4dc55591p+4", "0x1.c471a88441801p+7",
+                            "0x1.8bdf2fe8b6d4fp+7", "0x1.ffffffffffd89p-2"]
 
 
 def _cosine(x):
     return 5.0 * np.cos(2.0 * math.pi * np.asarray(x, dtype=float))
 
 
-def test_other_branches_are_pinned_bit_for_bit():
+def _other_values():
     # the branches the p = 3 pins do not reach: the natural centre condition
     # of the ball, a potential, and p < 2 in the second solve
     ball = eigen.principal_eigenvalue(
         eigen.EigenProblem(p=2.5, L=1.0, N=128, seed=0, geometry="ball", n=3),
         restarts=2)
-    assert ball.lam.hex() == "0x1.c3812cd53304fp+3"
     cos = eigen.principal_eigenvalue(
         eigen.EigenProblem(p=3.0, L=1.0, N=128, seed=0, V=_cosine), restarts=2)
-    assert cos.lam.hex() == "0x1.8e7e0200ddee6p+4"
     s2 = eigen.second_eigenvalue_and_gap(
         eigen.EigenProblem(p=1.5, L=1.0, N=128, seed=0), restarts=2)
-    assert s2["lambda2"].hex() == "0x1.e1524aa9c0084p+3"
-    assert s2["zero"].hex() == "0x1.ffffffffffe78p-2"
+    return [ball.lam.hex(), cos.lam.hex(), s2["lambda2"].hex(), s2["zero"].hex()]
+
+
+def test_other_branches_are_pinned_bit_for_bit():
+    # the cosine lambda1 is 1 ulp below its value after a 40-step descent
+    # (...ee6p+4): Newton takes its restarts after 10 steps, from other
+    # starts, and ends 1 ulp away at the same round-off floor
+    assert _other_values() == ["0x1.c3812cd53304fp+3", "0x1.8e7e0200ddee5p+4",
+                               "0x1.e1524aa9c0084p+3", "0x1.ffffffffffe78p-2"]
+
+
+def _flag_restarts(monkeypatch):
+    """A list that is non-empty while ``eigen._restarts`` runs: what the cold
+    restarts do, as against a nodal domain's warm start."""
+    restarts, inside = eigen._restarts, []
+
+    def flagged(*args, **kw):
+        inside.append(1)
+        try:
+            return restarts(*args, **kw)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(eigen, "_restarts", flagged)
+    return inside
+
+
+def _reject_first_hand_overs(monkeypatch):
+    """Make the gate reject the first hand-over of every restart, so that each
+    restart resumes its descent to ``DESCENT_STEPS``; returns the rejections."""
+    inside, accepted, rejected = _flag_restarts(monkeypatch), eigen._accepted, []
+
+    def gate(run):
+        if inside:
+            rejected.append(1)
+            return False
+        return accepted(run)
+
+    monkeypatch.setattr(eigen, "_accepted", gate)
+    return rejected
+
+
+def test_rejected_hand_overs_give_the_whole_descent_bit_for_bit(monkeypatch):
+    # a rejected first hand-over resumes the descent from its own state, so
+    # every value is the one of a single 40-step descent, bit for bit: the
+    # pins above, with the cosine lambda1 at its 40-step value
+    rejected = _reject_first_hand_overs(monkeypatch)
+    assert _p3_values() == ["0x1.c493c4dc55591p+4", "0x1.c471a88441801p+7",
+                            "0x1.8bdf2fe8b6d4fp+7", "0x1.ffffffffffd89p-2"]
+    assert _other_values() == ["0x1.c3812cd53304fp+3", "0x1.8e7e0200ddee6p+4",
+                               "0x1.e1524aa9c0084p+3", "0x1.ffffffffffe78p-2"]
+    assert rejected
 
 
 def test_principal_solve_stops_at_the_residual_floor(monkeypatch):
@@ -208,19 +259,47 @@ def test_principal_solve_stops_at_the_residual_floor(monkeypatch):
     assert pr.newton.exit in ("tol", "floor")
 
 
+DESCENT_SEEDS = (0, 1, 7, 1183103791)
+
+
 @pytest.mark.parametrize("p, geometry", [(1.5, "interval"), (3.0, "interval"),
                                          (4.0, "interval"), (1.5, "ball"),
                                          (2.5, "ball")])
 def test_descent_budget_hands_every_restart_to_the_principal_mode(p, geometry):
-    # the descent stops after DESCENT_STEPS steps; every random restart must
-    # still reach the principal mode, not stop on a higher one
-    for seed in (0, 1, 7, 1183103791):
+    # the descent hands over after HANDOVER_STEPS steps, or DESCENT_STEPS when
+    # the gate rejects; every random restart must still reach the principal
+    # mode, not stop on a higher one
+    for seed in DESCENT_SEEDS:
         pr = eigen.principal_eigenvalue(
             eigen.EigenProblem(p=p, L=1.0, N=128, seed=seed, geometry=geometry,
                                n=3), restarts=4)
         assert pr.restarts_agreeing == 4, seed
         assert pr.sign_changes == 0, seed
         assert pr.residual <= 1e-7, seed
+
+
+def test_every_restart_passes_its_first_hand_over(monkeypatch):
+    # the eigen_sweep benchmark's cases: after HANDOVER_STEPS descent steps
+    # Newton already lands on the principal pair, so no descent resumes
+    steps = []
+    pg_minimize = eigen._pg_minimize
+
+    def recorded(disc, v, lam, tau, n):
+        steps.append(n)
+        return pg_minimize(disc, v, lam, tau, n)
+
+    monkeypatch.setattr(eigen, "_pg_minimize", recorded)
+    for seed in DESCENT_SEEDS:
+        for p in (1.5, 3.0, 4.0):
+            ep = eigen.EigenProblem(p=p, N=128, seed=seed)
+            eigen.principal_eigenvalue(ep, restarts=2)
+            assert eigen.second_eigenvalue_and_gap(ep, restarts=2)["cold_fallbacks"] == 0
+        for p in (1.5, 2.5):
+            eigen.principal_eigenvalue(
+                eigen.EigenProblem(p=p, N=128, seed=seed, geometry="ball", n=3), restarts=2)
+        eigen.principal_eigenvalue(eigen.EigenProblem(p=3.0, N=128, seed=seed, V=_cosine),
+                                   restarts=2)
+    assert steps and set(steps) == {eigen.HANDOVER_STEPS}
 
 
 def test_second_solves_each_nodal_domain_once(monkeypatch):
@@ -319,16 +398,17 @@ def test_principal_pair_of_the_caller_is_lambda1(monkeypatch):
                           (3.0, 128, "interval", None, 0),
                           (4.0, 128, "interval", None, 0),
                           (1.5, 256, "ball", None, 0),
-                          (4.0, 256, "interval", _cosine, 1)])
+                          (4.0, 256, "interval", _cosine, 0)])
 def test_second_counts_its_cold_fallbacks(p, N, geometry, V, fallbacks, monkeypatch):
     # the eigen_sweep interval cases need none, nor does the ball, whose
     # first right half starts from a profile that is nonzero at its
     # Dirichlet end; at p = 4 with the cosine potential, Newton from the
     # principal eigenfunction mapped onto the right half (0.05, 1) stalls at
-    # a residual of 2e-2, and that half falls back to the cold restarts
+    # a residual of 2e-2, and the descent from that same start rescues it
     ep = eigen.EigenProblem(p=p, L=1.0, N=N, seed=7, geometry=geometry, n=3, V=V)
-    fell_back = []
-    principal_on = eigen._principal_on
+    fell_back, descended = [], []
+    principal_on, hand_over = eigen._principal_on, eigen._hand_over
+    inside = _flag_restarts(monkeypatch)
 
     def recorded(a, b, ep, **kw):
         out = principal_on(a, b, ep, **kw)
@@ -336,11 +416,16 @@ def test_second_counts_its_cold_fallbacks(p, N, geometry, V, fallbacks, monkeypa
             fell_back.append((a, b))
         return out
 
+    def warm(disc, v):
+        if not inside:
+            descended.append((float(disc.x[0]), float(disc.x[-1])))
+        return hand_over(disc, v)
+
     monkeypatch.setattr(eigen, "_principal_on", recorded)
+    monkeypatch.setattr(eigen, "_hand_over", warm)
     s2 = eigen.second_eigenvalue_and_gap(ep, restarts=2)
     assert s2["cold_fallbacks"] == fallbacks == len(fell_back)
-    if fallbacks:
-        assert fell_back == [(0.05, 1.0)]
+    assert descended == ([(0.05, 1.0)] if V is not None else [])
 
 
 @pytest.mark.parametrize("reject", ["residual", "sign"])
@@ -351,31 +436,27 @@ def test_rejected_warm_starts_give_the_cold_path_bit_for_bit(reject, monkeypatch
     with monkeypatch.context() as m:
         _cold_nodal_domains(m)
         cold = eigen.second_eigenvalue_and_gap(ep, restarts=2)
-    newton_polish, restarts = eigen._newton_polish, eigen._restarts
-    in_restarts, solves = [], []
-
-    def flagged(*args, **kw):
-        in_restarts.append(1)
-        try:
-            return restarts(*args, **kw)
-        finally:
-            in_restarts.pop()
+    newton_polish, principal_on = eigen._newton_polish, eigen._principal_on
+    in_restarts, halves = _flag_restarts(monkeypatch), []
 
     def rejecting(disc, v, lam, **kw):
         v, lam, res, stats = newton_polish(disc, v, lam, **kw)
         if in_restarts:
             return v, lam, res, stats
-        solves.append(1)
         if reject == "residual":
             return v, lam, 1e-6, stats
         v = v.copy()
         v[len(v) // 2] = -v[len(v) // 2]
         return v, lam, res, stats
 
-    monkeypatch.setattr(eigen, "_restarts", flagged)
+    def counted(a, b, ep, **kw):
+        halves.append(1)
+        return principal_on(a, b, ep, **kw)
+
     monkeypatch.setattr(eigen, "_newton_polish", rejecting)
+    monkeypatch.setattr(eigen, "_principal_on", counted)
     s2 = eigen.second_eigenvalue_and_gap(ep, restarts=2)
-    assert s2["cold_fallbacks"] == len(solves) > 0
+    assert s2["cold_fallbacks"] == len(halves) > 0
     for key in ("lambda2", "gap", "lambda1", "zero", "mismatch"):
         assert s2[key] == cold[key], key
 
@@ -418,7 +499,7 @@ def test_non_finite_gradient_is_numeric_failure(monkeypatch):
                         lambda self, v, lam: np.full(self.n_unknown, np.nan))
     disc = eigen._disc_for(_p3_problem())
     with pytest.raises(eigen.SolverError, match="gradient norm is not finite"):
-        eigen._pg_minimize(disc, np.ones(disc.n_unknown))
+        eigen._hand_over(disc, np.ones(disc.n_unknown))
     assert cli.main(["eigen", "--p", "3", "--grid", "128"]) == 3
 
 
@@ -428,7 +509,7 @@ def test_failed_preconditioner_solve_is_numeric_failure(monkeypatch):
                         lambda c, b, lower: (dpbtrs(c, b, lower=lower)[0], 1))
     disc = eigen._disc_for(_p3_problem())
     with pytest.raises(eigen.SolverError, match="pbtrs info = 1"):
-        eigen._pg_minimize(disc, np.ones(disc.n_unknown))
+        eigen._hand_over(disc, np.ones(disc.n_unknown))
     assert cli.main(["eigen", "--p", "3", "--grid", "128"]) == 3
 
 
@@ -463,22 +544,26 @@ def test_nan_nodal_residual_is_numeric_failure(monkeypatch, side):
 @pytest.mark.parametrize("nan_at", [0, 3])
 def test_a_nan_restart_is_never_chosen(monkeypatch, nan_at):
     # min() keeps a NaN lambda that comes first (x < nan is False); the first
-    # and then the last of 4 restarts end on NaN
+    # and then the last of 4 restarts end on NaN, at both of their polishes
     ep = eigen.EigenProblem(p=3.0, N=128)
     sub = eigen._principal_on(0.0, 0.5, ep, restarts=4)[3]
     expect = [min(run[1] for j, run in enumerate(eigen._restarts(disc, seed, 4)) if j != nan_at)
               for disc, seed in ((eigen._disc_for(ep), ep.seed), (sub, ep.seed + 1))]
-    polish, calls = eigen._newton_polish, []
+    polish, hand_over, restarts = eigen._newton_polish, eigen._hand_over, []
+
+    def counted(disc, v):
+        restarts.append(None)
+        return hand_over(disc, v)
 
     def poisoned(disc, v, lam):
-        calls.append(None)
         out = polish(disc, v, lam)
-        return (v, math.nan, math.nan, out[3]) if (len(calls) - 1) % 4 == nan_at else out
+        return (v, math.nan, math.nan, out[3]) if (len(restarts) - 1) % 4 == nan_at else out
 
+    monkeypatch.setattr(eigen, "_hand_over", counted)
     monkeypatch.setattr(eigen, "_newton_polish", poisoned)
     pr = eigen.principal_eigenvalue(ep, restarts=4)
     assert pr.lam == expect[0] and pr.restarts_agreeing == 3
-    del calls[:]
+    del restarts[:]
     _, lam, res, _, fallbacks = eigen._principal_on(0.0, 0.5, ep, restarts=4)
     assert lam == expect[1] and res <= 1e-7 and fallbacks == 0
 
