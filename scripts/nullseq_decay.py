@@ -31,7 +31,7 @@ def main():
 
     fam = norms.parse_family(args.family, args.p, args.n)
     G = fields.DualPowerField(fam)
-    hw = hardy.build_weight_zero_potential(fam, G, bracket=(1e-30, 1e30))
+    hw = hardy.build_weight_zero_potential(fam, G)
     ks = [2 ** j for j in range(int(math.log2(args.kmin)),
                                 int(math.log2(args.kmax)) + 1)]
     ns = hardy.null_sequence(hw, ks)

@@ -136,9 +136,10 @@ def _sample_x(fam, m, seed):
     return d * np.exp(rng.uniform(math.log(0.5), math.log(2.0), m))[:, None]
 
 
-def _standard_weight(fam, bracket=(1e-30, 1e30)):
-    """The standard-branch weight of the family's dual-power field."""
-    return hardy.build_weight_zero_potential(fam, fields.DualPowerField(fam), bracket=bracket)
+def _standard_weight(fam):
+    """The standard-branch weight of the family's dual-power field, on its
+    check bracket."""
+    return hardy.build_weight_zero_potential(fam, fields.DualPowerField(fam))
 
 
 #: the battery's groups, in the order they are defined, run and reported
@@ -304,7 +305,7 @@ def classical_reduction(hw, x, tol):
 def check_classical_reduction(cfg):
     out = []
     for (p, n) in CLASSICAL_PN:
-        hw = _standard_weight(norms.euclidean(p, n), bracket=(1e-6, 1e6))
+        hw = _standard_weight(norms.euclidean(p, n))
         x = norms.sample_vectors(n, cfg.count(500, floor=100), cfg.seed + 41,
                                  decades=2, stream=8)
         out.append(classical_reduction(hw, x, cfg.tol))
@@ -389,10 +390,10 @@ def check_ground_state(cfg):
     out = []
     tol = cfg.tol(GROUND_STATE_TOL)
     seed = cfg.seed + 61
-    hw = _standard_weight(norms.euclidean(2.0, 3), bracket=(1e-8, 1e8))
+    hw = _standard_weight(norms.euclidean(2.0, 3))
     r_euc = ground_state_residual(hw, fields.annulus(0.1, 10.0, 3), cfg.bumps(40), seed)
     out.append(within(None, r_euc, 0.0, tol))
-    hw = _standard_weight(norms.lp(4, 3.0, 2), bracket=(1e-8, 1e8))
+    hw = _standard_weight(norms.lp(4, 3.0, 2))
     r_coarse, r_fine = (
         ground_state_residual(hw, fields.annulus(0.1, 10.0, 2), cfg.bumps(30), seed,
                               layout="ball", n_rho=n_rho, n_ang=2 * n_rho)
@@ -424,10 +425,10 @@ def check_nullseq_decay(cfg):
         slope_q = float(np.polyfit(x, np.log(ns.energies), 1)[0])
         tol = cfg.tol(0.15)
         out.append(within(None, slope_q, -(p - 1.0), tol))
-        mono = all(e1 > e2 for e1, e2 in
-                   zip(ns.energies[ns.k0:], ns.energies[ns.k0 + 1:]))
-        # composite: every step of the sequence past k0
-        out.append(record(None, mono, {"k0_index": ns.k0}, "strictly decreasing", None))
+        steps = np.diff(ns.energies)
+        # composite: every step of the sequence, the largest reported
+        out.append(record(None, bool(np.all(steps < 0.0)), float(steps.max()),
+                          "strictly decreasing", None))
         slope_x = float(np.polyfit(x, np.log(ns.x_grad), 1)[0])
         out.append(within(None, slope_x, -(p - 1.0), tol))
         laws = [hardy.transition_energy_law(p, cf, k) for k in ns.k_list]

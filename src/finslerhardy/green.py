@@ -133,8 +133,8 @@ class GreenPotential:
     residual: float
     problem: RadialProblem
     newton: NewtonStats   # summed over the continuation; the last stage's exit
-    _interp: object = dfield(default=None, repr=False)
-    _dinterp: object = dfield(default=None, repr=False)
+    _interp: object = dfield(init=False, repr=False)
+    _dinterp: object = dfield(init=False, repr=False)
 
     def __post_init__(self):
         self._interp = Pchip(self.r, self.u)

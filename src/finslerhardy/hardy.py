@@ -25,9 +25,11 @@ The verification side builds the log-profile cutoff null sequences
 null-criticality growth of ``int W v^p`` over shrinking source levels, and
 a ratio probe over the tail cutoffs ``v phi_k(v k^2/eps)`` (optimality at
 infinity).  The cutoff integrand, the level-to-radius map and ``int W v^p``
-are each written once.  Every integrand is radial in the source field's
-gauge, so :func:`_radial_integral` takes it with the exact angular factor
-and with panels aligned to the cutoff breakpoints.
+are each written once, and :func:`_support` alone decides which cutoff
+members fit the ground-state range and over which radii each is integrated.
+Every integrand is radial in the source field's gauge, so
+:func:`_radial_integral` takes it with the exact angular factor and with
+panels aligned to the cutoff breakpoints.
 """
 
 from __future__ import annotations
@@ -76,7 +78,12 @@ def cutoff_slope(t, k, one_sided=False):
 
 
 def cutoff_breaks(k, one_sided=False):
-    return (1.0 / k ** 2, 1.0 / k) if one_sided else (1.0 / k ** 2, 1.0 / k, k, k ** 2)
+    """The levels t where an integrand of v phi_k(v) kinks: the breakpoints, and
+    the interior zero of (t phi_k)' on the falling transition (phi_k = 1/log k
+    there), where |u'|^p has a half-power kink."""
+    if one_sided:
+        return (1.0 / k ** 2, 1.0 / k)
+    return (1.0 / k ** 2, 1.0 / k, k, k ** (2.0 - 1.0 / math.log(k)), k ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +108,7 @@ class HardyWeight:
     V_profile: object = None         # radial potential (green branch)
     phi_profile: object = None       # radial density (green branch)
     hypotheses: dict = dfield(default_factory=dict)
-    _flux: float | None = None
+    _flux: float | None = dfield(default=None, init=False)
 
     @property
     def p(self):
@@ -220,12 +227,27 @@ def _zero_profile(r):
     return np.zeros_like(np.asarray(r, dtype=float))
 
 
+#: the standard branch is checked where v spans (1/V_SPAN, V_SPAN), on radii
+#: and source values inside (1/SPAN, SPAN), so that no power of them overflows
+V_SPAN, SPAN = 1e30, 1e150
+
+
+def check_bracket(G, p):
+    """The standard branch's check bracket, ended 1e-9 inside a bounded source."""
+    with np.errstate(all="ignore"):
+        top = min(np.float64(V_SPAN) ** (p / (p - 1.0)), SPAN)
+        lo, hi = sorted(float(G.radial_inverse(t)) for t in (1.0 / top, top))
+    return max(lo, 1.0 / SPAN), min(hi, SPAN, G.radial_bound * (1.0 - 1e-9))
+
+
 def build_weight_zero_potential(fam, G, sigma=0.0, bracket=None):
     """Branch-correct (W, v) from a positive p-harmonic field G.
 
     sigma > 0 selects the capped branch (p > n only; refused for p <= n)
     and requires 0 < G < sigma, checked on a log grid of 512 radii of the
-    source's ``bracket`` of radii, (1e-8, 1e8) when none is given.
+    source's ``bracket`` of radii.  When none is given the bracket is
+    :func:`check_bracket` for the standard branch and (1e-8, 1e8) for the
+    capped one.
     """
     p, n = fam.p, fam.n
     if sigma < 0.0:
@@ -235,7 +257,7 @@ def build_weight_zero_potential(fam, G, sigma=0.0, bracket=None):
     if G.radial is None:
         raise BranchError("the constructions need a field with radial structure")
     if bracket is None:
-        bracket = (1e-8, 1e8)
+        bracket = (1e-8, 1e8) if sigma > 0.0 else check_bracket(G, p)
     rho = np.geomspace(bracket[0] * (1 + 1e-12), bracket[1] * (1 - 1e-12), 512)
     gvals = G.radial[1](rho)
     if np.any(gvals <= 0.0):
@@ -317,9 +339,22 @@ def _radial_integral(hw, fun, lo, hi, align=(), n_r=768):
                                       n_r=n_r)
 
 
-def _level_radii(hw, levels, vmin, vmax):
-    """Radii where the ground state takes those of ``levels`` inside (vmin, vmax)."""
-    return [r for t in levels if vmin < t < vmax for r in hw.rho_of_v(t)]
+def _support(hw, levels, top, vmin, vmax):
+    """(lo, hi, align) of the cutoff member with ground-state ``levels``, or None
+    when its lowest level lies outside the range (vmin, vmax): no member is clipped.
+
+    It is integrated between the radii of its levels, aligned at them.  A bracket
+    end joins them where the member saturates, v lying strictly between its lowest
+    level and ``top``, above which it vanishes: the Green plateau at the center.
+    """
+    low = min(levels)
+    if not vmin < low < vmax:
+        return None
+    radii = [r for t in levels if t < vmax for r in hw.rho_of_v(t)]
+    blo, bhi = hw.source_bracket
+    radii += [end for end in (blo * (1 + 1e-9), bhi * (1 - 1e-9))
+              if low < float(hw.v(np.asarray([end]))[0]) < top]
+    return min(radii), max(radii), tuple(radii)
 
 
 def _cutoff_terms(hw, rho, k, scale, one_sided):
@@ -362,58 +397,38 @@ class NullSequence:
     ratios: list            # Q_V[u_k] / mass
     x_grad: list            # X(v, w_k) = int v^p |grad w_k|_H^p
     x_field: list           # X(w_k, v) = int w_k^p |grad v|_H^p
-    k0: int                 # first index with monotone decay onward
-    truncated: list         # k values dropped for range reasons
+    truncated: list         # k values whose member does not fit the range
     one_sided: bool
 
 
 def null_sequence(hw, k_list):
     """Cutoff sequence u_k = v phi_k(v) with energies, masses and Hardy ratios.
 
-    k values whose cutoff support exceeds the representable range of v are
-    dropped (reported in ``truncated``).  The capped branch uses the
-    one-sided cutoff.
+    :func:`_support` places each member: a k whose lowest level 1/k^2 lies
+    outside the ground-state range is dropped into ``truncated``, and the others
+    are integrated over their own supports.  The capped branch uses the
+    one-sided cutoff, which does not vanish above 1/k.
     """
     one_sided = hw.branch == "sigma_capped"
     vmin, vmax = hw.profile_range(hw.v)
-    kept, dropped = [], []
+    members, dropped = [], []
     for k in k_list:
-        if k < 2:
-            dropped.append(k)
-            continue
-        # the lower transition must be representable; the upper cutoff is
-        # allowed to saturate when the ground-state range is bounded above
-        # (green branch: the plateau then reaches the center, where grad w = 0
-        # and the transition energies are unaffected)
-        need_hi = 1.0 / k if one_sided else min(k ** 2, vmax * 0.999)
-        if 1.0 / k ** 2 > vmin * 1.0000001 and need_hi < vmax * 0.9999999:
-            kept.append(int(k))
+        top = math.inf if one_sided else k ** 2
+        support = k >= 2 and _support(hw, cutoff_breaks(k, one_sided), top, vmin, vmax)
+        if support:
+            members.append((int(k), support))
         else:
             dropped.append(int(k))
-    if not kept:
+    if not members:
         raise RangeError(
             f"ground-state range ({vmin:.3g}, {vmax:.3g}) admits none of the requested "
             f"k = {', '.join(str(k) for k in k_list)}")
     p = hw.p
-    energies, masses, ratios, xg, xf = [], [], [], [], []
-    for k in kept:
-        # rho bounds and aligned breakpoints from the cutoff levels; also
-        # align at the interior zero of u' on the falling transition
-        # (phi(v) = 1/log k there) where |u'|^p has a half-power kink
-        levels = list(cutoff_breaks(k, one_sided))
-        if not one_sided:
-            levels.append(k ** (2.0 - 1.0 / math.log(k)))
-        breaks = _level_radii(hw, levels, vmin, vmax)
-        # bracket ends where the cutoff is still active (saturated plateau)
-        for end in hw.source_bracket:
-            e_in = end * (1 + 1e-9) if end == hw.source_bracket[0] else end * (1 - 1e-9)
-            if float(hw.v(np.asarray([e_in]))[0]) > 1.0 / k ** 2:
-                breaks.append(e_in)
-        lo, hi = min(breaks), max(breaks)
+    integrals = []
+    for k, (lo, hi, align) in members:
         if one_sided:
-            blo, bhi = hw.source_bracket
-            lo, hi = blo * (1 + 1e-9), bhi * (1 - 1e-9)
-            breaks.append(float(hw.source.radial_inverse(hw.sigma / 2.0)))
+            # v peaks where G = sigma/2, and |v'|^p has a kink there
+            align += (float(hw.source.radial_inverse(hw.sigma / 2.0)),)
 
         def emxy_fun(rho):
             # energy, weight mass, X(v, w_k) and X(w_k, v) on the same nodes
@@ -422,20 +437,11 @@ def null_sequence(hw, k_list):
                     v ** p * np.abs(slope * dv / np.where(v > 0, v, 1.0)) ** p,
                     ph ** p * np.abs(dv) ** p)
 
-        E, M, X, Y = _radial_integral(hw, emxy_fun, lo, hi, align=tuple(sorted(breaks)))
-        energies.append(E)
-        masses.append(M)
-        ratios.append(1.0 + E / M)
-        xg.append(X)
-        xf.append(Y)
-    k0 = 0
-    for i in range(len(kept) - 1):
-        if all(energies[j] > energies[j + 1] for j in range(i, len(kept) - 1)):
-            k0 = i
-            break
-    return NullSequence(k_list=kept, energies=energies, masses=masses,
-                        ratios=ratios, x_grad=xg, x_field=xf,
-                        k0=k0, truncated=dropped, one_sided=one_sided)
+        integrals.append(_radial_integral(hw, emxy_fun, lo, hi, align=align))
+    E, M, X, Y = (list(c) for c in zip(*integrals))
+    return NullSequence(k_list=[k for k, _ in members], energies=E, masses=M,
+                        ratios=[1.0 + e / m for e, m in zip(E, M)], x_grad=X, x_field=Y,
+                        truncated=dropped, one_sided=one_sided)
 
 
 # ---------------------------------------------------------------------------
@@ -520,47 +526,47 @@ def optimality_at_infinity_probe(hw, eps_list, k_list):
     """Hardy ratios over cutoffs supported in the tail {v < eps}.
 
     For each eps the scaled cutoff family chi_k(t) = phi_k(t k^2/eps) lives
-    in {v < eps}; the reported infima approach 1 from above as the family
-    is enriched.  Also evaluates the lambda = 1/2 positivity margin and the
-    weight-mass density of each member (the sanity: the minimizer carries
-    the largest weight-mass density).
+    in {eps/k^4 < v < eps}, placed by :func:`_support`: a member outside the
+    range goes to ``dropped``, and a tail level that keeps none, or is not below
+    the range's top, raises RangeError.  The infima approach 1 from above as
+    the family is enriched.  Also evaluates the lambda = 1/2 positivity margin
+    and the weight-mass density of each member (the sanity: the minimizer
+    carries the largest weight-mass density).
     """
     p = hw.p
     vmin, vmax = hw.profile_range(hw.v)
     span = f"the ground-state range ({vmin:.3g}, {vmax:.3g})"
-    table = []
+    table, infima, dropped = [], {}, []
     for eps in eps_list:
-        if not vmin < eps * 0.999:
-            raise RangeError(f"tail level {eps} is not above {vmin:.3g}, the floor of {span}")
-        if not eps * 0.9999999 < vmax:
+        if not eps < vmax:
             raise RangeError(f"tail level {eps} is not below {vmax:.3g}, the top of {span}")
+        rows = []
         for k in k_list:
             scale = k ** 2 / eps
-            lo_t = max(vmin * 1.000001, eps / k ** 4)
-            if lo_t >= eps * 0.999:
+            support = _support(hw, [t / scale for t in cutoff_breaks(k)], eps, vmin, vmax)
+            if support is None:
+                dropped.append({"eps": float(eps), "k": int(k)})
                 continue
-            rhos = hw.rho_of_v(lo_t) + hw.rho_of_v(eps * 0.9999999)
-            al = _level_radii(hw, [t / scale for t in cutoff_breaks(k)], vmin, vmax)
+            lo, hi, align = support
 
             def emu_fun(rho):
                 # energy, weight mass and int u^p on the same nodes
                 e, m, u = _cutoff_terms(hw, rho, k, scale, False)[:3]
                 return e, m, u ** p
 
-            E, M, UP = _radial_integral(hw, emu_fun, min(rhos), max(rhos),
-                                        align=tuple(al), n_r=512)
-            if M <= 0.0:
-                continue
-            ratio = 1.0 + E / M
-            table.append({"eps": float(eps), "k": int(k), "ratio": float(ratio),
-                          "energy": float(E), "mass": float(M),
-                          "mass_density": float(M / UP),
-                          "halfweight_energy": float(E + 0.5 * M)})
-    infima = {}
-    for row in table:
-        e = row["eps"]
-        infima[e] = min(infima.get(e, math.inf), row["ratio"])
-    return {"table": table, "infima": infima}
+            E, M, UP = _radial_integral(hw, emu_fun, lo, hi, align=align, n_r=512)
+            rows.append({"eps": float(eps), "k": int(k), "ratio": float(1.0 + E / M),
+                         "energy": float(E), "mass": float(M),
+                         "mass_density": float(M / UP),
+                         "halfweight_energy": float(E + 0.5 * M)})
+        if not rows:
+            raise RangeError(
+                f"tail level {eps} keeps none of the members k = "
+                f"{', '.join(str(k) for k in k_list)}: each lowest level eps/k^4 is "
+                f"not above {vmin:.3g}, the floor of {span}")
+        table += rows
+        infima[float(eps)] = min(row["ratio"] for row in rows)
+    return {"table": table, "infima": infima, "dropped": dropped}
 
 
 def simplified_energy_bound_check(hw, ns, c_upper, slack=4.0):

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -88,7 +88,7 @@ class NormFamily:
     A: np.ndarray | None = None
     delta: float | None = None
     base: "NormFamily | None" = None
-    A_inv: np.ndarray | None = None
+    A_inv: np.ndarray | None = field(default=None, init=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:

@@ -402,13 +402,16 @@ ERROR_DECADES = {
         "green.flux_identity.p2.5n3", "eigen.convergence_rate"],
     -4: [
         "bregman.stability.lp4.p4.c_upper", "bregman.stability.mix.p2.c_upper",
-        "bregman.stability.mix.p3.c_upper", "hardy.nullseq_energy_law.p1.5",
-        "green.residual.p2", "eigen.p2_lambda2", "eigen.p2_gap", "eigen.p3_lambda2"],
+        "bregman.stability.mix.p3.c_upper", "green.residual.p2", "eigen.p2_lambda2",
+        "eigen.p2_gap", "eigen.p3_lambda2"],
     -5: [
         "bregman.stability.quad.p1.5.c_upper", "bregman.stability.quad.p3.c_upper",
         "bregman.stability.quad.p4.c_upper", "bregman.stability.mix.p1.5.c_upper",
         "bregman.stability.mix.p4.c_upper", "hardy.green_mass_slope",
-        "eigen.p3_lambda1"],
+        "eigen.p3_lambda1",
+        # 7.9e-8 against 1e-3: each member is integrated over its own support,
+        # where its panels used to run on to the bracket end (1.4e-7, at -4)
+        "hardy.nullseq_energy_law.p1.5"],
     -6: [
         "eigen.p2_lambda1"],
     -8: [

@@ -184,16 +184,40 @@ def test_null_seq_config_names_every_option_of_the_run(tmp_path):
 @pytest.mark.parametrize("argv,message", [
     (["null-seq"], "ground-state range (0.0291, 0.331) admits none of the requested "
                    "k = 16, 32, 64, 128, 256, 512, 1024, 2048, 4096"),
-    (["verify-optimality"], "tail level 0.01 is not above 0.0291, the floor of the "
-                            "ground-state range (0.0291, 0.331)"),
+    (["verify-optimality"], "tail level 0.1 keeps none of the members k = 4, 16, 64, "
+                            "256, 1024, 4096: each lowest level eps/k^4 is not above "
+                            "0.0291, the floor of the ground-state range (0.0291, 0.331)"),
     (["verify-optimality", "--eps", "0.5"], "tail level 0.5 is not below 0.331, the top "
                                             "of the ground-state range (0.0291, 0.331)"),
 ], ids=["null-seq", "verify-optimality", "verify-optimality-eps-above"])
 def test_green_example_range_failures_state_their_cause(argv, message, capsys):
-    # the example's ground state spans (0.0291, 0.331): --kmin 2 --kmax 4 and
-    # --eps 0.1 run, the defaults and --eps 0.5 do not
+    # the example's ground state spans (0.0291, 0.331): --kmin 2 --kmax 4 runs,
+    # the defaults and --eps 0.5 do not, and no tail level below 0.331 keeps a
+    # member k >= 4, whose lowest level eps/k^4 lies under 0.331/256
     assert run_main(argv + ["--field", f"green:{GREEN_EXAMPLE}", "--p", "2"]) == 2
     assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
+def test_p3_n2_tail_ratios_fall_toward_one_from_above(tmp_path):
+    # every tail member lies inside the ground-state range (1e-30, 1e30), so
+    # none is clipped: the ratios fall toward 1 as k grows
+    out = tmp_path / "opt.json"
+    argv = ["verify-optimality", "--family", "euclidean", "--p", "3", "--n", "2"]
+    assert run_main(argv + ["--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["payload"]
+    for eps in (0.1, 0.01):
+        ratios = [r["ratio"] for r in sorted(rows, key=lambda r: r["k"]) if r["eps"] == eps]
+        assert len(ratios) == 6
+        assert all(a > b for a, b in zip(ratios, ratios[1:])), ratios
+        assert 1.0 < ratios[-1] < 1.02
+
+
+def test_tail_level_without_a_member_is_a_range_error(capsys):
+    argv = ["verify-optimality", "--family", "euclidean", "--p", "3", "--n", "2",
+            "--eps", "1e-1,1e-29"]
+    assert run_main(argv) == 2
+    assert capsys.readouterr().err.startswith(
+        "configuration error: tail level 1e-29 keeps none of the members k = 4, 16")
 
 
 def test_green_subcommand(tmp_path):

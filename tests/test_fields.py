@@ -284,8 +284,8 @@ def _block_case(case):
     """(fam, field, domain, V, grid) of one path through the weak residual."""
     d2, d3 = fields.annulus(0.1, 10.0, 2), fields.annulus(0.1, 10.0, 3)
     euc, mix, lp4 = norms.euclidean(1.5, 3), norms.mixed(4, A2, 3.0), norms.lp(4, 3.0, 2)
-    gs = acceptance._standard_weight(euc, bracket=(1e-8, 1e8))
-    ball = acceptance._standard_weight(lp4, bracket=(1e-8, 1e8))
+    gs = acceptance._standard_weight(euc)
+    ball = acceptance._standard_weight(lp4)
     bad = fields.FuncField(lambda x: np.linalg.norm(x, axis=-1),
                            grad=lambda x: x / np.linalg.norm(x, axis=-1, keepdims=True))
     return {

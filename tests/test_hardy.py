@@ -15,9 +15,7 @@ KS = [2 ** j for j in range(4, 13)]
 
 
 def standard_weight(p, n, fam=None):
-    fam = fam or norms.euclidean(p, n)
-    G = fields.DualPowerField(fam)
-    return hardy.build_weight_zero_potential(fam, G, bracket=(1e-30, 1e30))
+    return acceptance._standard_weight(fam or norms.euclidean(p, n))
 
 
 def test_weight_takes_p_n_and_c_p_from_its_family():
@@ -42,11 +40,13 @@ def test_angular_measure_cache_is_keyed_by_value():
 
 
 def test_null_sequence_energies_are_pinned_bit_for_bit():
-    # the ground-state profiles come from the weight's ground-state field
+    # the ground-state profiles come from the weight's ground-state field.
+    # Each member is integrated over its own support [rho(1/k^2), rho(k^2)];
+    # it used to run on to the bracket's outer end, which moved the last bits
     hw = standard_weight(3.0, 2, norms.lp(4, 3.0, 2))
     ns = hardy.null_sequence(hw, [16, 64])
-    assert [e.hex() for e in ns.energies] == ["0x1.3fbcd80fadd9fp-1",
-                                               "0x1.a54a780f0c29bp-2"]
+    assert [e.hex() for e in ns.energies] == ["0x1.3fbcd80fadda1p-1",
+                                               "0x1.a54a780f0c29ep-2"]
 
 
 def capped_weight():
@@ -78,19 +78,19 @@ def _capped_lower_bound():
 
 @pytest.mark.parametrize("compute,pinned", [
     (_capped_null_sequence, [
-        "0x1.c7a25e48fb512p+4", "0x1.d882c2fcbe163p+3", "0x1.41601508a0732p+3",
-        "0x1.011101794c28ap+5", "0x1.f6215d9123446p+5", "0x1.51e4e8d173143p+6",
-        "0x1.14d00aa5257d8p+3", "0x1.1994bc3e9e6d0p+1", "0x1.9206837666628p-1",
-        "0x1.26513620762f8p+4", "0x1.7dff9c79ff65cp+5", "0x1.155e3c03e0469p+6"]),
+        "0x1.c7a25e48fb514p+4", "0x1.d882c2fcbe16bp+3", "0x1.41601508a18aap+3",
+        "0x1.0111052b8861fp+5", "0x1.f854173a18f07p+5", "0x1.51c7c596956f2p+6",
+        "0x1.14d00aa5257d8p+3", "0x1.1994bc3e9e6d0p+1", "0x1.92068376770fap-1",
+        "0x1.26513d84eea26p+4", "0x1.80325622f5120p+5", "0x1.154118c902a18p+6"]),
     (_optimality_probe, [
-        "0x1.63e7dc721b871p+0", "0x1.73a4302162b9fp+4", "0x1.7e41493daa9c6p-40",
-        "0x1.18f9f72415689p+0", "0x1.73a4302162b9ep+5", "0x1.748ced6a0cc1ep-69",
-        "0x1.0b19c32d99e3ap+0", "0x1.16bb24190a0b8p+6", "0x1.3a48257e2d416p-99",
-        "0x1.063e7dc9f72b0p+0", "0x1.73a4302162b9ep+6", "0x1.747b55473d1e6p-130",
-        "0x1.63e7dc721b872p+0", "0x1.73a4302162b9fp+4", "0x1.3924b05349002p-53",
-        "0x1.18f9f7241568ap+0", "0x1.73a4302162b9ep+5", "0x1.3131808b4e08fp-82",
-        "0x1.0b19c32d99e3ap+0", "0x1.16bb24190a0b8p+6", "0x1.0175acd869e30p-112",
-        "0x1.063e7dc9f72b0p+0", "0x1.73a4302162b9dp+6", "0x1.312316c186db1p-143"]),
+        "0x1.63e7dcae8fbdap+0", "0x1.73a4302162b9fp+4", "0x1.7e41493daa9c4p-40",
+        "0x1.18f9f72ba3ef6p+0", "0x1.73a4302162b9ep+5", "0x1.748ced6a0cc20p-69",
+        "0x1.0b19c32fd7151p+0", "0x1.16bb24190a0b7p+6", "0x1.3a48257e2d409p-99",
+        "0x1.063e7dcae8fbep+0", "0x1.73a4302162b9fp+6", "0x1.747b55473d1d3p-130",
+        "0x1.63e7dcae8fbdap+0", "0x1.73a4302162b9fp+4", "0x1.3924b05349002p-53",
+        "0x1.18f9f72ba3ef7p+0", "0x1.73a4302162b9fp+5", "0x1.3131808b4e08bp-82",
+        "0x1.0b19c32fd7151p+0", "0x1.16bb24190a0b7p+6", "0x1.0175acd869e2cp-112",
+        "0x1.063e7dcae8fbep+0", "0x1.73a4302162b9ep+6", "0x1.312316c186db7p-143"]),
     (_null_criticality_slope, ["0x1.81a3b31b171d2p-2"]),
     (_capped_lower_bound, [
         "0x1.1ac60df85ac85p+6", "0x1.82ad96c0474e6p+4",
@@ -101,7 +101,13 @@ def test_optimality_probes_are_pinned_bit_for_bit(compute, pinned):
     # probe table, the null-criticality slope and the capped lower bound.  The
     # bound's rhs carries the weight's flux constant, whose level-set gradient
     # is G'(rho) omega on the round shell; G'(|x|) x/|x| at x = rho omega
-    # rounds the constant 1 ulp and the two rhs entries 3 and 1 ulp higher
+    # rounds the constant 1 ulp and the two rhs entries 3 and 1 ulp higher.
+    # Each cutoff member is integrated over its own support: a capped member
+    # between the two radii of 1/k^2, where the whole bracket was taken (and
+    # the k = 64 member, whose inner radius 0.00977 lies below the bracket's
+    # 0.01, was cut there), and a tail member up to the radius of eps, where
+    # the interval ended at eps * 0.9999999, with its panels aligned also at
+    # the interior zero of u' on the falling transition, as a null member's
     assert [float(x).hex() for x in compute()] == pinned
 
 
@@ -432,6 +438,63 @@ def test_null_sequence_range_error():
         bracket=(0.9, 1.1))
     with pytest.raises(RangeError):
         hardy.null_sequence(hw_small, [4096])
+
+
+def _levels_inside(hw, levels):
+    vmin, vmax = hw.profile_range(hw.v)
+    return all(vmin < t < vmax for t in levels)
+
+
+@pytest.mark.parametrize("p,n,fam", [(2.0, 3, None), (3.0, 2, None), (1.5, 2, None),
+                                     (3.0, 2, norms.lp(4, 3.0, 2))])
+def test_every_cutoff_member_lies_inside_the_ground_state_range(p, n, fam):
+    # the standard weights' check bracket holds every member the suite asks for
+    hw = standard_weight(p, n, fam)
+    ns = hardy.null_sequence(hw, KS)
+    assert (ns.k_list, ns.truncated) == (KS, [])
+    assert all(_levels_inside(hw, (k ** -2.0, k ** 2.0)) for k in ns.k_list)
+    probe = hardy.optimality_at_infinity_probe(hw, [1e-1, 1e-2], (4, 64, 1024, 4096))
+    assert probe["dropped"] == [] and len(probe["table"]) == 8
+    assert all(_levels_inside(hw, (r["eps"] / r["k"] ** 4, r["eps"]))
+               for r in probe["table"])
+
+
+def test_members_outside_the_range_are_dropped_not_clipped():
+    # on (1e-8, 1e8) the p = 3, n = 2 ground state spans (2.2e-3, 464)
+    hw = hardy.build_weight_zero_potential(norms.euclidean(3.0, 2),
+                                           fields.DualPowerField(norms.euclidean(3.0, 2)),
+                                           bracket=(1e-8, 1e8))
+    ns = hardy.null_sequence(hw, [4, 16, 64])
+    assert (ns.k_list, ns.truncated) == ([4, 16], [64])
+    assert ns.energies == hardy.null_sequence(standard_weight(3.0, 2), [4, 16]).energies
+    probe = hardy.optimality_at_infinity_probe(hw, [1.0], (4, 16))
+    assert [(r["eps"], r["k"]) for r in probe["table"]] == [(1.0, 4)]
+    assert probe["dropped"] == [{"eps": 1.0, "k": 16}]
+    assert all(_levels_inside(hw, (r["eps"] / r["k"] ** 4, r["eps"]))
+               for r in probe["table"])
+    with pytest.raises(RangeError, match="tail level 0.1 keeps none of the members"):
+        hardy.optimality_at_infinity_probe(hw, [1.0, 0.1], (4, 16))
+
+
+@pytest.mark.parametrize("p,n", [(2.0, 3), (3.0, 2)])
+def test_a_standard_member_is_integrated_over_its_own_support(p, n, monkeypatch):
+    intervals, integral = [], quadrature.radial_integral
+
+    def spy(f, lo, hi, *args, **kwargs):
+        intervals.append((lo, hi))
+        return integral(f, lo, hi, *args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "radial_integral", spy)
+    hw = standard_weight(p, n)
+    hardy.null_sequence(hw, [16, 4096])
+    assert intervals == [tuple(sorted(hw.rho_of_v(t)[0] for t in (k ** 2, k ** -2.0)))
+                         for k in (16, 4096)]
+    del intervals[:]
+    hardy.optimality_at_infinity_probe(hw, [1e-2], (4, 4096))
+    # the tail member at eps is phi_k(v scale), scale = k^2 / eps: v from eps/k^4 to eps
+    scales = {k: k ** 2 / 1e-2 for k in (4, 4096)}
+    assert intervals == [tuple(sorted(hw.rho_of_v(t / s)[0] for t in (k ** 2, 1.0 / k ** 2)))
+                         for k, s in scales.items()]
 
 
 def test_energy_positivity_and_ratio_monotonicity():

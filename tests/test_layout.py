@@ -178,14 +178,31 @@ ROOT = SRC.parents[1]
 #: options that only tests set: the seams those tests drive
 TEST_SEAMS = {"norms.dual_newton.maxit", "norms.bidual_norm.iters",
               "quadrature.unit_ball_volume.n_ang",
-              "hardy.simplified_energy_bound_check.slack", "scalar.brentq.maxiter"}
+              "hardy.simplified_energy_bound_check.slack", "scalar.brentq.maxiter",
+              "green.RadialProblem.r_min"}
+
+
+def _init_fields(node):
+    """The fields a dataclass's constructor takes, in order; [] for any other
+    node.  ``field(init=False)`` is a slot the class fills itself."""
+    decorators = [d.func if isinstance(d, ast.Call) else d
+                  for d in getattr(node, "decorator_list", ())]
+    if not (isinstance(node, ast.ClassDef) and any(
+            "dataclass" in (getattr(d, "id", None), getattr(d, "attr", None))
+            for d in decorators)):
+        return []
+    return [f for f in node.body if isinstance(f, ast.AnnAssign)
+            and not (isinstance(f.value, ast.Call) and any(
+                k.arg == "init" and getattr(k.value, "value", True) is False
+                for k in f.value.keywords))]
 
 
 def _options():
     """{(call name, name offset): [(label, param, position)]} for every parameter
-    with a default of src's module-level functions and class methods.  A call
-    names a function bare or as an attribute, a method by its attribute (one
-    positional slot for self) and ``__init__`` by its class."""
+    with a default of src's module-level functions and class methods, and for
+    every defaulted field of a dataclass's constructor.  A call names a function
+    bare or as an attribute, a method by its attribute (one positional slot for
+    self) and ``__init__`` by its class."""
     options = {}
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -202,6 +219,12 @@ def _options():
                        if d is not None]
             options.setdefault((called_as, offset), []).extend(
                 (f"{path.stem}.{label}", arg, i) for arg, i in params)
+        for cls in tree.body:
+            fields = _init_fields(cls)
+            if fields:
+                options.setdefault((cls.name, 1), []).extend(
+                    (f"{path.stem}.{cls.name}", f.target.id, i + 1)
+                    for i, f in enumerate(fields) if f.value is not None)
     return options
 
 

@@ -5,7 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from finslerhardy import eigen
+from finslerhardy import cli, eigen
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -60,6 +60,16 @@ def test_nullseq_decay_script_prints_the_sequence(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "k,energy,mass,ratio"
     assert [int(line.split(",")[0]) for line in lines[1:]] == [16, 32, 64]
+
+
+def test_nullseq_decay_script_csv_equals_the_cli_csv(tmp_path):
+    # the script and ``null-seq`` build one weight on one check bracket
+    family = ["--family", "lp:s=4", "--p", "3", "--n", "2", "--kmax", "256"]
+    script, cli_csv = tmp_path / "script.csv", tmp_path / "cli.csv"
+    proc = _run_script("nullseq_decay.py", *family, "--csv", str(script))
+    assert proc.returncode == 0, proc.stderr
+    assert cli.main(["null-seq", *family, "--format", "csv", "--out", str(cli_csv)]) == 0
+    assert script.read_text() == cli_csv.read_text()
 
 
 def test_green_farfield_script_reports_the_decay(tmp_path):
