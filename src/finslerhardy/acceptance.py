@@ -456,7 +456,7 @@ def check_null_criticality(cfg):
             out.append(within_rel(None, nc["slope"], expect, tol))
     hw = hardy.build_weight_zero_potential(
         norms.euclidean(3.0, 2),
-        fields.synthetic_capped_profile(2.0, 10.0, a=2.0, b=0.0),
+        fields.synthetic_capped_profile(2.0, 10.0),
         sigma=2.0, bracket=(1e-2, 10.0 * (1.0 - 1e-10)))
     lb = hardy.capped_null_criticality_lower_bound(hw, [1e-3, 1e-4])
     # composite: lhs >= rhs at each level

@@ -189,23 +189,20 @@ def power_of(field, exponent):
                          kind=f"pow[{e:g}]({field.kind})")
 
 
-def synthetic_capped_profile(sigma, R, a=2.0, b=0.0):
-    """Radial profile sigma (1 - (r/R)^a)(r/R)^b on (0, R): 0 < G < sigma.
+def synthetic_capped_profile(sigma, R):
+    """Radial profile sigma (1 - (r/R)^2) on (0, R): 0 < G < sigma.
 
-    Not claimed p-harmonic; exercises the capped weight formulas.  b = 0
-    gives the limit shape G -> sigma at the puncture, G -> 0 at r = R.
+    Not claimed p-harmonic; exercises the capped weight formulas with the
+    limit shape G -> sigma at the puncture, G -> 0 at r = R.
     """
-    sigma, R, a, b = float(sigma), float(R), float(a), float(b)
+    sigma, R = float(sigma), float(R)
 
     def prof(r):
         z = np.asarray(r, dtype=float) / R
-        return sigma * (1.0 - z ** a) * (z ** b if b else 1.0)
+        return sigma * (1.0 - z ** 2)
 
     def dprof(r):
-        z = np.asarray(r, dtype=float) / R
-        if b:
-            return sigma * (b * z ** (b - 1.0) * (1.0 - z ** a) - a * z ** (a + b - 1.0)) / R
-        return -sigma * a * z ** (a - 1.0) / R
+        return -2.0 * sigma * (np.asarray(r, dtype=float) / R) / R
 
     return RadialProfileField(prof, dprof, kind="sigma_capped",
                               bracket=(1e-12 * R, R * (1.0 - 1e-12)))

@@ -91,7 +91,7 @@ def cutoff_breaks(k, one_sided=False):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class HardyWeight:
     """A constructed weight W, its ground state, and radial profile closures.
 
@@ -108,7 +108,6 @@ class HardyWeight:
     V_profile: object = None         # radial potential (green branch)
     phi_profile: object = None       # radial density (green branch)
     hypotheses: dict = dfield(default_factory=dict)
-    _flux: float | None = dfield(default=None, init=False)
 
     @property
     def p(self):
@@ -188,7 +187,7 @@ class HardyWeight:
         return (float(self.source.radial_inverse(float(t) ** (1.0 / e))),)
 
     def flux_constant(self):
-        """Measured coarea flux of the source field (cached).
+        """Measured coarea flux of the source field.
 
         For the green branch the level sits below the density support
         (where the flux is the constant total flux) and above the outer
@@ -198,24 +197,21 @@ class HardyWeight:
         angular * rho^(n-1) |G'(rho)|^(p-1), as in :func:`green.level_flux`;
         every other source takes the level-set quadrature.
         """
-        if self._flux is None:
-            lo, hi = self.source_bracket
-            if self.branch == "green_based":
-                gmin, _ = self.profile_range(self.g)
-                m_phi = float(np.min(self.g(
-                    np.geomspace(self.phi_profile.r_a, self.phi_profile.r_b, 128))))
-                level = math.sqrt(3.0 * gmin * m_phi)
-            else:
-                rho_mid = math.sqrt(lo * hi)
-                level = float(self.g(np.asarray([rho_mid]))[0])
-            if self.fam.kind == "euclidean" and self.source.radial[0] is None:
-                rho = float(self.source.radial_inverse(level))
-                self._flux = (self.angular * rho ** (self.n - 1)
-                              * abs(float(self.dg(rho))) ** (self.p - 1.0))
-            else:
-                dom = fields.annulus(lo * 0.999, hi * 1.001, self.n)
-                self._flux = fields.level_set_flux(self.fam, self.source, dom, level)
-        return self._flux
+        lo, hi = self.source_bracket
+        if self.branch == "green_based":
+            gmin, _ = self.profile_range(self.g)
+            m_phi = float(np.min(self.g(
+                np.geomspace(self.phi_profile.r_a, self.phi_profile.r_b, 128))))
+            level = math.sqrt(3.0 * gmin * m_phi)
+        else:
+            rho_mid = math.sqrt(lo * hi)
+            level = float(self.g(np.asarray([rho_mid]))[0])
+        if self.fam.kind == "euclidean" and self.source.radial[0] is None:
+            rho = float(self.source.radial_inverse(level))
+            return (self.angular * rho ** (self.n - 1)
+                    * abs(float(self.dg(rho))) ** (self.p - 1.0))
+        dom = fields.annulus(lo * 0.999, hi * 1.001, self.n)
+        return fields.level_set_flux(self.fam, self.source, dom, level)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +337,9 @@ def _radial_integral(hw, fun, lo, hi, align=(), n_r=768):
 
 def _support(hw, levels, top, vmin, vmax):
     """(lo, hi, align) of the cutoff member with ground-state ``levels``, or None
-    when its lowest level lies outside the range (vmin, vmax): no member is clipped.
+    when its lowest level lies outside the range (vmin, vmax) or, where v is not
+    monotone (the capped branch), at a radius outside the bracket: no member is
+    clipped.
 
     It is integrated between the radii of its levels, aligned at them.  A bracket
     end joins them where the member saturates, v lying strictly between its lowest
@@ -350,8 +348,11 @@ def _support(hw, levels, top, vmin, vmax):
     low = min(levels)
     if not vmin < low < vmax:
         return None
-    radii = [r for t in levels if t < vmax for r in hw.rho_of_v(t)]
+    at = {t: hw.rho_of_v(t) for t in levels if t < vmax}
     blo, bhi = hw.source_bracket
+    if not all(blo <= r <= bhi for r in at[low]):
+        return None
+    radii = [r for rs in at.values() for r in rs]
     radii += [end for end in (blo * (1 + 1e-9), bhi * (1 - 1e-9))
               if low < float(hw.v(np.asarray([end]))[0]) < top]
     return min(radii), max(radii), tuple(radii)

@@ -179,19 +179,9 @@ def unit_ball_volume(n, gauge=None, n_ang=96):
     return float(np.dot(w, J)) / n
 
 
-_ANGULAR_CACHE: dict = {}
-
-
 def angular_measure(n, gauge=None):
     """n * vol(unit ball of the radial gauge): the angular factor of radial integrals."""
-    if _round(gauge):
-        return n * unit_ball_volume(n)
-    # keyed by value: an id() could be reused by a later family, and the
-    # label omits p, on which the mixed unit ball depends
-    key = (gauge.label(), gauge.p, gauge.n, n)
-    if key not in _ANGULAR_CACHE:
-        _ANGULAR_CACHE[key] = n * unit_ball_volume(n, gauge)
-    return _ANGULAR_CACHE[key]
+    return n * unit_ball_volume(n, gauge)
 
 
 def radial_integral(f, lo, hi, n, angular, align=(), n_r=768, order=6):

@@ -9,9 +9,9 @@ A2 = np.array([[4.0, 0.0], [0.0, 9.0]])
 
 def test_trivial_values():
     fe3 = norms.euclidean(3, 2)
-    d = bregman.bregman_distance(fe3, None, np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+    d = bregman.bregman_distance(fe3, np.array([1.0, 0.0]), np.array([1.0, 0.0]))
     assert float(d) == pytest.approx(4.0)         # 2^3 - 1 - 3
-    d0 = bregman.bregman_distance(fe3, None, np.array([1.0, 2.0]), np.zeros(2))
+    d0 = bregman.bregman_distance(fe3, np.array([1.0, 2.0]), np.zeros(2))
     assert float(d0) == 0.0
 
 
@@ -19,7 +19,7 @@ def test_p2_euclidean_is_eta_squared_exactly():
     fam = norms.euclidean(2, 3)
     xi = norms.sample_vectors(3, 3000, 1, stream=1)
     eta = norms.sample_vectors(3, 3000, 1, stream=2)
-    d = bregman.bregman_distance(fam, None, xi, eta)
+    d = bregman.bregman_distance(fam, xi, eta)
     assert np.abs(d / np.sum(eta * eta, axis=1) - 1.0).max() < 1e-11
 
 
@@ -31,7 +31,7 @@ def test_stable_path_matches_direct_formula():
         a, hp = norms.operator_a(fam, None, xi)
         direct = norms.norm_eval(fam, None, xi + eta) ** fam.p - hp \
             - fam.p * np.einsum("ij,ij->i", a, eta)
-        stable = bregman.bregman_distance(fam, None, xi, eta)
+        stable = bregman.bregman_distance(fam, xi, eta)
         assert np.abs(stable / direct - 1.0).max() < 1e-8
 
 
@@ -41,8 +41,8 @@ def test_scale_covariance(t):
     fam = norms.mixed(4, A2, 2.5)
     xi = np.array([1.3, -0.4])
     eta = np.array([0.2, 0.9])
-    d1 = float(bregman.bregman_distance(fam, None, t * xi, t * eta))
-    d0 = float(bregman.bregman_distance(fam, None, xi, eta))
+    d1 = float(bregman.bregman_distance(fam, t * xi, t * eta))
+    d0 = float(bregman.bregman_distance(fam, xi, eta))
     assert d1 == pytest.approx(t ** fam.p * d0, rel=1e-10)
 
 
@@ -52,9 +52,9 @@ def test_nonnegativity_and_strictness():
         fam = norms.parse_family(spec, p, 2)
         xi = norms.sample_vectors(2, 5000, 7, stream=3)
         eta = norms.sample_vectors(2, 5000, 7, stream=4)
-        d = bregman.bregman_distance(fam, None, xi, eta)
+        d = bregman.bregman_distance(fam, xi, eta)
         assert d.min() > 0.0
-        small = np.abs(bregman.bregman_distance(fam, None, xi, 0.0 * eta))
+        small = np.abs(bregman.bregman_distance(fam, xi, 0.0 * eta))
         assert small.max() == 0.0
 
 
@@ -72,7 +72,7 @@ def test_verify_bounds_reproducible_and_witnessed():
     assert e1.c_lower == e2.c_lower and e1.c_upper == e2.c_upper
     xi = np.array(e1.witness_upper["xi"])
     eta = np.array(e1.witness_upper["eta"])
-    d = float(bregman.bregman_distance(fam, None, xi, eta))
+    d = float(bregman.bregman_distance(fam, xi, eta))
     assert d == pytest.approx(e1.witness_upper["d"], rel=1e-12)
     assert d / e1.witness_upper["ref"] == pytest.approx(e1.c_upper, rel=1e-12)
 
@@ -101,7 +101,7 @@ def test_lp4_lower_envelope_has_zero_infimum():
     xi = np.array([1.0, 0.0])
     for t in (1e-1, 1e-2, 1e-3):
         eta = np.array([0.0, t])
-        d = float(bregman.bregman_distance(fam, None, xi, eta))
+        d = float(bregman.bregman_distance(fam, xi, eta))
         ratio = d / bregman.lower_reference(fam, xi, eta)
         # D ~ (p/4) t^4 while |eta|^p = t^3: the ratio vanishes linearly
         assert ratio == pytest.approx(0.75 * t, rel=0.05)

@@ -459,7 +459,7 @@ def test_properness_surrogate():
 
 
 def test_synthetic_capped_profile_shape():
-    G = fields.synthetic_capped_profile(2.0, 10.0, a=2.0, b=0.0)
+    G = fields.synthetic_capped_profile(2.0, 10.0)
     r = np.array([[1e-3, 0.0], [5.0, 0.0], [9.999, 0.0]])
     vals = G(r)
     assert np.all(vals > 0.0) and np.all(vals < 2.0)

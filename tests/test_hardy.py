@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -25,9 +26,8 @@ def test_weight_takes_p_n_and_c_p_from_its_family():
         assert abs(hw.c_p - (p / (p - 1.0)) ** (p - 1.0)) < 1e-14
 
 
-def test_angular_measure_cache_is_keyed_by_value():
-    # a family freed before another is built may hand its id() on; the
-    # dual unit ball of quadratic(A) is an ellipse of area pi sqrt(det A)
+def test_angular_measure_is_each_familys_own():
+    # the dual unit ball of quadratic(A) is an ellipse of area pi sqrt(det A)
     for _ in range(200):
         quadrature.angular_measure(2, norms.lp(4, 3.0, 2))
         fac = quadrature.angular_measure(2, norms.quadratic(A2, 3.0))
@@ -37,6 +37,15 @@ def test_angular_measure_cache_is_keyed_by_value():
     f2, f3 = norms.mixed(4, A2, 2.0), norms.mixed(4, A2, 3.0)
     assert f2.label() == f3.label()
     assert quadrature.angular_measure(2, f2) != quadrature.angular_measure(2, f3)
+    # and the label spells s with :g, so lp(4.0000001) reads "lp4" too
+    near = norms.lp(4.0000001, 3.0, 2)
+    assert near.label() == norms.lp(4, 3.0, 2).label()
+    assert quadrature.angular_measure(2, near) == 2 * quadrature.unit_ball_volume(2, near)
+
+
+def test_weight_is_frozen():
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        standard_weight(3.0, 2).angular = 1.0
 
 
 def test_null_sequence_energies_are_pinned_bit_for_bit():
@@ -50,7 +59,7 @@ def test_null_sequence_energies_are_pinned_bit_for_bit():
 
 
 def capped_weight():
-    G = fields.synthetic_capped_profile(2.0, 10.0, a=2.0, b=0.0)
+    G = fields.synthetic_capped_profile(2.0, 10.0)
     return hardy.build_weight_zero_potential(norms.euclidean(3.0, 2), G, sigma=2.0,
                                              bracket=(1e-2, 10.0 * (1 - 1e-10)))
 
@@ -78,10 +87,10 @@ def _capped_lower_bound():
 
 @pytest.mark.parametrize("compute,pinned", [
     (_capped_null_sequence, [
-        "0x1.c7a25e48fb514p+4", "0x1.d882c2fcbe16bp+3", "0x1.41601508a18aap+3",
-        "0x1.0111052b8861fp+5", "0x1.f854173a18f07p+5", "0x1.51c7c596956f2p+6",
-        "0x1.14d00aa5257d8p+3", "0x1.1994bc3e9e6d0p+1", "0x1.92068376770fap-1",
-        "0x1.26513d84eea26p+4", "0x1.80325622f5120p+5", "0x1.154118c902a18p+6"]),
+        "0x1.c7a25e48fb514p+4", "0x1.d882c2fcbe16bp+3",
+        "0x1.0111052b8861fp+5", "0x1.f854173a18f07p+5",
+        "0x1.14d00aa5257d8p+3", "0x1.1994bc3e9e6d0p+1",
+        "0x1.26513d84eea26p+4", "0x1.80325622f5120p+5"]),
     (_optimality_probe, [
         "0x1.63e7dcae8fbdap+0", "0x1.73a4302162b9fp+4", "0x1.7e41493daa9c4p-40",
         "0x1.18f9f72ba3ef6p+0", "0x1.73a4302162b9ep+5", "0x1.748ced6a0cc20p-69",
@@ -103,9 +112,10 @@ def test_optimality_probes_are_pinned_bit_for_bit(compute, pinned):
     # is G'(rho) omega on the round shell; G'(|x|) x/|x| at x = rho omega
     # rounds the constant 1 ulp and the two rhs entries 3 and 1 ulp higher.
     # Each cutoff member is integrated over its own support: a capped member
-    # between the two radii of 1/k^2, where the whole bracket was taken (and
-    # the k = 64 member, whose inner radius 0.00977 lies below the bracket's
-    # 0.01, was cut there), and a tail member up to the radius of eps, where
+    # between the two radii of 1/k^2, where the whole bracket was taken, and
+    # only if both lie inside the bracket (the k = 64 member, whose inner
+    # radius 0.0097656 lies below the bracket's 0.01, is dropped; it was
+    # integrated from there), and a tail member up to the radius of eps, where
     # the interval ended at eps * 0.9999999, with its panels aligned also at
     # the interior zero of u' on the falling transition, as a null member's
     assert [float(x).hex() for x in compute()] == pinned
@@ -157,7 +167,7 @@ def test_branch_rules():
     with pytest.raises(BranchError):
         standard = fields.DualPowerField(norms.euclidean(2.0, 3))
         hardy.build_weight_zero_potential(norms.euclidean(2.0, 3), standard, sigma=1.0)
-    G = fields.synthetic_capped_profile(2.0, 10.0, a=2.0, b=0.0)
+    G = fields.synthetic_capped_profile(2.0, 10.0)
     with pytest.raises(BranchError):
         hardy.build_weight_zero_potential(norms.euclidean(3.0, 2), G, sigma=0.4,
                                           bracket=(1e-2, 10.0 * (1 - 1e-10)))
@@ -165,7 +175,7 @@ def test_branch_rules():
 
 def test_capped_branch_formulas():
     sigma = 2.0
-    G = fields.synthetic_capped_profile(sigma, 10.0, a=2.0, b=0.0)
+    G = fields.synthetic_capped_profile(sigma, 10.0)
     hw = hardy.build_weight_zero_potential(norms.euclidean(3.0, 2), G, sigma=sigma,
                                            bracket=(1e-2, 10.0 * (1 - 1e-10)))
     rr = np.geomspace(1.1e-2, 9.99, 500)
@@ -282,7 +292,7 @@ def test_ground_state_residual_on_rho_forms_no_points(monkeypatch):
     monkeypatch.setattr(norms, "dual_newton", counted_newton)
     hw = standard_weight(1.5, 2, norms.mixed(4, A2, 1.5))
     dom = fields.annulus(0.1, 10.0, 2)
-    del rows[:]   # the weight's angular measure solves once unless it is cached
+    del rows[:]   # building the weight solved once, for its angular measure
     fields._shell_patches(hw.fam, fields.random_bumps(dom, 5, 3), 2)
     geometry_rows = rows[:]
     del rows[:]
@@ -495,6 +505,25 @@ def test_a_standard_member_is_integrated_over_its_own_support(p, n, monkeypatch)
     scales = {k: k ** 2 / 1e-2 for k in (4, 4096)}
     assert intervals == [tuple(sorted(hw.rho_of_v(t / s)[0] for t in (k ** 2, 1.0 / k ** 2)))
                          for k, s in scales.items()]
+
+
+def test_every_capped_member_is_integrated_inside_the_bracket(monkeypatch):
+    # capped v vanishes at both ends of the source's domain, so the range floor
+    # is no radius bound: k = 64 has 1/k^2 above it but its inner radius at
+    # 0.0097656, below the bracket's 0.01, so it is dropped
+    intervals, integral = [], quadrature.radial_integral
+
+    def spy(f, lo, hi, *args, **kwargs):
+        intervals.append((lo, hi))
+        return integral(f, lo, hi, *args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "radial_integral", spy)
+    hw = capped_weight()
+    ns = hardy.null_sequence(hw, [4, 16, 64, 256])
+    assert (ns.k_list, ns.truncated) == ([4, 16], [64, 256])
+    blo, bhi = hw.source_bracket
+    assert len(intervals) == 2
+    assert all(blo <= lo < hi <= bhi for lo, hi in intervals)
 
 
 def test_energy_positivity_and_ratio_monotonicity():

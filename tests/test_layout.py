@@ -198,11 +198,11 @@ def _init_fields(node):
 
 
 def _options():
-    """{(call name, name offset): [(label, param, position)]} for every parameter
-    with a default of src's module-level functions and class methods, and for
-    every defaulted field of a dataclass's constructor.  A call names a function
-    bare or as an attribute, a method by its attribute (one positional slot for
-    self) and ``__init__`` by its class."""
+    """{(call name, name offset): [(label, param, position, default)]} for every
+    parameter with a default of src's module-level functions and class methods,
+    and for every defaulted field of a dataclass's constructor.  A call names a
+    function bare or as an attribute, a method by its attribute (one positional
+    slot for self) and ``__init__`` by its class."""
     options = {}
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -214,24 +214,33 @@ def _options():
         for label, called_as, fn, offset in defs:
             positional = fn.args.posonlyargs + fn.args.args
             first = len(positional) - len(fn.args.defaults)
-            params = [(a.arg, i) for i, a in enumerate(positional) if i >= first]
-            params += [(a.arg, None) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+            params = [(positional[first + j].arg, first + j, d)
+                      for j, d in enumerate(fn.args.defaults)]
+            params += [(a.arg, None, d) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
                        if d is not None]
             options.setdefault((called_as, offset), []).extend(
-                (f"{path.stem}.{label}", arg, i) for arg, i in params)
+                (f"{path.stem}.{label}", arg, i, d) for arg, i, d in params)
         for cls in tree.body:
             fields = _init_fields(cls)
             if fields:
                 options.setdefault((cls.name, 1), []).extend(
-                    (f"{path.stem}.{cls.name}", f.target.id, i + 1)
+                    (f"{path.stem}.{cls.name}", f.target.id, i + 1, f.value)
                     for i, f in enumerate(fields) if f.value is not None)
     return options
 
 
+def _is_default(value, default):
+    """Whether a passed argument is the default's own value, written as a literal."""
+    try:
+        return ast.literal_eval(value) == ast.literal_eval(default)
+    except ValueError:
+        return False
+
+
 def _options_set(dirs):
     """The labels ``module.function.param`` of the options that some call in the
-    Python files under ``dirs`` sets, by position or by keyword; a call with
-    ``**kwargs`` sets them all."""
+    Python files under ``dirs`` sets, by position or by keyword, to anything but
+    the default's literal; a call with ``**kwargs`` sets them all."""
     options = _options()
     found = set()
     for d in dirs:
@@ -240,11 +249,14 @@ def _options_set(dirs):
                 if not isinstance(call, ast.Call):
                     continue
                 name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
-                keywords = {k.arg for k in call.keywords}
+                keywords = {k.arg: k.value for k in call.keywords}
                 for offset in (0, 1):
-                    for label, arg, i in options.get((name, offset), ()):
-                        if (None in keywords or arg in keywords
-                                or i is not None and i - offset < len(call.args)):
+                    for label, arg, i, default in options.get((name, offset), ()):
+                        value = keywords.get(arg)
+                        if value is None and i is not None and i - offset < len(call.args):
+                            value = call.args[i - offset]
+                        if None in keywords or (value is not None
+                                                and not _is_default(value, default)):
                             found.add(f"{label}.{arg}")
     return found
 
@@ -252,7 +264,7 @@ def _options_set(dirs):
 def test_every_option_has_a_caller():
     # a default that no caller overrides is a constant written as an option:
     # one more configuration for the tests to cover, none for a user to need
-    every = {f"{label}.{arg}" for params in _options().values() for label, arg, _ in params}
+    every = {f"{label}.{arg}" for params in _options().values() for label, arg, _, _ in params}
     assert TEST_SEAMS <= every
     assert sorted(every - _options_set(("src", "scripts", "perfbench")) - TEST_SEAMS) == []
     assert sorted(TEST_SEAMS - _options_set(("tests",))) == []
