@@ -187,31 +187,26 @@ class HardyWeight:
         return (float(self.source.radial_inverse(float(t) ** (1.0 / e))),)
 
     def flux_constant(self):
-        """Measured coarea flux of the source field.
+        """Coarea flux of the source field through one of its level sets.
 
         For the green branch the level sits below the density support
         (where the flux is the constant total flux) and above the outer
         truncation value; otherwise at the middle of the radial bracket.
-        A euclidean family with a profile of |x| has |G'|^(p-1) constant on
-        the round level sphere, so its flux is the closed form
-        angular * rho^(n-1) |G'(rho)|^(p-1), as in :func:`green.level_flux`;
-        every other source takes the level-set quadrature.
+        The source is radial in the family's own gauge H0 (checked by the
+        builders), and H(grad H0) = 1, so the flux through the level shell
+        {H0 = rho} is the closed form angular * rho^(n-1) |G'(rho)|^(p-1), as
+        in :func:`green.level_flux`.
         """
-        lo, hi = self.source_bracket
         if self.branch == "green_based":
             gmin, _ = self.profile_range(self.g)
             m_phi = float(np.min(self.g(
                 np.geomspace(self.phi_profile.r_a, self.phi_profile.r_b, 128))))
             level = math.sqrt(3.0 * gmin * m_phi)
         else:
-            rho_mid = math.sqrt(lo * hi)
-            level = float(self.g(np.asarray([rho_mid]))[0])
-        if self.fam.kind == "euclidean" and self.source.radial[0] is None:
-            rho = float(self.source.radial_inverse(level))
-            return (self.angular * rho ** (self.n - 1)
-                    * abs(float(self.dg(rho))) ** (self.p - 1.0))
-        dom = fields.annulus(lo * 0.999, hi * 1.001, self.n)
-        return fields.level_set_flux(self.fam, self.source, dom, level)
+            lo, hi = self.source_bracket
+            level = float(self.g(np.asarray([math.sqrt(lo * hi)]))[0])
+        rho = float(self.source.radial_inverse(level))
+        return self.angular * rho ** (self.n - 1) * abs(float(self.dg(rho))) ** (self.p - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +231,15 @@ def check_bracket(G, p):
     return max(lo, 1.0 / SPAN), min(hi, SPAN, G.radial_bound * (1.0 - 1e-9))
 
 
+def _dual_key(gauge):
+    """The values that fix a gauge's dual norm H0; None is |x|, the euclidean one.
+    Unlike ``label()`` it keeps s exact, and the mixed kind's H0 depends on p."""
+    if gauge is None or gauge.kind == "euclidean":
+        return ("euclidean",)
+    return (gauge.kind, gauge.s, None if gauge.A is None else gauge.A.tolist(),
+            gauge.p if gauge.kind == "mixed" else None)
+
+
 def build_weight_zero_potential(fam, G, sigma=0.0, bracket=None):
     """Branch-correct (W, v) from a positive p-harmonic field G.
 
@@ -252,6 +256,9 @@ def build_weight_zero_potential(fam, G, sigma=0.0, bracket=None):
         raise BranchError("the capped branch needs p > n; for p <= n use sigma = 0")
     if G.radial is None:
         raise BranchError("the constructions need a field with radial structure")
+    if _dual_key(G.radial[0]) != _dual_key(fam):
+        raise BranchError("the source must be radial in the family's own gauge H0 (|x| "
+                          "for the euclidean kind): the weight needs H(grad rho) = 1")
     if bracket is None:
         bracket = (1e-8, 1e8) if sigma > 0.0 else check_bracket(G, p)
     rho = np.geomspace(bracket[0] * (1 + 1e-12), bracket[1] * (1 - 1e-12), 512)

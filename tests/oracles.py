@@ -11,6 +11,7 @@ checks only the radial reduction of ``quadrature.radial_integral``.
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
@@ -414,3 +415,44 @@ def two_pass_dual(fam, y):
         return _two_pass_lp_norm(y, s), _two_pass_lp_grad(y, s)
     return (_two_pass_quad_norm(y, fam.A_inv),
             (y @ fam.A_inv) / _two_pass_quad_norm(y, fam.A_inv)[..., None])
+
+
+# -- Bregman distance at high precision ----------------------------------------
+
+
+def mp_bregman_distance(fam, xi, eta, dps=60):
+    """D(xi + eta, xi) of H^p over rows, at ``dps`` digits, rounded to floats.
+
+    H^p is formed as the sum of its parts (sum |v_i|^s)^(p/s) and
+    (v . A v)^(p/2), and the linear term from their analytic gradients, so at
+    60 digits the difference of large numbers loses nothing a float can hold.
+    """
+    with mpmath.workdps(dps):
+        p = mpmath.mpf(fam.p)
+        A = None if fam.kind == "lp" else mpmath.matrix(
+            np.eye(fam.n) if fam.kind == "euclidean" else fam.A)
+
+        def value_and_grad(v):
+            val, grad = mpmath.mpf(0), [mpmath.mpf(0)] * len(v)
+            if fam.kind in ("lp", "mixed"):
+                s = mpmath.mpf(fam.s)
+                S = mpmath.fsum(abs(c) ** s for c in v)
+                if S > 0:
+                    val += S ** (p / s)
+                    grad = [g + p * S ** (p / s - 1) * mpmath.sign(c) * abs(c) ** (s - 1)
+                            for g, c in zip(grad, v)]
+            if A is not None:
+                Av = A * mpmath.matrix(v)
+                Q = mpmath.fsum(c * a for c, a in zip(v, Av))
+                if Q > 0:
+                    val += Q ** (p / 2)
+                    grad = [g + p * Q ** (p / 2 - 1) * a for g, a in zip(grad, Av)]
+            return val, grad
+
+        out = []
+        for x, e in zip(np.atleast_2d(xi), np.atleast_2d(eta)):
+            x, e = [mpmath.mpf(float(c)) for c in x], [mpmath.mpf(float(c)) for c in e]
+            hx, gx = value_and_grad(x)
+            out.append(float(value_and_grad([a + b for a, b in zip(x, e)])[0] - hx
+                             - mpmath.fsum(g * c for g, c in zip(gx, e))))
+    return np.array(out)

@@ -380,6 +380,9 @@ ERROR_DECADES = {
         "hardy.nullseq_mass_slope.p3", "hardy.null_criticality.euclidean_p2_n3",
         "hardy.null_criticality.euclidean_p2_n3.value",
         "hardy.null_criticality.lp4_p3_n2", "hardy.x_closed_form.p2",
+        # 1.6e-10 (-9) while the quadratic part's first-order terms were
+        # differenced; each part's distance now cancels them exactly (6.7e-16)
+        "bregman.stability.quad.p2.c_upper",
         "eigen.p2_rayleigh_consistency", "eigen.constant_shift",
         "eigen.convergence_shift", "eigen.convergence_normalization",
         "green.farfield_exponent.p2n3", "green.farfield_exponent.p1.5n3"],
@@ -401,10 +404,13 @@ ERROR_DECADES = {
         "green.flux_identity.p2n3", "green.flux_identity.p1.5n3",
         "green.flux_identity.p2.5n3", "eigen.convergence_rate"],
     -4: [
-        "bregman.stability.lp4.p4.c_upper", "bregman.stability.mix.p2.c_upper",
-        "bregman.stability.mix.p3.c_upper", "green.residual.p2", "eigen.p2_lambda2",
+        "bregman.stability.mix.p2.c_upper", "green.residual.p2", "eigen.p2_lambda2",
         "eigen.p2_gap", "eigen.p3_lambda2"],
     -5: [
+        # 2.3e-5 and 8.0e-5 (-4) while the lp part took the direct difference
+        # H(xi+eta)^p - H(xi)^p - p a(xi).eta, whose cancellation the two seeds
+        # did not share; from each part's split they read 3.7e-6 and 2.1e-6
+        "bregman.stability.lp4.p4.c_upper", "bregman.stability.mix.p3.c_upper",
         "bregman.stability.quad.p1.5.c_upper", "bregman.stability.quad.p3.c_upper",
         "bregman.stability.quad.p4.c_upper", "bregman.stability.mix.p1.5.c_upper",
         "bregman.stability.mix.p4.c_upper", "hardy.green_mass_slope",
@@ -416,8 +422,6 @@ ERROR_DECADES = {
         "eigen.p2_lambda1"],
     -8: [
         "hardy.nullseq_mass_slope.p1.5", "green.farfield_exponent.p2.5n3"],
-    -9: [
-        "bregman.stability.quad.p2.c_upper"],
     -10: [
         "bregman.stability.quad.p2.c_lower"],
 }

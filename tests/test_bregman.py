@@ -1,8 +1,12 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from finslerhardy import bregman, norms
+from finslerhardy import acceptance, bregman, norms
+from finslerhardy.errors import UnsupportedKindError
+
+import oracles
 
 A2 = np.array([[4.0, 0.0], [0.0, 9.0]])
 
@@ -91,8 +95,73 @@ def test_mixed_upper_envelope_vs_parts():
 
 def test_weighted_kind_rejected():
     wf = norms.weighted(1.0, norms.lp(4, 2, 2))
-    with pytest.raises(Exception):
+    with pytest.raises(UnsupportedKindError):
         bregman.verify_bounds(wf, 100, seed=0)
+    with pytest.raises(UnsupportedKindError):
+        bregman.bregman_distance(wf, np.ones((3, 2)), np.ones((3, 2)))
+
+
+def _oracle_rows(seed, count=100_000):
+    """The suite's samples at ``seed``: the 30 rows with the least |eta|/|xi|, the 5
+    with the largest and 10 spread between."""
+    xi = norms.sample_vectors(2, count, seed, 3, stream=1)
+    eta = norms.sample_vectors(2, count, seed, 3, stream=2)
+    order = np.argsort(np.linalg.norm(eta, axis=1) / np.linalg.norm(xi, axis=1))
+    spread = order[np.linspace(30, count - 6, 10).astype(int)]
+    rows = np.concatenate([order[:30], order[-5:], spread])
+    return xi[rows], eta[rows]
+
+
+@pytest.mark.parametrize("kind", ["lp4", "mix", "quad", "euclidean"])
+def test_distance_matches_a_60_digit_oracle(kind):
+    # the direct difference H(xi+eta)^p - H(xi)^p - p a(xi).eta read relative
+    # errors of 6.9e-3 (lp4) and 1.5e-3 (mix) on these rows, and at seed
+    # 1183103791 a negative distance, c_lower = -2.3e6; each part's split is
+    # exact to a few hundred ulp
+    for seed in (1, 7, 1183103791):   # the suite's seeds; its samples are at seed + 32
+        xi, eta = _oracle_rows(seed + 32)
+        for p in acceptance.BREGMAN_PS:
+            fam = acceptance._family(kind, p, 2)
+            d = bregman.bregman_distance(fam, xi, eta)
+            ref = oracles.mp_bregman_distance(fam, xi, eta)
+            assert d.min() > 0.0, (seed, p)
+            assert np.abs(d / ref - 1.0).max() <= 1e-11, (seed, p)
+
+
+@pytest.mark.parametrize("s", [30.0, 200.0])
+def test_large_s_keeps_the_distance_finite_and_positive(s):
+    # a power-of-two scale per row keeps |xi_i|^s finite; on these rows the direct
+    # difference read a relative error of 1.1 at s = 30 and two nonpositive
+    # distances at s = 200
+    fam = norms.lp(s, 1.5, 2)
+    xi = norms.sample_vectors(2, 100_000, 5, 3, stream=1)
+    eta = norms.sample_vectors(2, 100_000, 5, 3, stream=2)
+    d = bregman.bregman_distance(fam, xi, eta)
+    assert np.all(np.isfinite(d)) and d.min() > 0.0
+    if s == 30.0:
+        rows = np.argsort(np.linalg.norm(eta, axis=1) / np.linalg.norm(xi, axis=1))[::2000]
+        ref = oracles.mp_bregman_distance(fam, xi[rows], eta[rows])
+        assert np.abs(d[rows] / ref - 1.0).max() <= 1e-11
+
+
+@pytest.mark.parametrize("p", [0.375, 0.5, 0.75, 1.0, 1.5, 2.0])
+def test_pow_bregman_on_both_sides_of_its_switch(p):
+    # g_p(delta) = |1+delta|^p - 1 - p delta: the series below |delta| = 1e-2 and
+    # expm1(p log|1+delta|) above it; exponents below 1 are the outer q = p/s
+    delta = np.concatenate([s * np.geomspace(1e-8, 0.5, 41) for s in (1.0, -1.0)]
+                           + [[0.00999, 0.01, 0.01001, -0.00999, -0.01, -1.5, -3.0, 4.0]])
+    g = bregman._pow_bregman(p, delta)
+    with mpmath.workdps(60):
+        ref = np.array([float(abs(1 + mpmath.mpf(x)) ** p - 1 - p * mpmath.mpf(x))
+                        for x in delta])
+    if p == 1.0:
+        assert np.all(g == 0.0)
+        return
+    err = np.abs(g / ref - 1.0)
+    small = np.abs(delta) < 1e-2
+    assert err[small].max() <= 1e-15
+    # above the switch |1+delta|^p - 1 - p delta would lose ~1e-11 at delta = 1e-2
+    assert err[~small].max() <= 2e-13
 
 
 def test_lp4_lower_envelope_has_zero_infimum():

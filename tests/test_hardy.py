@@ -328,10 +328,10 @@ def test_ball_layout_takes_rho_from_one_dual_pass_per_block(monkeypatch):
     assert max(nodes for _, _, nodes in ranges) <= fields.BLOCK_NODES
 
 
-def test_flux_constant_of_a_profile_of_x_is_the_closed_form(monkeypatch):
-    # a euclidean family with a profile of |x| has |G'|^(p-1) constant on the round
-    # level sphere: angular rho^(n-1) |G'(rho)|^(p-1), no level-set quadrature (the
-    # Green weight's took 18,432 directions), equal to that quadrature to rounding
+def test_flux_constant_is_the_closed_form_for_every_source(monkeypatch):
+    # every source is radial in the family's own gauge H0, where H(grad H0) = 1: the
+    # flux is angular rho^(n-1) |G'(rho)|^(p-1), no level-set quadrature (the Green
+    # weight's took 18,432 directions), equal to that quadrature to rounding
     calls = []
     quadrature_flux = fields.level_set_flux
 
@@ -342,16 +342,41 @@ def test_flux_constant_of_a_profile_of_x_is_the_closed_form(monkeypatch):
     monkeypatch.setattr(fields, "level_set_flux", counted)
     hw = _green_weight(512)
     cf = hw.flux_constant()
-    assert calls == []
     gmin, _ = hw.profile_range(hw.g)
     phi = hw.phi_profile
     level = math.sqrt(3.0 * gmin * float(np.min(hw.g(np.geomspace(phi.r_a, phi.r_b, 128)))))
     lo, hi = hw.source_bracket
     ref = quadrature_flux(hw.fam, hw.source, fields.annulus(lo * 0.999, hi * 1.001, 3), level)
     assert cf == pytest.approx(ref, rel=1e-13)
-    # every other source keeps the quadrature
-    standard_weight(3.0, 2, norms.lp(4, 3.0, 2)).flux_constant()
-    assert len(calls) == 1
+    for fam in (norms.lp(4, 3.0, 2), norms.mixed(4, A2, 1.5)):
+        hw = standard_weight(fam.p, fam.n, fam)
+        lo, hi = hw.source_bracket
+        level = float(hw.g(np.asarray([math.sqrt(lo * hi)]))[0])
+        ref = quadrature_flux(fam, hw.source, fields.annulus(lo * 0.999, hi * 1.001, 2), level)
+        assert hw.flux_constant() == pytest.approx(ref, rel=1e-13)
+    assert calls == []
+
+
+def test_source_must_be_radial_in_the_familys_own_gauge():
+    # the weight takes |grad G| in the family's norm as |g'(rho)|, which needs
+    # H(grad rho) = 1, so rho must be the family's dual norm H0.  Built without
+    # this check on lp(4), p = 3, n = 2, the ground-state residual (20 bumps in
+    # annulus(0.1, 10), seed 7) read 1.8e-2 for a quadratic-gauge source and
+    # 4.2e-3 for the same profile of |x|, against 1.1e-6 for the matched source
+    fam = norms.lp(4, 3.0, 2)
+    G = fields.DualPowerField(fam)
+    for wrong in (fields.DualPowerField(norms.quadratic(A2, 3.0)),
+                  fields.RadialProfileField(G.radial[1], G.radial[2], bracket=(1e-3, 1e3))):
+        with pytest.raises(BranchError, match="own gauge"):
+            hardy.build_weight_zero_potential(fam, wrong, bracket=(1e-2, 1e2))
+    # families equal by value pass, built twice; labels that round s do not
+    hardy.build_weight_zero_potential(norms.lp(4, 3.0, 2), fields.DualPowerField(fam))
+    with pytest.raises(BranchError, match="own gauge"):
+        hardy.build_weight_zero_potential(norms.lp(4.0000001, 3.0, 2), G)
+    # the mixed kind's H0 depends on p, which its label omits
+    with pytest.raises(BranchError, match="own gauge"):
+        hardy.build_weight_zero_potential(norms.mixed(4, A2, 1.5),
+                                          fields.DualPowerField(norms.mixed(4, A2, 3.0)))
 
 
 def test_radial_potential_must_share_the_field_gauge():

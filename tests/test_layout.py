@@ -142,6 +142,16 @@ def test_src_imports_no_scipy_linalg():
     assert _src_imports(("scipy.linalg",)) == []
 
 
+def test_cli_import_loads_no_oracle_library():
+    # importing mpmath costs about 0.02 s and sympy 0.24 to 0.46 s on a 2-vCPU VM,
+    # as much as a quick suite's whole set-up; the oracles that use them live in tests/
+    assert _loaded_by_cli_import(("mpmath", "sympy")) == []
+
+
+def test_src_imports_no_oracle_library():
+    assert _src_imports(("mpmath", "sympy")) == []
+
+
 def _callers(path, name):
     """The top-level functions and methods of ``path`` whose bodies call ``name``,
     bare or as an attribute (``norms.<name>``)."""
