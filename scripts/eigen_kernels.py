@@ -3,8 +3,9 @@
 
 On the interval (0, 1) with V = 0 at p = 3, for each N: the per-call time
 of the ``eigen._Disc`` kernels that the descent and the Newton polish call
-(``rayleigh``, ``gradient``, ``precondition``, ``weak_residual``), taken at
-the normalized first mode sin(pi x), and the per-solve time of
+(``rayleigh``, ``gradient``, ``precondition``; ``weak_residual``, the
+polish's one-pass evaluation, and ``newton_direction``, its bordered step),
+taken at the normalized first mode sin(pi x), and the per-solve time of
 ``principal_eigenvalue`` and ``second_eigenvalue_and_gap`` with 2 restarts.
 Each figure is the median over 5 timings; a kernel timing runs as many calls
 as take about 0.2 s.  Writes JSON to --out (stdout if omitted).  Pin BLAS to
@@ -52,11 +53,13 @@ def measure(N):
     v = disc.normalize(np.sin(math.pi * disc.x[1:-1]))
     lam = disc.rayleigh(v)
     g = disc.gradient(v, lam)
+    state = disc.weak_residual(v, lam)
     return {
         "rayleigh_us": kernel_us(lambda: disc.rayleigh(v)),
         "gradient_us": kernel_us(lambda: disc.gradient(v, lam)),
         "precondition_us": kernel_us(lambda: disc.precondition(g)),
         "weak_residual_us": kernel_us(lambda: disc.weak_residual(v, lam)),
+        "direction_us": kernel_us(lambda: disc.newton_direction(state)),
         "principal_s": solve_s(
             lambda: eigen.principal_eigenvalue(ep, restarts=RESTARTS)),
         "second_s": solve_s(

@@ -30,11 +30,15 @@ principal eigenfunction is the only one that does not change sign);
 otherwise the descent resumes from where it paused, up to ``DESCENT_STEPS``
 = 40 steps in all, and Newton polishes again.  Newton
 (``newton.damped_newton``) stops when the weak residual and the
-normalization defect are both below its tolerance, or at their round-off
-floor: there no line-search trial decreases the norm of the whole bordered
-residual, so a search tries at most 20 steps (2 once the residual is below
-100 times the tolerance), and when all fail Newton stops without a step; a
-normalization defect left at the floor is removed by scaling v, which moves
+normalization defect are both below its tolerance, or, for most problems,
+within the residual's rounding floor (``_Disc.rounding_floor``: the
+componentwise backward error of Oettli and Prager, by which Arioli, Demmel
+and Duff stop iterative refinement), tested once the relative residual is
+below 1e-9 and the defect below the tolerance, before any step (exit
+``rounding``).  Where no trial decreases the norm of the whole bordered
+residual, a line search tries at most 20 steps (2 below 100 times the
+tolerance) and Newton stops without a step (exit ``floor``); a
+normalization defect left there is removed by scaling v, which moves
 neither lambda nor the relative residual.  A hand-over outside the basin is
 not hidden: the solvers raise ``SolverError`` when Newton's weak residual
 ends above 1e-7 or is NaN.
@@ -55,6 +59,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -178,74 +183,97 @@ class _Disc:
     def normalize(self, v):
         return v / self.norm_p(v)
 
-    def rayleigh(self, v):
+    def quotient(self, v):
+        """R[v] and the ||v||_p^p it divides by; R is 0-homogeneous."""
         vp = np.abs(v) ** self.p
         D = float(np.add.reduce(np.abs(self.dv(v)) ** self.p * self.me))
         P = float(np.add.reduce(self.Vv * vp * self.mass))
         M = float(np.add.reduce(vp * self.mass))
-        return (D + P) / M
+        return (D + P) / M, M
 
-    def _residual(self, v, lam, psi_v):
-        fl = _psi(self.dv(v), self.p) * self.me / self.h
-        if self.left_dirichlet:
-            r = fl[:-1] - fl[1:]
-        else:
-            r = np.empty(self.n_unknown)
-            r[0] = -fl[0]
-            r[1:] = fl[:-1] - fl[1:]
-        r += (self.Vv - lam) * psi_v * self.mass
-        return r
+    def rayleigh(self, v):
+        return self.quotient(v)[0]
+
+    def _padded(self, e):
+        """Per-element values with a zero element before a natural left end:
+        unknown i then lies between entries i and i + 1."""
+        return e if self.left_dirichlet else np.concatenate([[0.0], e])
 
     def weak_residual(self, v, lam):
-        """Nodal weak residual r, its norm, that norm scaled to the strong
-        form, and psi(v)."""
-        psi_v = _psi(v, self.p)
-        r = self._residual(v, lam, psi_v)
-        scale = abs(lam) + self.Vmax + 1.0
+        """One pass over (v, lambda): the nodal weak residual ``r``, its norm
+        ``rn``, ``rel`` = ``rn / denom`` relative to the strong form, and
+        ``g`` = ||v||_p^p - 1 from |v|^(p-1) |v|; with ``dv``, ``av`` = |v|,
+        ``psi_m`` = psi(v) mu, the element fluxes ``fl`` (``_padded``) and
+        ``pot`` = (V - lambda) psi(v) mu for the Newton step and floor."""
+        dv, av = self.dv(v), np.abs(v)
+        psi_v = np.sign(v) * av ** (self.p - 1.0)
+        fl = self._padded(_psi(dv, self.p) * self.me / self.h)
+        pot = (self.Vv - lam) * psi_v * self.mass
+        r = fl[:-1] - fl[1:] + pot
+        psi_m = psi_v * self.mass
+        rn = math.sqrt(r @ r)       # np.linalg.norm's value, without its overhead
         # relative weak-residual norm: the equation scale is the mass term
-        eq_scale = float(np.linalg.norm(self.mass * psi_v)) + 1e-300
-        rn = float(np.linalg.norm(r))
-        return r, rn, rn / (scale * eq_scale), psi_v
+        denom = (abs(lam) + self.Vmax + 1.0) * (math.sqrt(psi_m @ psi_m) + 1e-300)
+        return SimpleNamespace(lam=lam, dv=dv, av=av, psi_m=psi_m, fl=fl, pot=pot, r=r,
+                               rn=rn, denom=denom, rel=rn / denom, bands=None,
+                               g=float(psi_m @ v) - 1.0)
 
     def gradient(self, v, lam):
         """p times the weak residual: the gradient of R at ||v||_p = 1, lam = R[v]."""
-        return self.p * self._residual(v, lam, _psi(v, self.p))
+        return self.p * self.weak_residual(v, lam).r
 
     def _stiffness_factor(self):
+        me = self._padded(self.me)
         ab = np.zeros((2, self.n_unknown))
-        if self.left_dirichlet:
-            main = (self.me[:-1] + self.me[1:]) / self.h ** 2
-            off = -self.me[1:-1] / self.h ** 2
-        else:
-            main = np.empty(self.n_unknown)
-            main[0] = self.me[0] / self.h ** 2
-            main[1:] = (self.me[:-1] + self.me[1:]) / self.h ** 2
-            off = -self.me[:-1] / self.h ** 2
-        ab[0, 1:] = off
-        ab[1, :] = main
+        ab[0, 1:] = -me[1:-1] / self.h ** 2
+        ab[1, :] = (me[:-1] + me[1:]) / self.h ** 2
         return band_cholesky(ab)
 
     def precondition(self, g):
         """Solve K x = g with the upper banded Cholesky factor of K."""
         return band_cholesky_solve(self._factor, g)
 
-    def jacobian_bands(self, v, lam):
-        """Sub-, main and super-diagonal of the weak residual's Jacobian in v."""
-        p = self.p
-        dv = self.dv(v)
-        eps = 1e-8 * float(np.max(np.abs(dv)))
-        w = (p - 1.0) * (dv * dv + eps * eps) ** ((p - 2.0) / 2.0) * self.me / self.h ** 2
-        dpot = (self.Vv - lam) * (p - 1.0) \
-            * (np.abs(v) ** 2 + (eps * self.h) ** 2) ** ((p - 2.0) / 2.0) * self.mass
-        if self.left_dirichlet:
-            main = w[:-1] + w[1:]
-            off = -w[1:-1]              # unknown i <-> i+1 couple via element i+1
-        else:
-            main = np.empty(self.n_unknown)
-            main[0] = w[0]
-            main[1:] = w[:-1] + w[1:]
-            off = -w[: self.n_unknown - 1]   # unknown i <-> i+1 couple via element i
-        return off, main + dpot + 1e-300, off
+    def jacobian_bands(self, s):
+        """Sub-, main and super-diagonal of the weak residual's Jacobian in v
+        at the pass s of ``weak_residual``."""
+        p, h = self.p, self.h
+        eps = 1e-8 * float(np.abs(s.dv).max())
+        w = self._padded((p - 1.0) * (s.dv * s.dv + eps * eps) ** ((p - 2.0) / 2.0)
+                         * self.me / h ** 2)
+        dpot = (self.Vv - s.lam) * (p - 1.0) \
+            * (s.av ** 2 + (eps * h) ** 2) ** ((p - 2.0) / 2.0) * self.mass
+        off = -w[1:-1]              # unknowns i and i+1 couple via one element
+        return off, w[:-1] + w[1:] + dpot + 1e-300, off
+
+    def newton_direction(self, s):
+        """The bordered Newton step in (v, lambda) at the pass s, or None when
+        its system is singular; takes the Jacobian bands that
+        ``rounding_floor`` left in s, if it was called there."""
+        b = -s.psi_m                # d r / d lambda
+        c = self.p * s.psi_m        # d g / d v
+        try:
+            # both right-hand sides in one solve; columns of a Fortran array
+            z1, z2 = tridiagonal_solve(*(s.bands or self.jacobian_bands(s)),
+                                       np.array([s.r, b]).T).T
+        except np.linalg.LinAlgError:
+            return None
+        denom = c @ z2
+        if denom == 0.0:
+            return None
+        dlam = (c @ z1 - s.g) / denom
+        return np.concatenate([z1 - dlam * z2, [dlam]])
+
+    def rounding_floor(self, s):
+        """The rounding floor of ``s.rel`` (Oettli and Prager): the unit
+        roundoff times || |J| |v| + |fl_i| + |fl_(i+1)| + |(V - lambda) psi(v)
+        mu| ||, scaled as ``rel`` is.  Leaves the Jacobian bands J in
+        ``s.bands`` for ``newton_direction``."""
+        s.bands = sub, main, sup = self.jacobian_bands(s)
+        afl = np.abs(s.fl)
+        bound = np.abs(main) * s.av + afl[:-1] + afl[1:] + np.abs(s.pot)
+        bound[1:] += np.abs(sub) * s.av[:-1]
+        bound[:-1] += np.abs(sup) * s.av[1:]
+        return 0.5 * np.finfo(float).eps * math.sqrt(bound @ bound) / s.denom
 
 
 #: descent steps before the first hand-over to ``_newton_polish``.  Once in
@@ -282,10 +310,11 @@ def _pg_minimize(disc, v, lam, tau, steps):
         if gn < 1e-11:
             return v, lam, tau, True
         for _ in range(30):
-            trial = disc.normalize(v - tau * pg)
-            lam_t = disc.rayleigh(trial)
+            # only the accepted trial is normalized, by the norm R divides by
+            trial = v - tau * pg
+            lam_t, norm_pp = disc.quotient(trial)
             if lam_t < lam - 1e-4 * tau * gn:
-                v, lam = trial, lam_t
+                v, lam = trial / norm_pp ** (1.0 / disc.p), lam_t
                 tau = min(tau * 2.0, 1e3)
                 break
             tau *= 0.5
@@ -297,49 +326,37 @@ def _pg_minimize(disc, v, lam, tau, steps):
 def _newton_polish(disc, v, lam):
     """Bordered Newton on the EL system with the normalization constraint.
 
-    Runs ``newton.damped_newton`` on x = (v, lambda), for at most 60 steps.
-    Its tolerance test (1e-13) is on the relative weak residual and the
-    normalization defect g together; its Armijo merit is the norm of the
-    whole bordered residual (r, g) that the step solves for (a merit of r
-    alone stopped on the floor with g far above the tolerance).  It ends at
-    the tolerance, or at the round-off floor: a line search there tries at
-    most 20 steps (2 below 1e-11) and, when all fail, ends the solve without
-    a step.  A normalization defect still above the
-    tolerance at the exit is removed by scaling v onto ||v||_p = 1, and the
-    residual is evaluated again there.  Returns (v, lambda, residual, stats).
+    Runs ``newton.damped_newton`` on x = (v, lambda), for at most 60 steps,
+    one ``_Disc.weak_residual`` pass per evaluation.  Its tolerance test
+    (1e-13) is on the relative weak residual and the normalization defect g
+    together; its Armijo merit is the norm of the whole bordered residual
+    (r, g) that the step solves for (a merit of r alone stopped on the floor
+    with g far above the tolerance).  It ends at the tolerance; within the
+    residual's rounding floor, formed below 1e-9 from the Jacobian bands the
+    step then reuses, once |g| < 1e-13 too; or where a line search's trials
+    (at most 20, 2 below 1e-11) all fail.  A normalization defect still above
+    the tolerance at the exit is removed by scaling v onto ||v||_p = 1, and
+    the residual is evaluated again there.  Returns (v, lambda, residual,
+    stats).
     """
-    p = disc.p
+    tol = 1e-13
 
     def evaluate(x):
-        r, rn, rnorm, psi_v = disc.weak_residual(x[:-1], x[-1])
-        gres = float(np.add.reduce(disc.mass * np.abs(x[:-1]) ** p)) - 1.0
-        return max(rnorm, abs(gres)), math.hypot(rn, gres), (r, rnorm, gres, psi_v)
+        s = disc.weak_residual(x[:-1], x[-1])
+        return max(s.rel, abs(s.g)), math.hypot(s.rn, s.g), s
 
-    def direction(x, state):
-        r, _, gres, psi_v = state
-        b = -psi_v * disc.mass          # d r / d lambda
-        c = p * psi_v * disc.mass       # d g / d v
-        try:
-            # both right-hand sides in one solve; columns of a Fortran array
-            z1, z2 = tridiagonal_solve(*disc.jacobian_bands(x[:-1], x[-1]),
-                                       np.array([r, b]).T).T
-        except np.linalg.LinAlgError:
-            return None
-        denom = c @ z2
-        if denom == 0.0:
-            return None
-        dlam = (c @ z1 - gres) / denom
-        return np.append(z1 - dlam * z2, dlam)
+    def floor(s):
+        # formed only near the floor, and only once g is within tol
+        return disc.rounding_floor(s) if s.rel < 1e-9 and abs(s.g) < tol else 0.0
 
-    tol = 1e-13
-    x, _, (_, rnorm, gres, _), stats = damped_newton(evaluate, direction, np.append(v, lam),
-                                                     tol, 60)
-    v, lam = x[:-1], float(x[-1])
-    if not abs(gres) < tol:
+    x, _, s, stats = damped_newton(evaluate, lambda x, s: disc.newton_direction(s),
+                                   np.append(v, lam), tol, 60, floor=floor)
+    v, lam, rnorm = x[:-1], float(x[-1]), s.rel
+    if not abs(s.g) < tol:
         # at fixed lambda the relative residual is 0-homogeneous in v, so
         # scaling v onto ||v||_p = 1 removes a defect no step at the floor can
         v = disc.normalize(v)
-        rnorm = disc.weak_residual(v, lam)[2]
+        rnorm = disc.weak_residual(v, lam).rel
     return v, lam, rnorm, stats
 
 

@@ -23,7 +23,8 @@ class RangeError(ValueError):
 
 class SolverError(RuntimeError):
     """Nonlinear solver failed to converge.  Carries the last residual and,
-    from a Newton solve, its exit reason (``newton.NewtonStats.exit``)."""
+    from a Newton solve, its exit reason (``newton.NewtonStats.exit``; not
+    ``tol`` or ``rounding``, which end a converged solve)."""
 
     def __init__(self, message, residual=None, reason=None):
         self.residual, self.reason = residual, reason

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from finslerhardy import cli, eigen, lapack
+from finslerhardy.newton import NewtonStats
 
 import oracles
 
@@ -157,8 +158,10 @@ def _p3_values():
 def test_p3_values_are_pinned_bit_for_bit():
     # the Newton stop rule, the reuse of brentq's nodal-domain solves, their
     # warm starts and the early hand-over exist to save work; none may move a
-    # bit of these values
-    assert _p3_values() == ["0x1.c493c4dc55591p+4", "0x1.c471a88441801p+7",
+    # bit of these values.  The stop at the rounding floor left lambda1 1 ulp
+    # below its earlier value (...591p+4): steps below that floor only move
+    # the last bits
+    assert _p3_values() == ["0x1.c493c4dc55590p+4", "0x1.c471a88441801p+7",
                             "0x1.8bdf2fe8b6d4fp+7", "0x1.ffffffffffd89p-2"]
 
 
@@ -180,9 +183,9 @@ def _other_values():
 
 
 def test_other_branches_are_pinned_bit_for_bit():
-    # the cosine lambda1 is 1 ulp below its value after a 40-step descent
-    # (...ee6p+4): Newton takes its restarts after 10 steps, from other
-    # starts, and ends 1 ulp away at the same round-off floor
+    # the ball lambda1 is 17 ulp above its value after a 40-step descent
+    # (...303ep+3): Newton takes its restarts after 10 steps, from other
+    # starts, and stops 17 ulp away at the same rounding floor
     assert _other_values() == ["0x1.c3812cd53304fp+3", "0x1.8e7e0200ddee5p+4",
                                "0x1.e1524aa9c0084p+3", "0x1.ffffffffffe78p-2"]
 
@@ -221,28 +224,30 @@ def _reject_first_hand_overs(monkeypatch):
 def test_rejected_hand_overs_give_the_whole_descent_bit_for_bit(monkeypatch):
     # a rejected first hand-over resumes the descent from its own state, so
     # every value is the one of a single 40-step descent, bit for bit: the
-    # pins above, with the cosine lambda1 at its 40-step value
+    # pins above, with the p = 3 lambda1 1 ulp and the ball's 17 ulp away,
+    # where Newton from the other start stops at the same rounding floor
     rejected = _reject_first_hand_overs(monkeypatch)
     assert _p3_values() == ["0x1.c493c4dc55591p+4", "0x1.c471a88441801p+7",
                             "0x1.8bdf2fe8b6d4fp+7", "0x1.ffffffffffd89p-2"]
-    assert _other_values() == ["0x1.c3812cd53304fp+3", "0x1.8e7e0200ddee6p+4",
+    assert _other_values() == ["0x1.c3812cd53303ep+3", "0x1.8e7e0200ddee5p+4",
                                "0x1.e1524aa9c0084p+3", "0x1.ffffffffffe78p-2"]
     assert rejected
 
 
 def test_principal_solve_stops_at_the_residual_floor(monkeypatch):
     # counts the residual evaluations of the Newton polish (its start and
-    # line-search trials; not the descent's gradients): 13 here, where line
-    # searches of 30 halvings at the residual's round-off floor took 78
+    # line-search trials; not the descent's gradients): 10 here, 19 before
+    # the polish stopped at its rounding floor, and 78 when line searches of
+    # 30 halvings ran at that floor
     calls = []
     polishing = []
-    residual = eigen._Disc._residual
+    residual = eigen._Disc.weak_residual
     newton_polish = eigen._newton_polish
 
-    def counted(self, v, lam, psi_v):
+    def counted(self, v, lam):
         if polishing:
             calls.append(1)
-        return residual(self, v, lam, psi_v)
+        return residual(self, v, lam)
 
     def flagged(*args, **kwargs):
         polishing.append(1)
@@ -251,12 +256,50 @@ def test_principal_solve_stops_at_the_residual_floor(monkeypatch):
         finally:
             polishing.pop()
 
-    monkeypatch.setattr(eigen._Disc, "_residual", counted)
+    monkeypatch.setattr(eigen._Disc, "weak_residual", counted)
     monkeypatch.setattr(eigen, "_newton_polish", flagged)
     pr = eigen.principal_eigenvalue(_p3_problem(), restarts=2)
     assert pr.residual <= 1e-7
     assert 0 < len(calls) <= 30
-    assert pr.newton.exit in ("tol", "floor")
+    assert pr.newton.exit in ("tol", "rounding", "floor")
+
+
+def test_polish_from_a_converged_pair_stops_on_rounding(monkeypatch):
+    # a pair already within its rounding floor takes no step and no trial:
+    # the one residual evaluation of its start is the whole polish
+    ep = _p3_problem()
+    pr = eigen.principal_eigenvalue(ep, restarts=2)
+    calls, residual = [], eigen._Disc.weak_residual
+
+    def counted(self, v, lam):
+        calls.append(1)
+        return residual(self, v, lam)
+
+    monkeypatch.setattr(eigen._Disc, "weak_residual", counted)
+    v, lam, rnorm, stats = eigen._newton_polish(eigen._disc_for(ep), pr.v, pr.lam)
+    assert stats == NewtonStats(0, 0, "rounding") and len(calls) == 1
+    assert lam == pr.lam and rnorm == pr.residual and np.array_equal(v, pr.v)
+
+
+@pytest.mark.parametrize("N", [128, 1024])
+def test_polish_ends_within_its_rounding_floor(N, monkeypatch):
+    # phi bounds the rounding error of the relative residual and is tight:
+    # every polish ends between 0.01 phi and phi (0.16 phi to 0.95 phi over
+    # seeds 0 to 11), so a floor 100 times too large fails
+    finals, polish = [], eigen._newton_polish
+
+    def recorded(disc, v, lam):
+        out = polish(disc, v, lam)
+        finals.append((out[2], disc.rounding_floor(disc.weak_residual(out[0], out[1]))))
+        return out
+
+    monkeypatch.setattr(eigen, "_newton_polish", recorded)
+    for p, geometry in [(1.5, "interval"), (3.0, "interval"), (4.0, "interval"),
+                        (1.5, "ball"), (2.5, "ball")]:
+        eigen.principal_eigenvalue(
+            eigen.EigenProblem(p=p, N=N, seed=0, geometry=geometry, n=3), restarts=2)
+    assert len(finals) == 10
+    assert all(0.01 * phi <= rel <= phi for rel, phi in finals), finals
 
 
 DESCENT_SEEDS = (0, 1, 7, 1183103791)

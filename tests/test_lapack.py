@@ -92,8 +92,8 @@ def test_failures_are_classified():
 def test_nan_eigen_jacobian_band_exits_3(monkeypatch, capsys):
     bands = eigen._Disc.jacobian_bands
 
-    def nan_main(self, v, lam):
-        dl, d, du = bands(self, v, lam)
+    def nan_main(self, s):
+        dl, d, du = bands(self, s)
         return dl, np.full_like(d, np.nan), du
 
     monkeypatch.setattr(eigen._Disc, "jacobian_bands", nan_main)

@@ -13,7 +13,7 @@ def _sqrt2(floor=0.0, trials=None):
         if trials is not None:
             trials.append(x.copy())
         err = max(abs(float(x[0] ** 2 - 2.0)), floor)
-        return err, err, None
+        return err, err, x.copy()
 
     return evaluate, lambda x, _: (x ** 2 - 2.0) / (2.0 * x)
 
@@ -40,6 +40,29 @@ def test_floor_exit_takes_no_step(tol, cap):
     # the iterate is returned, not its full trial step (the later trials of a
     # 20-step search round back to the iterate itself)
     assert np.array_equal(x, last) and not np.array_equal(trials[-cap], last)
+
+
+def test_rounding_exit_takes_no_trial():
+    # the caller's floor 1e-5 is reached at step 3: the solve ends there,
+    # before a direction is formed or a trial evaluated, and the floor reads
+    # the state of each iterate
+    trials, seen = [], []
+    evaluate, step = _sqrt2(trials=trials)
+    directions = []
+
+    def direction(x, state):
+        directions.append(x[0])
+        return step(x, state)
+
+    def floor(state):
+        seen.append(state[0])
+        return 1e-5
+
+    x, err, _, stats = newton.damped_newton(evaluate, direction, np.array([1.0]), 1e-14,
+                                            50, floor=floor)
+    assert stats == NewtonStats(3, 0, "rounding") and 1e-7 < err <= 1e-5
+    assert len(trials) == 4 and np.array_equal(x, trials[-1])
+    assert seen == [t[0] for t in trials] and directions == seen[:-1]
 
 
 def _slow():

@@ -41,7 +41,7 @@ def test_eigen_kernels_script_writes_its_timings(tmp_path):
     assert list(result["N"]) == ["64"]
     assert sorted(result["N"]["64"]) == sorted(
         ["rayleigh_us", "gradient_us", "precondition_us", "weak_residual_us",
-         "principal_s", "second_s"])
+         "direction_us", "principal_s", "second_s"])
     assert all(t > 0.0 for t in result["N"]["64"].values())
 
 
