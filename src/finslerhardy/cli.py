@@ -8,7 +8,7 @@ parallelism; per-check ordering is fixed by the registry, so results do not
 depend on the thread count.
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage or
-configuration errors, 3 internal numeric failures.
+configuration errors, 3 numeric failures, linear-algebra ones included.
 """
 
 from __future__ import annotations
@@ -181,7 +181,7 @@ def cmd_build_weight(args):
     W = hw.weight(x)
     checks = [bound("weight_nonnegative", float(W.min()), ">=", 0)]
     if (hw.fam.kind == "euclidean" and hw.branch == "standard"
-            and hw.source.kind == "dual_power"):
+            and isinstance(hw.source, fields.DualPowerField)):
         checks.append(acceptance.classical_reduction(hw, x, _stated))
     res = acceptance.ground_state_residual(
         hw, fields.annulus(args.rmin, args.rmax, args.n), args.tests, args.seed)
@@ -377,12 +377,12 @@ def main(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
+    except (SolverError, ArithmeticError, np.linalg.LinAlgError) as exc:
+        sys.stderr.write(f"numeric failure: {exc}\n")
+        return 3
     except (ConstructionError, ValueError) as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return 2
-    except (SolverError, ArithmeticError) as exc:
-        sys.stderr.write(f"numeric failure: {exc}\n")
-        return 3
 
 
 if __name__ == "__main__":

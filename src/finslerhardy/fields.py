@@ -6,14 +6,15 @@ The explicit anisotropic p-harmonic candidates live here:
 * the logarithmic field ``log(R / H0(x))`` for ``p = n``,
 
 together with radial profile fields (Green potentials, synthetic capped
-profiles), composition (chain rule), smooth bump test functions, a weak
-residual verifier for ``-div a(x, grad u) + V u^(p-1) = 0``, and level-set
-flux quadrature for the coarea constant.
+profiles), composition with a function of the value (ground states), smooth
+bump test functions, a weak residual verifier for ``-div a(x, grad u) + V
+u^(p-1) = 0``, and level-set flux quadrature for the coarea constant.
 
 Every field evaluates on point arrays of shape (m, n) and exposes an
 analytic gradient.  Radial fields carry their gauge (see
 :mod:`quadrature`): ``None`` for profiles of |x|, or the family whose dual
 norm H0 is their radial coordinate; they evaluate through their profile.
+Only :class:`FuncField` wraps a field with no radial structure.
 """
 
 from __future__ import annotations
@@ -65,10 +66,9 @@ class ScalarField:
     ``radial_inverse(t)`` when the profile is invertible.  The field is
     defined where the radial coordinate is below ``radial_bound``.  A radial
     field's value and gradient at points are its profiles at rho(x), times
-    grad rho(x) for the gradient; other fields override both.
+    grad rho(x) for the gradient; :class:`FuncField` overrides both.
     """
 
-    kind = "generic"
     radial = None
     radial_bound = math.inf
 
@@ -106,8 +106,6 @@ class FuncField(ScalarField):
 class DualPowerField(ScalarField):
     """G(x) = H0(x)^a with a = (p-n)/(p-1); anisotropic p-harmonic off the puncture."""
 
-    kind = "dual_power"
-
     def __init__(self, fam):
         if fam.kind == "weighted":
             raise BranchError("dual-power field needs an x-independent family")
@@ -125,8 +123,6 @@ class DualPowerField(ScalarField):
 class LogDualField(ScalarField):
     """G(x) = log(R / H0(x)) on {H0 < R}; the p = n harmonic candidate."""
 
-    kind = "log_dual"
-
     def __init__(self, fam, R):
         if fam.kind == "weighted":
             raise BranchError("log-dual field needs an x-independent family")
@@ -143,12 +139,11 @@ class LogDualField(ScalarField):
 
 
 class RadialProfileField(ScalarField):
-    """Field defined by a 1D profile of |x|."""
+    """Field defined by a 1D profile of |x|, inverted on the radii ``bracket``."""
 
-    def __init__(self, profile, dprofile, kind="radial", bracket=None):
-        self.kind = kind
+    def __init__(self, profile, dprofile, bracket):
         self.radial = (None, profile, dprofile)
-        self._bracket = bracket  # (r_lo, r_hi) for inversion
+        self._bracket = bracket
 
     def radial_inverse(self, t):
         t = float(t)
@@ -158,35 +153,25 @@ class RadialProfileField(ScalarField):
 
 
 class ComposedField(ScalarField):
-    """f(inner field) with the chain rule; f given with its derivative."""
+    """f(inner field) for a radial inner field, f given with its derivative: the
+    profiles f(g(rho)) and f'(g(rho)) g'(rho) of the inner profile g."""
 
-    def __init__(self, f, fprime, inner, kind="composed"):
+    def __init__(self, f, fprime, inner):
+        if inner.radial is None:
+            raise BranchError("a composed field needs a radial inner field")
         self.f = f
         self.fprime = fprime
-        self.inner = inner
-        self.kind = kind
         self.radial_bound = inner.radial_bound
-        if inner.radial is not None:
-            gauge, prof, dprof = inner.radial
-            self.radial = (gauge,
-                           lambda r: f(prof(r)),
-                           lambda r: fprime(prof(r)) * dprof(r))
-
-    def __call__(self, x):
-        return self.f(self.inner(x))
-
-    def grad(self, x):
-        return self.fprime(self.inner(x))[..., None] * self.inner.grad(x)
-
-    def radial_inverse(self, t):
-        raise NotImplementedError("invert through the inner field instead")
+        gauge, prof, dprof = inner.radial
+        self.radial = (gauge,
+                       lambda r: f(prof(r)),
+                       lambda r: fprime(prof(r)) * dprof(r))
 
 
 def power_of(field, exponent):
-    """field^exponent with the chain rule (used for ground states t^((p-1)/p))."""
+    """field^exponent of a radial field (used for ground states t^((p-1)/p))."""
     e = float(exponent)
-    return ComposedField(lambda t: t ** e, lambda t: e * t ** (e - 1.0), field,
-                         kind=f"pow[{e:g}]({field.kind})")
+    return ComposedField(lambda t: t ** e, lambda t: e * t ** (e - 1.0), field)
 
 
 def synthetic_capped_profile(sigma, R):
@@ -204,32 +189,12 @@ def synthetic_capped_profile(sigma, R):
     def dprof(r):
         return -2.0 * sigma * (np.asarray(r, dtype=float) / R) / R
 
-    return RadialProfileField(prof, dprof, kind="sigma_capped",
-                              bracket=(1e-12 * R, R * (1.0 - 1e-12)))
+    return RadialProfileField(prof, dprof, (1e-12 * R, R * (1.0 - 1e-12)))
 
 
 # ---------------------------------------------------------------------------
 # bump test functions
 # ---------------------------------------------------------------------------
-
-
-class Bump(ScalarField):
-    """C^infinity bump A exp(1 - 1/(1 - |x-c|^2/rho^2)) supported in B_rho(c)."""
-
-    kind = "bump"
-
-    def __init__(self, center, rho, amplitude=1.0):
-        self.center = np.asarray(center, dtype=float)
-        self.rho = float(rho)
-        self.amplitude = float(amplitude)
-        r = np.linalg.norm(self.center)
-        self.support = (r - self.rho, r + self.rho)
-
-    def __call__(self, x):
-        return _bump_terms(np.asarray(x, dtype=float) - self.center, self.rho, self.amplitude)[0]
-
-    def grad(self, x):
-        return _bump_terms(np.asarray(x, dtype=float) - self.center, self.rho, self.amplitude)[1]
 
 
 def _bump_terms(d, rho, amp):
@@ -240,12 +205,6 @@ def _bump_terms(d, rho, amp):
     omu = np.where(inside, 1.0 - u, 1.0)
     phi = np.where(inside, amp * np.exp(1.0 - 1.0 / omu), 0.0)
     return phi, (-phi / omu ** 2 * (2.0 / rho ** 2))[..., None] * d
-
-
-def _ball_directions(n, n_ang):
-    """The angular rule of :func:`_ball_scheme`."""
-    return (quadrature.circle_rule(n_ang) if n == 2
-            else quadrature.sphere_rule(max(4, n_ang // 2)))
 
 
 def _ball_scheme(center, rho, n_panels, omega, wo):
@@ -259,7 +218,8 @@ def _ball_scheme(center, rho, n_panels, omega, wo):
 
 
 def random_bumps(dom, n_tests, seed):
-    """Seeded bump family inside the domain, supports clear of puncture and boundary:
+    """Seeded bumps A exp(1 - 1/(1 - |x-c|^2/r^2)) inside the domain, as arrays
+    (centres c, radii r, amplitudes A), supports clear of puncture and boundary:
     centres at least 20% inside either radius, and radii a quarter to three
     quarters of the room left."""
     rng = Generator(Philox(key=np.uint64(seed)))
@@ -272,8 +232,8 @@ def random_bumps(dom, n_tests, seed):
         gap = min(rc - lo, hi - rc, rc * 0.45)
         rho = rng.uniform(0.25, 0.75) * gap
         amp = math.exp(rng.uniform(math.log(0.5), math.log(2.0)))
-        bumps.append(Bump(rc * direction, rho, amp))
-    return bumps
+        bumps.append((rc * direction, rho, amp))
+    return tuple(map(np.array, zip(*bumps)))
 
 
 class _Rays(namedtuple("_Rays", "bump theta grad_rho tt lo hi wo n_rho")):
@@ -317,7 +277,8 @@ class _Rays(namedtuple("_Rays", "bump theta grad_rho tt lo hi wo n_rho")):
 
 
 def _shell_patches(gauge, bumps, n, n_rho=16, n_ang=24):
-    """Shell-aligned quadrature rays covering the bumps' supports, as :class:`_Rays`.
+    """Shell-aligned quadrature rays covering the supports of ``bumps`` (the
+    arrays of :func:`random_bumps`), as :class:`_Rays`.
 
     Each bump's cap holds the directions within the angle its ball subtends;
     rays x = rho * Theta(omega) of the radial gauge carry composite Gauss
@@ -327,7 +288,7 @@ def _shell_patches(gauge, bumps, n, n_rho=16, n_ang=24):
     accuracy.  Every cap is built in one pass and mapped by one
     shell-geometry call.
     """
-    C, radius = np.array([b.center for b in bumps]), np.array([b.rho for b in bumps])
+    C, radius, _ = bumps
     rc = np.sqrt(np.matmul(C[:, None, :], C[:, :, None])[:, 0, 0])   # np.linalg.norm's bits
     cdir = C / rc[:, None]
     # libm's scalar asin and atan2: numpy's vectorised ones differ in the last bit
@@ -387,23 +348,24 @@ def weak_residual(fam, field, dom, V=None, n_tests=100, seed=0,
     """Max over random bumps phi of |int a(x, grad u).grad phi + V u^(p-1) phi| / ||phi||_W1p.
 
     ``V`` may be ``None`` (zero), a callable on points, or carry ``radial =
-    (gauge, terms)`` in the field's gauge, ``terms(rho) = (u, u', V)``.  A small
-    residual over a rich bump family is the operational signature that
-    ``u`` solves ``-div a(x, grad u) + V u^(p-1) = 0`` weakly.
+    (gauge, terms)`` with ``terms(rho) = (u, u', V)``, for a field radial in
+    that same gauge.  A small residual over a rich bump family is the
+    operational signature that ``u`` solves ``-div a(x, grad u) + V u^(p-1) =
+    0`` weakly.
 
-    ``layout="shell"`` aligns the quadrature patches with the field's
-    radial shells (exact ray chords, immune to the angular regularity of
-    the dual norm); ``layout="ball"`` uses plain bump-centered polar grids,
-    whose error decreases monotonically under ``n_rho`` refinement and so
-    drives the refinement checks.  On shells, one shell-geometry call serves
-    every bump.  A radial field with an x-independent family then needs only
-    per-ray scalars: u = g(rho), a(grad u) = sign(g') |g'|^(p-1) a(grad
-    rho(Theta)) (a is (p-1)-homogeneous), and phi, a.grad phi and |grad phi|
-    from the ray's chord through the bump ball (:meth:`_Rays.bump_terms`);
-    points are formed only for a ``V`` on points.  Weighted families, whose a
-    depends on x, other fields and the ball layout take a and grad phi at every
-    node; on the ball, a radial field takes rho and grad rho from one
-    :func:`quadrature.radius_and_grad` call and u, u' (and V) as profiles of rho.
+    Each layout has one kernel.  ``layout="shell"`` takes a radial field of an
+    x-independent family and integrates along rays rho * Theta of its gauge,
+    over their exact chords through each bump ball (immune to the angular
+    regularity of the dual norm).  One shell-geometry call serves every bump;
+    the rest is per-ray scalars: u = g(rho), a(grad u) = sign(g') |g'|^(p-1)
+    a(grad rho(Theta)) (a is (p-1)-homogeneous), and phi, a.grad phi and |grad
+    phi| from the ray's chord (:meth:`_Rays.bump_terms`).  Points are formed
+    only for a ``V`` on points.  ``layout="ball"`` uses plain bump-centred polar
+    grids, whose error decreases monotonically under ``n_rho`` refinement and so
+    drives the refinement checks, with a and grad phi at every node: a radial
+    field takes rho and grad rho from one :func:`quadrature.radius_and_grad`
+    call and u, u' (and a radial V) as profiles of rho; any other field is
+    evaluated at the nodes.
 
     The nodes are taken in blocks of whole bumps, at most ``BLOCK_NODES`` nodes
     each (a bump with more is a block of its own), so memory stays bounded
@@ -411,46 +373,39 @@ def weak_residual(fam, field, dom, V=None, n_tests=100, seed=0,
     alone, so the result does not depend on the blocking.
     """
     p, n = fam.p, dom.n
-    bumps = random_bumps(dom, n_tests, seed)
-    C, radius, amp = map(np.array, zip(*((b.center, b.rho, b.amplitude) for b in bumps)))
+    C, radius, amp = bumps = random_bumps(dom, n_tests, seed)
     radial = field.radial is not None
     gauge = field.radial[0] if radial else None
     terms = getattr(V, "radial", None)
-    if radial and terms is not None and terms[0] is not gauge:
-        raise ValueError("a radial V must be radial in the field's gauge")
+    if terms is not None and (not radial or terms[0] is not gauge):
+        raise ValueError("a radial V needs a field radial in the same gauge")
+
+    def profiles(rho, nodes):
+        """(u, u', V) of the radial field at radii rho; u and V are None without V."""
+        field._inside(rho)
+        if terms is not None:
+            return terms[1](rho)
+        dg = field.radial[2](rho)
+        if V is None:
+            return None, dg, None
+        return field.radial[1](rho), dg, V(nodes)
+
     if layout == "shell":
+        if not (radial and fam.x_independent):
+            raise ValueError('the shell layout takes a radial field of an x-independent '
+                             'family; use layout="ball"')
         rays = _shell_patches(gauge, bumps, n, n_rho=n_rho, n_ang=n_ang)
-        first = np.searchsorted(rays.bump, np.arange(len(bumps) + 1))
+        first = np.searchsorted(rays.bump, np.arange(n_tests + 1))
         sizes = np.diff(first) * (3 * n_rho)   # 3-point Gauss panels on each ray
-    else:
-        omega, wo = _ball_directions(n, n_ang)
-        sizes = np.full(len(bumps), 2 * n_rho * len(wo))   # 2-point Gauss panels
-    per_ray = layout == "shell" and radial and fam.x_independent
-    if per_ray:
         a_ray, _ = norms.operator_a(fam, None, rays.grad_rho)
         a_th, a_c = (np.einsum("ij,ij->i", a_ray, v)[:, None] for v in (rays.theta, C[rays.bump]))
 
-    def block_ratios(i, j):
-        """The residual ratio of each bump i:j; its arrays die on return."""
-        if layout == "shell":
+        def block_ratios(i, j):
+            """The residual ratio of each bump i:j; its arrays die on return."""
             block = rays.rows(first[i], first[j])
-            rho, w, grad_rho = block.rho, block.w, block.grad_rho[:, None, :]
-            if not per_ray or (V is not None and terms is None):
-                nodes = block.points()
-        else:
-            schemes = [_ball_scheme(b.center, b.rho, n_rho, omega, wo) for b in bumps[i:j]]
-            nodes, w = (np.concatenate(a) for a in zip(*schemes))
-            if radial:
-                rho, grad_rho = quadrature.radius_and_grad(gauge, nodes)
-        if radial:
-            field._inside(rho)
-            if terms is not None:
-                u, dg, pot = terms[1](rho)
-            else:
-                dg = field.radial[2](rho)
-                if V is not None:
-                    u, pot = field.radial[1](rho), V(nodes)
-        if per_ray:
+            rho, w = block.rho, block.w
+            u, dg, pot = profiles(rho, block.points() if V is not None and terms is None
+                                  else None)
             phi, fac, dist = block.bump_terms(radius, amp)
             ray = slice(first[i], first[j])
             vals = np.sign(dg) * np.abs(dg) ** (p - 1.0) * fac * (rho * a_th[ray] - a_c[ray])
@@ -460,21 +415,32 @@ def weak_residual(fam, field, dom, V=None, n_tests=100, seed=0,
             num, den = (np.add.reduceat(np.einsum("ij,ij->i", w, f), first[i:j] - first[i])
                         for f in (vals, dens))
             return np.abs(num) / den ** (1.0 / p)
-        owner = (np.repeat(block.bump, rho.shape[1]) if layout == "shell"
-                 else np.repeat(np.arange(i, j), sizes[i:j]))
-        a, _ = norms.operator_a(fam, nodes, (dg[..., None] * grad_rho).reshape(-1, n)
-                                if radial else field.grad(nodes))
-        phi, gphi = _bump_terms(nodes - C[owner], radius[owner], amp[owner])
-        vals = np.einsum("ij,ij->i", a, gphi)
-        if V is not None:
-            if not radial:
-                u, pot = field(nodes), (V(nodes) if terms is None else
-                                        terms[1](quadrature.radius(terms[0], nodes))[2])
-            vals = vals + np.ravel(pot) * np.ravel(u) ** (p - 1.0) * phi
-        dens = np.abs(phi) ** p + np.linalg.norm(gphi, axis=-1) ** p
-        cuts = np.flatnonzero(np.diff(owner)) + 1
-        return [abs(float(np.dot(wb, vb))) / float(np.dot(wb, db)) ** (1.0 / p)
-                for wb, vb, db in zip(*(np.split(f, cuts) for f in (w.ravel(), vals, dens)))]
+    else:
+        omega, wo = (quadrature.circle_rule(n_ang) if n == 2
+                     else quadrature.sphere_rule(max(4, n_ang // 2)))
+        sizes = np.full(n_tests, 2 * n_rho * len(wo))   # 2-point Gauss panels
+
+        def block_ratios(i, j):
+            """The residual ratio of each bump i:j; its arrays die on return."""
+            nodes, w = (np.concatenate(a) for a in zip(
+                *(_ball_scheme(C[b], radius[b], n_rho, omega, wo) for b in range(i, j))))
+            if radial:
+                rho, grad_rho = quadrature.radius_and_grad(gauge, nodes)
+                u, dg, pot = profiles(rho, nodes)
+                grad_u = dg[:, None] * grad_rho
+            else:
+                grad_u = field.grad(nodes)
+                if V is not None:
+                    u, pot = field(nodes), V(nodes)
+            a, _ = norms.operator_a(fam, nodes, grad_u)
+            owner = np.repeat(np.arange(i, j), sizes[i:j])
+            phi, gphi = _bump_terms(nodes - C[owner], radius[owner], amp[owner])
+            vals = np.einsum("ij,ij->i", a, gphi)
+            if V is not None:
+                vals = vals + np.ravel(pot) * np.ravel(u) ** (p - 1.0) * phi
+            dens = np.abs(phi) ** p + np.linalg.norm(gphi, axis=-1) ** p
+            return [abs(float(np.dot(wb, vb))) / float(np.dot(wb, db)) ** (1.0 / p)
+                    for wb, vb, db in zip(*(np.split(f, j - i) for f in (w, vals, dens)))]
 
     return float(np.max(np.concatenate([block_ratios(i, j) for i, j in _blocks(sizes)])))
 

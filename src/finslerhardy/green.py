@@ -154,8 +154,7 @@ class GreenPotential:
 
     def field(self):
         """The potential as a field of |x|, invertible on its mesh."""
-        return fields.RadialProfileField(self.profile, self.dprofile, kind="green_radial",
-                                         bracket=(self.r[0], self.r[-1]))
+        return fields.RadialProfileField(self.profile, self.dprofile, (self.r[0], self.r[-1]))
 
     def radius_of_level(self, t):
         """Radius with u(r) = t on the decreasing far side (outside supp phi)."""

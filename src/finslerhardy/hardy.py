@@ -279,8 +279,7 @@ def build_weight_zero_potential(fam, G, sigma=0.0, bracket=None):
         s = sigma
         v_field = fields.ComposedField(
             lambda t: (t * (s - t)) ** e,
-            lambda t: e * (t * (s - t)) ** (e - 1.0) * (s - 2.0 * t),
-            G, kind="capped_ground_state")
+            lambda t: e * (t * (s - t)) ** (e - 1.0) * (s - 2.0 * t), G)
     ang = quadrature.angular_measure(n, G.radial[0])
     return HardyWeight(branch=branch, fam=fam, sigma=float(sigma), source=G,
                        ground_state=v_field, angular=ang, source_bracket=tuple(bracket))

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
-from finslerhardy import norms, quadrature
+from finslerhardy import fields, norms, quadrature
 
 
 def fd_gradient(f, x, h=1e-6):
@@ -284,6 +284,18 @@ def integrate(scheme, f):
         i = int(np.flatnonzero(bad)[0])
         raise ValueError(f"integrand is {float(vals[i])!r} at node {scheme.nodes[i].tolist()!r}")
     return float(np.dot(scheme.weights, vals))
+
+
+def bump(center, radius, amplitude=1.0):
+    """The bump A exp(1 - 1/(1 - |x-c|^2/r^2)) on B_r(c) as a field, phi and grad
+    phi from ``fields._bump_terms``, with the radial support that :func:`energy`
+    checks."""
+    c = np.asarray(center, dtype=float)
+    field = fields.FuncField(lambda x: fields._bump_terms(x - c, radius, amplitude)[0],
+                             lambda x: fields._bump_terms(x - c, radius, amplitude)[1])
+    r = float(np.linalg.norm(c))
+    field.support = (r - radius, r + radius)
+    return field
 
 
 @dataclass

@@ -183,8 +183,8 @@ def test_green_weight_group_forms_no_point_array():
 
 
 def test_harmonicity_group_holds_one_block_of_nodes():
-    # the negative control takes its per-node terms in blocks of whole bumps; all
-    # 103,680 nodes at once would lift this peak to about 22 MB
+    # the negative control takes its per-node terms on the ball layout, in blocks of
+    # whole bumps; all 92,160 nodes at once would lift this peak to about 18 MB
     assert _traced_peak(acceptance.check_harmonicity) < 8e6
 
 

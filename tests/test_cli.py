@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from finslerhardy import acceptance, cli, eigen, fields
@@ -146,6 +147,19 @@ def test_build_weight_flux_failure_is_not_swallowed(monkeypatch):
     with pytest.raises(RuntimeError, match="injected"):
         run_main(["build-weight", "--family", "euclidean", "--p", "2", "--n", "3",
                   "--tests", "5", "--out", os.devnull])
+
+
+def test_linear_algebra_failure_is_a_numeric_failure(tmp_path, monkeypatch, capsys):
+    # np.linalg.LinAlgError subclasses ValueError, but a fit or solve that fails
+    # is a numeric failure (exit 3), not bad input (exit 2)
+    def diverged(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+    monkeypatch.setattr(np.linalg, "lstsq", diverged)
+    out = tmp_path / "green.json"
+    assert run_main(["green", "--problem", str(GREEN_EXAMPLE), "--out", str(out)]) == 3
+    assert "numeric failure: SVD did not converge" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_ground_state_source_is_configuration_error(tmp_path):

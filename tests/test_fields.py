@@ -8,9 +8,17 @@ from numpy.random import Generator, Philox
 from finslerhardy import acceptance, fields, norms, quadrature
 from finslerhardy.errors import BranchError, DomainError
 
+import oracles
+
 from scipy.integrate import quad
 
 A2 = np.array([[4.0, 0.0], [0.0, 9.0]])
+
+
+def _norm_field():
+    """u = |x| as a field with no radial structure: not p-harmonic for p = 2, n = 3."""
+    return fields.FuncField(lambda x: np.linalg.norm(x, axis=-1),
+                            grad=lambda x: x / np.linalg.norm(x, axis=-1, keepdims=True))
 
 
 def test_dual_power_shapes():
@@ -138,6 +146,38 @@ def test_weak_residual_refuses_nodes_outside_the_log_field():
                                      n_ang=12, layout=layout)
 
 
+def test_shell_layout_takes_only_radial_fields_of_x_independent_families():
+    # the shell layout's one kernel is per ray; everything else takes the ball
+    d2, d3 = fields.annulus(0.1, 10.0, 2), fields.annulus(0.1, 10.0, 3)
+    bad = _norm_field()
+    lp4 = norms.lp(4, 3.0, 2)
+    for fam, field, dom in ((norms.euclidean(2.0, 3), bad, d3),
+                            (norms.weighted(0.5, lp4), fields.DualPowerField(lp4), d2)):
+        with pytest.raises(ValueError, match='layout="ball"'):
+            fields.weak_residual(fam, field, dom, n_tests=3, seed=1)
+        assert fields.weak_residual(fam, field, dom, n_tests=3, seed=1, layout="ball") > 0.0
+    # a V radial in some gauge needs a field radial in that gauge, on either layout
+    V = SimpleNamespace(radial=(None, lambda rho: (rho, rho, rho)))
+    for layout in ("shell", "ball"):
+        with pytest.raises(ValueError, match="gauge"):
+            fields.weak_residual(norms.euclidean(2.0, 3), bad, d3, V=V, n_tests=3, seed=1,
+                                 layout=layout)
+
+
+def test_composed_fields_need_a_radial_inner_field():
+    bad = _norm_field()
+    with pytest.raises(BranchError, match="radial inner field"):
+        fields.power_of(bad, 0.5)
+    # the composed field's profiles are f(g) and f'(g) g' of the inner profiles
+    G = fields.LogDualField(norms.lp(4, 2.0, 2), R=50.0)
+    v = fields.power_of(G, 0.5)
+    x = norms.sample_vectors(2, 50, 3, stream=6, decades=1)
+    assert v.radial[0] is G.radial[0] and v.radial_bound == G.radial_bound
+    assert np.allclose(v(x), G(x) ** 0.5, rtol=1e-14, atol=0.0)
+    assert np.allclose(v.grad(x), 0.5 * G(x)[:, None] ** -0.5 * G.grad(x), rtol=1e-13,
+                       atol=0.0)
+
+
 def test_bidual_takes_one_solve_per_step(newton_calls):
     fam = norms.mixed(4, A2, 3.0)
     xi = norms.sample_vectors(2, 20, 5, stream=7)
@@ -178,7 +218,7 @@ def test_per_ray_gradient_matches_the_pointwise_gradient(label, n):
         for per_ray, pointwise in _per_ray_and_pointwise(field, dom):
             err = (np.linalg.norm(per_ray - pointwise, axis=-1)
                    / np.linalg.norm(pointwise, axis=-1))
-            assert err.max() <= 1e-12, (field.kind, err.max())
+            assert err.max() <= 1e-12, (type(field).__name__, err.max())
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -199,7 +239,7 @@ def test_per_ray_flux_map_matches_the_pointwise_flux_map(label, n):
             pointwise, _ = norms.operator_a(fam, nodes, field.grad(nodes))
             err = (np.linalg.norm(per_ray.reshape(-1, n) - pointwise, axis=-1)
                    / np.linalg.norm(pointwise, axis=-1))
-            assert err.max() <= 1e-12, (field.kind, err.max())
+            assert err.max() <= 1e-12, (type(field).__name__, err.max())
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -207,18 +247,18 @@ def test_per_ray_flux_map_matches_the_pointwise_flux_map(label, n):
 def test_chord_form_bump_matches_the_bump_at_the_nodes(label, n):
     # oracle for the per-ray weak residual's bump: phi, grad phi = fac (x - c)
     # and |x - c| from each ray's chord, 1 - u = (Theta.Theta)(hi - rho)(rho -
-    # lo)/r^2, against Bump.__call__ and Bump.grad at the nodes rho * Theta
+    # lo)/r^2, against the bump and its gradient at the nodes rho * Theta
     fam = acceptance._family(label, 3.0 if n == 2 else 1.5, n)
     bumps = fields.random_bumps(fields.annulus(0.1, 10.0, n), 8, 5)
     rays = fields._shell_patches(fam, bumps, n, n_rho=4, n_ang=12)
-    phi, fac, dist = rays.bump_terms(np.array([b.rho for b in bumps]),
-                                     np.array([b.amplitude for b in bumps]))
+    phi, fac, dist = rays.bump_terms(*bumps[1:])
     nodes = rays.points().reshape(*rays.rho.shape, n)
-    for i, bump in enumerate(bumps):
+    for i, (center, radius, amplitude) in enumerate(zip(*bumps)):
+        bump = oracles.bump(center, radius, amplitude)
         on = rays.bump == i
         x = nodes[on].reshape(-1, n)
         ref, ref_grad = bump(x), bump.grad(x)
-        grad = fac[on].reshape(-1, 1) * (x - bump.center)
+        grad = fac[on].reshape(-1, 1) * (x - center)
         gmax = np.linalg.norm(ref_grad, axis=-1).max()
         assert np.abs(phi[on].ravel() - ref).max() <= 1e-12 * ref.max()
         assert np.linalg.norm(grad - ref_grad, axis=-1).max() <= 1e-12 * gmax
@@ -228,13 +268,11 @@ def test_chord_form_bump_matches_the_bump_at_the_nodes(label, n):
 
 def test_per_ray_path_makes_no_bump_call(operator_rows, monkeypatch):
     # the per-ray weak residual takes phi and grad phi from the chords alone: no
-    # Bump evaluation and no per-node bump terms, one shell-geometry call, and
-    # the flux map on one row per ray
+    # per-node bump terms, one shell-geometry call, and the flux map on one row
+    # per ray
     def refuse(*args):
         raise AssertionError("per-node bump evaluation on the per-ray path")
 
-    for name in ("__call__", "grad"):
-        monkeypatch.setattr(fields.Bump, name, refuse)
     monkeypatch.setattr(fields, "_bump_terms", refuse)
     geometry = quadrature._dual_shell_geometry
     calls = []
@@ -258,20 +296,22 @@ def test_per_ray_path_makes_no_bump_call(operator_rows, monkeypatch):
 
 
 def test_weighted_family_keeps_the_per_node_flux_map(operator_rows):
-    # a weighted family's a depends on x, so the shell residual of a radial field
-    # evaluates it at every node; the values are the per-node path's bits
+    # a weighted family's a depends on x, so it takes the ball layout, which
+    # evaluates a at every node.  The pins are the ball layout's bits: the shell
+    # layout, whose per-ray kernel needs an x-independent a, refuses the family
     dom = fields.annulus(0.1, 10.0, 2)
-    pins = {"lp": ("0x1.f9a71719ec11fp-7", "0x1.a766cd5c522d2p+2"),
-            "mixed": ("0x1.2584b5a2483ddp-4", "0x1.fc3c1a19f1f43p+1")}
+    pins = {"lp": ("0x1.fef3947127ec4p-7", "0x1.aa9094d64d951p+2"),
+            "mixed": ("0x1.27ae0d1c62ac3p-4", "0x1.fff205fd9a449p+1")}
+    nodes = 5 * 2 * 16 * len(quadrature.circle_rule(12)[1])
     for base in (norms.lp(4, 3.0, 2), norms.mixed(4, A2, 3.0)):
         fam = norms.weighted(0.5, base)
         G = fields.DualPowerField(base)
-        nodes = fields._shell_patches(base, fields.random_bumps(dom, 5, 3), 2, n_ang=12).rho.size
         del operator_rows[:]
-        plain = fields.weak_residual(fam, G, dom, n_tests=5, seed=3, n_ang=12)
+        plain = fields.weak_residual(fam, G, dom, n_tests=5, seed=3, n_ang=12,
+                                     layout="ball")
         with_v = fields.weak_residual(fam, fields.power_of(G, 2.0 / 3.0), dom,
                                       V=lambda x: -np.ones(len(x)), n_tests=5, seed=3,
-                                      n_ang=12)
+                                      n_ang=12, layout="ball")
         assert operator_rows == [nodes, nodes]
         assert (plain.hex(), with_v.hex()) == pins[base.kind]
 
@@ -286,24 +326,25 @@ def _block_case(case):
     euc, mix, lp4 = norms.euclidean(1.5, 3), norms.mixed(4, A2, 3.0), norms.lp(4, 3.0, 2)
     gs = acceptance._standard_weight(euc)
     ball = acceptance._standard_weight(lp4)
-    bad = fields.FuncField(lambda x: np.linalg.norm(x, axis=-1),
-                           grad=lambda x: x / np.linalg.norm(x, axis=-1, keepdims=True))
+    bad = _norm_field()
     return {
         "per_ray_euclidean": lambda: (euc, fields.DualPowerField(euc), d3, None, {}),
         "per_ray_mix": lambda: (mix, fields.DualPowerField(mix), d2, None, {}),
         "per_ray_radial_V": lambda: (euc, gs.ground_state, d3, _radial_potential(gs), {}),
         "per_ray_point_V": lambda: (mix, fields.power_of(fields.DualPowerField(mix), 2.0 / 3.0),
                                     d2, lambda x: -np.ones(len(x)), {}),
-        "per_node_shell": lambda: (norms.euclidean(2.0, 3), bad, d3, None, {}),
+        "non_radial_ball": lambda: (norms.euclidean(2.0, 3), bad, d3, None,
+                                    {"layout": "ball", "n_rho": 6}),
         "ball": lambda: (lp4, ball.ground_state, d2, _radial_potential(ball),
                          {"layout": "ball", "n_rho": 6}),
         "weighted": lambda: (norms.weighted(0.5, lp4), fields.power_of(
-            fields.DualPowerField(lp4), 2.0 / 3.0), d2, lambda x: -np.ones(len(x)), {}),
+            fields.DualPowerField(lp4), 2.0 / 3.0), d2, lambda x: -np.ones(len(x)),
+            {"layout": "ball", "n_rho": 6}),
     }[case]()
 
 
 @pytest.mark.parametrize("case", ["per_ray_euclidean", "per_ray_mix", "per_ray_radial_V",
-                                  "per_ray_point_V", "per_node_shell", "ball", "weighted"])
+                                  "per_ray_point_V", "non_radial_ball", "ball", "weighted"])
 def test_blocking_changes_no_bits(case, monkeypatch):
     # each bump's integrals are summed over that bump alone, in the same order, so
     # the residual is the same to the bit in one block, in one block per bump and
@@ -371,9 +412,8 @@ def test_weak_residual_classical_and_control():
     dom = fields.annulus(0.1, 10.0, 3)
     res = fields.weak_residual(fam, G, dom, n_tests=25, seed=3)
     assert res <= 1e-6
-    bad = fields.FuncField(lambda x: np.linalg.norm(x, axis=-1),
-                           grad=lambda x: x / np.linalg.norm(x, axis=-1, keepdims=True))
-    assert fields.weak_residual(fam, bad, dom, n_tests=10, seed=3) > 1e-2
+    bad = _norm_field()
+    assert fields.weak_residual(fam, bad, dom, n_tests=10, seed=3, layout="ball") > 1e-2
 
 
 def test_weak_residual_with_potential_term():
@@ -468,10 +508,9 @@ def test_synthetic_capped_profile_shape():
 
 
 def test_bump_support_and_gradient():
-    b = fields.Bump(np.array([2.0, 0.0]), 0.5, 1.5)
+    b = oracles.bump(np.array([2.0, 0.0]), 0.5, 1.5)
     assert float(b(np.array([[2.0, 0.0]]))[0]) == pytest.approx(1.5)
     assert float(b(np.array([[2.6, 0.0]]))[0]) == 0.0
     x = np.array([[2.1, 0.2]])
-    import oracles
     g = oracles.fd_gradient(lambda v: float(b(v[None, :])[0]), x[0])
     assert np.allclose(b.grad(x)[0], g, atol=1e-5)

@@ -179,7 +179,7 @@ def test_radial_fields_evaluate_through_their_profile():
     tree = ast.parse((SRC / "fields.py").read_text())
     methods = {cls.name: {fn.name for fn in cls.body if isinstance(fn, ast.FunctionDef)}
                for cls in tree.body if isinstance(cls, ast.ClassDef)}
-    for cls in ("DualPowerField", "LogDualField", "RadialProfileField"):
+    for cls in ("DualPowerField", "LogDualField", "RadialProfileField", "ComposedField"):
         assert not methods[cls] & {"__call__", "grad"}, cls
 
 

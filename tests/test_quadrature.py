@@ -115,10 +115,10 @@ def test_poisoned_integrand_names_node():
 def test_energy_breakdown_and_scaling():
     fam = norms.euclidean(2.0, 3)
     s = oracles.annulus_scheme(0.5, 4.0, 3, n_r=256, n_ang=16)
-    bump = fields.Bump(np.array([0.0, 0.0, 1.5]), 0.5, 1.0)
+    bump = oracles.bump(np.array([0.0, 0.0, 1.5]), 0.5, 1.0)
     eb = oracles.energy(s, fam, bump, V=lambda x: np.ones(len(x)))
     assert eb.total == pytest.approx(eb.dirichlet + eb.potential, rel=1e-12)
-    big = fields.Bump(np.array([0.0, 0.0, 1.5]), 0.5, 2.0)
+    big = oracles.bump(np.array([0.0, 0.0, 1.5]), 0.5, 2.0)
     eb2 = oracles.energy(s, fam, big)
     assert eb2.dirichlet == pytest.approx(2.0 ** fam.p * eb.dirichlet, rel=1e-10)
 
@@ -126,7 +126,7 @@ def test_energy_breakdown_and_scaling():
 def test_energy_margin_error():
     fam = norms.euclidean(2.0, 3)
     s = oracles.annulus_scheme(0.5, 2.0, 3, n_r=64, n_ang=8)
-    touching = fields.Bump(np.array([0.0, 0.0, 1.5]), 0.6, 1.0)
+    touching = oracles.bump(np.array([0.0, 0.0, 1.5]), 0.6, 1.0)
     with pytest.raises(ValueError, match="touches the shell"):
         oracles.energy(s, fam, touching, margin=0.0)
 
@@ -152,7 +152,7 @@ def test_radial_hat_energy_against_1d_oracle():
         out[inside] = val * (-2.0 * z[inside] / (1.0 - z[inside] ** 2) ** 2) / rho
         return out
 
-    hat = fields.RadialProfileField(prof, dprof)
+    hat = fields.RadialProfileField(prof, dprof, (c - rho, c + rho))
     s = oracles.annulus_scheme(0.5, 4.0, 3, n_r=512, n_ang=16,
                                   align=(c - rho, c + rho))
     eb = oracles.energy(s, fam, hat)
@@ -161,15 +161,15 @@ def test_radial_hat_energy_against_1d_oracle():
     assert eb.dirichlet == pytest.approx(oracle, rel=1e-6)
     # constant plateau region contributes nothing to the Dirichlet part
     plateau = fields.RadialProfileField(lambda r: np.ones_like(np.asarray(r)),
-                                        lambda r: np.zeros_like(np.asarray(r)))
+                                        lambda r: np.zeros_like(np.asarray(r)), (0.5, 4.0))
     assert oracles.energy(s, fam, plateau).dirichlet == 0.0
 
 
 def test_disjoint_support_additivity():
     fam = norms.euclidean(2.0, 3)
     s = oracles.annulus_scheme(0.5, 8.0, 3, n_r=512, n_ang=16)
-    b1 = fields.Bump(np.array([0.0, 0.0, 1.5]), 0.4, 1.0)
-    b2 = fields.Bump(np.array([0.0, 0.0, 5.0]), 0.8, 1.0)
+    b1 = oracles.bump(np.array([0.0, 0.0, 1.5]), 0.4, 1.0)
+    b2 = oracles.bump(np.array([0.0, 0.0, 5.0]), 0.8, 1.0)
 
     class Sum(fields.ScalarField):
         support = (b1.support[0], b2.support[1])

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import re
@@ -79,3 +80,25 @@ def test_green_farfield_script_reports_the_decay(tmp_path):
     assert "decay exponent (p-n)/(p-1) = -1.000000" in proc.stdout
     assert re.search(r"after \d+ Newton steps \(exit (tol|floor|stall)\)", proc.stdout)
     assert out.read_text().splitlines()[0] == "r,u,du"
+
+
+def test_line_trace_lists_the_lines_a_run_never_reaches():
+    spec = importlib.util.spec_from_file_location("line_trace", ROOT / "scripts" / "line_trace.py")
+    line_trace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(line_trace)
+    tracer = sys.gettrace()
+    found = line_trace.unreached([["verify-norms", "--samples", "200"]])
+    assert sys.gettrace() is tracer
+    names = {module: {name for name, _ in spans} for module, spans in found.items()}
+    # verify-norms builds no weight and solves no eigenproblem ...
+    assert {"principal_eigenvalue", "_newton_polish"} <= names["eigen.py"]
+    assert "build_weight_zero_potential" in names["hardy.py"]
+    # ... and runs its own handler and the norm checks to the end
+    assert "cmd_verify_norms" not in names["cli.py"]
+    assert "operator_identity" not in names.get("acceptance.py", set())
+    for module, spans in found.items():
+        lines = (line_trace.SRC / module).read_text().splitlines()
+        for _, (first, last) in spans:
+            assert first <= last
+            for line in (first, last):
+                assert not lines[line - 1].strip().startswith("raise"), (module, line)
