@@ -48,6 +48,7 @@ CLI_RUNS = [
     ["build-weight", "--family", "mix:s=4;A=[[2,0.5],[0.5,1]]", "--p", "1.5", "--n", "2"],
     ["build-weight", "--p", "4", "--n", "3", "--sigma", "1e5"],
     ["build-weight", "--field", f"green:{GREEN}"],
+    ["build-weight", "--family", "lp:s=4", "--p", "2", "--n", "2", "--field", "logdual:R=50"],
     ["null-seq"],
     ["null-seq", "--family", "lp:s=4", "--p", "3", "--n", "2", "--format", "csv"],
     ["verify-optimality"],

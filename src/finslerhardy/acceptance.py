@@ -26,7 +26,6 @@ the pure lp(4) family (zero infimum by degenerate ellipticity on the axes).
 from __future__ import annotations
 
 import math
-import os
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -57,7 +56,7 @@ EXPECTED_FAILURES = {
 class SuiteConfig:
     seed: int = 7
     quick: bool = False
-    threads: int = 0
+    threads: int = 1
 
     def tol(self, t):
         return t * 5.0 if self.quick else t
@@ -73,12 +72,6 @@ class SuiteConfig:
 
     def cells(self, m):
         return max(512, m // 4) if self.quick else m
-
-    def resolved_threads(self):
-        if self.threads > 0:
-            return self.threads
-        env = os.environ.get("HARDY_THREADS")
-        return max(1, int(env)) if env else 1
 
 
 def _family(label, p, n):
@@ -379,7 +372,7 @@ def check_flux(cfg):
 def ground_state_residual(hw, dom, n_tests, seed, **grid):
     """Weak residual of the ground-state equation Q'_{V-W}[v] = 0 on dom, with
     v, v' and V - W as profiles of the source's radial coordinate."""
-    V = SimpleNamespace(radial=(hw.source.radial[0], hw.ground_state_terms))
+    V = SimpleNamespace(radial=(hw.source.radial[0], lambda rho: hw.profile_terms(rho)[:3]))
     return fields.weak_residual(hw.fam, hw.ground_state, dom, V=V, n_tests=n_tests,
                                 seed=seed, **grid)
 
@@ -688,7 +681,7 @@ def check_eigen(cfg):
 
 @group("cli.determinism", ["cli.determinism_probe"])
 def check_determinism(cfg):
-    sub = SuiteConfig(seed=cfg.seed, quick=True, threads=1)
+    sub = SuiteConfig(seed=cfg.seed, quick=True)
     texts = []
     for _ in range(2):
         recs = check_operator_identity(sub) + check_classical_reduction(sub)
@@ -722,7 +715,6 @@ def run_battery(cfg, only=None):
                   if any(pattern.search(rn) for rn in CATALOG[name])]
         if not groups:
             raise ValueError(f"--only {only!r} matches no cataloged record")
-    workers = cfg.resolved_threads()
 
     def run_one(item):
         name, fn = item
@@ -733,8 +725,8 @@ def run_battery(cfg, only=None):
                                 measured=f"{type(exc).__name__}: {exc}",
                                 expected="no exception")]
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+    if cfg.threads > 1:
+        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             results = list(pool.map(run_one, groups))
     else:
         results = [run_one(g) for g in groups]

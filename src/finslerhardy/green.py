@@ -152,6 +152,16 @@ class GreenPotential:
         r = np.clip(np.asarray(r, dtype=float), self.r[0], self.r[-1])
         return self._dinterp(r)
 
+    def support_minimum(self):
+        """M_phi, the least value of u over supp phi = [r_a, r_b], exactly: the
+        least of the profile at r_a and r_b and of u at the nodes between, as
+        the PCHIP interpolant stays within the values of the nodes of each cell
+        (Fritsch and Carlson 1980)."""
+        phi = self.problem.phi
+        between = self.u[(self.r > phi.r_a) & (self.r < phi.r_b)]
+        return float(np.concatenate([self.profile(np.array([phi.r_a, phi.r_b])),
+                                     between]).min())
+
     def field(self):
         """The potential as a field of |x|, invertible on its mesh."""
         return fields.RadialProfileField(self.profile, self.dprofile, (self.r[0], self.r[-1]))
@@ -358,8 +368,7 @@ def flux_bound_check(gp):
             lambda r: np.abs(prob.V(r)) * _psi(gp.profile(r), prob.p), ang * prob.c_p)
     C0 = max(up_int, 1.0 / mass_phi)
     # M_phi: supp phi inside {u > t} iff t < min of u over supp phi
-    rs = np.geomspace(prob.phi.r_a, prob.phi.r_b, 256)
-    M_phi = float(np.min(gp.profile(rs)))
+    M_phi = gp.support_minimum()
     t_hi = float(gp.profile(np.asarray([prob.phi.r_b]))[0])
     t_lo = float(gp.u[-2]) if prob.boundary == "dirichlet" else float(gp.u[-1])
     t_lo = max(t_lo * 1.5, t_hi * 1e-6)

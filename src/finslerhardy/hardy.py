@@ -48,7 +48,9 @@ from .errors import BranchError, ConstructionError, RangeError
 
 
 def cutoff(t, k, one_sided=False):
-    """The log-profile cutoff phi_k: 0 / 2+log t/log k / 1 / 2-log t/log k / 0.
+    """The log-profile cutoff phi_k: 0 / 2+log t/log k / 1 / 2-log t/log k / 0,
+    and its slope t phi_k'(t): +-1/log k on the open transitions, 0 elsewhere
+    (kinks -> 0).
 
     Breakpoints at t = 1/k^2, 1/k, k, k^2; the one-sided variant stays 1
     for t >= 1/k.
@@ -57,24 +59,16 @@ def cutoff(t, k, one_sided=False):
     lk = math.log(k)
     with np.errstate(divide="ignore"):
         logt = np.where(t > 0.0, np.log(np.maximum(t, 1e-300)), -np.inf)
+    lo, mid = 1.0 / k ** 2, 1.0 / k
+    rising = (t > lo) & (t < mid)
     if one_sided:
-        return np.clip(np.select([t <= 1.0 / k ** 2, t <= 1.0 / k],
-                                 [0.0, 2.0 + logt / lk], 1.0), 0.0, 1.0)
-    return np.clip(np.select(
-        [t <= 1.0 / k ** 2, t <= 1.0 / k, t <= k, t <= k ** 2],
-        [0.0, 2.0 + logt / lk, 1.0, 2.0 - logt / lk], 0.0), 0.0, 1.0)
-
-
-def cutoff_slope(t, k, one_sided=False):
-    """t * phi_k'(t): +-1/log k on the transitions, 0 elsewhere (kinks -> 0)."""
-    t = np.asarray(t, dtype=float)
-    m = 1.0 / math.log(k)
-    rising = (t > 1.0 / k ** 2) & (t < 1.0 / k)
-    out = np.where(rising, m, 0.0)
-    if not one_sided:
-        falling = (t > k) & (t < k ** 2)
-        out = np.where(falling, -m, out)
-    return out
+        phi = np.select([t <= lo, t <= mid], [0.0, 2.0 + logt / lk], 1.0)
+        slope = np.where(rising, 1.0 / lk, 0.0)
+    else:
+        phi = np.select([t <= lo, t <= mid, t <= k, t <= k ** 2],
+                        [0.0, 2.0 + logt / lk, 1.0, 2.0 - logt / lk], 0.0)
+        slope = np.select([rising, (t > k) & (t < k ** 2)], [1.0 / lk, -1.0 / lk], 0.0)
+    return np.clip(phi, 0.0, 1.0), slope
 
 
 def cutoff_breaks(k, one_sided=False):
@@ -105,8 +99,7 @@ class HardyWeight:
     ground_state: object             # v as a ScalarField
     angular: float                   # total angular measure n*vol(unit gauge ball)
     source_bracket: tuple            # usable rho-range
-    V_profile: object = None         # radial potential (green branch)
-    phi_profile: object = None       # radial density (green branch)
+    green: object = None             # the GreenPotential (green branch)
     hypotheses: dict = dfield(default_factory=dict)
 
     @property
@@ -143,23 +136,20 @@ class HardyWeight:
             return (s - g) ** (-p) * w0 * np.abs(s - 2.0 * g) ** (p - 2.0) \
                 * (2.0 * (p - 2.0) * g * (s - g) + s ** 2)
         c2 = ((p - 1.0) / p) ** (p - 1.0)
-        return w0 + c2 * g ** (1.0 - p) * self.phi_profile(rho)
+        return w0 + c2 * g ** (1.0 - p) * self.green.problem.phi(rho)
 
     def weight_profile(self, rho):
         return self._weight(self.g(rho), self.dg(rho), rho)
 
     def profile_terms(self, rho):
-        """(v, v', W, V - W) at radii rho from one evaluation of g, g' (and V, phi)."""
+        """(v, v', V - W, W) at radii rho from one evaluation of g, g' (and V, phi);
+        the first three are the terms of the ground-state residual."""
         g, dg = self.g(rho), self.dg(rho)
         W = self._weight(g, dg, rho)
         gs = self.ground_state
-        return (gs.f(g), gs.fprime(g) * dg, W,
-                -W if self.V_profile is None else self.V_profile(rho) - W)
-
-    def ground_state_terms(self, rho):
-        """(v, v', V - W) at radii rho: the terms of the ground-state residual."""
-        v, dv, _, pot = self.profile_terms(rho)
-        return v, dv, pot
+        V = None if self.green is None else self.green.problem.V
+        pot = -W if V is None else V(rho) - W
+        return gs.f(g), gs.fprime(g) * dg, pot, W
 
     def weight(self, x):
         """W at points x (nonnegative by construction)."""
@@ -199,9 +189,7 @@ class HardyWeight:
         """
         if self.branch == "green_based":
             gmin, _ = self.profile_range(self.g)
-            m_phi = float(np.min(self.g(
-                np.geomspace(self.phi_profile.r_a, self.phi_profile.r_b, 128))))
-            level = math.sqrt(3.0 * gmin * m_phi)
+            level = math.sqrt(3.0 * gmin * self.green.support_minimum())
         else:
             lo, hi = self.source_bracket
             level = float(self.g(np.asarray([math.sqrt(lo * hi)]))[0])
@@ -212,10 +200,6 @@ class HardyWeight:
 # ---------------------------------------------------------------------------
 # builders
 # ---------------------------------------------------------------------------
-
-
-def _zero_profile(r):
-    return np.zeros_like(np.asarray(r, dtype=float))
 
 
 #: the standard branch is checked where v spans (1/V_SPAN, V_SPAN), on radii
@@ -301,11 +285,10 @@ def build_weight_green(fam, green_potential):
     if (p, n) != (prob.p, prob.n):
         raise ConstructionError(f"family has p = {p:g}, n = {n}; the Green problem "
                                 f"has p = {prob.p:g}, n = {prob.n}")
-    V_profile = prob.V or _zero_profile
     ang = quadrature.angular_measure(n)
 
     def hyp_fun(r):
-        vvals = V_profile(r)
+        vvals = np.zeros_like(r) if prob.V is None else prob.V(r)
         gq = gp.profile(r) ** (p - 1.0)
         return np.abs(vvals) * gq, vvals * gq, (vvals > 0.0).astype(float)
 
@@ -325,9 +308,7 @@ def build_weight_green(fam, green_potential):
            "V_nonpositive": v_nonpos}
     return HardyWeight(branch="green_based", fam=fam, sigma=0.0, source=src,
                        ground_state=v_field, angular=ang,
-                       source_bracket=(gp.r[0], gp.r[-1]),
-                       V_profile=V_profile, phi_profile=prob.phi,
-                       hypotheses=hyp)
+                       source_bracket=(gp.r[0], gp.r[-1]), green=gp, hypotheses=hyp)
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +352,8 @@ def _cutoff_terms(hw, rho, k, scale, one_sided):
     u, v, v', phi and the cutoff slope t phi'(t) at t = v scale.
     """
     p = hw.p
-    v, dv, W, pot = hw.profile_terms(rho)
-    ph = cutoff(v * scale, k, one_sided)
-    slope = cutoff_slope(v * scale, k, one_sided)
+    v, dv, pot, W = hw.profile_terms(rho)
+    ph, slope = cutoff(v * scale, k, one_sided)
     u = v * ph
     du = dv * (ph + slope)
     return np.abs(du) ** p + pot * u ** p, W * u ** p, u, v, dv, ph, slope
@@ -385,7 +365,7 @@ def _weight_mass_between(hw, t1, t2):
     r2 = hw.source.radial_inverse(t2)
 
     def f(rho):
-        v, _, W, _ = hw.profile_terms(rho)
+        v, _, _, W = hw.profile_terms(rho)
         return W * v ** hw.p
 
     return _radial_integral(hw, f, min(r1, r2), max(r1, r2))

@@ -468,3 +468,36 @@ def mp_bregman_distance(fam, xi, eta, dps=60):
             out.append(float(value_and_grad([a + b for a, b in zip(x, e)])[0] - hx
                              - mpmath.fsum(g * c for g, c in zip(gx, e))))
     return np.array(out)
+
+
+# -- two-formula log cutoff ---------------------------------------------------
+#
+# The cutoff value and its slope as hardy.py evaluated them before one pass
+# returned both: each has its own breakpoint tests, closed for phi_k and open
+# for t phi_k'.  hardy.cutoff must match them bit for bit.
+
+
+def cutoff_reference(t, k, one_sided=False):
+    """phi_k: 0 / 2+log t/log k / 1 / 2-log t/log k / 0 at breakpoints 1/k^2, 1/k, k, k^2."""
+    t = np.asarray(t, dtype=float)
+    lk = math.log(k)
+    with np.errstate(divide="ignore"):
+        logt = np.where(t > 0.0, np.log(np.maximum(t, 1e-300)), -np.inf)
+    if one_sided:
+        return np.clip(np.select([t <= 1.0 / k ** 2, t <= 1.0 / k],
+                                 [0.0, 2.0 + logt / lk], 1.0), 0.0, 1.0)
+    return np.clip(np.select(
+        [t <= 1.0 / k ** 2, t <= 1.0 / k, t <= k, t <= k ** 2],
+        [0.0, 2.0 + logt / lk, 1.0, 2.0 - logt / lk], 0.0), 0.0, 1.0)
+
+
+def cutoff_slope_reference(t, k, one_sided=False):
+    """t phi_k'(t): +-1/log k on the transitions, 0 elsewhere (kinks -> 0)."""
+    t = np.asarray(t, dtype=float)
+    m = 1.0 / math.log(k)
+    rising = (t > 1.0 / k ** 2) & (t < 1.0 / k)
+    out = np.where(rising, m, 0.0)
+    if not one_sided:
+        falling = (t > k) & (t < k ** 2)
+        out = np.where(falling, -m, out)
+    return out

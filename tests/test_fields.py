@@ -317,7 +317,7 @@ def test_weighted_family_keeps_the_per_node_flux_map(operator_rows):
 
 
 def _radial_potential(hw):
-    return SimpleNamespace(radial=(hw.source.radial[0], hw.ground_state_terms))
+    return SimpleNamespace(radial=(hw.source.radial[0], lambda rho: hw.profile_terms(rho)[:3]))
 
 
 def _block_case(case):

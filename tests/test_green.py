@@ -72,6 +72,20 @@ def test_negative_potential_raises_solution():
     assert green.level_flux(gpV, gpV.radius_of_level(t)) >= 1.0
 
 
+@pytest.mark.parametrize("V", [None, green.bump_potential(0.5, 1.5, 0.05)])
+def test_support_minimum_is_the_least_node_value_on_supp_phi(V):
+    # r_a and r_b are mesh nodes, and the PCHIP profile stays within the values
+    # of each cell's nodes, so the least node value on supp phi is M_phi exactly
+    prob = green.RadialProblem(p=1.5, n=3, phi=green.BumpDensity(0.5, 1.0, 1.0, 3), V=V,
+                               R_out=50.0, n_cells=1024)
+    gp = green.solve_green(prob)
+    m = gp.support_minimum()
+    assert {0.5, 1.0} <= set(gp.r.tolist())
+    assert m == gp.u[(gp.r >= 0.5) & (gp.r <= 1.0)].min()
+    assert m <= gp.profile(np.linspace(0.5, 1.0, 100_000)).min()
+    assert green.flux_bound_check(gp)["M_phi"] == m
+
+
 def test_monotone_decay_outside_support():
     gp = green.solve_green(newtonian_problem())
     rr = np.geomspace(1.0, gp.r[-1] * 0.999, 400)
@@ -135,7 +149,7 @@ def test_green_weight_hypotheses_and_residual():
     dom = fields.annulus(0.1, 25.0, 3)
 
     def VmW(x):
-        return hw.V_profile(np.linalg.norm(x, axis=-1)) - hw.weight(x)
+        return hw.green.problem.V(np.linalg.norm(x, axis=-1)) - hw.weight(x)
 
     res = fields.weak_residual(fam, hw.ground_state, dom, V=VmW,
                                n_tests=30, seed=11)
@@ -150,6 +164,18 @@ def test_green_weight_hypotheses_and_residual():
     c2 = 0.5  # ((p-1)/p)^(p-1) for p = 2
     lower = c2 * gp.profile(rs) ** (1.0 - 2.0) * prob.phi(rs)
     assert np.all(hw.weight_profile(rs) >= lower - 1e-14)
+
+
+def test_green_weight_without_a_potential():
+    # the weight reads V from its GreenPotential's problem: none gives V = 0
+    hw = hardy.build_weight_green(norms.euclidean(2.0, 3),
+                                  green.solve_green(newtonian_problem(cells=512)))
+    assert hw.green.problem.V is None
+    assert (hw.hypotheses["abs_potential_integral"], hw.hypotheses["signed_potential_integral"],
+            hw.hypotheses["V_nonpositive"]) == (0.0, 0.0, True)
+    rho = np.geomspace(0.1, 20.0, 64)
+    v, dv, pot, W = hw.profile_terms(rho)
+    assert np.array_equal(W, hw.weight_profile(rho)) and np.array_equal(pot, -W)
 
 
 def test_green_weight_sign_hypothesis_rejects():

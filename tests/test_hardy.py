@@ -126,21 +126,38 @@ def test_optimality_probes_are_pinned_bit_for_bit(compute, pinned):
 
 def test_cutoff_values():
     k = 8.0
-    assert hardy.cutoff(1.0 / k, k) == pytest.approx(1.0)       # 2 + log(1/k)/log k
-    assert hardy.cutoff(1.0 / k ** 2, k) == pytest.approx(0.0)
-    assert hardy.cutoff(3.0, k) == 1.0
-    assert hardy.cutoff(k ** 2, k) == pytest.approx(0.0)
-    assert hardy.cutoff(k ** 1.5, k) == pytest.approx(0.5)
-    one = hardy.cutoff(np.array([k ** 3]), k, one_sided=True)
+    assert hardy.cutoff(1.0 / k, k)[0] == pytest.approx(1.0)    # 2 + log(1/k)/log k
+    assert hardy.cutoff(1.0 / k ** 2, k)[0] == pytest.approx(0.0)
+    assert hardy.cutoff(3.0, k)[0] == 1.0
+    assert hardy.cutoff(k ** 2, k)[0] == pytest.approx(0.0)
+    assert hardy.cutoff(k ** 1.5, k)[0] == pytest.approx(0.5)
+    one = hardy.cutoff(np.array([k ** 3]), k, one_sided=True)[0]
     assert float(one[0]) == 1.0
 
 
 def test_cutoff_slope_is_plus_minus_m():
     k = 16.0
     m = 1.0 / math.log(k)
-    assert float(hardy.cutoff_slope(1.0 / k ** 1.5, k)) == pytest.approx(m)
-    assert float(hardy.cutoff_slope(k ** 1.5, k)) == pytest.approx(-m)
-    assert float(hardy.cutoff_slope(2.0, k)) == 0.0
+    assert float(hardy.cutoff(1.0 / k ** 1.5, k)[1]) == pytest.approx(m)
+    assert float(hardy.cutoff(k ** 1.5, k)[1]) == pytest.approx(-m)
+    assert float(hardy.cutoff(2.0, k)[1]) == 0.0
+
+
+@pytest.mark.parametrize("one_sided", [False, True])
+@pytest.mark.parametrize("k", [2, 8.0, 16, 4096])
+def test_cutoff_is_the_two_formulas_bit_for_bit(k, one_sided):
+    # one pass for phi_k and t phi_k' against the separate phi and slope
+    # formulas, on a grid through every breakpoint and its neighbours
+    marks = np.array([k ** -2.0, 1.0 / k, float(k), k ** 2.0, *hardy.cutoff_breaks(k)])
+    t = np.concatenate([np.geomspace(k ** -3.0, k ** 3.0, 2001), [0.0, 1.0], marks,
+                        np.nextafter(marks, 0.0), np.nextafter(marks, np.inf)])
+    for x in (t, t[:1], t[5]):
+        ph, slope = hardy.cutoff(x, k, one_sided)
+        ref_ph = oracles.cutoff_reference(x, k, one_sided)
+        ref_slope = oracles.cutoff_slope_reference(x, k, one_sided)
+        assert ph.shape == ref_ph.shape and slope.shape == ref_slope.shape
+        assert np.asarray(ph).tobytes() == np.asarray(ref_ph).tobytes()
+        assert np.asarray(slope).tobytes() == np.asarray(ref_slope).tobytes()
 
 
 # -- constructions ------------------------------------------------------------
@@ -225,7 +242,8 @@ def test_cutoff_terms_take_one_profile_pass(monkeypatch):
     assert np.array_equal(v, hw.v(rho))
     assert np.array_equal(dv, hw.ground_state.radial[2](rho))
     assert np.array_equal(m, W * u ** hw.p)
-    assert np.array_equal(e, np.abs(dv * (ph + slope)) ** hw.p + (hw.V_profile(rho) - W) * u ** hw.p)
+    assert np.array_equal(
+        e, np.abs(dv * (ph + slope)) ** hw.p + (hw.green.problem.V(rho) - W) * u ** hw.p)
 
 
 def _point_residual(hw, dom, n_tests, seed):
@@ -233,7 +251,8 @@ def _point_residual(hw, dom, n_tests, seed):
     gauge = hw.source.radial[0]
 
     def V(x):
-        pot = 0.0 if hw.V_profile is None else hw.V_profile(quadrature.radius(gauge, x))
+        V = None if hw.green is None else hw.green.problem.V
+        pot = 0.0 if V is None else V(quadrature.radius(gauge, x))
         return pot - hw.weight(x)
 
     return fields.weak_residual(hw.fam, hw.ground_state, dom, V=V, n_tests=n_tests,
@@ -343,8 +362,7 @@ def test_flux_constant_is_the_closed_form_for_every_source(monkeypatch):
     hw = _green_weight(512)
     cf = hw.flux_constant()
     gmin, _ = hw.profile_range(hw.g)
-    phi = hw.phi_profile
-    level = math.sqrt(3.0 * gmin * float(np.min(hw.g(np.geomspace(phi.r_a, phi.r_b, 128)))))
+    level = math.sqrt(3.0 * gmin * hw.green.support_minimum())
     lo, hi = hw.source_bracket
     ref = quadrature_flux(hw.fam, hw.source, fields.annulus(lo * 0.999, hi * 1.001, 3), level)
     assert cf == pytest.approx(ref, rel=1e-13)
@@ -381,7 +399,7 @@ def test_source_must_be_radial_in_the_familys_own_gauge():
 
 def test_radial_potential_must_share_the_field_gauge():
     hw = standard_weight(3.0, 2, norms.lp(4, 3.0, 2))
-    V = SimpleNamespace(radial=(None, hw.ground_state_terms))
+    V = SimpleNamespace(radial=(None, lambda rho: hw.profile_terms(rho)[:3]))
     with pytest.raises(ValueError, match="gauge"):
         fields.weak_residual(hw.fam, hw.ground_state, fields.annulus(0.1, 10.0, 2), V=V,
                              n_tests=3, seed=1)
@@ -455,8 +473,8 @@ def test_null_sequence_matches_full_dual_quadrature_lp4():
     fam = norms.lp(4, p, n)
     hw = standard_weight(p, n, fam)
     ns = hardy.null_sequence(hw, [k])
-    u = fields.ComposedField(lambda t: t * hardy.cutoff(t, k),
-                             lambda t: hardy.cutoff(t, k) + hardy.cutoff_slope(t, k),
+    u = fields.ComposedField(lambda t: t * hardy.cutoff(t, k)[0],
+                             lambda t: np.add(*hardy.cutoff(t, k)),
                              fields.power_of(hw.source, (p - 1.0) / p))
     levels = (k ** -2.0, 1.0 / k, k ** (2.0 - 1.0 / math.log(k)), float(k), k ** 2.0)
     radii = sorted(hw.rho_of_v(t)[0] for t in levels)

@@ -13,6 +13,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from finslerhardy import eigen, fields, green, norms
 from finslerhardy.acceptance import CATALOG, REGISTRY
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -34,6 +37,47 @@ def test_traced_names_resolve():
         mod = importlib.import_module(f"finslerhardy.{mod_name}")
         for fn_name in fn_names:
             assert callable(getattr(mod, fn_name, None)), f"{mod_name}.{fn_name}"
+
+
+def test_counters_read_what_the_traced_functions_take_and_return():
+    # perfbench's work counts bind argument names (Y, xi, n_tests, ep, restarts)
+    # and read GreenPotential.newton_iters: a rename fails here, not only in a
+    # traced benchmark run.  Tracer.wrap patches no module.
+    tracer = _tracer()
+    t = tracer.Tracer()
+    fam = norms.lp(4, 3.0, 2)
+    xi = np.random.default_rng(0).standard_normal((5, 2))
+    ep = eigen.EigenProblem(p=3.0, N=64)
+    runs = {
+        "norms.dual_newton": lambda f: f(norms.mixed(4, [[4.0, 0.0], [0.0, 9.0]], 3.0), xi),
+        "norms.norm_eval": lambda f: f(fam, None, xi),
+        "norms.operator_a": lambda f: f(fam, None, xi),
+        "fields.weak_residual": lambda f: f(fam, fields.DualPowerField(fam),
+                                            fields.annulus(0.1, 10.0, 2), n_tests=2, seed=1),
+        "green.solve_green": lambda f: f(green.RadialProblem(
+            p=1.5, n=3, phi=green.BumpDensity(0.5, 1.0, 1.0, 3), n_cells=256)),
+        "eigen.principal_eigenvalue": lambda f: f(ep, restarts=1),
+        "eigen.second_eigenvalue_and_gap": lambda f: f(ep, restarts=1),
+    }
+    assert set(runs) == set(tracer.COUNTERS) | set(tracer.P_SPLIT)
+    out = {}
+    for name, run in runs.items():
+        mod_name, fn_name = name.split(".")
+        fn = getattr(importlib.import_module(f"finslerhardy.{mod_name}"), fn_name)
+        out[name] = run(t.wrap(name, fn))
+    snap = t.snapshot()
+    assert snap["calls"] == dict.fromkeys(runs, 1)
+    assert out["green.solve_green"].newton_iters > 0
+    assert snap["counts"] == {
+        "norms.dual_newton.rows": 5, "norms.norm_eval.rows": 5,
+        "norms.operator_a.rows": 5, "fields.weak_residual.bumps": 2,
+        "green.solve_green.cells": 256,
+        "green.solve_green.newton_iters": out["green.solve_green"].newton_iters,
+        "eigen.principal_eigenvalue.cells": 64,
+        "eigen.principal_eigenvalue.restarts": 1,
+        "eigen.principal_eigenvalue.agreeing": 1}
+    assert {k for k in snap["total"] if k.endswith((".p2", ".pother"))} == {
+        "eigen.principal_eigenvalue.pother", "eigen.second_eigenvalue_and_gap.pother"}
 
 
 def test_catalog_groups_follow_the_registry():
